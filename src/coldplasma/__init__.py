@@ -23,9 +23,6 @@ from .chaplygin_bounds import (
     plain_lower_curve,
     q_rhs,
     sigma_curve,
-    z1_irrotational,
-    z1_plain,
-    z_sigma,
 )
 from .core_dynamics import (
     CharacteristicState,

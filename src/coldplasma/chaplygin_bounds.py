@@ -31,9 +31,6 @@ __all__ = [
     "plain_lower_curve",
     "irrotational_lower_curve",
     "sigma_curve",
-    "z1_plain",
-    "z1_irrotational",
-    "z_sigma",
     "anchor_root_S1",
     "anchor_root_S2",
     "criterion_1d",
@@ -229,25 +226,6 @@ def sigma_curve(
         lin_a=lin_a, lin_b=lin_b, pow_coef=pow_coef, expo=expo,
         sigma=sigma, f_plus=f_plus, d=d,
     )
-
-
-def z1_plain(s, anchor: tuple[float, float], xi30: float):
-    """Plain-case lower curve evaluated at s (vectorized)."""
-    s0, Z0 = anchor
-    return plain_lower_curve(s0, Z0, xi30).value(s)
-
-
-def z1_irrotational(s, anchor: tuple[float, float]):
-    """Irrotational lower curve evaluated at s (vectorized)."""
-    s0, Z0 = anchor
-    return irrotational_lower_curve(s0, Z0).value(s)
-
-
-def z_sigma(side: Side, s, anchor: tuple[float, float], sigma: float,
-            f_plus: float, d: int = 2):
-    """Sigma-family curve evaluated at s (vectorized)."""
-    s0, Z0 = anchor
-    return sigma_curve(side, s0, Z0, sigma, f_plus, d).value(s)
 
 
 def anchor_root_S1(sigma: float, f_plus: float, d: int = 2) -> float:

@@ -46,67 +46,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_MODES = (
-    "criterion-1d",
-    "first-period",
-    "gauss-pulse",
-    "count-revolutions",
-    "lifetime",
-    "oracle-run",
-    "sweep",
-)
-
-_ALLOWED_KEYS = {
-    "criterion-1d": {"v0_prime", "e0_prime"},
-    "first-period": {"div_v0", "curl_sq", "div_e0"},
-    "gauss-pulse": {"k"},
-    "count-revolutions": {"k", "start_lambda", "sigma1", "sigma2", "max_rev"},
-    "lifetime": {"k", "start_lambda", "sigma1", "sigma2", "max_rev"},
-    "oracle-run": {"k", "r0", "t_max", "tol", "d_cap"},
-    "sweep": {"k", "r_min", "r_max", "n_r", "t_max", "tol"},
-}
+REQUIRED = object()   # default of a parameter that has to be given
 
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-def _load_config_file(path: str, mode: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - _ALLOWED_KEYS[mode] - {"mode"}
-    if unknown:
-        raise ConfigError(f"unknown config keys for {mode}: {sorted(unknown)}")
-    if "mode" in raw and raw["mode"] != mode:
-        raise ConfigError(f"config is for mode {raw['mode']!r}, invoked as {mode!r}")
-    return raw
-
-
-def _merge(defaults: dict, file_cfg: dict, cli_cfg: dict) -> dict:
-    out = dict(defaults)
-    out.update({k: v for k, v in file_cfg.items() if k != "mode"})
-    out.update({k: v for k, v in cli_cfg.items() if v is not None})
-    return out
-
-
-def _require(cfg: dict, key: str):
-    if cfg.get(key) is None:
-        raise ConfigError(f"missing required parameter: {key}")
-    return cfg[key]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(f"{v:.15g}" for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -118,61 +68,25 @@ def _write_report(out_dir: Path, report: dict) -> None:
     )
 
 
-def _spiral_rows(spiral, points: int = 200):
-    rows = []
-    for i, seg in enumerate(spiral.segments):
-        s, dv = seg.sample(points)
-        for sv, dvv in zip(s, dv):
-            rows.append((float(i), sv, sv + 1.0, dvv))
-    return rows
-
-
-def _emit_spirals(out_dir: Path, spirals: dict) -> None:
-    for name, spiral in spirals.items():
-        _write_csv(
-            out_dir / f"spiral_{name}.csv",
-            ("curve_id", "s", "lambda", "D"),
-            _spiral_rows(spiral),
-        )
-
-
-def _emit_trajectory(out_dir: Path, run) -> None:
-    t = run.trajectory.t
-    y = run.trajectory.y
-    rows = [(t[i], y[2, i], y[3, i], y[0, i], y[1, i], y[4, i]) for i in range(len(t))]
-    _write_csv(out_dir / "trajectory.csv", ("t", "lambda", "D", "F", "G", "r"), rows)
-
+# Each handler takes the validated configuration and returns its own report
+# keys; ``main`` adds ``mode`` and ``inputs`` (the configuration itself).
 
 def _cmd_criterion_1d(cfg: dict, out_dir: Path) -> dict:
-    v = criterion_1d(_require(cfg, "v0_prime"), _require(cfg, "e0_prime"))
-    return {
-        "mode": "criterion-1d",
-        "inputs": {"v0_prime": cfg["v0_prime"], "e0_prime": cfg["e0_prime"]},
-        "delta": v.value,
-        "verdict": "satisfied" if v.satisfied else "violated",
-    }
+    v = criterion_1d(cfg["v0_prime"], cfg["e0_prime"])
+    return {"delta": v.value, "verdict": "satisfied" if v.satisfied else "violated"}
 
 
 def _cmd_first_period(cfg: dict, out_dir: Path) -> dict:
-    v = criterion_first_period(
-        _require(cfg, "div_v0"), _require(cfg, "curl_sq"), _require(cfg, "div_e0")
-    )
-    return {
-        "mode": "first-period",
-        "inputs": {k: cfg[k] for k in ("div_v0", "curl_sq", "div_e0")},
-        "delta_minus": v.value,
-        "verdict": "satisfied" if v.satisfied else "violated",
-    }
+    v = criterion_first_period(cfg["div_v0"], cfg["curl_sq"], cfg["div_e0"])
+    return {"delta_minus": v.value, "verdict": "satisfied" if v.satisfied else "violated"}
 
 
 def _cmd_gauss_pulse(cfg: dict, out_dir: Path) -> dict:
-    K = _require(cfg, "k")
+    K = cfg["k"]
     scenario = PulseScenario(K)
     th = optimize_thresholds()
     verdict = classify_pulse(K)
     return {
-        "mode": "gauss-pulse",
-        "inputs": {"k": K},
         "lambda0_at_origin": scenario.lambda0_at_origin,
         "thresholds": {
             "sigma1": th.sigma1,
@@ -186,28 +100,33 @@ def _cmd_gauss_pulse(cfg: dict, out_dir: Path) -> dict:
     }
 
 
-def _build_spiral_pair(cfg: dict):
-    K = _require(cfg, "k")
+def _spiral_pair(cfg: dict, out_dir: Path):
+    """Outer and inner spirals from (lambda0, 0), with both CSVs written.
+
+    Resolves ``start_lambda`` (default 2K) in ``cfg`` so that the report's
+    inputs show the start actually used; returns the spirals and the report
+    keys the two spiral modes share.
+    """
+    K = cfg["k"]
     PulseScenario(K)
-    lam0 = cfg["start_lambda"] if cfg.get("start_lambda") is not None else 2.0 * K
+    if cfg["start_lambda"] is None:
+        cfg["start_lambda"] = 2.0 * K
+    lam0 = cfg["start_lambda"]
     sigma_pair = (cfg["sigma1"], cfg["sigma2"])
-    max_rev = int(cfg["max_rev"])
-    outer = build_spiral("outer", (lam0, 0.0), None, sigma_pair, 2, max_rev)
-    inner = build_spiral("inner", (lam0, 0.0), None, sigma_pair, 2, max_rev)
-    return lam0, sigma_pair, outer, inner
+    spirals = {kind: build_spiral(kind, (lam0, 0.0), None, sigma_pair, 2, cfg["max_rev"])
+               for kind in ("outer", "inner")}
+    for kind, spiral in spirals.items():
+        rows = [(float(i), s, s + 1.0, dv) for i, seg in enumerate(spiral.segments)
+                for s, dv in zip(*seg.sample(200))]
+        _write_csv(out_dir / f"spiral_{kind}.csv", ("curve_id", "s", "lambda", "D"), rows)
+    return spirals["outer"], spirals["inner"], {"start_point": [lam0, 0.0]}
 
 
 def _cmd_count_revolutions(cfg: dict, out_dir: Path) -> dict:
-    lam0, sigma_pair, outer, inner = _build_spiral_pair(cfg)
-    n = count_revolutions(outer)
-    _emit_spirals(out_dir, {"outer": outer, "inner": inner})
+    outer, inner, report = _spiral_pair(cfg, out_dir)
     return {
-        "mode": "count-revolutions",
-        "inputs": {"k": cfg["k"], "start_lambda": lam0,
-                   "sigma1": sigma_pair[0], "sigma2": sigma_pair[1],
-                   "max_rev": cfg["max_rev"]},
-        "start_point": [lam0, 0.0],
-        "revolutions": n,
+        **report,
+        "revolutions": count_revolutions(outer),
         "outer_crossings_lambda": outer.crossings_lambda,
         "inner_crossings_lambda": inner.crossings_lambda,
         "outer_stop_reason": outer.stop_reason,
@@ -215,37 +134,25 @@ def _cmd_count_revolutions(cfg: dict, out_dir: Path) -> dict:
 
 
 def _cmd_lifetime(cfg: dict, out_dir: Path) -> dict:
-    lam0, sigma_pair, outer, inner = _build_spiral_pair(cfg)
+    outer, inner, report = _spiral_pair(cfg, out_dir)
     est = lifetime(inner, outer)
-    _emit_spirals(out_dir, {"outer": outer, "inner": inner})
-    return {
-        "mode": "lifetime",
-        "inputs": {"k": cfg["k"], "start_lambda": lam0,
-                   "sigma1": sigma_pair[0], "sigma2": sigma_pair[1],
-                   "max_rev": cfg["max_rev"]},
-        "start_point": [lam0, 0.0],
-        "revolutions": est.revolutions,
-        "T_lower": est.T_lower,
-        "T_upper": est.T_upper,
-    }
+    return {**report, "revolutions": est.revolutions,
+            "T_lower": est.T_lower, "T_upper": est.T_upper}
 
 
 def _cmd_oracle_run(cfg: dict, out_dir: Path) -> dict:
-    K = _require(cfg, "k")
-    profile = gaussian_profile(K)
-    r0 = float(cfg["r0"])
-    run = run_characteristic(profile, r0, float(cfg["t_max"]),
-                             tol=float(cfg["tol"]), d_cap=float(cfg["d_cap"]))
+    profile = gaussian_profile(cfg["k"])
+    r0 = cfg["r0"]
+    run = run_characteristic(profile, r0, cfg["t_max"], tol=cfg["tol"], d_cap=cfg["d_cap"])
     blow = detect_blowup(run)
     lam0, D0 = profile_divergences(profile, r0)
     violation = None
     if len(run.crossing_times) >= 1 and not blow.detected:
         violation = sandwich_check(run, max_arcs=6)
-    _emit_trajectory(out_dir, run)
+    F, G, lam, Dv, r = run.trajectory.y
+    _write_csv(out_dir / "trajectory.csv", ("t", "lambda", "D", "F", "G", "r"),
+               zip(run.trajectory.t, lam, Dv, F, G, r))
     return {
-        "mode": "oracle-run",
-        "inputs": {"k": K, "r0": r0, "t_max": cfg["t_max"], "tol": cfg["tol"],
-                   "d_cap": cfg["d_cap"]},
         "start": {"lambda0": lam0, "div_v0": D0},
         "revolutions": count_revolutions_oracle(run),
         "crossing_times": [float(t) for t in run.crossing_times],
@@ -258,13 +165,12 @@ def _cmd_oracle_run(cfg: dict, out_dir: Path) -> dict:
 
 
 def _cmd_sweep(cfg: dict, out_dir: Path) -> dict:
-    K = _require(cfg, "k")
-    profile = gaussian_profile(K)
-    r_min, r_max, n_r = float(cfg["r_min"]), float(cfg["r_max"]), int(cfg["n_r"])
+    profile = gaussian_profile(cfg["k"])
+    r_min, r_max, n_r = cfg["r_min"], cfg["r_max"], cfg["n_r"]
     if not (0.0 <= r_min < r_max) or n_r < 2:
         raise ConfigError("sweep requires 0 <= r_min < r_max and n_r >= 2")
     grid = list(np.linspace(r_min, r_max, n_r))
-    blow = blowup_sweep(profile, grid, t_max=float(cfg["t_max"]), tol=float(cfg["tol"]))
+    blow = blowup_sweep(profile, grid, t_max=cfg["t_max"], tol=cfg["tol"])
     detected = [(r, t) for r, t in blow if t is not None]
     t_min = min((t for _, t in detected), default=None)
     r_at = next((r for r, t in detected if t == t_min), None)
@@ -285,9 +191,6 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> dict:
             "unscaled units and are not directly comparable"
         )
     return {
-        "mode": "sweep",
-        "inputs": {"k": K, "r_min": r_min, "r_max": r_max, "n_r": n_r,
-                   "t_max": cfg["t_max"], "tol": cfg["tol"]},
         "min_blowup_time": t_min,
         "r_at_min_blowup": r_at,
         "guaranteed_lifetime": life.T_star if np.isfinite(life.T_star) else None,
@@ -296,27 +199,94 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> dict:
     }
 
 
-_HANDLERS = {
-    "criterion-1d": _cmd_criterion_1d,
-    "first-period": _cmd_first_period,
-    "gauss-pulse": _cmd_gauss_pulse,
-    "count-revolutions": _cmd_count_revolutions,
-    "lifetime": _cmd_lifetime,
-    "oracle-run": _cmd_oracle_run,
-    "sweep": _cmd_sweep,
+_K = {"k": (float, REQUIRED, "pulse amplitude")}
+_SPIRAL = {
+    **_K,
+    "start_lambda": (float, None, "start divergence override (default 2K)"),
+    "sigma1": (float, DEFAULT_SIGMA1, "lower-family sigma"),
+    "sigma2": (float, DEFAULT_SIGMA2, "upper-family sigma"),
+    "max_rev": (int, 16, "revolution cap"),
 }
 
-_DEFAULTS = {
-    "criterion-1d": {},
-    "first-period": {"curl_sq": 0.0},
-    "gauss-pulse": {},
-    "count-revolutions": {"sigma1": DEFAULT_SIGMA1, "sigma2": DEFAULT_SIGMA2,
-                          "max_rev": 16, "start_lambda": None},
-    "lifetime": {"sigma1": DEFAULT_SIGMA1, "sigma2": DEFAULT_SIGMA2,
-                 "max_rev": 16, "start_lambda": None},
-    "oracle-run": {"r0": 0.0, "t_max": 40.0, "tol": 1e-10, "d_cap": 1e6},
-    "sweep": {"r_min": 0.0, "r_max": 3.0, "n_r": 16, "t_max": 200.0, "tol": 1e-8},
+# mode -> (handler, {parameter: (type, default, help)}); each parameter is
+# both a flag (--name-with-dashes) and a config-file key.
+_MODES = {
+    "criterion-1d": (_cmd_criterion_1d, {
+        "v0_prime": (float, REQUIRED, "initial velocity derivative"),
+        "e0_prime": (float, REQUIRED, "initial field derivative"),
+    }),
+    "first-period": (_cmd_first_period, {
+        "div_v0": (float, REQUIRED, "initial velocity divergence"),
+        "curl_sq": (float, 0.0, "squared curl norm"),
+        "div_e0": (float, REQUIRED, "initial field divergence"),
+    }),
+    "gauss-pulse": (_cmd_gauss_pulse, _K),
+    "count-revolutions": (_cmd_count_revolutions, _SPIRAL),
+    "lifetime": (_cmd_lifetime, _SPIRAL),
+    "oracle-run": (_cmd_oracle_run, {
+        **_K,
+        "r0": (float, 0.0, "starting radius"),
+        "t_max": (float, 40.0, "integration horizon"),
+        "tol": (float, 1e-10, "integrator tolerance"),
+        "d_cap": (float, 1e6, "blow-up guard magnitude"),
+    }),
+    "sweep": (_cmd_sweep, {
+        **_K,
+        "r_min": (float, 0.0, "grid start"),
+        "r_max": (float, 3.0, "grid end"),
+        "n_r": (int, 16, "grid size"),
+        "t_max": (float, 200.0, "integration horizon"),
+        "tol": (float, 1e-8, "integrator tolerance"),
+    }),
 }
+
+
+def _typed(key: str, value, typ: type, default):
+    """A config-file value as the flag's type would give it.
+
+    Only JSON numbers are accepted (no bool, no string), integral ones for
+    integer parameters; ``null`` only where the default is ``null``.
+    """
+    if value is None and default is None:
+        return None
+    if type(value) is int or (type(value) is float and (typ is float or value.is_integer())):
+        try:
+            return typ(value)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    kind = "an integer" if typ is int else "a number"
+    raise ConfigError(f"config value for {key} must be {kind}, got {value!r}")
+
+
+def _load_config_file(path: str, mode: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or bad UTF-8
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a JSON object")
+    params = _MODES[mode][1]
+    unknown = set(raw) - set(params) - {"mode"}
+    if unknown:
+        raise ConfigError(f"unknown config keys for {mode}: {sorted(unknown)}")
+    file_mode = raw.pop("mode", mode)
+    if file_mode != mode:
+        raise ConfigError(f"config is for mode {file_mode!r}, invoked as {mode!r}")
+    return {key: _typed(key, value, *params[key][:2]) for key, value in raw.items()}
+
+
+def _config(ns: argparse.Namespace) -> dict:
+    """Table defaults, then the config file, then the flags that were given."""
+    params = _MODES[ns.mode][1]
+    cfg = {name: default for name, (_, default, _) in params.items()}
+    if ns.config:
+        cfg.update(_load_config_file(ns.config, ns.mode))
+    flags = vars(ns)
+    cfg.update({name: flags[name] for name in params if flags[name] is not None})
+    missing = [name for name, value in cfg.items() if value is REQUIRED]
+    if missing:
+        raise ConfigError(f"missing required parameter: {missing[0]}")
+    return cfg
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -326,69 +296,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"coldplasma {__version__}")
     sub = ap.add_subparsers(dest="mode", required=True)
-
-    def add(mode, *specs):
+    for mode, (_, params) in _MODES.items():
         p = sub.add_parser(mode)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--out-dir", default=None,
-                       help="output directory (default: $COLDPLASMA_OUT or '.')")
-        for name, typ, hlp in specs:
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ,
-                           default=None, help=hlp)
-        return p
-
-    add("criterion-1d", ("v0_prime", float, "initial velocity derivative"),
-        ("e0_prime", float, "initial field derivative"))
-    add("first-period", ("div_v0", float, "initial velocity divergence"),
-        ("curl_sq", float, "squared curl norm"),
-        ("div_e0", float, "initial field divergence"))
-    add("gauss-pulse", ("k", float, "pulse amplitude"))
-    add("count-revolutions", ("k", float, "pulse amplitude"),
-        ("start_lambda", float, "start divergence override (default 2K)"),
-        ("sigma1", float, "lower-family sigma"), ("sigma2", float, "upper-family sigma"),
-        ("max_rev", int, "revolution cap"))
-    add("lifetime", ("k", float, "pulse amplitude"),
-        ("start_lambda", float, "start divergence override (default 2K)"),
-        ("sigma1", float, "lower-family sigma"), ("sigma2", float, "upper-family sigma"),
-        ("max_rev", int, "revolution cap"))
-    add("oracle-run", ("k", float, "pulse amplitude"), ("r0", float, "starting radius"),
-        ("t_max", float, "integration horizon"), ("tol", float, "integrator tolerance"),
-        ("d_cap", float, "blow-up guard magnitude"))
-    add("sweep", ("k", float, "pulse amplitude"), ("r_min", float, "grid start"),
-        ("r_max", float, "grid end"), ("n_r", int, "grid size"),
-        ("t_max", float, "integration horizon"), ("tol", float, "integrator tolerance"))
+        p.add_argument("--out-dir", help="output directory (default: $COLDPLASMA_OUT or '.')")
+        for name, (typ, _, hlp) in params.items():
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, help=hlp)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     mode = ns.mode
-    cli_cfg = {k: v for k, v in vars(ns).items() if k not in ("mode", "config", "out_dir")}
-
     try:
-        file_cfg = _load_config_file(ns.config, mode) if ns.config else {}
-        cfg = _merge(_DEFAULTS[mode], file_cfg, cli_cfg)
-        unknown = set(cfg) - _ALLOWED_KEYS[mode]
-        if unknown:
-            raise ConfigError(f"unknown parameters for {mode}: {sorted(unknown)}")
-        out_dir = Path(ns.out_dir or os.environ.get("COLDPLASMA_OUT", "."))
-        # validate the full pipeline inputs up front: no partial side effects
-        handler = _HANDLERS[mode]
-    except (ConfigError, ValueError) as exc:
+        cfg = _config(ns)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out_dir = Path(ns.out_dir or os.environ.get("COLDPLASMA_OUT", "."))
 
     t0 = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        report = handler(cfg, out_dir)
+        report = _MODES[mode][0](cfg, out_dir)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, RuntimeError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    report = {"mode": mode, "inputs": cfg, **report}
     _write_report(out_dir, report)
     elapsed = time.perf_counter() - t0
     print(f"{mode}: wrote {out_dir / 'report.json'} ({elapsed:.2f}s)", file=sys.stderr)

@@ -12,7 +12,7 @@ lambda = d*G and D = d*F exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -290,7 +290,6 @@ class RadialProfile:
     label: str = "custom"
     admissibility_rmax: float = 6.0
     admissibility_points: int = 257
-    _checked: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         check_dimension(self.d)
@@ -301,7 +300,6 @@ class RadialProfile:
             raise ValueError(
                 f"inadmissible profile: lambda0({bad:.4g}) >= 1 (negative density)"
             )
-        self._checked = True
 
     def _deriv(self, fn: Callable[[float], float], r: float) -> float:
         h = 1e-6 * max(1.0, abs(r))

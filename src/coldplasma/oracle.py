@@ -23,6 +23,8 @@ from .core_dynamics import (
     j_exact_radial,
     orbit_extremes,
     profile_divergences,
+    rhs_divergence,
+    rhs_radial,
 )
 from .numerics import OdeTrajectory, integrate
 from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2
@@ -96,14 +98,7 @@ def run_characteristic(
 
     def rhs(t, y):
         F, G, lam, Dv, r = y
-        twoJ = 2.0 * j_exact_radial(F, Dv, d)
-        return (
-            -F * F - G,
-            F - d * F * G,
-            Dv * (1.0 - lam),
-            -Dv * Dv + twoJ - lam,
-            F * r,
-        )
+        return (*rhs_radial(F, G, d), *rhs_divergence(lam, Dv, j_exact_radial(F, Dv, d)), F * r)
 
     def crossing(t, y):
         return y[3]

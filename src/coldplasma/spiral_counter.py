@@ -224,16 +224,8 @@ def count_crossing_pairs(crossing_lambdas: Sequence[float]) -> int:
     return n
 
 
-def count_revolutions(spiral: Spiral, D0: Optional[float] = None) -> int:
-    """Certified full revolutions of a built spiral.
-
-    The labels of the crossings are offset by the sign of D0 (the first
-    crossing of a trajectory started on the axis is counted differently from
-    one started below it), but the completed-pair count is what certifies
-    full periods; D0 defaults to the spiral's own start.
-    """
-    if D0 is None:
-        D0 = spiral.start_divv
+def count_revolutions(spiral: Spiral) -> int:
+    """Certified full revolutions of a built spiral (completed crossing pairs)."""
     return count_crossing_pairs(spiral.crossings_lambda)
 
 
@@ -340,11 +332,5 @@ def guaranteed_field_lifetime(
         inner = build_spiral("inner", (lam0, D0), rule, sigma_pair, profile.d, max_rev)
         est = lifetime(inner, outer)
         rows.append((r0, est.T_lower if est.revolutions > 0 else 0.0))
-    finite = [(r, t) for r, t in rows]
-    t_star = min(t for _, t in finite)
-    r_min = None
-    for r, t in finite:
-        if t == t_star:
-            r_min = r
-            break
+    r_min, t_star = min(rows, key=lambda row: row[1])
     return FieldLifetime(float(t_star), r_min, tuple(rows))

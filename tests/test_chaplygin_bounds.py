@@ -12,9 +12,6 @@ from coldplasma.chaplygin_bounds import (
     plain_lower_curve,
     q_rhs,
     sigma_curve,
-    z1_irrotational,
-    z1_plain,
-    z_sigma,
 )
 from coldplasma.pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2, f_plus_of_lambda0
 
@@ -120,16 +117,16 @@ class TestAnchorsAndCoefficients:
     def test_anchor_identity_all_kinds(self, rng):
         for _ in range(20):
             s0, Z0 = _random_anchor(rng)
-            assert abs(z1_plain(s0, (s0, Z0), 0.3) - Z0) < 1e-12
-            assert abs(z1_irrotational(s0, (s0, Z0)) - Z0) < 1e-12
+            assert abs(plain_lower_curve(s0, Z0, 0.3).value(s0) - Z0) < 1e-12
+            assert abs(irrotational_lower_curve(s0, Z0).value(s0) - Z0) < 1e-12
             for side, sg in ((Side.LOWER, DEFAULT_SIGMA1), (Side.UPPER, DEFAULT_SIGMA2)):
-                assert abs(z_sigma(side, s0, (s0, Z0), sg, 0.2) - Z0) < 1e-12
+                assert abs(sigma_curve(side, s0, Z0, sg, 0.2).value(s0) - Z0) < 1e-12
 
     def test_phase_point_works_as_anchor(self):
         from coldplasma.core_dynamics import PhasePoint
 
         anchor = PhasePoint(-0.8, 0.04)
-        assert abs(z1_irrotational(-0.8, anchor) - 0.04) < 1e-14
+        assert abs(irrotational_lower_curve(*anchor).value(-0.8) - 0.04) < 1e-14
         with pytest.raises(ValueError):
             PhasePoint(0.2, 0.0)
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ class TestValidation:
     def test_missing_required_parameter(self, tmp_path, capsys):
         code, out = run_cli(["gauss-pulse"], tmp_path)
         assert code == EXIT_CONFIG
-        assert not (out / "report.json").exists()
+        assert not out.exists()
         assert "missing required parameter" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -24,14 +24,14 @@ class TestValidation:
         cfg.write_text(json.dumps({"k": 0.1, "bogus": 1}))
         code, out = run_cli(["gauss-pulse", "--config", str(cfg)], tmp_path)
         assert code == EXIT_CONFIG
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_malformed_json_rejected(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         code, out = run_cli(["gauss-pulse", "--config", str(cfg)], tmp_path)
         assert code == EXIT_CONFIG
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_wrong_mode_config_rejected(self, tmp_path):
         cfg = tmp_path / "other.json"
@@ -45,11 +45,34 @@ class TestValidation:
         assert not (out / "report.json").exists()
 
     def test_wrong_typed_config_value_rejected(self, tmp_path):
-        cfg = tmp_path / "typed.json"
-        cfg.write_text(json.dumps({"k": "not-a-number"}))
-        code, out = run_cli(["gauss-pulse", "--config", str(cfg)], tmp_path)
-        assert code == EXIT_CONFIG
-        assert not (out / "report.json").exists()
+        cases = [
+            ("gauss-pulse", {"k": "not-a-number"}),
+            ("gauss-pulse", {"k": "0.1"}),
+            ("gauss-pulse", {"k": True}),
+            ("gauss-pulse", {"k": None}),
+            ("sweep", {"k": 0.1, "n_r": 3.5}),
+        ]
+        for i, (mode, values) in enumerate(cases):
+            cfg = tmp_path / f"typed{i}.json"
+            cfg.write_text(json.dumps(values))
+            code, out = run_cli([mode, "--config", str(cfg)], tmp_path, sub=f"out{i}")
+            assert code == EXIT_CONFIG, values
+            assert not out.exists(), values
+
+    def test_config_file_and_flags_write_identical_reports(self, tmp_path):
+        cases = [
+            ("oracle-run", {"k": 0.1, "r0": 0, "t_max": 5},
+             ["--k", "0.1", "--r0", "0", "--t-max", "5"]),
+            ("count-revolutions", {"k": 0.1, "max_rev": 2.0, "start_lambda": None},
+             ["--k", "0.1", "--max-rev", "2"]),
+        ]
+        for i, (mode, values, flags) in enumerate(cases):
+            cfg = tmp_path / f"run{i}.json"
+            cfg.write_text(json.dumps(values))
+            code1, out1 = run_cli([mode, "--config", str(cfg)], tmp_path, sub=f"file{i}")
+            code2, out2 = run_cli([mode, *flags], tmp_path, sub=f"flags{i}")
+            assert code1 == code2 == EXIT_OK
+            assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
 class TestCriterionModes:

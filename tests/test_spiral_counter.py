@@ -79,11 +79,11 @@ class TestCounting:
     def test_single_left_crossing_not_a_revolution(self):
         """A start below the axis reaching only one crossing certifies nothing."""
         sp = Spiral("outer", -0.3, -0.1, 2, (0.5, 0.9), crossings=[-1.3])
-        assert count_revolutions(sp, D0=-0.1) == 0
+        assert count_revolutions(sp) == 0
 
     def test_two_crossings_from_axis_start_is_one_revolution(self):
         sp = Spiral("outer", 0.2, 0.0, 2, (0.5, 0.9), crossings=[-1.25, -0.78])
-        assert count_revolutions(sp, D0=0.0) == 1
+        assert count_revolutions(sp) == 1
 
     def test_default_k01_counts(self, spirals_default_k01):
         inner, outer = spirals_default_k01
