@@ -140,6 +140,21 @@ class BoundCurve:
             out = self.lin_a * s + self.lin_b + self.pow_coef * np.abs(s) ** self.expo
         return out if out.ndim else float(out)
 
+    def increment(self, s_ref: float, h):
+        """Z(s_ref + h) - Z(s_ref), free of the cancellation of two values.
+
+        Both points must lie on the same side of s = 0.
+        """
+        h = np.asarray(h, dtype=float)
+        if self.a4 is not None:
+            s = s_ref
+            out = h * (self.a4 * (((h + 4.0 * s) * h + 6.0 * s * s) * h + 4.0 * s**3)
+                       + self.a2 * (2.0 * s + h) + self.a1)
+        else:
+            out = h * self.lin_a + self.pow_coef * abs(s_ref) ** self.expo * np.expm1(
+                self.expo * np.log1p(h / s_ref))
+        return out if out.ndim else float(out)
+
     def derivative(self, s):
         s = np.asarray(s, dtype=float)
         if self.a4 is not None:

@@ -2,9 +2,9 @@
 
 Scenario parameters come from subcommand flags, optionally seeded from a
 JSON config file (flags override the file).  Every run validates its full
-configuration before doing any work, then writes a deterministic
-``report.json`` (stable key order, no timestamps) plus CSV curve samples
-into the output directory.
+configuration before doing any work and, only once the mode has succeeded,
+writes a deterministic ``report.json`` (stable key order, no timestamps)
+plus CSV curve samples into the output directory.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure.
@@ -69,19 +69,20 @@ def _write_report(out_dir: Path, report: dict) -> None:
 
 
 # Each handler takes the validated configuration and returns its own report
-# keys; ``main`` adds ``mode`` and ``inputs`` (the configuration itself).
+# keys and its CSVs as {file name: (header, rows)}; ``main`` adds ``mode`` and
+# ``inputs`` (the configuration itself) and writes nothing until it returns.
 
-def _cmd_criterion_1d(cfg: dict, out_dir: Path) -> dict:
+def _cmd_criterion_1d(cfg: dict):
     v = criterion_1d(cfg["v0_prime"], cfg["e0_prime"])
-    return {"delta": v.value, "verdict": "satisfied" if v.satisfied else "violated"}
+    return {"delta": v.value, "verdict": "satisfied" if v.satisfied else "violated"}, {}
 
 
-def _cmd_first_period(cfg: dict, out_dir: Path) -> dict:
+def _cmd_first_period(cfg: dict):
     v = criterion_first_period(cfg["div_v0"], cfg["curl_sq"], cfg["div_e0"])
-    return {"delta_minus": v.value, "verdict": "satisfied" if v.satisfied else "violated"}
+    return {"delta_minus": v.value, "verdict": "satisfied" if v.satisfied else "violated"}, {}
 
 
-def _cmd_gauss_pulse(cfg: dict, out_dir: Path) -> dict:
+def _cmd_gauss_pulse(cfg: dict):
     K = cfg["k"]
     scenario = PulseScenario(K)
     th = optimize_thresholds()
@@ -97,15 +98,15 @@ def _cmd_gauss_pulse(cfg: dict, out_dir: Path) -> dict:
             "blowup_K": th.blowup_K,
         },
         "verdict": verdict.value,
-    }
+    }, {}
 
 
-def _spiral_pair(cfg: dict, out_dir: Path):
-    """Outer and inner spirals from (lambda0, 0), with both CSVs written.
+def _spiral_pair(cfg: dict):
+    """Outer and inner spirals from (lambda0, 0), with both CSVs.
 
     Resolves ``start_lambda`` (default 2K) in ``cfg`` so that the report's
-    inputs show the start actually used; returns the spirals and the report
-    keys the two spiral modes share.
+    inputs show the start actually used; returns the spirals, the report
+    keys the two spiral modes share and the CSVs.
     """
     K = cfg["k"]
     PulseScenario(K)
@@ -115,32 +116,36 @@ def _spiral_pair(cfg: dict, out_dir: Path):
     sigma_pair = (cfg["sigma1"], cfg["sigma2"])
     spirals = {kind: build_spiral(kind, (lam0, 0.0), None, sigma_pair, 2, cfg["max_rev"])
                for kind in ("outer", "inner")}
-    for kind, spiral in spirals.items():
-        rows = [(float(i), s, s + 1.0, dv) for i, seg in enumerate(spiral.segments)
-                for s, dv in zip(*seg.sample(200))]
-        _write_csv(out_dir / f"spiral_{kind}.csv", ("curve_id", "s", "lambda", "D"), rows)
-    return spirals["outer"], spirals["inner"], {"start_point": [lam0, 0.0]}
+    csvs = {
+        f"spiral_{kind}.csv": (
+            ("curve_id", "s", "lambda", "D"),
+            [(float(i), s, s + 1.0, dv) for i, seg in enumerate(spiral.segments)
+             for s, dv in zip(*seg.sample(200))],
+        )
+        for kind, spiral in spirals.items()
+    }
+    return spirals["outer"], spirals["inner"], {"start_point": [lam0, 0.0]}, csvs
 
 
-def _cmd_count_revolutions(cfg: dict, out_dir: Path) -> dict:
-    outer, inner, report = _spiral_pair(cfg, out_dir)
+def _cmd_count_revolutions(cfg: dict):
+    outer, inner, report, csvs = _spiral_pair(cfg)
     return {
         **report,
         "revolutions": count_revolutions(outer),
         "outer_crossings_lambda": outer.crossings_lambda,
         "inner_crossings_lambda": inner.crossings_lambda,
         "outer_stop_reason": outer.stop_reason,
-    }
+    }, csvs
 
 
-def _cmd_lifetime(cfg: dict, out_dir: Path) -> dict:
-    outer, inner, report = _spiral_pair(cfg, out_dir)
+def _cmd_lifetime(cfg: dict):
+    outer, inner, report, csvs = _spiral_pair(cfg)
     est = lifetime(inner, outer)
     return {**report, "revolutions": est.revolutions,
-            "T_lower": est.T_lower, "T_upper": est.T_upper}
+            "T_lower": est.T_lower, "T_upper": est.T_upper}, csvs
 
 
-def _cmd_oracle_run(cfg: dict, out_dir: Path) -> dict:
+def _cmd_oracle_run(cfg: dict):
     profile = gaussian_profile(cfg["k"])
     r0 = cfg["r0"]
     run = run_characteristic(profile, r0, cfg["t_max"], tol=cfg["tol"], d_cap=cfg["d_cap"])
@@ -150,8 +155,6 @@ def _cmd_oracle_run(cfg: dict, out_dir: Path) -> dict:
     if len(run.crossing_times) >= 1 and not blow.detected:
         violation = sandwich_check(run, max_arcs=6)
     F, G, lam, Dv, r = run.trajectory.y
-    _write_csv(out_dir / "trajectory.csv", ("t", "lambda", "D", "F", "G", "r"),
-               zip(run.trajectory.t, lam, Dv, F, G, r))
     return {
         "start": {"lambda0": lam0, "div_v0": D0},
         "revolutions": count_revolutions_oracle(run),
@@ -161,10 +164,11 @@ def _cmd_oracle_run(cfg: dict, out_dir: Path) -> dict:
                    "method": blow.method},
         "sandwich_violation": violation,
         "status": run.trajectory.status,
-    }
+    }, {"trajectory.csv": (("t", "lambda", "D", "F", "G", "r"),
+                           zip(run.trajectory.t, lam, Dv, F, G, r))}
 
 
-def _cmd_sweep(cfg: dict, out_dir: Path) -> dict:
+def _cmd_sweep(cfg: dict):
     profile = gaussian_profile(cfg["k"])
     r_min, r_max, n_r = cfg["r_min"], cfg["r_max"], cfg["n_r"]
     if not (0.0 <= r_min < r_max) or n_r < 2:
@@ -175,14 +179,8 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> dict:
     t_min = min((t for _, t in detected), default=None)
     r_at = next((r for r, t in detected if t == t_min), None)
     life = guaranteed_field_lifetime(profile, grid)
-    _write_csv(
-        out_dir / "sweep.csv",
-        ("r0", "blowup_time", "T_lower"),
-        [
-            (r, blow[i][1] if blow[i][1] is not None else np.nan, life.per_radius[i][1])
-            for i, r in enumerate(grid)
-        ],
-    )
+    rows = [(r, blow[i][1] if blow[i][1] is not None else np.nan, life.per_radius[i][1])
+            for i, r in enumerate(grid)]
     caveat = None
     if t_min is None:
         caveat = (
@@ -196,7 +194,7 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> dict:
         "guaranteed_lifetime": life.T_star if np.isfinite(life.T_star) else None,
         "r_at_min_lifetime": life.r_at_min,
         "caveat": caveat,
-    }
+    }, {"sweep.csv": (("r0", "blowup_time", "T_lower"), rows)}
 
 
 _K = {"k": (float, REQUIRED, "pulse amplitude")}
@@ -286,6 +284,9 @@ def _config(ns: argparse.Namespace) -> dict:
     missing = [name for name, value in cfg.items() if value is REQUIRED]
     if missing:
         raise ConfigError(f"missing required parameter: {missing[0]}")
+    for name, value in cfg.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     return cfg
 
 
@@ -317,8 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     t0 = time.perf_counter()
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report = _MODES[mode][0](cfg, out_dir)
+        report, csvs = _MODES[mode][0](cfg)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -326,6 +326,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     report = {"mode": mode, "inputs": cfg, **report}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in csvs.items():
+        _write_csv(out_dir / name, header, rows)
     _write_report(out_dir, report)
     elapsed = time.perf_counter() - t0
     print(f"{mode}: wrote {out_dir / 'report.json'} ({elapsed:.2f}s)", file=sys.stderr)

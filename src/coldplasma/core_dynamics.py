@@ -32,12 +32,18 @@ __all__ = [
     "first_integral_constant",
     "evaluate_first_integral",
     "first_integral_derivative",
+    "first_integral_increment",
     "orbit_extremes",
     "period",
     "gaussian_profile",
     "constant_profile",
     "profile_divergences",
 ]
+
+
+# RadialProfile checks lambda0(r) < 1 at this many evenly spaced radii in [0, RMAX]
+_ADMISSIBILITY_RMAX = 6.0
+_ADMISSIBILITY_POINTS = 257
 
 
 def check_dimension(d: int) -> int:
@@ -156,6 +162,20 @@ def first_integral_derivative(G, const: FirstIntegralConstant):
     return out if out.ndim else float(out)
 
 
+def first_integral_increment(G: float, h, const: FirstIntegralConstant):
+    """Y(G + h) - Y(G) through log1p/expm1, free of the cancellation of two
+    values; G and G + h must lie on the half-plane G < 1/d."""
+    h = np.asarray(h, dtype=float)
+    d, C = const.d, const.C
+    u = 1.0 - d * G
+    if d == 2:
+        out = h * (np.log1p(-2.0 * G) + C) - 0.5 * (u - 2.0 * h) * np.log1p(-2.0 * h / u)
+    else:
+        out = 2.0 * h / (d - 2) + C * u ** (2.0 / d) * np.expm1(
+            (2.0 / d) * np.log1p(-d * h / u))
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
 class OrbitExtremes:
     """Turning points and velocity-factor maximum of a closed radial orbit."""
@@ -181,8 +201,7 @@ def _leftmost_bracket(Y: Callable[[float], float], G_hi: float) -> float:
 
 
 def _polish_turning_point(G: float, const: FirstIntegralConstant) -> float:
-    """Newton steps on Y(G) = 0; a 1e-12 root error would leak ~sqrt(1e-12)
-    into the period quadrature, so the turning points need near-machine
+    """Newton steps on Y(G) = 0, to bring a turning point to near-machine
     accuracy."""
     for _ in range(3):
         dY = first_integral_derivative(G, const)
@@ -241,36 +260,22 @@ def g_at_maximum(const: FirstIntegralConstant) -> float:
     return 0.5 * (1.0 - np.exp(-const.C - 1.0))
 
 
-def period(F0: float, G0: float, d: int, eps: float = 1e-12) -> float:
+def period(F0: float, G0: float, d: int) -> float:
     """Oscillation period of the closed radial orbit through (F0, G0).
 
-    T = 2 * integral over [G-, G+] of dG / ((1 - d G) sqrt(Y(G))); the
-    integrand's inverse-square-root turning-point singularities are handled
-    by the dedicated quadrature.
+    T = 2 * integral over [G-, G+] of dG / ((1 - d G) sqrt(Y(G))); Y is
+    evaluated as an increment from the nearer turning point, where it
+    vanishes, so the inverse-square-root singularities are divided out.
     """
     ext = orbit_extremes(F0, G0, d)
     if ext.G_plus - ext.G_minus < 1e-13:
         raise ValueError("point orbit has no period")
     const = first_integral_constant(F0, G0, d)
 
-    def f(G):
-        return 1.0 / ((1.0 - d * G) * np.sqrt(evaluate_first_integral(G, const)))
+    def f(end, h):
+        return 1.0 / ((1.0 - d * (end + h)) * np.sqrt(first_integral_increment(end, h, const)))
 
-    # limits of u*f(end +/- u^2) at the turning points, where Y ~ Y'(G0) (G-G0)
-    dY_m = first_integral_derivative(ext.G_minus, const)
-    dY_p = first_integral_derivative(ext.G_plus, const)
-    lim_m = 1.0 / ((1.0 - d * ext.G_minus) * np.sqrt(abs(dY_m)))
-    lim_p = 1.0 / ((1.0 - d * ext.G_plus) * np.sqrt(abs(dY_p)))
-    half = integrate_singular(
-        f,
-        ext.G_minus,
-        ext.G_plus,
-        singular_ends=(True, True),
-        eps=eps,
-        u_floor_scale=1e-6,
-        end_limits=(lim_m, lim_p),
-    )
-    return 2.0 * half
+    return 2.0 * integrate_singular(f, ext.G_minus, ext.G_plus)
 
 
 @dataclass
@@ -279,7 +284,7 @@ class RadialProfile:
 
     Derivatives fall back to central differences with step 1e-6 * max(1, r).
     Admissibility (lambda0(r) < 1, i.e. nonnegative density) is checked on a
-    grid at construction time.
+    grid of [0, 6] at construction time.
     """
 
     G0: Callable[[float], float]
@@ -288,12 +293,10 @@ class RadialProfile:
     dG0: Optional[Callable[[float], float]] = None
     dF0: Optional[Callable[[float], float]] = None
     label: str = "custom"
-    admissibility_rmax: float = 6.0
-    admissibility_points: int = 257
 
     def __post_init__(self):
         check_dimension(self.d)
-        rr = np.linspace(0.0, self.admissibility_rmax, self.admissibility_points)
+        rr = np.linspace(0.0, _ADMISSIBILITY_RMAX, _ADMISSIBILITY_POINTS)
         lam = np.array([self.lambda0(r) for r in rr])
         if np.any(lam >= 1.0):
             bad = rr[int(np.argmax(lam))]
@@ -326,7 +329,7 @@ def gaussian_profile(K: float) -> RadialProfile:
     Divergence profile: lambda0(r) = 2 K (1 - r^2) exp(-r^2), peaking at the
     center with lambda0(0) = 2K, so admissibility requires K < 1/2.
     """
-    if K <= 0.0:
+    if not 0.0 < K:
         raise ValueError(f"pulse amplitude K must be positive, got {K}")
     return RadialProfile(
         G0=lambda r: K * np.exp(-r * r),

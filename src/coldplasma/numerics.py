@@ -8,9 +8,8 @@ section scalar optimizer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -30,6 +29,7 @@ __all__ = [
 
 _INV_E = np.exp(-1.0)
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
+_QUAD_TOL = 1e-12   # absolute and relative target of integrate_singular
 
 
 class BracketError(ValueError):
@@ -201,75 +201,28 @@ def find_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-1
     return float(brentq(f, a, b, xtol=tol, maxiter=200))
 
 
-def _quad_transformed(
-    f: Callable[[float], float],
-    end: float,
-    width: float,
-    sign: float,
-    eps: float,
-    u_floor_scale: float,
-    end_limit: Optional[float],
-) -> float:
-    """Integrate f over a half-panel with an inverse-sqrt singularity at ``end``.
+def integrate_singular(f: Callable[[float, float], float], a: float, b: float) -> float:
+    """Integral over ``[a, b]`` of an integrand with inverse-square-root ends.
 
-    Substitutes ``s = end + sign*u**2`` which regularizes the integrand; the
-    tiny interval ``[0, u_floor]`` is handled with the (known or sampled)
-    integrand limit to avoid catastrophic cancellation when evaluating f at
-    machine-precision distance from the singular point.
+    ``f(end, h)`` is the integrand at ``end + h``, with ``end`` in ``{a, b}``
+    and ``h`` the offset toward the interior.  Taking the end and the offset
+    apart lets the caller evaluate its integrand as an increment from the
+    end, so a ``1/sqrt`` singularity at a root is divided out exactly.  Each
+    half of the interval is integrated in ``u`` with ``h = +/-u**2``, which
+    leaves a bounded integrand; a failure message from quad or a non-finite
+    value raises :class:`QuadratureError`.
     """
-    w = np.sqrt(width)
-
-    def g(u):
-        return 2.0 * u * f(end + sign * u * u)
-
-    u_floor = u_floor_scale * max(1.0, w)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = quad(g, u_floor, w, epsabs=eps, epsrel=eps, limit=400)
-    if not np.isfinite(val):
-        raise QuadratureError("non-finite quadrature value on singular panel")
-    g_floor = g(u_floor)
-    g_zero = 2.0 * end_limit if end_limit is not None else g_floor
-    # f(end + u^2) ~ c/u near the singular end, so g is regular: trapezoid tail
-    tail = 0.5 * (g_zero + g_floor) * u_floor
-    return val + tail
-
-
-def integrate_singular(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    singular_ends: tuple[bool, bool] = (True, True),
-    eps: float = 1e-12,
-    u_floor_scale: float = 1e-8,
-    end_limits: tuple[Optional[float], Optional[float]] = (None, None),
-) -> float:
-    """Integral of ``f`` over ``[a, b]`` with inverse-square-root endpoints.
-
-    ``singular_ends`` flags which endpoints carry a ``1/sqrt`` singularity;
-    those are removed exactly by the substitution ``u**2 = s - endpoint``.
-    ``end_limits`` optionally supplies ``lim u*f(end +/- u^2)`` at each
-    flagged end, which keeps the quadrature robust when ``f`` cannot be
-    evaluated reliably within round-off distance of the endpoint.
-    """
-    if b <= a:
+    if not b > a:
         raise ValueError("require b > a")
-    m = 0.5 * (a + b)
+    w = np.sqrt(0.5 * (b - a))
     total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if singular_ends[0]:
-            total += _quad_transformed(f, a, m - a, +1.0, eps, u_floor_scale, end_limits[0])
-        else:
-            val, _ = quad(f, a, m, epsabs=eps, epsrel=eps, limit=400)
-            total += val
-        if singular_ends[1]:
-            total += _quad_transformed(f, b, b - m, -1.0, eps, u_floor_scale, end_limits[1])
-        else:
-            val, _ = quad(f, m, b, epsabs=eps, epsrel=eps, limit=400)
-            total += val
-    if not np.isfinite(total):
-        raise QuadratureError(f"quadrature on [{a}, {b}] did not converge")
+    for end, sign in ((a, 1.0), (b, -1.0)):
+        val, _, _, *msg = quad(lambda u: 2.0 * u * f(end, sign * u * u), 0.0, w,
+                               epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, full_output=1)
+        if msg or not np.isfinite(val):
+            detail = msg[0] if msg else f"non-finite value {val}"
+            raise QuadratureError(f"quadrature on [{a}, {b}] from {end}: {detail}")
+        total += val
     return total
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -58,7 +57,7 @@ class PulseScenario:
     K: float
 
     def __post_init__(self):
-        if self.K <= 0.0:
+        if not 0.0 < self.K:
             raise ValueError(f"K must be positive, got {self.K}")
         if 2.0 * self.K >= 1.0:
             raise ValueError(f"inadmissible pulse: lambda0(0) = 2K = {2 * self.K} >= 1")
@@ -134,21 +133,17 @@ class FixedPointResult:
     lambda_star: float
     method: str
     residual: float
-    lambert_value: Optional[float] = None
-    lambert_discrepancy: Optional[float] = None
 
 
 _MAPS = {"lambda1": lambda1_map, "lambda2": lambda2_map}
 
 
-def fixed_point(which: str, sigma: float, cross_check: bool = False) -> FixedPointResult:
+def fixed_point(which: str, sigma: float) -> FixedPointResult:
     """Fixed point of the chosen threshold map on (0, 1) by direct root find.
 
     Scans a 1000-point grid for a sign change of lambda - map(lambda) before
     refining; raises :class:`NoFixedPointError` when no bracket exists (the
-    lambda2 map has no fixed point for sigma2 <= 1/sqrt(2)).  With
-    ``cross_check`` the Lambert W closed form is evaluated alongside and the
-    discrepancy reported.
+    lambda2 map has no fixed point for sigma2 <= 1/sqrt(2)).
     """
     if which not in _MAPS:
         raise ValueError(f"which must be 'lambda1' or 'lambda2', got {which!r}")
@@ -170,17 +165,7 @@ def fixed_point(which: str, sigma: float, cross_check: bool = False) -> FixedPoi
     if root is None:
         raise NoFixedPointError(f"{which} map has no fixed point on (0,1) at sigma={sigma}")
 
-    res = FixedPointResult(which, sigma, float(root), "DirectRootFind", abs(g(root)))
-    if cross_check:
-        try:
-            lam_w = lambert_fixed_point(which, sigma)
-            res = FixedPointResult(
-                which, sigma, float(root), "DirectRootFind", abs(g(root)),
-                lambert_value=lam_w, lambert_discrepancy=abs(lam_w - root),
-            )
-        except (ValueError, ZeroDivisionError):
-            pass
-    return res
+    return FixedPointResult(which, sigma, float(root), "DirectRootFind", abs(g(root)))
 
 
 def _lambert_from_linear_exp(p: float, q: float, branch: int) -> float:

@@ -238,37 +238,20 @@ class LifetimeEstimate:
     revolutions: int
 
 
-def segment_time(seg: SpiralSegment, eps: float = 1e-12) -> float:
+def segment_time(seg: SpiralSegment) -> float:
     """Passage time along one arc: integral of ds/(|s| sqrt(Z(s))).
 
-    The integrand has inverse-square-root singularities wherever the arc
-    meets the axis; the curve's own derivative supplies the endpoint limits
-    so the transformed quadrature stays well conditioned against the
-    cancellation noise of the closed-form curve near its roots.
+    Z is evaluated as an increment from the nearer end of the arc, where it
+    takes its anchor value at the start and 0 at the crossing, so the
+    inverse-square-root singularity at a root is divided out exactly.
     """
-    lo, hi = seg.s_interval
     curve = seg.curve
+    z_end = {seg.s_start: curve.Z0, seg.s_end: 0.0}
 
-    def f(s):
-        return 1.0 / (abs(s) * np.sqrt(curve.value(s)))
+    def f(end, h):
+        return 1.0 / (abs(end + h) * np.sqrt(z_end[end] + curve.increment(end, h)))
 
-    limits = []
-    flags = []
-    for end in (lo, hi):
-        z_end = curve.value(end)
-        if abs(z_end) < 1e-9:
-            flags.append(True)
-            limits.append(1.0 / (abs(end) * np.sqrt(abs(curve.derivative(end)))))
-        else:
-            flags.append(False)
-            limits.append(None)
-    return integrate_singular(
-        f, lo, hi,
-        singular_ends=(flags[0], flags[1]),
-        eps=eps,
-        u_floor_scale=1e-5,
-        end_limits=(limits[0], limits[1]),
-    )
+    return integrate_singular(f, *seg.s_interval)
 
 
 def lifetime(spiral_inner: Spiral, spiral_outer: Spiral) -> LifetimeEstimate:

@@ -113,6 +113,28 @@ class TestClosedFormsSolveTheirOde:
                 assert an < 1e-10
 
 
+class TestIncrement:
+    """increment(s, h) = Z(s + h) - Z(s) in both representations."""
+
+    @pytest.mark.parametrize("family", ["plain", "irrotational", "lower", "upper"])
+    def test_matches_differences_and_slope(self, family, rng):
+        for _ in range(20):
+            s0, Z0 = _random_anchor(rng)
+            curve = {
+                "plain": lambda: plain_lower_curve(s0, Z0, xi30=rng.uniform(-0.5, 0.5)),
+                "irrotational": lambda: irrotational_lower_curve(s0, Z0),
+                "lower": lambda: sigma_curve(Side.LOWER, s0, Z0, DEFAULT_SIGMA1, 0.2),
+                "upper": lambda: sigma_curve(Side.UPPER, s0, Z0, DEFAULT_SIGMA2, 0.2),
+            }[family]()
+            s = rng.uniform(-1.8, -0.05)
+            for h in (1e-2, -1e-2):
+                diff = curve.value(s + h) - curve.value(s)
+                assert abs(curve.increment(s, h) - diff) <= 1e-10 * abs(diff) + 1e-13
+            for h in (1e-9, -1e-9):
+                lin = curve.derivative(s) * h
+                assert abs(curve.increment(s, h) - lin) <= 1e-7 * abs(lin) + 1e-16
+
+
 class TestAnchorsAndCoefficients:
     def test_anchor_identity_all_kinds(self, rng):
         for _ in range(20):

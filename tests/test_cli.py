@@ -40,9 +40,30 @@ class TestValidation:
         assert code == EXIT_CONFIG
 
     def test_domain_error_is_config_error(self, tmp_path):
-        code, out = run_cli(["gauss-pulse", "--k", "0.7"], tmp_path)
-        assert code == EXIT_CONFIG
-        assert not (out / "report.json").exists()
+        # found inside the handler, so nothing may be written
+        cases = [
+            ["gauss-pulse", "--k", "0.7"],
+            ["sweep", "--k", "0.1", "--r-min", "2", "--r-max", "1"],
+        ]
+        for i, args in enumerate(cases):
+            code, out = run_cli(args, tmp_path, sub=f"out{i}")
+            assert code == EXIT_CONFIG, args
+            assert not out.exists(), args
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({"k": float("nan")}))   # written as NaN
+        cases = [
+            ["count-revolutions", "--config", str(cfg)],
+            ["gauss-pulse", "--k", "nan"],
+            ["lifetime", "--k", "0.1", "--sigma1", "nan"],
+            ["oracle-run", "--k", "0.1", "--t-max", "nan"],
+            ["oracle-run", "--k", "0.1", "--t-max", "inf"],
+        ]
+        for i, args in enumerate(cases):
+            code, out = run_cli(args, tmp_path, sub=f"out{i}")
+            assert code == EXIT_CONFIG, args
+            assert not out.exists(), args
 
     def test_wrong_typed_config_value_rejected(self, tmp_path):
         cases = [

@@ -6,6 +6,7 @@ from coldplasma.core_dynamics import (
     evaluate_first_integral,
     first_integral_constant,
     first_integral_derivative,
+    first_integral_increment,
     g_at_maximum,
     gaussian_profile,
     j_exact_radial,
@@ -15,7 +16,7 @@ from coldplasma.core_dynamics import (
     rhs_divergence,
     rhs_radial,
 )
-from coldplasma.numerics import integrate
+from coldplasma.numerics import QuadratureError, integrate
 
 
 class TestRhs:
@@ -90,6 +91,18 @@ class TestFirstIntegral:
             assert abs(evaluate_first_integral(G0, const) - F0 * F0) < 1e-12
             count += 1
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_increment_matches_differences_and_slope(self, d, rng):
+        for _ in range(20):
+            G = rng.uniform(-0.5, 0.8 / d)
+            const = first_integral_constant(rng.uniform(-0.3, 0.3), G, d)
+            for h in (1e-2, -1e-2):
+                diff = evaluate_first_integral(G + h, const) - evaluate_first_integral(G, const)
+                assert abs(first_integral_increment(G, h, const) - diff) <= 1e-10 * abs(diff)
+            for h in (1e-9, -1e-9):
+                lin = first_integral_derivative(G, const) * h
+                assert abs(first_integral_increment(G, h, const) - lin) <= 1e-7 * abs(lin)
+
     def test_degenerate_orbit_rejected(self):
         with pytest.raises(ValueError):
             first_integral_constant(0.1, 0.5, 2)
@@ -153,9 +166,16 @@ class TestPeriod:
         assert abs(period(0.0, 1e-4, 2) - 2.0 * np.pi) < 1e-3
 
     def test_against_high_precision_quadrature(self):
-        # frozen from a 50-digit tanh-sinh evaluation of the period integral
-        # (sin^2 substitution at both turning points)
-        assert abs(period(0.0, 0.1, 2) - 6.2761563213556569) < 5e-9
+        # frozen from mpmath 1.3 at 60 digits: turning points by findroot on
+        # Y, each half integrated in u with G = end +/- u**2 and Y taken as
+        # Y(end + h) - Y(end), by Gauss-Legendre; a 70-digit rerun agrees
+        assert abs(period(0.0, 0.1, 2) - 6.276156321355657) < 1e-12
+        assert abs(period(0.0, 1e-4, 2) - 6.283185301942202) < 1e-12
+
+    def test_unresolvable_orbit_raises(self):
+        # the orbit spans [-5.2e19, 0.49]; quad reports that it cannot converge
+        with pytest.raises(QuadratureError):
+            period(0.0, 0.49, 2)
 
     def test_matches_oracle_crossings(self):
         d = 2
@@ -219,6 +239,8 @@ class TestProfiles:
             gaussian_profile(0.0)
         with pytest.raises(ValueError):
             gaussian_profile(-0.1)
+        with pytest.raises(ValueError):
+            gaussian_profile(float("nan"))
 
     def test_inadmissible_profile_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from scipy.special import lambertw as scipy_lambertw
 
 from coldplasma.numerics import (
     BracketError,
+    QuadratureError,
     find_root,
     integrate,
     integrate_singular,
@@ -120,22 +121,23 @@ class TestFindRoot:
 
 
 class TestIntegrateSingular:
+    # integrands in the f(end, h) form: the value at end + h
     def test_inverse_sqrt(self):
-        val = integrate_singular(lambda s: s ** -0.5, 0.0, 1.0, (True, False))
+        val = integrate_singular(lambda end, h: (end + h) ** -0.5, 0.0, 1.0)
         assert abs(val - 2.0) < 1e-8
 
     def test_arcsine_kernel(self):
-        val = integrate_singular(lambda s: (1.0 - s * s) ** -0.5, -1.0, 1.0, (True, True))
+        # 1 - s**2 = |h| (2 - |h|) at s = end + h for end = -1 or +1
+        val = integrate_singular(lambda end, h: (abs(h) * (2.0 - abs(h))) ** -0.5, -1.0, 1.0)
         assert abs(val - np.pi) < 1e-8
 
     def test_regular_integrand(self):
-        val = integrate_singular(np.cos, 0.0, np.pi / 2.0, (False, False))
+        val = integrate_singular(lambda end, h: np.cos(end + h), 0.0, np.pi / 2.0)
         assert abs(val - 1.0) < 1e-10
 
-    def test_convergence_under_refinement(self):
-        coarse = integrate_singular(lambda s: s ** -0.5, 0.0, 1.0, (True, False), eps=1e-6)
-        fine = integrate_singular(lambda s: s ** -0.5, 0.0, 1.0, (True, False), eps=1e-13)
-        assert abs(fine - 2.0) <= abs(coarse - 2.0) + 1e-12
+    def test_non_integrable_raises(self):
+        with pytest.raises(QuadratureError):
+            integrate_singular(lambda end, h: 1.0 / (end + h), 0.0, 1.0)
 
 
 class TestOptimizeScalar:

@@ -117,11 +117,6 @@ class TestFixedPoints:
         closed = lambert_fixed_point("lambda2", float(sigma))
         assert abs(direct - closed) < 1e-8
 
-    def test_cross_check_field_populated(self):
-        res = fixed_point("lambda1", 0.45, cross_check=True)
-        assert res.lambert_value is not None
-        assert res.lambert_discrepancy < 1e-8
-
 
 class TestThresholds:
     def test_reference_extrema(self, thresholds):
@@ -154,4 +149,6 @@ class TestClassifier:
             PulseScenario(0.0)
         with pytest.raises(ValueError):
             PulseScenario(0.5)
+        with pytest.raises(ValueError):
+            PulseScenario(float("nan"))
         assert PulseScenario(0.1).lambda0_at_origin == 0.2

@@ -112,10 +112,14 @@ class TestLifetime:
             assert 0.0 < t < 10.0
 
     def test_segment_time_against_high_precision(self, spirals_default_k01):
-        # first inner arc from (0.2, 0); frozen from a 50-digit tanh-sinh
-        # evaluation of the arc-time integral with sin^2 substitution
+        # first inner arcs from (0.2, 0) and (1e-3, 0); frozen from mpmath 1.3
+        # at 60 digits: the curve's coefficients taken exactly, its roots by
+        # findroot, each half integrated in u with s = end +/- u**2 by
+        # Gauss-Legendre; a 45-digit rerun agrees
         inner, _ = spirals_default_k01
-        assert abs(segment_time(inner.segments[0]) - 3.2126844355241121) < 5e-9
+        assert abs(segment_time(inner.segments[0]) - 3.212684435524116) < 1e-12
+        tiny = build_spiral("inner", (1e-3, 0.0), max_rev=2).segments[0]
+        assert abs(segment_time(tiny) - 3.141593946969576) < 1e-12
 
     def test_mismatched_starts_rejected(self):
         a = build_spiral("inner", (0.1, 0.0), max_rev=1)
