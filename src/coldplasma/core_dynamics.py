@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import find_root, integrate_singular, optimize_scalar
+from .numerics import find_root, integrate_singular
 
 __all__ = [
     "check_dimension",
@@ -188,76 +188,61 @@ class OrbitExtremes:
         return iter((self.G_minus, self.G_plus, self.F_plus))
 
 
-def _leftmost_bracket(Y: Callable[[float], float], G_hi: float) -> float:
-    """Expand leftwards from G_hi until Y turns negative."""
-    step = 0.05 * max(1.0, abs(G_hi))
-    G = G_hi - step
-    for _ in range(200):
-        if Y(G) < 0.0:
-            return G
-        step *= 1.5
-        G -= step
-    raise ValueError("orbit is not closed: no left turning point found")
+def g_at_maximum(const: FirstIntegralConstant) -> float:
+    """Closed-form maximum point G_m of Y, where Y'(G_m) = 0.
+
+    d = 2: 1 - 2 G_m = exp(-C - 1).  Otherwise (1 - d G_m)**((d-2)/d) = C (d-2).
+    Y'' has the sign of -C (d-2) (always negative for d = 2), so Y is concave
+    and G_m its maximum exactly when the orbit is closed; C (d-2) <= 0 (only
+    possible for d = 1) raises ValueError, as does a G_m beyond float range.
+    """
+    d, C = const.d, const.C
+    if d != 2 and C * (d - 2) <= 0.0:
+        raise ValueError(f"orbit is not closed: C*(d-2) = {C * (d - 2)} <= 0")
+    with np.errstate(over="ignore"):
+        if d == 2:
+            G_m = 0.5 * (1.0 - np.exp(-C - 1.0))
+        else:
+            G_m = (1.0 - np.power(C * (d - 2), d / (d - 2.0))) / d
+    if not np.isfinite(G_m):
+        raise ValueError(f"orbit too wide: its maximum lies at G = {G_m}")
+    return float(G_m)
 
 
-def _polish_turning_point(G: float, const: FirstIntegralConstant) -> float:
-    """Newton steps on Y(G) = 0, to bring a turning point to near-machine
-    accuracy."""
-    for _ in range(3):
-        dY = first_integral_derivative(G, const)
-        if dY == 0.0:
-            break
-        G = G - evaluate_first_integral(G, const) / dY
-    return G
-
-
-def orbit_extremes(F0: float, G0: float, d: int, tol: float = 1e-12) -> OrbitExtremes:
+def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     """Turning points G- < 0 <= G+ and F+ = max |F| of the orbit through (F0, G0).
 
     The orbit is the level set Y(G) = F**2 of the first integral; closed
     orbits exist for G0 < 1/d (always for d in {2, 3}; for d = 1 only when
-    the orbit constant is negative).  F+ is located by maximizing Y between
-    the turning points.
+    the orbit constant is negative).  Y is concave there, so F+ = sqrt(Y(G_m))
+    at the closed-form maximum G_m, and each turning point is the one root
+    on its side of G_m.  The left bracket is the root of the tangent at
+    G_m - max(1, |G_m|), above which concave Y lies.  Y is evaluated as an
+    increment from (F0, G0), so nothing cancels; for F0 = 0, G0 itself is
+    the turning point on its side.
     """
     check_dimension(d)
     if G0 >= 1.0 / d:
         raise ValueError(f"require G0 < 1/d for a closed orbit, got G0={G0}")
-    if F0 == 0.0 and G0 == 0.0:
-        return OrbitExtremes(0.0, 0.0, 0.0)
-
     const = first_integral_constant(F0, G0, d)
-    Y = lambda G: evaluate_first_integral(G, const)
-    eps_hi = 1.0 / d - 1e-12
-
-    if F0 != 0.0:
-        G_plus = find_root(Y, G0, eps_hi, tol=tol)
-        G_minus = find_root(Y, _leftmost_bracket(Y, G0), G0, tol=tol)
-        G_plus = _polish_turning_point(G_plus, const)
-        G_minus = _polish_turning_point(G_minus, const)
+    Y = lambda G: F0 * F0 + first_integral_increment(G0, G - G0, const)
+    G_m = g_at_maximum(const)
+    Y_m = Y(G_m)
+    if Y_m <= 0.0:      # Y(G_m) >= F0**2, so only a point orbit, up to rounding
+        return OrbitExtremes(G0, G0, 0.0)
+    F_plus = float(np.sqrt(Y_m))
+    tol = 1e-15 * min(F_plus, 1.0)    # turning points lie about min(F+, 1/d) or more from 0
+    if F0 == 0.0 and G0 >= G_m:
+        G_plus = G0
     else:
-        # G0 itself is a turning point; the slope sign says which one
-        slope = first_integral_derivative(G0, const)
-        delta = 1e-9 * max(1.0, abs(G0))
-        if abs(slope) < 1e-13:
-            return OrbitExtremes(G0, G0, 0.0)
-        if slope > 0.0:
-            G_minus = G0
-            G_plus = _polish_turning_point(find_root(Y, G0 + delta, eps_hi, tol=tol), const)
-        else:
-            G_plus = G0
-            G_minus = _polish_turning_point(
-                find_root(Y, _leftmost_bracket(Y, G0), G0 - delta, tol=tol), const
-            )
-
-    gm, y_max = optimize_scalar(Y, G_minus, G_plus, tol=tol, mode="max")
-    return OrbitExtremes(float(G_minus), float(G_plus), float(np.sqrt(max(y_max, 0.0))))
-
-
-def g_at_maximum(const: FirstIntegralConstant) -> float:
-    """Closed-form maximum point of Y(G) for d = 2: 2*G_m - 1 = -exp(-C-1)."""
-    if const.d != 2:
-        raise ValueError("closed form available for d = 2 only")
-    return 0.5 * (1.0 - np.exp(-const.C - 1.0))
+        G_plus = find_root(Y, G_m, 1.0 / d - 1e-12, tol=tol)
+    if F0 == 0.0 and G0 <= G_m:
+        G_minus = G0
+    else:
+        G1 = G_m - max(1.0, abs(G_m))
+        left = G1 - Y(G1) / first_integral_derivative(G1, const)
+        G_minus = find_root(Y, left, G_m, tol=tol)
+    return OrbitExtremes(float(G_minus), float(G_plus), F_plus)
 
 
 def period(F0: float, G0: float, d: int) -> float:

@@ -81,7 +81,6 @@ def integrate(
     tol: float = 1e-10,
     events: Sequence[Callable[[float, np.ndarray], float]] = (),
     magnitude_cap: float = 1e6,
-    max_step: float = np.inf,
 ) -> OdeTrajectory:
     """Integrate ``y' = rhs(t, y)`` adaptively with dense output.
 
@@ -107,7 +106,6 @@ def integrate(
         atol=tol,
         dense_output=True,
         events=list(events) + [guard],
-        max_step=max_step,
     )
 
     recs: list[EventRecord] = []

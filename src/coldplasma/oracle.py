@@ -41,6 +41,8 @@ __all__ = [
     "blowup_sweep",
 ]
 
+_SAMPLES_PER_ARC = 400   # oracle times compared against the envelope per arc
+
 
 @dataclass(frozen=True)
 class BlowupRecord:
@@ -181,19 +183,16 @@ def _arc_bounds(run: CharacteristicRun, k: int, f_plus: float,
 
 def sandwich_check(
     run: CharacteristicRun,
-    bounds: Optional[Sequence[tuple]] = None,
     sigma_pair: tuple[float, float] = (DEFAULT_SIGMA1, DEFAULT_SIGMA2),
     max_arcs: Optional[int] = None,
-    samples_per_arc: int = 400,
 ) -> float:
     """Largest signed escape of the oracle's Z(s) from the bound envelope.
 
     For each arc between consecutive axis crossings (plus the initial arc
     from t = 0), the lower/upper comparison curves are anchored at the arc's
     starting state with the orbit's F+ and the oracle's Z(s) is compared
-    against [min, max] of the pair.  Negative return values mean the
-    trajectory stayed strictly inside.  Custom anchored ``bounds`` pairs may
-    be supplied, one per arc.
+    against [min, max] of the pair at _SAMPLES_PER_ARC times.  Negative
+    return values mean the trajectory stayed strictly inside.
     """
     f_plus = orbit_extremes(run.profile.F0(run.r0), run.profile.G0(run.r0), run.d).F_plus
     stops = np.concatenate([[0.0], run.crossing_times])
@@ -202,11 +201,8 @@ def sandwich_check(
         n_arcs = min(n_arcs, max_arcs)
     worst = -np.inf
     for k in range(n_arcs):
-        if bounds is not None:
-            lower, upper = bounds[k]
-        else:
-            lower, upper = _arc_bounds(run, k, f_plus, sigma_pair)
-        tg = np.linspace(stops[k] + 1e-9, stops[k + 1] - 1e-9, samples_per_arc)
+        lower, upper = _arc_bounds(run, k, f_plus, sigma_pair)
+        tg = np.linspace(stops[k] + 1e-9, stops[k + 1] - 1e-9, _SAMPLES_PER_ARC)
         st = run.trajectory(tg)
         s_t = st[2] - 1.0
         z_t = st[3] ** 2

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chaplygin_bounds import anchor_root_S1, anchor_root_S2
-from .numerics import find_root, lambert_w, optimize_scalar
+from .numerics import BracketError, find_root, lambert_w, optimize_scalar
 
 __all__ = [
     "DEFAULT_SIGMA1",
@@ -131,7 +131,6 @@ class FixedPointResult:
     which: str
     sigma: float
     lambda_star: float
-    method: str
     residual: float
 
 
@@ -139,11 +138,15 @@ _MAPS = {"lambda1": lambda1_map, "lambda2": lambda2_map}
 
 
 def fixed_point(which: str, sigma: float) -> FixedPointResult:
-    """Fixed point of the chosen threshold map on (0, 1) by direct root find.
+    """Fixed point of the chosen threshold map on (0, 1) by one root find.
 
-    Scans a 1000-point grid for a sign change of lambda - map(lambda) before
-    refining; raises :class:`NoFixedPointError` when no bracket exists (the
-    lambda2 map has no fixed point for sigma2 <= 1/sqrt(2)).
+    Wherever a map has a fixed point it strictly decreases in lambda (lambda1
+    for every sigma, lambda2 for sigma in (1/sqrt(2), 1)), so
+    lambda - map(lambda) changes sign at most once: one bracket
+    [1e-6, 1 - 1e-6] holds it, and no grid is scanned.  Near 1 the map
+    overflows, which the root finder takes as an infinity of the right sign.
+    Raises :class:`NoFixedPointError` when the bracket has no sign change
+    (the lambda2 map has no fixed point for sigma2 <= 1/sqrt(2)).
     """
     if which not in _MAPS:
         raise ValueError(f"which must be 'lambda1' or 'lambda2', got {which!r}")
@@ -152,20 +155,13 @@ def fixed_point(which: str, sigma: float) -> FixedPointResult:
     def g(lam):
         return lam - mp(lam, sigma)
 
-    grid = np.linspace(1e-6, 1.0 - 1e-6, 1001)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.array([g(x) for x in grid])
-        finite = np.isfinite(vals)
-        signs = np.sign(vals)
-    root = None
-    for i in range(len(grid) - 1):
-        if finite[i] and finite[i + 1] and signs[i] * signs[i + 1] < 0.0:
-            root = find_root(g, grid[i], grid[i + 1], tol=1e-14)
-            break
-    if root is None:
-        raise NoFixedPointError(f"{which} map has no fixed point on (0,1) at sigma={sigma}")
-
-    return FixedPointResult(which, sigma, float(root), "DirectRootFind", abs(g(root)))
+    try:
+        with np.errstate(over="ignore"):
+            root = find_root(g, 1e-6, 1.0 - 1e-6, tol=1e-14)
+    except BracketError:
+        raise NoFixedPointError(
+            f"{which} map has no fixed point on (0,1) at sigma={sigma}") from None
+    return FixedPointResult(which, sigma, root, abs(g(root)))
 
 
 def _lambert_from_linear_exp(p: float, q: float, branch: int) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coldplasma.chaplygin_bounds import criterion_1d
 from coldplasma.core_dynamics import (
     constant_profile,
     evaluate_first_integral,
@@ -148,17 +149,49 @@ class TestOrbitExtremes:
         ext = orbit_extremes(0.0, 0.1, 2)
         assert abs(ext.F_plus - 0.1167) < 1e-4
 
-    def test_gm_closed_form_d2(self):
-        const = first_integral_constant(0.0, 0.1, 2)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gm_closed_form(self, d):
+        const = first_integral_constant(0.0, 0.1, d)
         gm = g_at_maximum(const)
         assert abs(first_integral_derivative(gm, const)) < 1e-12
-        ext = orbit_extremes(0.0, 0.1, 2)
+        ext = orbit_extremes(0.0, 0.1, d)
         assert abs(evaluate_first_integral(gm, const) - ext.F_plus**2) < 1e-12
 
     def test_nonclosed_1d_orbit_rejected(self):
         # d = 1 with positive orbit constant never turns around on the left
         with pytest.raises(ValueError):
             orbit_extremes(1.2, 0.3, 1)
+
+    def test_orbit_beyond_float_range_rejected(self):
+        # d = 2: 1 - 2 G_m = exp(-C - 1) overflows as G0 approaches 1/2
+        with pytest.raises(ValueError, match="too wide"):
+            orbit_extremes(0.0, 0.4995, 2)
+
+    def test_1d_raises_exactly_when_criterion_fails(self, rng):
+        # d = 1: C = Delta / (1 - G0)**2 with Delta = F0**2 + 2 G0 - 1, so the
+        # orbit is closed exactly when the 1D smoothness criterion holds
+        for _ in range(400):
+            F0, G0 = rng.normal(0.0, 0.8), rng.uniform(-2.0, 1.5)
+            try:
+                orbit_extremes(F0, G0, 1)
+                raised = False
+            except ValueError:
+                raised = True
+            assert raised is not criterion_1d(F0, G0).satisfied, (F0, G0)
+
+    def test_against_high_precision(self):
+        # frozen from mpmath 1.3 at 60 digits: C from (F0, G0), Y in closed
+        # form, G_m from Y'(G_m) = 0, each turning point by findroot on Y
+        # bracketed on its side of G_m, F+ = sqrt(Y(G_m)); an 80-digit rerun
+        # agrees to 1 ulp
+        refs = {
+            (1e-5, 1e-5, 3): (-1.4142657537308067e-5, 1.4141990852862986e-5,
+                              1.4142324190999857e-5),
+            (0.0, 1e-4, 2): (-1.0002667377965086e-4, 1e-4, 1.0001333594500309e-4),
+        }
+        for args, ref in refs.items():
+            for got, want in zip(orbit_extremes(*args), ref):
+                assert abs(got - want) <= 1e-10 * abs(want), (args, got, want)
 
 
 class TestPeriod:

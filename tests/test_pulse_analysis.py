@@ -77,6 +77,17 @@ class TestMaps:
             err = abs(lambda2_map(lam, sg) - route)
             assert err < 1e-10 * max(1.0, abs(route))
 
+    def test_maps_strictly_decrease(self, rng):
+        # fixed_point brackets [1e-6, 1 - 1e-6] once: lambda - map(lambda)
+        # can change sign only once if the map decreases wherever it is finite
+        lams = np.linspace(1e-6, 1.0 - 1e-6, 2001)
+        cases = [(lambda1_map, sg) for sg in rng.uniform(0.1, 1.5, 20)]
+        cases += [(lambda2_map, sg) for sg in rng.uniform(np.sqrt(0.5) + 1e-3, 1.0 - 1e-3, 20)]
+        with np.errstate(over="ignore"):
+            for mp, sg in cases:
+                vals = np.array([mp(x, sg) for x in lams])
+                assert np.all(np.diff(vals[np.isfinite(vals)]) < 0.0), (mp.__name__, sg)
+
     def test_lambda2_domain(self):
         with pytest.raises(ValueError):
             lambda2_map(0.3, 1.1)
