@@ -227,7 +227,12 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     const = first_integral_constant(F0, G0, d)
     Y = lambda G: F0 * F0 + first_integral_increment(G0, G - G0, const)
     G_m = g_at_maximum(const)
-    Y_m = Y(G_m)
+    G1 = G_m - max(1.0, abs(G_m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y_m = Y(G_m)
+        left = G1 - Y(G1) / first_integral_derivative(G1, const)
+    if not (np.isfinite(Y_m) and np.isfinite(left)):
+        raise ValueError(f"orbit too wide: Y overflows about G_m = {G_m}")
     if Y_m <= 0.0:      # Y(G_m) >= F0**2, so only a point orbit, up to rounding
         return OrbitExtremes(G0, G0, 0.0)
     F_plus = float(np.sqrt(Y_m))
@@ -239,8 +244,6 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     if F0 == 0.0 and G0 <= G_m:
         G_minus = G0
     else:
-        G1 = G_m - max(1.0, abs(G_m))
-        left = G1 - Y(G1) / first_integral_derivative(G1, const)
         G_minus = find_root(Y, left, G_m, tol=tol)
     return OrbitExtremes(float(G_minus), float(G_plus), F_plus)
 

@@ -7,21 +7,19 @@ of lambda0.  Their fixed points, extremized over the free parameter sigma,
 give the smoothness threshold Lambda1 and the blow-up threshold Lambda2; the
 pulse classifier compares K against Lambda1/2 and Lambda2/2.
 
-Fixed points are found by direct bracketed root finding (the source of
-truth); Lambert W closed forms, re-derived from the fixed-point equations,
-are carried as a cross-check.
+Each threshold is one root of a closed-form equation in b = sigma^2; the
+Lambert W fixed point :func:`lambert_fixed_point` is only a test reference.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .chaplygin_bounds import anchor_root_S1, anchor_root_S2
-from .numerics import BracketError, find_root, lambert_w, optimize_scalar
+from .numerics import BracketError, find_root, lambert_w
 
 __all__ = [
     "DEFAULT_SIGMA1",
@@ -70,20 +68,13 @@ class PulseScenario:
 def f_plus_of_lambda0(lam0: float) -> float:
     """Orbit velocity-factor maximum F+ for a centered resting state.
 
-    The orbit through (F, G) = (0, lam0/2) in d = 2 has
-    F+ = (1/2) sqrt(4 exp(-C-1) - 2) with C = 1/(lam0-1) - ln((1-lam0)/2).
-    Defined for every lam0 < 1 (the radicand is then nonnegative); vanishes
-    as lam0 -> 0.
+    The orbit through (F, G) = (0, lam0/2) in d = 2 has 1 + 2 F+^2 =
+    X(lam0) := (1-lam0) e^(lam0/(1-lam0)); log X = 1/n - 1 + log n with
+    n = 1 - lam0 is >= 0 for every lam0 < 1 and goes into expm1 directly.
     """
     if lam0 >= 1.0:
         raise ValueError(f"require lambda0 < 1 (positive density), got {lam0}")
-    if lam0 == 0.0:
-        return 0.0
-    C = 1.0 / (lam0 - 1.0) - np.log((1.0 - lam0) / 2.0)
-    radicand = 4.0 * np.exp(-C - 1.0) - 2.0
-    if radicand < -1e-12:
-        raise ValueError(f"F+ undefined: negative radicand at lambda0={lam0}")
-    return 0.5 * np.sqrt(max(radicand, 0.0))
+    return np.sqrt(0.5 * np.expm1(lam0 / (1.0 - lam0) + np.log1p(-lam0)))
 
 
 def _check_map_domain(lam0: float, sigma: float) -> None:
@@ -164,24 +155,14 @@ def fixed_point(which: str, sigma: float) -> FixedPointResult:
     return FixedPointResult(which, sigma, root, abs(g(root)))
 
 
-def _lambert_from_linear_exp(p: float, q: float, branch: int) -> float:
-    """Solve x e^(1/x) = p + q x for x via t = 1/x and Lambert W.
-
-    Rearranged: e^t = p t + q, hence t = -q/p - W(-.exp(-q/p)/p) on the
-    chosen branch.
-    """
-    arg = -np.exp(-q / p) / p
-    t = -q / p - lambert_w(branch, arg)
-    return 1.0 / t
-
-
 def lambert_fixed_point(which: str, sigma: float) -> float:
-    """Closed-form fixed point via Lambert W (re-derived; cross-check only).
+    """Closed-form fixed point via Lambert W (re-derived; a test reference).
 
-    For the lambda1 map the branch is -1 below sigma = 1/sqrt(2) and 0 above
-    it, matching the sign change of 1 - 4 sigma^4 in the reduction; the
-    lambda2 map uses branch -1 on its existence range sigma in
-    (1/sqrt(2), 1).
+    Each map reduces to x e^(1/x) = p + q x in x = 1 - lambda; with t = 1/x,
+    e^t = p t + q, so t = -q/p - W(-exp(-q/p)/p).  For the lambda1 map the
+    branch is -1 below sigma = 1/sqrt(2) and 0 above it, matching the sign
+    change of 1 - 4 sigma^4 in the reduction; the lambda2 map uses branch -1
+    on its existence range sigma in (1/sqrt(2), 1).
     """
     b = sigma * sigma
     if which == "lambda1":
@@ -199,8 +180,7 @@ def lambert_fixed_point(which: str, sigma: float) -> float:
         branch = -1
     else:
         raise ValueError(f"unknown map {which!r}")
-    x = _lambert_from_linear_exp(p, q, branch)
-    return 1.0 - x
+    return 1.0 - 1.0 / (-q / p - lambert_w(branch, -np.exp(-q / p) / p))
 
 
 @dataclass(frozen=True)
@@ -221,31 +201,47 @@ class Thresholds:
         return 0.5 * self.lambda2
 
 
-@lru_cache(maxsize=1)
+def _stationary_point(which: str, b: float) -> tuple[float, float]:
+    """(n, X) = (1 - lambda, X) where the chosen map is stationary in b = sigma^2."""
+    if which == "lambda1":
+        D = 2.0 * b * b + 2.0 * b + 1.0
+        return (2.0 * b + 1.0) ** 2 / (2.0 * D), (4.0 * b * b + 2.0 * b + 1.0) / D
+    D = 4.0 * b * b - 2.0 * b + 1.0
+    X = (1.0 - 2.0 * b + 2.0 * b * b + 8.0 * b ** 3 - 4.0 * b ** 4) / D
+    return b * (b + 1.0) * (2.0 * b - 1.0) ** 2 / D, X
+
+
+def _threshold(which: str, lo: float, hi: float) -> tuple[float, float]:
+    """(sigma, Lambda) at the one root in b of log n + 1/n - 1 - log X(b)."""
+
+    def g(b):
+        n, X = _stationary_point(which, b)
+        return np.log(n) + 1.0 / n - 1.0 - np.log(X)
+
+    b = find_root(g, lo, hi, tol=1e-15)
+    return float(np.sqrt(b)), float(1.0 - _stationary_point(which, b)[0])
+
+
 def optimize_thresholds() -> Thresholds:
     """Maximize the lambda1 fixed point and minimize the lambda2 fixed point.
 
     The extrema over sigma give the strongest pulse thresholds the bound
     families can certify: Lambda1 = max_sigma lambda1*(sigma) and
-    Lambda2 = min_sigma lambda2*(sigma) over (1/sqrt(2), 1).
+    Lambda2 = min_sigma lambda2*(sigma) over (1/sqrt(2), 1).  Both maps see
+    lambda only through X(lambda) = 1 + 2 F+^2; the fixed point of a map that
+    decreases in lambda is extremal in b = sigma^2 where d map/db = 0 at
+    fixed X, which is linear in X, so X and n = 1 - lambda are rational in b:
+      lambda1: X = (4b^2+2b+1)/(2b^2+2b+1), n = (2b+1)^2/(2(2b^2+2b+1));
+      lambda2: X = (1-2b+2b^2+8b^3-4b^4)/(4b^2-2b+1),
+               n = b(b+1)(2b-1)^2/(4b^2-2b+1) (exact near b = 1/2).
+    What is left is X(1 - n) = X(b): log n + 1/n - 1 = log X(b).  On each
+    bracket n < 1 and both n and X strictly increase in b (for lambda2
+    through their common factor 8b^3-6b^2+6b-1 > 0), while log n + 1/n - 1
+    decreases in n < 1, so the difference has exactly one root.
     """
-
-    def l1_star(sig):
-        try:
-            return fixed_point("lambda1", sig).lambda_star
-        except NoFixedPointError:
-            return -np.inf
-
-    def l2_star(sig):
-        try:
-            return fixed_point("lambda2", sig).lambda_star
-        except NoFixedPointError:
-            return np.inf
-
-    sig1, lam1 = optimize_scalar(l1_star, 0.1, 1.5, tol=1e-8, mode="max")
-    sig2, lam2 = optimize_scalar(l2_star, _SQRT_HALF + 1e-6, 1.0 - 1e-6,
-                                 tol=1e-8, mode="min")
-    return Thresholds(float(sig1), float(lam1), float(sig2), float(lam2))
+    sig1, lam1 = _threshold("lambda1", 0.01, 2.25)
+    sig2, lam2 = _threshold("lambda2", (_SQRT_HALF + 1e-6) ** 2, (1.0 - 1e-6) ** 2)
+    return Thresholds(sig1, lam1, sig2, lam2)
 
 
 class PulseVerdict(enum.Enum):

@@ -163,9 +163,11 @@ class TestOrbitExtremes:
             orbit_extremes(1.2, 0.3, 1)
 
     def test_orbit_beyond_float_range_rejected(self):
-        # d = 2: 1 - 2 G_m = exp(-C - 1) overflows as G0 approaches 1/2
-        with pytest.raises(ValueError, match="too wide"):
-            orbit_extremes(0.0, 0.4995, 2)
+        # d = 2: 1 - 2 G_m = exp(-C - 1) overflows as G0 approaches 1/2; at
+        # 0.4993 G_m is still finite but Y overflows about it
+        for G0 in (0.4995, 0.4993):
+            with pytest.raises(ValueError, match="too wide"):
+                orbit_extremes(0.0, G0, 2)
 
     def test_1d_raises_exactly_when_criterion_fails(self, rng):
         # d = 1: C = Delta / (1 - G0)**2 with Delta = F0**2 + 2 G0 - 1, so the

@@ -14,12 +14,38 @@ from coldplasma.pulse_analysis import (
     lambda1_map,
     lambda2_map,
     lambert_fixed_point,
+    _SQRT_HALF,
+    _stationary_point,
 )
+
+# Reference values computed with mpmath 1.3 at 50 significant digits: F+ from
+# sqrt(((1 - lam0) exp(lam0/(1-lam0)) - 1) / 2), the thresholds from
+# mpmath.findroot on log n + 1/n - 1 - log X(b) with the rational n(b), X(b)
+# of optimize_thresholds, then sigma = sqrt(b) and Lambda = 1 - n(b).
+F_PLUS_REFERENCES = [
+    (1e-4, 5.0003333659757134e-05),
+    (1e-3, 0.0005003336600716832),
+    (0.02, 0.010136001561400947),
+    (-0.1, 0.04696162215303352),
+]
+THRESHOLD_REFERENCES = {
+    "sigma1": 0.50324896006404256493,
+    "lambda1": 0.30584784823845717519,
+    "sigma2": 0.94235027804214197043,
+    "lambda2": 0.57543605063028046475,
+}
+# optimize_thresholds' brackets in b = sigma^2
+B_BRACKETS = {"lambda1": (0.01, 2.25), "lambda2": ((_SQRT_HALF + 1e-6) ** 2, (1.0 - 1e-6) ** 2)}
 
 
 class TestFPlus:
     def test_reference_value(self):
         assert abs(f_plus_of_lambda0(0.2) - 0.11666261901353246) < 1e-12
+
+    @pytest.mark.parametrize("lam0, ref", F_PLUS_REFERENCES)
+    def test_against_mpmath(self, lam0, ref):
+        # small lam0 is where 4 exp(-C-1) - 2 cancelled
+        assert abs(f_plus_of_lambda0(lam0) - ref) <= 1e-12 * ref
 
     def test_vanishes_at_zero(self):
         assert f_plus_of_lambda0(0.0) == 0.0
@@ -135,6 +161,26 @@ class TestThresholds:
         assert abs(thresholds.sigma1 - 0.5032) < 5e-4
         assert abs(thresholds.lambda2 - 0.5754) < 5e-4
         assert abs(thresholds.sigma2 - 0.9423) < 5e-4
+
+    @pytest.mark.parametrize("name", sorted(THRESHOLD_REFERENCES))
+    def test_against_mpmath(self, thresholds, name):
+        ref = THRESHOLD_REFERENCES[name]
+        assert abs(getattr(thresholds, name) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("which", ["lambda1", "lambda2"])
+    def test_one_root_premises(self, which):
+        # the threshold equation strictly decreases in b because n(b) < 1 and
+        # both n(b) and X(b) strictly increase over the bracket
+        n, X = _stationary_point(which, np.linspace(*B_BRACKETS[which], 2001))
+        assert np.all(n < 1.0)
+        assert np.all(np.diff(n) > 0.0)
+        assert np.all(np.diff(X) > 0.0)
+
+    def test_no_sigma_beats_the_extrema(self, thresholds, rng):
+        for sg in rng.uniform(0.1, 1.5, 20):
+            assert fixed_point("lambda1", sg).lambda_star <= thresholds.lambda1 + 1e-15
+        for sg in rng.uniform(_SQRT_HALF, 1.0, 20):
+            assert fixed_point("lambda2", sg).lambda_star >= thresholds.lambda2 - 1e-15
 
     def test_local_extremum_certificates(self, thresholds):
         l1 = lambda sg: fixed_point("lambda1", sg).lambda_star
