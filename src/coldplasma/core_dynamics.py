@@ -217,15 +217,27 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     the orbit constant is negative).  Y is concave there, so F+ = sqrt(Y(G_m))
     at the closed-form maximum G_m, and each turning point is the one root
     on its side of G_m.  The left bracket is the root of the tangent at
-    G_m - max(1, |G_m|), above which concave Y lies.  Y is evaluated as an
-    increment from (F0, G0), so nothing cancels; for F0 = 0, G0 itself is
-    the turning point on its side.
+    G_m - max(1, |G_m|), above which concave Y lies.  Up to the midpoint of
+    G0 and 1/d, Y is evaluated as an increment from (F0, G0), so nothing
+    cancels on small orbits; for F0 = 0, G0 itself is the turning point on
+    its side.  Beyond it Y is the closed form, which has no cancellation
+    near the vacuum point 1/d, where an increment from a G0 far below 0
+    would lose 1 - d G to rounding.  Y tends to -1/d there, so 1/d bounds
+    G+ on the right on every orbit, however close G+ comes to it.
     """
     check_dimension(d)
     if G0 >= 1.0 / d:
         raise ValueError(f"require G0 < 1/d for a closed orbit, got G0={G0}")
     const = first_integral_constant(F0, G0, d)
-    Y = lambda G: F0 * F0 + first_integral_increment(G0, G - G0, const)
+    G_mid = 0.5 * (G0 + 1.0 / d)
+
+    def Y(G):
+        if G <= G_mid:
+            return F0 * F0 + first_integral_increment(G0, G - G0, const)
+        if G < 1.0 / d:
+            return evaluate_first_integral(G, const)
+        return -1.0 / d
+
     G_m = g_at_maximum(const)
     G1 = G_m - max(1.0, abs(G_m))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,7 +252,7 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     if F0 == 0.0 and G0 >= G_m:
         G_plus = G0
     else:
-        G_plus = find_root(Y, G_m, 1.0 / d - 1e-12, tol=tol)
+        G_plus = find_root(Y, G_m, 1.0 / d, tol=tol)
     if F0 == 0.0 and G0 <= G_m:
         G_minus = G0
     else:

@@ -1,19 +1,20 @@
 """Numerical kernels shared by the physics modules.
 
-Adaptive ODE integration with event detection (backed by scipy's DOP853),
-real Lambert W on branches 0 and -1, bracketed root finding, quadrature for
-integrands with inverse-square-root endpoint singularities, and a golden
-section scalar optimizer.
+Adaptive ODE integration with event detection (scipy's DOP853, imported on
+the first call, so importing this module loads no scipy), real Lambert W on
+branches 0 and -1, bracketed root finding (Brent's method), quadrature for
+integrands with inverse-square-root endpoint singularities (adaptive
+21-point Gauss-Kronrod), and a golden section scalar optimizer.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 __all__ = [
     "BracketError",
@@ -30,6 +31,29 @@ __all__ = [
 _INV_E = np.exp(-1.0)
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 _QUAD_TOL = 1e-12   # absolute and relative target of integrate_singular
+_QUAD_LIMIT = 50    # most panels integrate_singular splits one half into
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon   # relative part of find_root's stop
+_ROOT_MAXITER = 200
+
+# QUADPACK qk21: Kronrod abscissae xgk(1..10) on [-1, 1], the even entries
+# being the 10-point Gauss nodes, their Kronrod weights wgk(1..11) (the last
+# one at the centre) and the Gauss weights wg(1..5) of xgk(2), xgk(4), ...
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
 
 
 class BracketError(ValueError):
@@ -91,6 +115,7 @@ def integrate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    from scipy.integrate import solve_ivp   # the only scipy use; loaded on demand
 
     def guard(t, y):
         return np.max(np.abs(y)) - magnitude_cap
@@ -186,17 +211,129 @@ def lambert_w(branch: int, x: float) -> float:
 def find_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
     """Root of ``f`` inside the bracket ``[a, b]`` (Brent's method).
 
-    Raises :class:`BracketError` when ``f(a)`` and ``f(b)`` do not differ in
-    sign.  The result never leaves the initial bracket.
+    Brent 1973, ch. 4 (zeroin), in the step order of scipy's ``brentq``:
+    ``xcur`` is the best point, ``xblk`` the other end of the bracket and
+    ``xpre`` the previous point.  A step interpolates (the secant, or
+    inverse quadratic interpolation through three distinct points) when it
+    lands well inside the bracket and shrinks faster than the step before
+    last; otherwise it bisects.  The iteration stops when the bracket is
+    narrower than ``tol + 4 eps |x|``, so the result never leaves the
+    initial bracket.  Raises :class:`BracketError` when ``f(a)`` and
+    ``f(b)`` do not differ in sign, ``ValueError`` on a NaN value and
+    ``RuntimeError`` after 200 iterations.
     """
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if np.sign(fa) == np.sign(fb):
-        raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    return float(brentq(f, a, b, xtol=tol, maxiter=200))
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fpre}, f(b)={fcur}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (tol + _ROOT_RTOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # a zero denominator gives an infinite step, which bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"find_root: no convergence on [{a}, {b}] after {_ROOT_MAXITER} iterations")
+
+
+def _qk21(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """QUADPACK ``qk21`` on ``[lo, hi]``, ``lo < hi``: Kronrod value and error estimate.
+
+    The sums run in qk21's order, Gauss nodes first.  The error estimate is
+    ``resasc * min(1, (200 |K21 - G10| / resasc)**1.5)``, raised to at least
+    ``50 eps`` times the integral of ``|g|``.
+    """
+    centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fc = g(centr)
+    resg, resk = 0.0, _WGK[10] * fc
+    resabs = abs(resk)
+    pairs = [None] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        absc = hlgth * _XGK[j]
+        f1, f2 = g(centr - absc), g(centr + absc)
+        pairs[j] = (f1, f2)
+        fsum = f1 + f2
+        if j % 2:
+            resg += _WG[j // 2] * fsum
+        resk += _WGK[j] * fsum
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    reskh = 0.5 * resk
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j, (f1, f2) in enumerate(pairs):
+        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    resabs, resasc = resabs * hlgth, resasc * hlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        ratio = 200.0 * abserr / resasc
+        abserr = resasc * (ratio ** 1.5 if ratio < 1.0 else 1.0)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max(50.0 * _EPMACH * resabs, abserr)
+    return resk * hlgth, abserr
+
+
+def _adaptive_gk21(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """Integral of ``g`` over ``[lo, hi]`` by global adaptive G10K21.
+
+    The panel with the largest error estimate is bisected until the summed
+    estimate is at most ``max(_QUAD_TOL, _QUAD_TOL |I|)``.  Needing more
+    than ``_QUAD_LIMIT`` panels, or a non-finite value, raises
+    :class:`QuadratureError`.
+    """
+    total, error = _qk21(g, lo, hi)
+    panels = [(error, lo, hi, total)]
+    while True:
+        if not (math.isfinite(total) and math.isfinite(error)):
+            raise QuadratureError(f"non-finite value {total} (error {error})")
+        if error <= max(_QUAD_TOL, _QUAD_TOL * abs(total)):
+            return total
+        if len(panels) == _QUAD_LIMIT:
+            raise QuadratureError(
+                f"error estimate {error:.3g} above tolerance after {_QUAD_LIMIT} panels")
+        worst = max(panels)
+        panels.remove(worst)
+        _, a, b, _ = worst
+        mid = 0.5 * (a + b)
+        for p, q in ((a, mid), (mid, b)):
+            val, err = _qk21(g, p, q)
+            panels.append((err, p, q, val))
+        total = sum(p[3] for p in panels)
+        error = sum(p[0] for p in panels)
 
 
 def integrate_singular(f: Callable[[float, float], float], a: float, b: float) -> float:
@@ -207,20 +344,18 @@ def integrate_singular(f: Callable[[float, float], float], a: float, b: float) -
     apart lets the caller evaluate its integrand as an increment from the
     end, so a ``1/sqrt`` singularity at a root is divided out exactly.  Each
     half of the interval is integrated in ``u`` with ``h = +/-u**2``, which
-    leaves a bounded integrand; a failure message from quad or a non-finite
-    value raises :class:`QuadratureError`.
+    leaves a bounded integrand, by adaptive G10K21 (:func:`_adaptive_gk21`);
+    a half that fails raises :class:`QuadratureError` naming the interval.
     """
     if not b > a:
         raise ValueError("require b > a")
-    w = np.sqrt(0.5 * (b - a))
+    w = math.sqrt(0.5 * (b - a))
     total = 0.0
     for end, sign in ((a, 1.0), (b, -1.0)):
-        val, _, _, *msg = quad(lambda u: 2.0 * u * f(end, sign * u * u), 0.0, w,
-                               epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, full_output=1)
-        if msg or not np.isfinite(val):
-            detail = msg[0] if msg else f"non-finite value {val}"
-            raise QuadratureError(f"quadrature on [{a}, {b}] from {end}: {detail}")
-        total += val
+        try:
+            total += _adaptive_gk21(lambda u: 2.0 * u * float(f(end, sign * u * u)), 0.0, w)
+        except QuadratureError as exc:
+            raise QuadratureError(f"quadrature on [{a}, {b}] from {end}: {exc}") from None
     return total
 
 

@@ -44,3 +44,27 @@ def spirals_figure_k01():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def count_integrand(monkeypatch):
+    """``install(module)``: count the integrand evaluations of each
+    ``integrate_singular`` call made by ``module``, one list entry per call."""
+
+    def install(module):
+        evals = []
+        orig = module.integrate_singular
+
+        def counting(f, a, b):
+            evals.append(0)
+
+            def g(end, h):
+                evals[-1] += 1
+                return f(end, h)
+
+            return orig(g, a, b)
+
+        monkeypatch.setattr(module, "integrate_singular", counting)
+        return evals
+
+    return install

@@ -1,6 +1,10 @@
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+from coldplasma import core_dynamics
 from coldplasma.chaplygin_bounds import criterion_1d
 from coldplasma.core_dynamics import (
     constant_profile,
@@ -169,6 +173,35 @@ class TestOrbitExtremes:
             with pytest.raises(ValueError, match="too wide"):
                 orbit_extremes(0.0, G0, 2)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wide_orbits_against_high_precision(self, d):
+        # F0 = 0 and G0 far below 0: G- = G0, and G+ lies near the vacuum
+        # point 1/d, where an increment from G0 loses 1 - d G to rounding.
+        # Reference in v = 1 - d G at 60 digits: Y = -1/d - v (log v + C)/2
+        # (d = 2) or -1/d - 2 v / (d (d-2)) + C v**(2/d), the root on
+        # (0, v_m) by the Illinois method, F+ = sqrt(Y(v_m)) at the maximum v_m
+        mp.mp.dps = 60
+        for G0 in [-42813.3, *(-np.logspace(-3, 200))]:
+            g0 = mp.mpf(float(G0))
+            u = 1 - d * g0
+            if d == 2:
+                C = 1 / (2 * g0 - 1) - mp.log(u)
+                Y = lambda v: -mp.mpf(1) / 2 - v * (mp.log(v) + C) / 2
+                v_m = mp.exp(-C - 1)
+            else:
+                C = (1 - 2 * g0) / ((d - 2) * u ** (mp.mpf(2) / d))
+                Y = lambda v: -mp.mpf(1) / d - 2 * v / (d * (d - 2)) + C * v ** (mp.mpf(2) / d)
+                v_m = (C * (d - 2)) ** (mp.mpf(d) / (d - 2))
+            v_plus = mp.findroot(Y, (mp.mpf(10) ** -300, v_m), solver="illinois", verify=False)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ext = orbit_extremes(0.0, float(G0), d)
+            assert ext.G_minus == G0
+            G_plus = (1 - v_plus) / d
+            assert abs(ext.G_plus - G_plus) <= 1e-12 * abs(G_plus), (G0, ext.G_plus)
+            F_plus = mp.sqrt(Y(v_m))
+            assert abs(ext.F_plus - F_plus) <= 1e-12 * F_plus, (G0, ext.F_plus)
+
     def test_1d_raises_exactly_when_criterion_fails(self, rng):
         # d = 1: C = Delta / (1 - G0)**2 with Delta = F0**2 + 2 G0 - 1, so the
         # orbit is closed exactly when the 1D smoothness criterion holds
@@ -200,17 +233,21 @@ class TestPeriod:
     def test_small_orbit_linear_limit(self):
         assert abs(period(0.0, 1e-4, 2) - 2.0 * np.pi) < 1e-3
 
-    def test_against_high_precision_quadrature(self):
+    def test_against_high_precision_quadrature(self, count_integrand):
         # frozen from mpmath 1.3 at 60 digits: turning points by findroot on
         # Y, each half integrated in u with G = end +/- u**2 and Y taken as
-        # Y(end + h) - Y(end), by Gauss-Legendre; a 70-digit rerun agrees
+        # Y(end + h) - Y(end), by Gauss-Legendre; a 70-digit rerun agrees.
+        # Each is met by one 21-point Gauss-Kronrod panel per half.
+        evals = count_integrand(core_dynamics)
         assert abs(period(0.0, 0.1, 2) - 6.276156321355657) < 1e-12
         assert abs(period(0.0, 1e-4, 2) - 6.283185301942202) < 1e-12
+        assert evals == [42, 42]
 
-    def test_unresolvable_orbit_raises(self):
-        # the orbit spans [-5.2e19, 0.49]; quad reports that it cannot converge
-        with pytest.raises(QuadratureError):
-            period(0.0, 0.49, 2)
+    def test_wide_orbit_against_high_precision(self):
+        # the orbit spans [-5.2e19, 0.49]; frozen from mpmath 1.3 at 50 and 70
+        # digits (agreeing), with x = log(1 - 2G): T = integral over
+        # [log 0.02, x-] of dx / sqrt((e**x (-x - C) - 1) / 2)
+        assert abs(period(0.0, 0.49, 2) - 4.536410129945297) < 1e-12
 
     def test_matches_oracle_crossings(self):
         d = 2
@@ -309,3 +346,4 @@ class TestProfiles:
         lam0, D0 = profile_divergences(p, 1.7)
         assert abs(lam0 - 3 * 0.08) < 1e-9
         assert abs(D0 - 3 * 0.05) < 1e-9
+

@@ -1,10 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import lambertw as scipy_lambertw
 
 from coldplasma.numerics import (
+    _QUAD_LIMIT,
     BracketError,
     QuadratureError,
+    _adaptive_gk21,
+    _qk21,
     find_root,
     integrate,
     integrate_singular,
@@ -119,6 +125,59 @@ class TestFindRoot:
             assert -1.0 <= r <= 1.0
             assert abs(r - shift) < 1e-10
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-15, 1e-8])
+    def test_agrees_with_brentq(self, tol, rng):
+        # scipy's brentq is only the reference here; c is the root
+        families = [
+            lambda x, c: 2.0 * (x - c),                   # linear
+            lambda x, c: (x - c) ** 5,                    # flat near the root
+            lambda x, c: 1e8 * (x - c) + (x - c) ** 3,    # steep
+            lambda x, c: np.tanh(3.0 * (x - c)),
+            lambda x, c: np.expm1(x - c) + 0.5 * (x - c),
+            lambda x, c: np.sin(x - c) / (2.0 + np.cos(x)),
+        ]
+        for fam in families:
+            for _ in range(40):
+                c = rng.uniform(-1.0, 1.0)
+                a, b = c - rng.uniform(0.01, 2.0), c + rng.uniform(0.01, 2.0)
+                f = lambda x, fam=fam, c=c: fam(x, c)
+                ref = brentq(f, a, b, xtol=tol, maxiter=200)
+                r = find_root(f, a, b, tol=tol)
+                assert a <= r <= b
+                assert abs(r - ref) <= tol + 4.0 * sys.float_info.epsilon * abs(ref)
+
+    def test_iteration_cap_raises(self):
+        # a step function gives no usable secant, so every step bisects; the
+        # bracket must shrink to 1e-300 about the root at 0
+        with pytest.raises(RuntimeError, match="200 iterations"):
+            find_root(np.sign, -1.0, np.e, tol=1e-300)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+
+
+class TestGaussKronrod:
+    def test_one_panel_exact_for_degree_30(self, rng):
+        # K21 integrates polynomials up to degree 31 exactly
+        coef = rng.uniform(0.5, 1.5, 31)
+        lo, hi = -0.3, 1.2
+        poly = np.polynomial.Polynomial(coef)
+        exact = poly.integ()(hi) - poly.integ()(lo)
+        val, _ = _qk21(lambda x: float(poly(x)), lo, hi)
+        assert abs(val - exact) <= 1e-14 * abs(exact)
+
+    def test_bisection_resolves_a_peak(self):
+        # 1/(eps + (x - 0.3)**2) on [0, 1], exact by arctan
+        eps = 1e-4
+        evals = []
+        g = lambda x: evals.append(x) or 1.0 / (eps + (x - 0.3) ** 2)
+        val = _adaptive_gk21(g, 0.0, 1.0)
+        r = np.sqrt(eps)
+        exact = (np.arctan(0.7 / r) + np.arctan(0.3 / r)) / r
+        assert abs(val - exact) <= 1e-12 * exact
+        assert 21 < len(evals) <= 21 * (2 * _QUAD_LIMIT - 1)
+
 
 class TestIntegrateSingular:
     # integrands in the f(end, h) form: the value at end + h
@@ -136,7 +195,8 @@ class TestIntegrateSingular:
         assert abs(val - 1.0) < 1e-10
 
     def test_non_integrable_raises(self):
-        with pytest.raises(QuadratureError):
+        # 2/u after the substitution: every panel at 0 keeps its error, up to the cap
+        with pytest.raises(QuadratureError, match=r"on \[0\.0, 1\.0\].*50 panels"):
             integrate_singular(lambda end, h: 1.0 / (end + h), 0.0, 1.0)
 
 

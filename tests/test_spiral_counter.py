@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coldplasma import spiral_counter
 from coldplasma.core_dynamics import constant_profile, gaussian_profile
 from coldplasma.spiral_counter import (
     Spiral,
@@ -111,15 +112,18 @@ class TestLifetime:
             t = segment_time(seg)
             assert 0.0 < t < 10.0
 
-    def test_segment_time_against_high_precision(self, spirals_default_k01):
+    def test_segment_time_against_high_precision(self, spirals_default_k01, count_integrand):
         # first inner arcs from (0.2, 0) and (1e-3, 0); frozen from mpmath 1.3
         # at 60 digits: the curve's coefficients taken exactly, its roots by
         # findroot, each half integrated in u with s = end +/- u**2 by
-        # Gauss-Legendre; a 45-digit rerun agrees
+        # Gauss-Legendre; a 45-digit rerun agrees.  Each is met by one
+        # 21-point Gauss-Kronrod panel per half.
         inner, _ = spirals_default_k01
-        assert abs(segment_time(inner.segments[0]) - 3.212684435524116) < 1e-12
         tiny = build_spiral("inner", (1e-3, 0.0), max_rev=2).segments[0]
+        evals = count_integrand(spiral_counter)
+        assert abs(segment_time(inner.segments[0]) - 3.212684435524116) < 1e-12
         assert abs(segment_time(tiny) - 3.141593946969576) < 1e-12
+        assert evals == [42, 42]
 
     def test_mismatched_starts_rejected(self):
         a = build_spiral("inner", (0.1, 0.0), max_rev=1)
