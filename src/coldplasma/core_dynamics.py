@@ -12,12 +12,13 @@ lambda = d*G and D = d*F exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import find_root, integrate_singular
+from .numerics import QuadratureError, find_root, integrate_singular
 
 __all__ = [
     "check_dimension",
@@ -263,19 +264,41 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
 def period(F0: float, G0: float, d: int) -> float:
     """Oscillation period of the closed radial orbit through (F0, G0).
 
-    T = 2 * integral over [G-, G+] of dG / ((1 - d G) sqrt(Y(G))); Y is
-    evaluated as an increment from the nearer turning point, where it
-    vanishes, so the inverse-square-root singularities are divided out.
+    T = 2 * integral over [G-, G+] of dG / ((1 - d G) sqrt(Y(G))), taken in
+    x = log(1 - d G), where dG / (1 - d G) = -dx / d, so T = (2/d) times the
+    integral of dx / sqrt(Y) between the turning points.  Y is evaluated as
+    an increment from the nearer turning point x_e, where it vanishes; with
+    u = exp(x_e) and h = x - x_e that increment is
+
+        d = 2:  (expm1(h) - u h e**h) / 2,
+        else:   (expm1(2h/d) + 2u/(d-2) (expm1(2h/d) - expm1(h))) / d,
+
+    so the inverse-square-root singularities are divided out and the orbit
+    constant drops out.  In x the widest orbits (G- down to about -1e268
+    for d = 2) span a few hundred units, where a quadrature in G spans
+    1e20 or more in its square-root variable and misses the mass near G+.
+    Raises ValueError or QuadratureError naming the orbit when it has no
+    finite period in floating point.
     """
-    ext = orbit_extremes(F0, G0, d)
-    if ext.G_plus - ext.G_minus < 1e-13:
-        raise ValueError("point orbit has no period")
-    const = first_integral_constant(F0, G0, d)
+    try:
+        ext = orbit_extremes(F0, G0, d)
+        if ext.G_plus - ext.G_minus < 1e-13:
+            raise ValueError("point orbit has no period")
 
-    def f(end, h):
-        return 1.0 / ((1.0 - d * (end + h)) * np.sqrt(first_integral_increment(end, h, const)))
+        def f(end, h):
+            u = math.exp(end)
+            if d == 2:
+                y = 0.5 * (math.expm1(h) - u * h * math.exp(h))
+            else:
+                e2 = math.expm1(2.0 * h / d)
+                y = (e2 + 2.0 * u / (d - 2) * (e2 - math.expm1(h))) / d
+            return 1.0 / math.sqrt(y)
 
-    return 2.0 * integrate_singular(f, ext.G_minus, ext.G_plus)
+        return 2.0 / d * integrate_singular(f, math.log1p(-d * ext.G_plus),
+                                            math.log1p(-d * ext.G_minus))
+    except (ArithmeticError, ValueError, QuadratureError) as exc:
+        kind = QuadratureError if isinstance(exc, QuadratureError) else ValueError
+        raise kind(f"period of the orbit through F0={F0}, G0={G0}, d={d}: {exc}") from None
 
 
 @dataclass

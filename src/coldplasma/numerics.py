@@ -1,10 +1,12 @@
 """Numerical kernels shared by the physics modules.
 
-Adaptive ODE integration with event detection (scipy's DOP853, imported on
-the first call, so importing this module loads no scipy), real Lambert W on
-branches 0 and -1, bracketed root finding (Brent's method), quadrature for
-integrands with inverse-square-root endpoint singularities (adaptive
-21-point Gauss-Kronrod), and a golden section scalar optimizer.
+Adaptive ODE integration with dense output, events and a blow-up guard
+(DOP853 with the step control of scipy's ``solve_ivp``, whose accepted steps
+and values it reproduces), real Lambert W on branches 0 and -1, bracketed
+root finding (Brent's method), quadrature for integrands with
+inverse-square-root endpoint singularities (adaptive 21-point
+Gauss-Kronrod), and a golden section scalar optimizer.  numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import _dop853_tables as _dop
 
 __all__ = [
     "BracketError",
@@ -55,6 +59,14 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
+# DOP853 step control, as in scipy's ``RungeKutta``: the error estimate is
+# O(h**8), so a step is rescaled by SAFETY * err**(-1/8) within the factors
+_A, _B, _E3, _E5, _D = _dop.A, _dop.B, _dop.E3, _dop.E5, _dop.D
+_C_LIST = _dop.C.tolist()
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERR_EXP = -1 / 8
+_ROOT_XTOL = 4.0 * _EPMACH   # event roots: the absolute part of find_root's stop
+
 
 class BracketError(ValueError):
     """The supplied interval does not bracket a root."""
@@ -80,7 +92,7 @@ class OdeTrajectory:
     ``status`` is one of ``"completed"``, ``"terminal-event"`` (the magnitude
     guard fired) or ``"singular-step"`` (step size underflow, which we treat
     as a suspected finite-time singularity).  ``interpolant`` is the dense
-    output valid on ``[t[0], t[-1]]``.
+    output valid on ``[t[0], t[-1]]``, at a scalar or an array of times.
     """
 
     t: np.ndarray
@@ -88,7 +100,6 @@ class OdeTrajectory:
     interpolant: Callable[[float], np.ndarray]
     events: list[EventRecord] = field(default_factory=list)
     status: str = "completed"
-    message: str = ""
 
     def __call__(self, t):
         return self.interpolant(t)
@@ -98,54 +109,195 @@ class OdeTrajectory:
         return self.y[:, -1]
 
 
+def _rms(x: np.ndarray) -> float:
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
+                  tol: float) -> float:
+    """First step size (Hairer, Norsett & Wanner, sec. II.4), one rhs call."""
+    span = t_end - t0
+    scale = tol + np.abs(y0) * tol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = np.asarray(rhs(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERR_EXP
+    return min(100 * h0, h1, span)
+
+
+def _horner(coefs: list, x: float, y_old: list) -> list:
+    """DOP853 dense polynomial of one step at ``x = (t - t_old)/h``, in floats.
+
+    ``coefs`` holds the 7 coefficients of each component; the nesting
+    alternates the factors ``x`` and ``1 - x`` (Hairer's ``contd8``).  The
+    operations are those of :func:`_dense_output`, so the values agree to
+    the bit.
+    """
+    x1 = 1.0 - x
+    out = []
+    for coef, y0 in zip(coefs, y_old):
+        v = 0.0
+        for i in range(6, -1, -1):
+            v += coef[i]
+            v *= x if i % 2 == 0 else x1
+        out.append(v + y0)
+    return out
+
+
+def _dense_output(ts: np.ndarray, ys: np.ndarray, hs: list, Fs: list):
+    """Interpolant over the stored steps: step ``i`` starts at ``ts[i]``, ``ys[i]``.
+
+    It takes a scalar ``t`` (giving shape ``(n,)``) or an array (``(n, m)``).
+    A time on a breakpoint takes the earlier step; times outside
+    ``[ts[0], ts[-1]]`` extrapolate the first or last step.
+    """
+    h, F, y_old = np.array(hs), np.array(Fs), ys[:len(hs)]
+    last = len(hs) - 1
+
+    def interpolant(t):
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(ts, t) - 1, 0, last)
+        x = ((t - ts[seg]) / h[seg])[..., None]
+        x1 = 1.0 - x
+        y = np.zeros(x.shape[:-1] + F.shape[2:])
+        for i in range(6, -1, -1):
+            y += F[seg, i]
+            y *= x if i % 2 == 0 else x1
+        y += y_old[seg]
+        return y.T
+
+    return interpolant
+
+
 def integrate(
-    rhs: Callable[[float, np.ndarray], Sequence[float]],
+    rhs: Callable[[float, list], Sequence[float]],
     y0: Sequence[float],
     t_span: tuple[float, float],
     tol: float = 1e-10,
-    events: Sequence[Callable[[float, np.ndarray], float]] = (),
+    events: Sequence[Callable[[float, list], float]] = (),
     magnitude_cap: float = 1e6,
 ) -> OdeTrajectory:
-    """Integrate ``y' = rhs(t, y)`` adaptively with dense output.
+    """Integrate ``y' = rhs(t, y)`` forward in time by DOP853 with dense output.
 
-    Event functions are scalar; their sign changes are located on the dense
-    output.  A terminal guard stops the run once ``max|y|`` exceeds
-    ``magnitude_cap`` (the blow-up guard).  Identical inputs always produce
+    Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, *Solving ODEs I*,
+    sec. II.4-II.6 and II.10) with the step control of scipy's ``DOP853``
+    at ``rtol = atol = tol``, so a run takes the same accepted steps and
+    gives the same numbers as ``solve_ivp(method="DOP853")``.  ``rhs`` and
+    the event functions receive the state as a list of floats; ``rhs`` is
+    called only through the argument given.  Event functions are scalar;
+    each sign change over a step is located on that step's dense polynomial
+    by :func:`find_root`.  A terminal guard stops the run at the time
+    ``max|y|`` reaches ``magnitude_cap`` (the blow-up guard); events past
+    that time are dropped.  A step below ten spacings of the floats at ``t``
+    ends the run as ``"singular-step"``.  Identical inputs always produce
     identical trajectories.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    from scipy.integrate import solve_ivp   # the only scipy use; loaded on demand
+    if not tol >= 100 * _EPMACH:
+        raise ValueError(f"tol must be at least 100 eps, got {tol}")
+    t, t_end = float(t_span[0]), float(t_span[1])
+    if not t_end > t:
+        raise ValueError(f"integrate runs forward only: t_span = {t_span}")
+    y = np.array(y0, dtype=float)
+    n = y.size
+    events = list(events)
 
     def guard(t, y):
-        return np.max(np.abs(y)) - magnitude_cap
+        return max(map(abs, y)) - magnitude_cap
 
-    guard.terminal = True
+    checks = events + [guard]
+    K = np.empty((_dop.N_STAGES_EXTENDED, n))
+    # stage s evaluates rhs at t + c_s h, y + h (a_s . rows 0..s-1 of K)
+    rows = [(s, _A[s, :s], K[:s].T, _C_LIST[s]) for s in range(_dop.N_STAGES_EXTENDED)]
+    stages, extra = rows[1:_dop.N_STAGES], rows[_dop.N_STAGES + 1:]
+    K_step, K_err = K[:_dop.N_STAGES].T, K[:_dop.N_STAGES + 1].T
 
-    sol = solve_ivp(
-        rhs,
-        t_span,
-        np.asarray(y0, dtype=float),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-        events=list(events) + [guard],
-    )
+    f = np.asarray(rhs(t, y.tolist()), dtype=float)
+    h_abs = _initial_step(rhs, t, y, f, t_end, tol)
+    ylist = y.tolist()
+    g = [ev(t, ylist) for ev in checks]
+    ts, ys, hs, Fs = [t], [y], [], []
+    hits: list[list[float]] = [[] for _ in events]
+    status = "completed"
+    while True:
+        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:    # a NaN step (rhs NaN at the start) stops too
+                status = "singular-step"
+                break
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, a, KsT, c in stages:
+                K[s] = rhs(t + c * h, [u + v * h for u, v in zip(ylist, KsT.dot(a).tolist())])
+            y_new = y + h * K_step.dot(_B)
+            ylist_new = y_new.tolist()
+            f_new = np.asarray(rhs(t + h, ylist_new), dtype=float)
+            K[_dop.N_STAGES] = f_new
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            err5, err3 = K_err.dot(_E5) / scale, K_err.dot(_E3) / scale
+            e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
+            err = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+            rejected = True
+        if status == "singular-step":
+            break
 
-    recs: list[EventRecord] = []
-    for idx in range(len(events)):
-        for te in sol.t_events[idx]:
-            recs.append(EventRecord(idx, float(te), sol.sol(te)))
-    recs.sort(key=lambda r: r.time)
+        for s, a, KsT, c in extra:
+            K[s] = rhs(t + c * h, [u + v * h for u, v in zip(ylist, KsT.dot(a).tolist())])
+        F = np.empty((_dop.INTERPOLATOR_POWER, n))
+        dy = y_new - y
+        F[0] = dy
+        F[1] = h * f - dy
+        F[2] = 2 * dy - h * (f_new + f)
+        F[3:] = h * _D.dot(K)
 
-    if sol.status == 1:
-        status = "terminal-event"
-    elif sol.status == 0:
-        status = "completed"
-    else:
-        status = "singular-step"
-    return OdeTrajectory(sol.t, sol.y, sol.sol, recs, status, sol.message or "")
+        g_new = [ev(t_new, ylist_new) for ev in checks]
+        # scipy's rule: a sign change over the step, or a zero at either end
+        active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a <= 0.0 <= b or b <= 0.0 <= a]
+        if active:
+            coef = F.T.tolist()
+            roots = [(find_root(lambda tt, ev=checks[i]: ev(tt, _horner(coef, (tt - t) / h, ylist)),
+                                t, t_new, tol=_ROOT_XTOL), i) for i in active]
+            for root, i in sorted(roots):
+                if i == len(events):
+                    status = "terminal-event"
+                    t_stop = root
+                    break
+                hits[i].append(root)
+        g = g_new
+        if status == "terminal-event":
+            # a guard root on the step's start leaves that point as the last one
+            if not (len(ts) > 1 and t_stop == ts[-1]):
+                ts.append(t_stop)
+                ys.append(np.array(_horner(coef, (t_stop - t) / h, ylist)))
+                hs.append(h)
+                Fs.append(F)
+            break
+        ts.append(t_new)
+        ys.append(y_new)
+        hs.append(h)
+        Fs.append(F)
+        t, y, ylist, f = t_new, y_new, ylist_new, f_new
+        if t_new >= t_end:
+            break
+
+    t_arr, y_arr = np.array(ts), np.array(ys)
+    interpolant = _dense_output(t_arr, y_arr, hs, Fs)
+    recs = sorted((EventRecord(i, te, interpolant(te)) for i, times in enumerate(hits)
+                   for te in times), key=lambda r: r.time)
+    return OdeTrajectory(t_arr, y_arr.T, interpolant, recs, status)
 
 
 def _halley(w: float, x: float, max_iter: int = 50) -> float:

@@ -229,6 +229,28 @@ class TestOrbitExtremes:
                 assert abs(got - want) <= 1e-10 * abs(want), (args, got, want)
 
 
+def _period_d2_reference(G0):
+    """Period of the d = 2 orbit through (0, G0) in mpmath at the current precision.
+
+    With x = log(1 - 2G), T = integral over [x+, x-] of dx / sqrt(Y) with
+    Y = -(e**x (x + C) + 1) / 2, maximal at x = -C - 1; x- by bisection.
+    """
+    G0 = mp.mpf(G0)
+    C = 1 / (2 * G0 - 1) - mp.log(1 - 2 * G0)
+
+    def Y(x):
+        return -(mp.exp(x) * (x + C) + 1) / 2
+
+    x_max = -C - 1
+    lo, hi = x_max, x_max + 1
+    while Y(hi) > 0:
+        lo, hi = hi, x_max + 2 * (hi - x_max)
+    for _ in range(2 * mp.mp.prec):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if Y(mid) > 0 else (lo, mid)
+    return float(mp.quad(lambda x: 1 / mp.sqrt(abs(Y(x))), [mp.log(1 - 2 * G0), x_max, lo]))
+
+
 class TestPeriod:
     def test_small_orbit_linear_limit(self):
         assert abs(period(0.0, 1e-4, 2) - 2.0 * np.pi) < 1e-3
@@ -248,6 +270,26 @@ class TestPeriod:
         # digits (agreeing), with x = log(1 - 2G): T = integral over
         # [log 0.02, x-] of dx / sqrt((e**x (-x - C) - 1) / 2)
         assert abs(period(0.0, 0.49, 2) - 4.536410129945297) < 1e-12
+
+    def test_widest_d2_orbits_exact_or_named_error(self):
+        # each G0 is met to 1e-12 against 50-digit mpmath with x = log(1 - 2G),
+        # or the orbit is named in a ValueError (from G0 ~ 0.4993 its maximum
+        # leaves float range); the suite's warning filter rejects any warning
+        for G0 in np.linspace(0.49, 0.4999, 10):
+            try:
+                got = period(0.0, G0, 2)
+            except ValueError as exc:
+                assert f"G0={G0}" in str(exc) and "d=2" in str(exc)
+                assert G0 > 0.4992
+                continue
+            with mp.workdps(50):
+                want = _period_d2_reference(G0)
+            assert abs(got - want) < 1e-12, G0
+
+    def test_wide_d3_orbits_against_high_precision(self):
+        # frozen from mpmath 1.3 at 50 and 70 digits (agreeing), in x = log(1 - 3G)
+        assert abs(period(0.0, 0.3333, 3) - 5.4443752652846121527) < 1e-12
+        assert abs(period(0.0, -1e12, 3) - 5.4414085514001429451) < 1e-12
 
     def test_matches_oracle_crossings(self):
         d = 2

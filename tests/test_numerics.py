@@ -2,8 +2,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import lambertw as scipy_lambertw
+
+from coldplasma.core_dynamics import j_exact_radial, rhs_divergence, rhs_radial
 
 from coldplasma.numerics import (
     _QUAD_LIMIT,
@@ -54,6 +57,108 @@ class TestIntegrate:
         b = integrate(rhs, [1.0, 0.3], (0.0, 30.0), tol=1e-10)
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.y, b.y)
+
+    def test_nan_start_stops(self):
+        # a NaN derivative makes the first step size NaN; the run must stop
+        traj = integrate(lambda t, y: [float("nan")], [1.0], (0.0, 1.0))
+        assert traj.status == "singular-step"
+        assert list(traj.t) == [0.0]
+
+    @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
+    def test_forward_only(self, t_span):
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: [-y[0]], [1.0], t_span)
+
+
+def _oracle_rhs(d):
+    def rhs(t, y):
+        F, G, lam, Dv, r = y
+        return (*rhs_radial(F, G, d), *rhs_divergence(lam, Dv, j_exact_radial(F, Dv, d)), F * r)
+    return rhs
+
+
+def _axis(t, y):
+    return y[3]
+
+
+# (rhs, y0, t_end, tol, events, status): the characteristic system for
+# d = 1, 2, 3 from a bounded start and from one that crosses the axis and
+# then blows up, the Riccati blow-up y' = -y**2 and the square-root
+# singularity y' = -1/(2y), whose step size underflows before t = 1
+_ENGINE_CASES = {
+    "oracle-d1-bounded": (_oracle_rhs(1), [-0.05, -0.28, -0.33, 0.34, 1.0], 30.0, 1e-9,
+                          [_axis], "completed"),
+    "oracle-d1-blowup": (_oracle_rhs(1), [0.0, 0.0, 0.02, 1.8, 1.0], 30.0, 1e-9,
+                         [_axis], "terminal-event"),
+    "oracle-d2-bounded": (_oracle_rhs(2), [-0.11, 0.06, -0.03, -0.22, 1.0], 30.0, 1e-10,
+                          [_axis], "completed"),
+    "oracle-d2-blowup": (_oracle_rhs(2), [0.23, 0.26, 0.0, 0.14, 1.0], 30.0, 1e-8,
+                         [_axis], "terminal-event"),
+    "oracle-d3-bounded": (_oracle_rhs(3), [-0.14, -0.28, -0.48, 0.63, 1.0], 30.0, 1e-9,
+                          [_axis], "completed"),
+    "oracle-d3-blowup": (_oracle_rhs(3), [0.29, 0.21, 0.09, 0.96, 1.0], 30.0, 1e-9,
+                         [_axis], "terminal-event"),
+    "riccati": (lambda t, y: [-y[0] ** 2], [-1.0], 2.0, 1e-12, [], "terminal-event"),
+    "sqrt-singularity": (lambda t, y: [-0.5 / y[0]], [1.0], 2.0, 1e-10, [], "singular-step"),
+}
+
+
+def _counted(rhs):
+    calls = [0]
+
+    def wrapped(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+    return wrapped, calls
+
+
+def _close(got, want):
+    want = np.asarray(want)
+    scale = np.max(np.abs(want)) if want.size else 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestAgainstSolveIvp:
+    """The in-repo DOP853 against scipy's ``solve_ivp(method="DOP853")``."""
+
+    @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
+    def test_same_run(self, case):
+        rhs, y0, t_end, tol, events, status = _ENGINE_CASES[case]
+
+        def guard(t, y):
+            return np.max(np.abs(y)) - 1e6
+        guard.terminal = True
+
+        ref_rhs, ref_calls = _counted(rhs)
+        ref = solve_ivp(ref_rhs, (0.0, t_end), y0, method="DOP853", rtol=tol, atol=tol,
+                        dense_output=True, events=events + [guard])
+        our_rhs, our_calls = _counted(rhs)
+        traj = integrate(our_rhs, y0, (0.0, t_end), tol=tol, events=events, magnitude_cap=1e6)
+
+        assert traj.status == status
+        assert {0: "completed", 1: "terminal-event", -1: "singular-step"}[ref.status] == status
+        assert len(traj.t) == len(ref.t)
+        assert our_calls == ref_calls
+        _close(traj.t, ref.t)
+        _close(traj.y, ref.y)
+        ref_events = sorted(te for times in ref.t_events[:len(events)] for te in times)
+        assert len(traj.events) == len(ref_events)
+        _close([e.time for e in traj.events], ref_events)
+        grid = np.linspace(0.0, traj.t[-1], 200)
+        _close(traj(grid), ref.sol(grid))
+        _close(traj(grid[77]), ref.sol(grid[77]))
+
+    def test_riccati_stops_at_the_guard(self):
+        traj = integrate(lambda t, y: [-y[0] ** 2], [-1.0], (0.0, 2.0), tol=1e-12)
+        assert traj.status == "terminal-event"
+        assert abs(abs(traj.y[0, -1]) - 1e6) < 1e-6 * 1e6
+        assert abs(traj.t[-1] - (1.0 - 1e-6)) < 1e-9
+
+    def test_square_root_singularity(self):
+        traj = integrate(lambda t, y: [-0.5 / y[0]], [1.0], (0.0, 2.0), tol=1e-10)
+        assert traj.status == "singular-step"
+        assert len(traj.t) == 79
+        assert traj.t[-1] == 0.9999999999813156
 
 
 class TestLambertW:

@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only an ODE run loads it."""
+"""No code path of the package loads scipy."""
 
 import json
 import os
@@ -42,7 +42,11 @@ def test_light_cli_modes_load_no_scipy(tmp_path):
     assert all((tmp_path / str(i) / "report.json").exists() for i in range(len(_LIGHT_RUNS)))
 
 
-def test_ode_run_loads_scipy_on_demand():
-    code = ("from coldplasma.numerics import integrate\n"
-            "integrate(lambda t, y: [-y[0]], [1.0], (0.0, 1.0))")
-    assert "scipy.integrate" in _scipy_modules_after(code)
+def test_ode_runs_load_no_scipy(tmp_path):
+    runs = [["oracle-run", "--k", "0.1", "--r0", "0", "--t-max", "25"],
+            ["sweep", "--k", "0.222", "--n-r", "3", "--t-max", "30"]]
+    code = "from coldplasma import cli\n" + "".join(
+        f"assert cli.main({args + ['--out-dir', str(tmp_path / str(i))]!r}) == 0\n"
+        for i, args in enumerate(runs))
+    assert _scipy_modules_after(code) == []
+    assert all((tmp_path / str(i) / "report.json").exists() for i in range(len(runs)))
