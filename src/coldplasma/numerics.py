@@ -65,6 +65,8 @@ _A, _B, _E3, _E5, _D = _dop.A, _dop.B, _dop.E3, _dop.E5, _dop.D
 _C_LIST = _dop.C.tolist()
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERR_EXP = -1 / 8
+# the stages the dense output reads: rows 1-4 have zero weight in A[13:16] and D
+_KEPT_STAGES = [0, *range(5, _dop.N_STAGES + 1)]
 _ROOT_XTOL = 4.0 * _EPMACH   # event roots: the absolute part of find_root's stop
 
 
@@ -92,7 +94,9 @@ class OdeTrajectory:
     ``status`` is one of ``"completed"``, ``"terminal-event"`` (the magnitude
     guard fired) or ``"singular-step"`` (step size underflow, which we treat
     as a suspected finite-time singularity).  ``interpolant`` is the dense
-    output valid on ``[t[0], t[-1]]``, at a scalar or an array of times.
+    output valid on ``[t[0], t[-1]]``, at a scalar or an array of times; it
+    keeps ``rhs`` and calls it, three times per step, the first time it
+    reads a step whose dense output the run did not need.
     """
 
     t: np.ndarray
@@ -135,38 +139,70 @@ def _horner(coefs: list, x: float, y_old: list) -> list:
 
     ``coefs`` holds the 7 coefficients of each component; the nesting
     alternates the factors ``x`` and ``1 - x`` (Hairer's ``contd8``).  The
-    operations are those of :func:`_dense_output`, so the values agree to
-    the bit.
+    operations, from ``0.0 + c6`` on, are those of :func:`_dense_output`,
+    so the values agree to the bit.
     """
     x1 = 1.0 - x
-    out = []
-    for coef, y0 in zip(coefs, y_old):
-        v = 0.0
-        for i in range(6, -1, -1):
-            v += coef[i]
-            v *= x if i % 2 == 0 else x1
-        out.append(v + y0)
-    return out
+    return [((((((((0.0 + c6) * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0)
+             * x + y0) for (c0, c1, c2, c3, c4, c5, c6), y0 in zip(coefs, y_old)]
 
 
-def _dense_output(ts: np.ndarray, ys: np.ndarray, hs: list, Fs: list):
+def _dense_coefficients(rhs, t: float, h: float, y: np.ndarray, y_new: np.ndarray,
+                        K: np.ndarray) -> np.ndarray:
+    """The 7 coefficients ``F`` of one accepted step's dense polynomial.
+
+    ``K`` holds the step's stages 0-12 (12 is the derivative at its end);
+    this fills the extra stages 13-15, three ``rhs`` calls, and returns
+    ``F`` of shape ``(7, n)``.  Rows 1-4 of ``K`` have zero weight here, so
+    a ``K`` rebuilt from :data:`_KEPT_STAGES` with zeros there gives the
+    same ``F``.
+    """
+    ylist = y.tolist()
+    for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED):
+        K[s] = rhs(t + _C_LIST[s] * h,
+                   [u + v * h for u, v in zip(ylist, K[:s].T.dot(_A[s, :s]).tolist())])
+    F = np.empty((_dop.INTERPOLATOR_POWER, y.size))
+    dy = y_new - y
+    f, f_new = K[0], K[_dop.N_STAGES]
+    F[0] = dy
+    F[1] = h * f - dy
+    F[2] = 2 * dy - h * (f_new + f)
+    F[3:] = h * _D.dot(K)
+    return F
+
+
+def _dense_output(rhs, ts: np.ndarray, ys: np.ndarray, hs: list, Fs: list):
     """Interpolant over the stored steps: step ``i`` starts at ``ts[i]``, ``ys[i]``.
 
-    It takes a scalar ``t`` (giving shape ``(n,)``) or an array (``(n, m)``).
+    ``Fs[i]`` is step ``i``'s coefficient array ``F``, or, for a step whose
+    dense output nobody has read yet, its stages :data:`_KEPT_STAGES`; the
+    first call that needs such a step builds ``F`` by
+    :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.  It
+    takes a scalar ``t`` (giving shape ``(n,)``) or an array (``(n, m)``).
     A time on a breakpoint takes the earlier step; times outside
     ``[ts[0], ts[-1]]`` extrapolate the first or last step.
     """
-    h, F, y_old = np.array(hs), np.array(Fs), ys[:len(hs)]
-    last = len(hs) - 1
+    h, y_old = np.array(hs), ys[:len(hs)]
+    last, n = len(hs) - 1, ys.shape[1]
+
+    def coefficients(i):
+        F = Fs[i]
+        if F.shape[0] != _dop.INTERPOLATOR_POWER:   # ys[i + 1] is its end: a guard stop is built
+            K = np.zeros((_dop.N_STAGES_EXTENDED, F.shape[1]))
+            K[_KEPT_STAGES] = F
+            F = Fs[i] = _dense_coefficients(rhs, float(ts[i]), hs[i], ys[i], ys[i + 1], K)
+        return F
 
     def interpolant(t):
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(ts, t) - 1, 0, last)
+        F = np.array([coefficients(i) for i in seg.ravel().tolist()]).reshape(
+            seg.shape + (_dop.INTERPOLATOR_POWER, n))
         x = ((t - ts[seg]) / h[seg])[..., None]
         x1 = 1.0 - x
-        y = np.zeros(x.shape[:-1] + F.shape[2:])
+        y = np.zeros(x.shape[:-1] + (n,))
         for i in range(6, -1, -1):
-            y += F[seg, i]
+            y += F[..., i, :]
             y *= x if i % 2 == 0 else x1
         y += y_old[seg]
         return y.T
@@ -191,11 +227,18 @@ def integrate(
     the event functions receive the state as a list of floats; ``rhs`` is
     called only through the argument given.  Event functions are scalar;
     each sign change over a step is located on that step's dense polynomial
-    by :func:`find_root`.  A terminal guard stops the run at the time
-    ``max|y|`` reaches ``magnitude_cap`` (the blow-up guard); events past
-    that time are dropped.  A step below ten spacings of the floats at ``t``
-    ends the run as ``"singular-step"``.  Identical inputs always produce
-    identical trajectories.
+    by :func:`find_root`, and the event's state is that polynomial at the
+    root (the interpolant's value there).  A terminal guard stops the run at
+    the time ``max|y|`` reaches ``magnitude_cap`` (the blow-up guard); events
+    past that time are dropped.  A step below ten spacings of the floats at
+    ``t`` ends the run as ``"singular-step"``.  Identical inputs always
+    produce identical trajectories.
+
+    Each accepted step costs 12 ``rhs`` calls.  The 3 extra stages of its
+    dense output are paid on the step itself only when an event or the
+    guard changes sign over it; any other step keeps the stages they read
+    and builds its polynomial on the interpolant's first read, so the calls
+    and values match ``solve_ivp`` once every step has been read.
     """
     if not tol >= 100 * _EPMACH:
         raise ValueError(f"tol must be at least 100 eps, got {tol}")
@@ -212,8 +255,7 @@ def integrate(
     checks = events + [guard]
     K = np.empty((_dop.N_STAGES_EXTENDED, n))
     # stage s evaluates rhs at t + c_s h, y + h (a_s . rows 0..s-1 of K)
-    rows = [(s, _A[s, :s], K[:s].T, _C_LIST[s]) for s in range(_dop.N_STAGES_EXTENDED)]
-    stages, extra = rows[1:_dop.N_STAGES], rows[_dop.N_STAGES + 1:]
+    stages = [(s, _A[s, :s], K[:s].T, _C_LIST[s]) for s in range(1, _dop.N_STAGES)]
     K_step, K_err = K[:_dop.N_STAGES].T, K[:_dop.N_STAGES + 1].T
 
     f = np.asarray(rhs(t, y.tolist()), dtype=float)
@@ -221,7 +263,7 @@ def integrate(
     ylist = y.tolist()
     g = [ev(t, ylist) for ev in checks]
     ts, ys, hs, Fs = [t], [y], [], []
-    hits: list[list[float]] = [[] for _ in events]
+    hits: list[list[tuple]] = [[] for _ in events]
     status = "completed"
     while True:
         min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
@@ -254,19 +296,11 @@ def integrate(
         if status == "singular-step":
             break
 
-        for s, a, KsT, c in extra:
-            K[s] = rhs(t + c * h, [u + v * h for u, v in zip(ylist, KsT.dot(a).tolist())])
-        F = np.empty((_dop.INTERPOLATOR_POWER, n))
-        dy = y_new - y
-        F[0] = dy
-        F[1] = h * f - dy
-        F[2] = 2 * dy - h * (f_new + f)
-        F[3:] = h * _D.dot(K)
-
         g_new = [ev(t_new, ylist_new) for ev in checks]
         # scipy's rule: a sign change over the step, or a zero at either end
         active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a <= 0.0 <= b or b <= 0.0 <= a]
         if active:
+            F = _dense_coefficients(rhs, t, h, y, y_new, K)
             coef = F.T.tolist()
             roots = [(find_root(lambda tt, ev=checks[i]: ev(tt, _horner(coef, (tt - t) / h, ylist)),
                                 t, t_new, tol=_ROOT_XTOL), i) for i in active]
@@ -275,7 +309,12 @@ def integrate(
                     status = "terminal-event"
                     t_stop = root
                     break
-                hits[i].append(root)
+                # the interpolant gives a root on the step's start the
+                # earlier step's value, so its state is read after the run
+                hits[i].append((root, None if root == t else
+                                np.array(_horner(coef, (root - t) / h, ylist))))
+        else:
+            F = K[_KEPT_STAGES]
         g = g_new
         if status == "terminal-event":
             # a guard root on the step's start leaves that point as the last one
@@ -294,9 +333,10 @@ def integrate(
             break
 
     t_arr, y_arr = np.array(ts), np.array(ys)
-    interpolant = _dense_output(t_arr, y_arr, hs, Fs)
-    recs = sorted((EventRecord(i, te, interpolant(te)) for i, times in enumerate(hits)
-                   for te in times), key=lambda r: r.time)
+    interpolant = _dense_output(rhs, t_arr, y_arr, hs, Fs)
+    recs = sorted((EventRecord(i, te, interpolant(te) if state is None else state)
+                   for i, found in enumerate(hits) for te, state in found),
+                  key=lambda r: r.time)
     return OdeTrajectory(t_arr, y_arr.T, interpolant, recs, status)
 
 

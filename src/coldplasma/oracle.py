@@ -113,14 +113,11 @@ def run_characteristic(
         events=[crossing],
         magnitude_cap=d_cap,
     )
-    times = []
-    for e in traj.events:
-        # an identically-zero D (equilibrium) trips the event at every step;
-        # keep only transversal crossings of moving states
-        if e.time > 1e-12 and np.max(np.abs(e.state[:4])) > 1e-12:
-            times.append(e.time)
-    times = np.array(times)
-    lams = np.array([traj(t)[2] for t in times])
+    # an identically-zero D (equilibrium) trips the event at every step;
+    # keep only transversal crossings of moving states
+    kept = [e for e in traj.events if e.time > 1e-12 and np.max(np.abs(e.state[:4])) > 1e-12]
+    times = np.array([e.time for e in kept])
+    lams = np.array([e.state[2] for e in kept])
     return CharacteristicRun(profile, r0, traj, times, lams, d_cap)
 
 
@@ -206,8 +203,8 @@ def sandwich_check(
         st = run.trajectory(tg)
         s_t = st[2] - 1.0
         z_t = st[3] ** 2
-        z_lo = np.minimum(lower.value(s_t), upper.value(s_t))
-        z_hi = np.maximum(lower.value(s_t), upper.value(s_t))
+        z_a, z_b = lower.value(s_t), upper.value(s_t)
+        z_lo, z_hi = np.minimum(z_a, z_b), np.maximum(z_a, z_b)
         worst = max(worst, float(np.max(z_lo - z_t)), float(np.max(z_t - z_hi)))
     return worst
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,18 @@ from coldplasma import (
     optimize_thresholds,
     run_characteristic,
 )
+
+
+@pytest.fixture(autouse=True)
+def _mpmath_precision_unchanged():
+    """Fail a test that leaves mpmath's global precision changed, and restore it,
+    so no later test runs at a precision set by an earlier one."""
+    dps = mpmath.mp.dps
+    yield
+    if mpmath.mp.dps != dps:
+        left = mpmath.mp.dps
+        mpmath.mp.dps = dps
+        pytest.fail(f"the test left mpmath.mp.dps = {left} (was {dps}); use mpmath.workdps")
 
 
 @pytest.fixture(scope="session")

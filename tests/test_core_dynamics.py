@@ -180,27 +180,27 @@ class TestOrbitExtremes:
         # Reference in v = 1 - d G at 60 digits: Y = -1/d - v (log v + C)/2
         # (d = 2) or -1/d - 2 v / (d (d-2)) + C v**(2/d), the root on
         # (0, v_m) by the Illinois method, F+ = sqrt(Y(v_m)) at the maximum v_m
-        mp.mp.dps = 60
-        for G0 in [-42813.3, *(-np.logspace(-3, 200))]:
-            g0 = mp.mpf(float(G0))
-            u = 1 - d * g0
-            if d == 2:
-                C = 1 / (2 * g0 - 1) - mp.log(u)
-                Y = lambda v: -mp.mpf(1) / 2 - v * (mp.log(v) + C) / 2
-                v_m = mp.exp(-C - 1)
-            else:
-                C = (1 - 2 * g0) / ((d - 2) * u ** (mp.mpf(2) / d))
-                Y = lambda v: -mp.mpf(1) / d - 2 * v / (d * (d - 2)) + C * v ** (mp.mpf(2) / d)
-                v_m = (C * (d - 2)) ** (mp.mpf(d) / (d - 2))
-            v_plus = mp.findroot(Y, (mp.mpf(10) ** -300, v_m), solver="illinois", verify=False)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                ext = orbit_extremes(0.0, float(G0), d)
-            assert ext.G_minus == G0
-            G_plus = (1 - v_plus) / d
-            assert abs(ext.G_plus - G_plus) <= 1e-12 * abs(G_plus), (G0, ext.G_plus)
-            F_plus = mp.sqrt(Y(v_m))
-            assert abs(ext.F_plus - F_plus) <= 1e-12 * F_plus, (G0, ext.F_plus)
+        with mp.workdps(60):
+            for G0 in [-42813.3, *(-np.logspace(-3, 200))]:
+                g0 = mp.mpf(float(G0))
+                u = 1 - d * g0
+                if d == 2:
+                    C = 1 / (2 * g0 - 1) - mp.log(u)
+                    Y = lambda v: -mp.mpf(1) / 2 - v * (mp.log(v) + C) / 2
+                    v_m = mp.exp(-C - 1)
+                else:
+                    C = (1 - 2 * g0) / ((d - 2) * u ** (mp.mpf(2) / d))
+                    Y = lambda v: -mp.mpf(1) / d - 2 * v / (d * (d - 2)) + C * v ** (mp.mpf(2) / d)
+                    v_m = (C * (d - 2)) ** (mp.mpf(d) / (d - 2))
+                v_plus = mp.findroot(Y, (mp.mpf(10) ** -300, v_m), solver="illinois", verify=False)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    ext = orbit_extremes(0.0, float(G0), d)
+                assert ext.G_minus == G0
+                G_plus = (1 - v_plus) / d
+                assert abs(ext.G_plus - G_plus) <= 1e-12 * abs(G_plus), (G0, ext.G_plus)
+                F_plus = mp.sqrt(Y(v_m))
+                assert abs(ext.F_plus - F_plus) <= 1e-12 * F_plus, (G0, ext.F_plus)
 
     def test_1d_raises_exactly_when_criterion_fails(self, rng):
         # d = 1: C = Delta / (1 - G0)**2 with Delta = F0**2 + 2 G0 - 1, so the

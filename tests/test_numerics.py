@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -6,13 +7,17 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import lambertw as scipy_lambertw
 
+from coldplasma import _dop853_tables as dop
 from coldplasma.core_dynamics import j_exact_radial, rhs_divergence, rhs_radial
 
 from coldplasma.numerics import (
+    _KEPT_STAGES,
     _QUAD_LIMIT,
     BracketError,
     QuadratureError,
     _adaptive_gk21,
+    _dense_output,
+    _horner,
     _qk21,
     find_root,
     integrate,
@@ -112,12 +117,6 @@ def _counted(rhs):
     return wrapped, calls
 
 
-def _close(got, want):
-    want = np.asarray(want)
-    scale = np.max(np.abs(want)) if want.size else 0.0
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
-
-
 class TestAgainstSolveIvp:
     """The in-repo DOP853 against scipy's ``solve_ivp(method="DOP853")``."""
 
@@ -137,16 +136,24 @@ class TestAgainstSolveIvp:
 
         assert traj.status == status
         assert {0: "completed", 1: "terminal-event", -1: "singular-step"}[ref.status] == status
-        assert len(traj.t) == len(ref.t)
-        assert our_calls == ref_calls
-        _close(traj.t, ref.t)
-        _close(traj.y, ref.y)
-        ref_events = sorted(te for times in ref.t_events[:len(events)] for te in times)
-        assert len(traj.events) == len(ref_events)
-        _close([e.time for e in traj.events], ref_events)
+        assert np.array_equal(traj.t, ref.t)
+        assert np.array_equal(traj.y, ref.y)
+        # a step's dense output costs 3 rhs calls, paid only once it is read
+        assert our_calls[0] < ref_calls[0]
+        mids = 0.5 * (traj.t[1:] + traj.t[:-1])
+        traj(mids)
+        assert our_calls[0] == ref_calls[0]
+        traj(mids)
+        assert our_calls[0] == ref_calls[0]
+        ref_events = sorted(((te, ye) for times, states in zip(ref.t_events[:len(events)],
+                                                               ref.y_events[:len(events)])
+                             for te, ye in zip(times, states)), key=lambda p: p[0])
+        assert [e.time for e in traj.events] == [te for te, _ in ref_events]
+        for e, (_, ye) in zip(traj.events, ref_events):
+            assert np.array_equal(e.state, ye)
         grid = np.linspace(0.0, traj.t[-1], 200)
-        _close(traj(grid), ref.sol(grid))
-        _close(traj(grid[77]), ref.sol(grid[77]))
+        assert np.array_equal(traj(grid), ref.sol(grid))
+        assert np.array_equal(traj(grid[77]), ref.sol(grid[77]))
 
     def test_riccati_stops_at_the_guard(self):
         traj = integrate(lambda t, y: [-y[0] ** 2], [-1.0], (0.0, 2.0), tol=1e-12)
@@ -159,6 +166,51 @@ class TestAgainstSolveIvp:
         assert traj.status == "singular-step"
         assert len(traj.t) == 79
         assert traj.t[-1] == 0.9999999999813156
+
+
+class TestLazyDenseOutput:
+    """Dense output built on first read; event states from the step's polynomial."""
+
+    def test_kept_stages_hold_every_weight_of_the_extra_stages_and_d(self):
+        extra = dop.A[dop.N_STAGES + 1:, :dop.N_STAGES + 1]
+        assert not extra[:, 1:5].any() and not dop.D[:, 1:5].any()
+        used = np.flatnonzero(np.abs(extra).sum(0) + np.abs(dop.D[:, :dop.N_STAGES + 1]).sum(0))
+        assert used.tolist() == _KEPT_STAGES
+
+    def test_horner_matches_the_interpolant_bit_for_bit(self, rng):
+        n, steps = 5, 40
+        hs = rng.uniform(0.01, 0.5, steps).tolist()
+        ts = np.concatenate([[0.0], np.cumsum(hs)])
+        ys = rng.normal(size=(steps + 1, n))
+        Fs = [rng.normal(scale=10.0 ** rng.uniform(-12, 2), size=(dop.INTERPOLATOR_POWER, n))
+              for _ in range(steps)]
+        Fs[3][:, 0] = ys[3, 0] = -0.0    # 0.0 + c6 keeps the interpolant's sign of zero
+        interpolant = _dense_output(None, ts, ys, hs, Fs)
+        for i in range(steps):
+            for tt in rng.uniform(ts[i], ts[i + 1], 5):
+                want = interpolant(tt)
+                got = np.array(_horner(Fs[i].T.tolist(), (tt - ts[i]) / hs[i], ys[i].tolist()))
+                assert got.tobytes() == want.tobytes()
+
+    def test_event_states_are_the_interpolant(self):
+        # roots of sin(10 y0) at t = k pi/10 from t = 0, and a guard stop
+        # just before the blow-up of y1' = y1**2 at t = 1
+        traj = integrate(lambda t, y: [1.0, y[1] ** 2], [0.0, 1.0], (0.0, 2.0), tol=1e-10,
+                         events=[lambda t, y: math.sin(10.0 * y[0])])
+        assert traj.status == "terminal-event"
+        assert [e.time for e in traj.events][:1] == [0.0] and len(traj.events) == 4
+        for e in traj.events:
+            assert e.state.tobytes() == traj(e.time).tobytes()
+        assert traj.final_state.tobytes() == traj(traj.t[-1]).tobytes()
+
+    def test_roots_on_step_starts_are_the_interpolant(self):
+        # an event identically zero has a root on every step's start, whose
+        # state comes from the interpolant (the earlier step) after the run
+        traj = integrate(lambda t, y: [0.0, math.cos(t)], [0.0, 0.0], (0.0, 3.0), tol=1e-10,
+                         events=[lambda t, y: y[0]])
+        assert [e.time for e in traj.events] == traj.t[:-1].tolist()
+        for e in traj.events:
+            assert e.state.tobytes() == traj(e.time).tobytes()
 
 
 class TestLambertW:

@@ -121,6 +121,15 @@ class TestOneDimensionalCriterion:
             assert detect_blowup(run).detected
 
 
+class TestCrossingLog:
+    @pytest.mark.parametrize("r0", [0.0, 0.8])
+    def test_crossing_lambdas_are_the_interpolant(self, r0):
+        run = run_characteristic(gaussian_profile(0.1), r0, 25.0, tol=1e-10)
+        assert len(run.crossing_times) >= 4
+        want = np.array([run.trajectory(t)[2] for t in run.crossing_times])
+        assert run.crossing_lambdas.tobytes() == want.tobytes()
+
+
 class TestSandwich:
     def test_equilibrium_violation_is_vacuous(self):
         run = run_characteristic(gaussian_profile(1e-8), 0.0, 10.0, tol=1e-10)
