@@ -8,6 +8,10 @@ oscillations guaranteed free of density blow-up, brackets the smooth
 lifetime by quadrature, evaluates the pointwise smoothness/blow-up criteria,
 and cross-checks everything against direct high-accuracy integration of the
 exact characteristic systems.
+
+Only the oracle integrates that ODE, and only its engine needs numpy: the
+oracle's names below resolve on first use (PEP 562), so ``import coldplasma``
+and every closed-form computation run on the standard library alone.
 """
 
 from .chaplygin_bounds import (
@@ -52,15 +56,6 @@ from .numerics import (
     lambert_w,
     optimize_scalar,
 )
-from .oracle import (
-    BlowupRecord,
-    CharacteristicRun,
-    blowup_sweep,
-    count_revolutions_oracle,
-    detect_blowup,
-    run_characteristic,
-    sandwich_check,
-)
 from .pulse_analysis import (
     DEFAULT_SIGMA1,
     DEFAULT_SIGMA2,
@@ -91,3 +86,25 @@ from .spiral_counter import (
 )
 
 __version__ = "1.0.0"
+
+_ORACLE_NAMES = frozenset({
+    "BlowupRecord",
+    "CharacteristicRun",
+    "blowup_sweep",
+    "count_revolutions_oracle",
+    "detect_blowup",
+    "run_characteristic",
+    "sandwich_check",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

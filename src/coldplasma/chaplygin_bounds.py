@@ -17,10 +17,11 @@ first-period criterion) live here as well.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
+from .numerics import expm1_inf, power_inf
 
 __all__ = [
     "BoundKind",
@@ -52,7 +53,7 @@ class Side(enum.Enum):
 
 
 def _check_sigma_upper(sigma: float) -> None:
-    if abs(sigma - 1.0) < _SING_TOL or abs(sigma - np.sqrt(0.5)) < _SING_TOL:
+    if abs(sigma - 1.0) < _SING_TOL or abs(sigma - math.sqrt(0.5)) < _SING_TOL:
         raise ValueError(
             f"sigma={sigma} hits a denominator singularity (1 or 1/sqrt(2)) "
             "of the upper bound family"
@@ -62,43 +63,40 @@ def _check_sigma_upper(sigma: float) -> None:
 def q_rhs(
     kind: BoundKind,
     side: Side,
-    s,
-    Z,
+    s: float,
+    Z: float,
     c3: float = 0.0,
     sigma: float = 1.0,
     f_plus: float = 0.0,
     d: int = 2,
-):
+) -> float:
     """Right-hand side dZ/ds of the comparison ODE for the given case.
 
     ``c3`` is the plain-case vorticity ratio xi3/(lambda-1); ``sigma`` and
     ``f_plus`` parameterize the radial family.  Only s < 0 is admissible.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr >= 0.0):
+    if s >= 0.0:
         raise ValueError("comparison ODEs are defined on s < 0 only")
-    Z = np.asarray(Z, dtype=float)
 
     if kind is BoundKind.PLAIN:
         if side is not Side.LOWER:
             raise ValueError("plain oscillations provide only the lower family")
-        num = 2.0 * Z + s_arr + c3 * c3 * s_arr * s_arr + 1.0
+        num = 2.0 * Z + s + c3 * c3 * s * s + 1.0
     elif kind is BoundKind.IRROTATIONAL:
         if side is not Side.LOWER:
             raise ValueError("irrotational oscillations provide only the lower family")
-        num = 2.0 * Z + s_arr + 1.0
+        num = 2.0 * Z + s + 1.0
     else:
         sg2 = sigma * sigma
         if sigma <= 0.0:
             raise ValueError("sigma must be positive")
         if side is Side.LOWER:
-            num = (1.0 + sg2) * Z + s_arr + (d - 1) ** 2 * f_plus**2 / sg2 + 1.0
+            num = (1.0 + sg2) * Z + s + (d - 1) ** 2 * f_plus**2 / sg2 + 1.0
         else:
             _check_sigma_upper(sigma)
             k_bound = (d - 1) * (d * (sg2 + 1.0) - 1.0) * f_plus**2 / sg2
-            num = (1.0 - sg2) * Z + s_arr - k_bound + 1.0
-    out = 2.0 * num / s_arr
-    return out if out.ndim else float(out)
+            num = (1.0 - sg2) * Z + s - k_bound + 1.0
+    return 2.0 * num / s
 
 
 @dataclass(frozen=True)
@@ -110,6 +108,9 @@ class BoundCurve:
     Linear-plus-power representation (radial sigma family):
         Z(s) = lin_a s + lin_b + pow_coef |s|^expo
     Exactly one of the two coefficient sets is active (the other is None).
+    ``value`` and ``derivative`` are operator expressions in ``s``, so they
+    take a float or a numpy array; ``increment`` and ``q`` take floats.  A
+    power beyond the float range is +inf, as in numpy.
     """
 
     kind: BoundKind
@@ -133,37 +134,28 @@ class BoundCurve:
     d: int = 2
 
     def value(self, s):
-        s = np.asarray(s, dtype=float)
         if self.a4 is not None:
-            out = ((self.a4 * s * s + self.a2) * s + self.a1) * s + self.a0
-        else:
-            out = self.lin_a * s + self.lin_b + self.pow_coef * np.abs(s) ** self.expo
-        return out if out.ndim else float(out)
+            return ((self.a4 * s * s + self.a2) * s + self.a1) * s + self.a0
+        return self.lin_a * s + self.lin_b + self.pow_coef * power_inf(abs(s), self.expo)
 
-    def increment(self, s_ref: float, h):
+    def increment(self, s_ref: float, h: float) -> float:
         """Z(s_ref + h) - Z(s_ref), free of the cancellation of two values.
 
         Both points must lie on the same side of s = 0.
         """
-        h = np.asarray(h, dtype=float)
         if self.a4 is not None:
             s = s_ref
-            out = h * (self.a4 * (((h + 4.0 * s) * h + 6.0 * s * s) * h + 4.0 * s**3)
-                       + self.a2 * (2.0 * s + h) + self.a1)
-        else:
-            out = h * self.lin_a + self.pow_coef * abs(s_ref) ** self.expo * np.expm1(
-                self.expo * np.log1p(h / s_ref))
-        return out if out.ndim else float(out)
+            return h * (self.a4 * (((h + 4.0 * s) * h + 6.0 * s * s) * h + 4.0 * s**3)
+                        + self.a2 * (2.0 * s + h) + self.a1)
+        return h * self.lin_a + self.pow_coef * power_inf(abs(s_ref), self.expo) * expm1_inf(
+            self.expo * math.log1p(h / s_ref))
 
     def derivative(self, s):
-        s = np.asarray(s, dtype=float)
         if self.a4 is not None:
-            out = (4.0 * self.a4 * s * s + 2.0 * self.a2) * s + self.a1
-        else:
-            out = self.lin_a - self.pow_coef * self.expo * np.abs(s) ** (self.expo - 1.0)
-        return out if out.ndim else float(out)
+            return (4.0 * self.a4 * s * s + 2.0 * self.a2) * s + self.a1
+        return self.lin_a - self.pow_coef * self.expo * power_inf(abs(s), self.expo - 1.0)
 
-    def q(self, s, Z):
+    def q(self, s: float, Z: float) -> float:
         """The comparison rhs this curve solves."""
         return q_rhs(self.kind, self.side, s, Z,
                      c3=self.c3, sigma=self.sigma, f_plus=self.f_plus, d=self.d)
@@ -235,7 +227,9 @@ def sigma_curve(
         expo = 2.0 * (1.0 - sg2)
         lin_a = -2.0 / (1.0 - 2.0 * sg2)
         lin_b = (k_bound - 1.0) / (1.0 - sg2)
-    pow_coef = (Z0 - (lin_a * s0 + lin_b)) / abs(s0) ** expo
+    offset, scale = Z0 - (lin_a * s0 + lin_b), abs(s0) ** expo
+    # a scale that underflows to 0 gives numpy's quotient: +-inf, or NaN for 0/0
+    pow_coef = offset / scale if scale else offset * math.inf
     return BoundCurve(
         BoundKind.RADIAL_SIGMA, side, s0, Z0,
         lin_a=lin_a, lin_b=lin_b, pow_coef=pow_coef, expo=expo,

@@ -8,31 +8,26 @@ plus CSV curve samples into the output directory.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure.
+
+Only ``oracle-run`` and ``sweep`` integrate the characteristic ODE; they
+import the oracle, and with it numpy, when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .chaplygin_bounds import criterion_1d, criterion_first_period
 from .core_dynamics import gaussian_profile, profile_divergences
-from .numerics import QuadratureError
-from .oracle import (
-    blowup_sweep,
-    count_revolutions_oracle,
-    detect_blowup,
-    run_characteristic,
-    sandwich_check,
-)
+from .numerics import QuadratureError, linspace
 from .pulse_analysis import (
     DEFAULT_SIGMA1,
     DEFAULT_SIGMA2,
@@ -146,6 +141,8 @@ def _cmd_lifetime(cfg: dict):
 
 
 def _cmd_oracle_run(cfg: dict):
+    from .oracle import count_revolutions_oracle, detect_blowup, run_characteristic, sandwich_check
+
     profile = gaussian_profile(cfg["k"])
     r0 = cfg["r0"]
     run = run_characteristic(profile, r0, cfg["t_max"], tol=cfg["tol"], d_cap=cfg["d_cap"])
@@ -169,17 +166,19 @@ def _cmd_oracle_run(cfg: dict):
 
 
 def _cmd_sweep(cfg: dict):
+    from .oracle import blowup_sweep
+
     profile = gaussian_profile(cfg["k"])
     r_min, r_max, n_r = cfg["r_min"], cfg["r_max"], cfg["n_r"]
     if not (0.0 <= r_min < r_max) or n_r < 2:
         raise ConfigError("sweep requires 0 <= r_min < r_max and n_r >= 2")
-    grid = list(np.linspace(r_min, r_max, n_r))
+    grid = linspace(r_min, r_max, n_r)
     blow = blowup_sweep(profile, grid, t_max=cfg["t_max"], tol=cfg["tol"])
     detected = [(r, t) for r, t in blow if t is not None]
     t_min = min((t for _, t in detected), default=None)
     r_at = next((r for r, t in detected if t == t_min), None)
     life = guaranteed_field_lifetime(profile, grid)
-    rows = [(r, blow[i][1] if blow[i][1] is not None else np.nan, life.per_radius[i][1])
+    rows = [(r, blow[i][1] if blow[i][1] is not None else math.nan, life.per_radius[i][1])
             for i, r in enumerate(grid)]
     caveat = None
     if t_min is None:
@@ -191,7 +190,7 @@ def _cmd_sweep(cfg: dict):
     return {
         "min_blowup_time": t_min,
         "r_at_min_blowup": r_at,
-        "guaranteed_lifetime": life.T_star if np.isfinite(life.T_star) else None,
+        "guaranteed_lifetime": life.T_star if math.isfinite(life.T_star) else None,
         "r_at_min_lifetime": life.r_at_min,
         "caveat": caveat,
     }, {"sweep.csv": (("r0", "blowup_time", "T_lower"), rows)}
@@ -285,7 +284,7 @@ def _config(ns: argparse.Namespace) -> dict:
     if missing:
         raise ConfigError(f"missing required parameter: {missing[0]}")
     for name, value in cfg.items():
-        if isinstance(value, float) and not np.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
     return cfg
 

@@ -16,9 +16,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
-from .numerics import QuadratureError, find_root, integrate_singular
+from .numerics import (
+    QuadratureError,
+    exp_inf,
+    expm1_inf,
+    find_root,
+    integrate_singular,
+    linspace,
+    power_inf,
+)
 
 __all__ = [
     "check_dimension",
@@ -129,52 +135,43 @@ def first_integral_constant(F0: float, G0: float, d: int) -> FirstIntegralConsta
     if abs(u) < 1e-14:
         raise ValueError("degenerate orbit: 1 - d*G0 = 0 (vacuum point)")
     if d == 2:
-        C = (1.0 + 2.0 * F0 * F0) / (2.0 * G0 - 1.0) - np.log(abs(u))
+        C = (1.0 + 2.0 * F0 * F0) / (2.0 * G0 - 1.0) - math.log(abs(u))
     else:
         C = (1.0 - 2.0 * G0 + (d - 2) * F0 * F0) / ((d - 2) * abs(u) ** (2.0 / d))
     return FirstIntegralConstant(float(C), d)
 
 
-def evaluate_first_integral(G, const: FirstIntegralConstant):
-    """Y(G) = F**2 on the orbit defined by ``const`` (vectorized in G).
+def evaluate_first_integral(G: float, const: FirstIntegralConstant) -> float:
+    """Y(G) = F**2 on the orbit defined by ``const``.
 
     May be negative outside the orbit's G-range; the orbit occupies
     ``{G : Y(G) >= 0}``.
     """
-    G = np.asarray(G, dtype=float)
     d, C = const.d, const.C
-    u = np.abs(1.0 - d * G)
+    u = abs(1.0 - d * G)
     if d == 2:
-        out = 0.5 * ((2.0 * G - 1.0) * np.log(u) + C * (2.0 * G - 1.0) - 1.0)
-    else:
-        out = (2.0 * G - 1.0) / (d - 2) + C * u ** (2.0 / d)
-    return out if out.ndim else float(out)
+        return 0.5 * ((2.0 * G - 1.0) * math.log(u) + C * (2.0 * G - 1.0) - 1.0)
+    return (2.0 * G - 1.0) / (d - 2) + C * power_inf(u, 2.0 / d)
 
 
-def first_integral_derivative(G, const: FirstIntegralConstant):
+def first_integral_derivative(G: float, const: FirstIntegralConstant) -> float:
     """dY/dG on the half-plane G < 1/d."""
-    G = np.asarray(G, dtype=float)
     d, C = const.d, const.C
     u = 1.0 - d * G
     if d == 2:
-        out = np.log(np.abs(u)) + 1.0 + C
-    else:
-        out = 2.0 / (d - 2) - 2.0 * C * np.abs(u) ** (2.0 / d - 1.0) * np.sign(u)
-    return out if out.ndim else float(out)
+        return math.log(abs(u)) + 1.0 + C
+    return 2.0 / (d - 2) - 2.0 * C * math.copysign(abs(u) ** (2.0 / d - 1.0), u)
 
 
-def first_integral_increment(G: float, h, const: FirstIntegralConstant):
+def first_integral_increment(G: float, h: float, const: FirstIntegralConstant) -> float:
     """Y(G + h) - Y(G) through log1p/expm1, free of the cancellation of two
     values; G and G + h must lie on the half-plane G < 1/d."""
-    h = np.asarray(h, dtype=float)
     d, C = const.d, const.C
     u = 1.0 - d * G
     if d == 2:
-        out = h * (np.log1p(-2.0 * G) + C) - 0.5 * (u - 2.0 * h) * np.log1p(-2.0 * h / u)
-    else:
-        out = 2.0 * h / (d - 2) + C * u ** (2.0 / d) * np.expm1(
-            (2.0 / d) * np.log1p(-d * h / u))
-    return out if out.ndim else float(out)
+        return h * (math.log1p(-2.0 * G) + C) - 0.5 * (u - 2.0 * h) * math.log1p(-2.0 * h / u)
+    return 2.0 * h / (d - 2) + C * power_inf(u, 2.0 / d) * expm1_inf(
+        (2.0 / d) * math.log1p(-d * h / u))
 
 
 @dataclass(frozen=True)
@@ -200,14 +197,13 @@ def g_at_maximum(const: FirstIntegralConstant) -> float:
     d, C = const.d, const.C
     if d != 2 and C * (d - 2) <= 0.0:
         raise ValueError(f"orbit is not closed: C*(d-2) = {C * (d - 2)} <= 0")
-    with np.errstate(over="ignore"):
-        if d == 2:
-            G_m = 0.5 * (1.0 - np.exp(-C - 1.0))
-        else:
-            G_m = (1.0 - np.power(C * (d - 2), d / (d - 2.0))) / d
-    if not np.isfinite(G_m):
+    if d == 2:
+        G_m = 0.5 * (1.0 - exp_inf(-C - 1.0))
+    else:
+        G_m = (1.0 - power_inf(C * (d - 2), d / (d - 2.0))) / d
+    if not math.isfinite(G_m):
         raise ValueError(f"orbit too wide: its maximum lies at G = {G_m}")
-    return float(G_m)
+    return G_m
 
 
 def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
@@ -241,14 +237,13 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
 
     G_m = g_at_maximum(const)
     G1 = G_m - max(1.0, abs(G_m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y_m = Y(G_m)
-        left = G1 - Y(G1) / first_integral_derivative(G1, const)
-    if not (np.isfinite(Y_m) and np.isfinite(left)):
+    Y_m = Y(G_m)
+    left = G1 - Y(G1) / first_integral_derivative(G1, const)
+    if not (math.isfinite(Y_m) and math.isfinite(left)):
         raise ValueError(f"orbit too wide: Y overflows about G_m = {G_m}")
     if Y_m <= 0.0:      # Y(G_m) >= F0**2, so only a point orbit, up to rounding
         return OrbitExtremes(G0, G0, 0.0)
-    F_plus = float(np.sqrt(Y_m))
+    F_plus = math.sqrt(Y_m)
     tol = 1e-15 * min(F_plus, 1.0)    # turning points lie about min(F+, 1/d) or more from 0
     if F0 == 0.0 and G0 >= G_m:
         G_plus = G0
@@ -319,10 +314,10 @@ class RadialProfile:
 
     def __post_init__(self):
         check_dimension(self.d)
-        rr = np.linspace(0.0, _ADMISSIBILITY_RMAX, _ADMISSIBILITY_POINTS)
-        lam = np.array([self.lambda0(r) for r in rr])
-        if np.any(lam >= 1.0):
-            bad = rr[int(np.argmax(lam))]
+        rr = linspace(0.0, _ADMISSIBILITY_RMAX, _ADMISSIBILITY_POINTS)
+        lam = [self.lambda0(r) for r in rr]
+        if any(v >= 1.0 for v in lam):
+            bad = rr[lam.index(max(lam))]
             raise ValueError(
                 f"inadmissible profile: lambda0({bad:.4g}) >= 1 (negative density)"
             )
@@ -355,10 +350,10 @@ def gaussian_profile(K: float) -> RadialProfile:
     if not 0.0 < K:
         raise ValueError(f"pulse amplitude K must be positive, got {K}")
     return RadialProfile(
-        G0=lambda r: K * np.exp(-r * r),
+        G0=lambda r: K * math.exp(-r * r),
         F0=lambda r: 0.0,
         d=2,
-        dG0=lambda r: -2.0 * K * r * np.exp(-r * r),
+        dG0=lambda r: -2.0 * K * r * math.exp(-r * r),
         dF0=lambda r: 0.0,
         label=f"gaussian(K={K})",
     )

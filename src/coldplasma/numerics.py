@@ -5,8 +5,10 @@ Adaptive ODE integration with dense output, events and a blow-up guard
 and values it reproduces), real Lambert W on branches 0 and -1, bracketed
 root finding (Brent's method), quadrature for integrands with
 inverse-square-root endpoint singularities (adaptive 21-point
-Gauss-Kronrod), and a golden section scalar optimizer.  numpy is the only
-dependency.
+Gauss-Kronrod), a golden section scalar optimizer, ``linspace``, and
+``exp``, ``expm1`` and ``power`` that overflow to +inf as numpy's do.  All
+of it runs on floats and ``math``; only the DOP853 engine, in ``_dop853``,
+needs numpy, and :func:`integrate` imports it on its first call.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from . import _dop853_tables as _dop
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BracketError",
@@ -30,10 +31,15 @@ __all__ = [
     "find_root",
     "integrate_singular",
     "optimize_scalar",
+    "linspace",
+    "linspace_point",
+    "exp_inf",
+    "expm1_inf",
+    "power_inf",
 ]
 
-_INV_E = np.exp(-1.0)
-_GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
+_INV_E = math.exp(-1.0)
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 _QUAD_TOL = 1e-12   # absolute and relative target of integrate_singular
 _QUAD_LIMIT = 50    # most panels integrate_singular splits one half into
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon   # relative part of find_root's stop
@@ -58,16 +64,6 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.295524224714752870173892994651338)
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
-
-# DOP853 step control, as in scipy's ``RungeKutta``: the error estimate is
-# O(h**8), so a step is rescaled by SAFETY * err**(-1/8) within the factors
-_A, _B, _E3, _E5, _D = _dop.A, _dop.B, _dop.E3, _dop.E5, _dop.D
-_C_LIST = _dop.C.tolist()
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_ERR_EXP = -1 / 8
-# the stages the dense output reads: rows 1-4 have zero weight in A[13:16] and D
-_KEPT_STAGES = [0, *range(5, _dop.N_STAGES + 1)]
-_ROOT_XTOL = 4.0 * _EPMACH   # event roots: the absolute part of find_root's stop
 
 
 class BracketError(ValueError):
@@ -113,103 +109,6 @@ class OdeTrajectory:
         return self.y[:, -1]
 
 
-def _rms(x: np.ndarray) -> float:
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
-def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
-                  tol: float) -> float:
-    """First step size (Hairer, Norsett & Wanner, sec. II.4), one rhs call."""
-    span = t_end - t0
-    scale = tol + np.abs(y0) * tol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = np.asarray(rhs(t0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_ERR_EXP
-    return min(100 * h0, h1, span)
-
-
-def _horner(coefs: list, x: float, y_old: list) -> list:
-    """DOP853 dense polynomial of one step at ``x = (t - t_old)/h``, in floats.
-
-    ``coefs`` holds the 7 coefficients of each component; the nesting
-    alternates the factors ``x`` and ``1 - x`` (Hairer's ``contd8``).  The
-    operations, from ``0.0 + c6`` on, are those of :func:`_dense_output`,
-    so the values agree to the bit.
-    """
-    x1 = 1.0 - x
-    return [((((((((0.0 + c6) * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0)
-             * x + y0) for (c0, c1, c2, c3, c4, c5, c6), y0 in zip(coefs, y_old)]
-
-
-def _dense_coefficients(rhs, t: float, h: float, y: np.ndarray, y_new: np.ndarray,
-                        K: np.ndarray) -> np.ndarray:
-    """The 7 coefficients ``F`` of one accepted step's dense polynomial.
-
-    ``K`` holds the step's stages 0-12 (12 is the derivative at its end);
-    this fills the extra stages 13-15, three ``rhs`` calls, and returns
-    ``F`` of shape ``(7, n)``.  Rows 1-4 of ``K`` have zero weight here, so
-    a ``K`` rebuilt from :data:`_KEPT_STAGES` with zeros there gives the
-    same ``F``.
-    """
-    ylist = y.tolist()
-    for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED):
-        K[s] = rhs(t + _C_LIST[s] * h,
-                   [u + v * h for u, v in zip(ylist, K[:s].T.dot(_A[s, :s]).tolist())])
-    F = np.empty((_dop.INTERPOLATOR_POWER, y.size))
-    dy = y_new - y
-    f, f_new = K[0], K[_dop.N_STAGES]
-    F[0] = dy
-    F[1] = h * f - dy
-    F[2] = 2 * dy - h * (f_new + f)
-    F[3:] = h * _D.dot(K)
-    return F
-
-
-def _dense_output(rhs, ts: np.ndarray, ys: np.ndarray, hs: list, Fs: list):
-    """Interpolant over the stored steps: step ``i`` starts at ``ts[i]``, ``ys[i]``.
-
-    ``Fs[i]`` is step ``i``'s coefficient array ``F``, or, for a step whose
-    dense output nobody has read yet, its stages :data:`_KEPT_STAGES`; the
-    first call that needs such a step builds ``F`` by
-    :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.  It
-    takes a scalar ``t`` (giving shape ``(n,)``) or an array (``(n, m)``).
-    A time on a breakpoint takes the earlier step; times outside
-    ``[ts[0], ts[-1]]`` extrapolate the first or last step.
-    """
-    h, y_old = np.array(hs), ys[:len(hs)]
-    last, n = len(hs) - 1, ys.shape[1]
-
-    def coefficients(i):
-        F = Fs[i]
-        if F.shape[0] != _dop.INTERPOLATOR_POWER:   # ys[i + 1] is its end: a guard stop is built
-            K = np.zeros((_dop.N_STAGES_EXTENDED, F.shape[1]))
-            K[_KEPT_STAGES] = F
-            F = Fs[i] = _dense_coefficients(rhs, float(ts[i]), hs[i], ys[i], ys[i + 1], K)
-        return F
-
-    def interpolant(t):
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(ts, t) - 1, 0, last)
-        F = np.array([coefficients(i) for i in seg.ravel().tolist()]).reshape(
-            seg.shape + (_dop.INTERPOLATOR_POWER, n))
-        x = ((t - ts[seg]) / h[seg])[..., None]
-        x1 = 1.0 - x
-        y = np.zeros(x.shape[:-1] + (n,))
-        for i in range(6, -1, -1):
-            y += F[..., i, :]
-            y *= x if i % 2 == 0 else x1
-        y += y_old[seg]
-        return y.T
-
-    return interpolant
-
-
 def integrate(
     rhs: Callable[[float, list], Sequence[float]],
     y0: Sequence[float],
@@ -238,111 +137,18 @@ def integrate(
     dense output are paid on the step itself only when an event or the
     guard changes sign over it; any other step keeps the stages they read
     and builds its polynomial on the interpolant's first read, so the calls
-    and values match ``solve_ivp`` once every step has been read.
+    and values match ``solve_ivp`` once every step has been read.  The
+    engine and its numpy arrays live in ``_dop853``, imported on the first
+    call.
     """
-    if not tol >= 100 * _EPMACH:
-        raise ValueError(f"tol must be at least 100 eps, got {tol}")
-    t, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end > t:
-        raise ValueError(f"integrate runs forward only: t_span = {t_span}")
-    y = np.array(y0, dtype=float)
-    n = y.size
-    events = list(events)
+    from ._dop853 import dop853
 
-    def guard(t, y):
-        return max(map(abs, y)) - magnitude_cap
-
-    checks = events + [guard]
-    K = np.empty((_dop.N_STAGES_EXTENDED, n))
-    # stage s evaluates rhs at t + c_s h, y + h (a_s . rows 0..s-1 of K)
-    stages = [(s, _A[s, :s], K[:s].T, _C_LIST[s]) for s in range(1, _dop.N_STAGES)]
-    K_step, K_err = K[:_dop.N_STAGES].T, K[:_dop.N_STAGES + 1].T
-
-    f = np.asarray(rhs(t, y.tolist()), dtype=float)
-    h_abs = _initial_step(rhs, t, y, f, t_end, tol)
-    ylist = y.tolist()
-    g = [ev(t, ylist) for ev in checks]
-    ts, ys, hs, Fs = [t], [y], [], []
-    hits: list[list[tuple]] = [[] for _ in events]
-    status = "completed"
-    while True:
-        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:    # a NaN step (rhs NaN at the start) stops too
-                status = "singular-step"
-                break
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = abs(h)
-            K[0] = f
-            for s, a, KsT, c in stages:
-                K[s] = rhs(t + c * h, [u + v * h for u, v in zip(ylist, KsT.dot(a).tolist())])
-            y_new = y + h * K_step.dot(_B)
-            ylist_new = y_new.tolist()
-            f_new = np.asarray(rhs(t + h, ylist_new), dtype=float)
-            K[_dop.N_STAGES] = f_new
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5, err3 = K_err.dot(_E5) / scale, K_err.dot(_E3) / scale
-            e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
-            err = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
-            if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
-            rejected = True
-        if status == "singular-step":
-            break
-
-        g_new = [ev(t_new, ylist_new) for ev in checks]
-        # scipy's rule: a sign change over the step, or a zero at either end
-        active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a <= 0.0 <= b or b <= 0.0 <= a]
-        if active:
-            F = _dense_coefficients(rhs, t, h, y, y_new, K)
-            coef = F.T.tolist()
-            roots = [(find_root(lambda tt, ev=checks[i]: ev(tt, _horner(coef, (tt - t) / h, ylist)),
-                                t, t_new, tol=_ROOT_XTOL), i) for i in active]
-            for root, i in sorted(roots):
-                if i == len(events):
-                    status = "terminal-event"
-                    t_stop = root
-                    break
-                # the interpolant gives a root on the step's start the
-                # earlier step's value, so its state is read after the run
-                hits[i].append((root, None if root == t else
-                                np.array(_horner(coef, (root - t) / h, ylist))))
-        else:
-            F = K[_KEPT_STAGES]
-        g = g_new
-        if status == "terminal-event":
-            # a guard root on the step's start leaves that point as the last one
-            if not (len(ts) > 1 and t_stop == ts[-1]):
-                ts.append(t_stop)
-                ys.append(np.array(_horner(coef, (t_stop - t) / h, ylist)))
-                hs.append(h)
-                Fs.append(F)
-            break
-        ts.append(t_new)
-        ys.append(y_new)
-        hs.append(h)
-        Fs.append(F)
-        t, y, ylist, f = t_new, y_new, ylist_new, f_new
-        if t_new >= t_end:
-            break
-
-    t_arr, y_arr = np.array(ts), np.array(ys)
-    interpolant = _dense_output(rhs, t_arr, y_arr, hs, Fs)
-    recs = sorted((EventRecord(i, te, interpolant(te) if state is None else state)
-                   for i, found in enumerate(hits) for te, state in found),
-                  key=lambda r: r.time)
-    return OdeTrajectory(t_arr, y_arr.T, interpolant, recs, status)
+    return dop853(rhs, y0, t_span, tol, events, magnitude_cap)
 
 
 def _halley(w: float, x: float, max_iter: int = 50) -> float:
     for _ in range(max_iter):
-        ew = np.exp(w)
+        ew = math.exp(w)
         f = w * ew - x
         if f == 0.0:
             return w
@@ -357,7 +163,7 @@ def _halley(w: float, x: float, max_iter: int = 50) -> float:
 
 def _branch_point_series(x: float, branch: int) -> float:
     # expansion around w = -1, p = +/-sqrt(2(e x + 1)); Corless et al. coefficients
-    p = np.sqrt(2.0 * (np.e * x + 1.0))
+    p = math.sqrt(2.0 * (math.e * x + 1.0))
     if branch == -1:
         p = -p
     return -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
@@ -389,14 +195,14 @@ def lambert_w(branch: int, x: float) -> float:
         return _halley(w, x)
 
     if branch == 0:
-        if x > np.e:
-            lx = np.log(x)
-            w = lx - np.log(lx)
+        if x > math.e:
+            lx = math.log(x)
+            w = lx - math.log(lx)
         else:
-            w = x / (1.0 + x) if x < 0.5 else np.log1p(x)
+            w = x / (1.0 + x) if x < 0.5 else math.log1p(x)
     else:
-        lx = np.log(-x)
-        w = lx - np.log(-lx)
+        lx = math.log(-x)
+        w = lx - math.log(-lx)
     return _halley(w, x)
 
 
@@ -586,3 +392,50 @@ def optimize_scalar(
             fd = sign * f(d)
     x = 0.5 * (lo + hi)
     return x, f(x)
+
+
+def linspace(a: float, b: float, n: int) -> list[float]:
+    """``n`` evenly spaced floats from ``a`` to ``b``, ends included: the same
+    floats as ``numpy.linspace(a, b, n).tolist()``."""
+    if n < 2:
+        return [float(a)] * n
+    return [linspace_point(a, b, n, i) for i in range(n)]
+
+
+def linspace_point(a: float, b: float, n: int, i: int) -> float:
+    """Point ``i`` of ``linspace(a, b, n)``, ``n >= 2``, without the others.
+
+    As in numpy: ``i * step + a`` with ``step = (b - a)/(n - 1)``, or
+    ``i/(n - 1) * (b - a) + a`` where that step underflows to 0, and ``b``
+    itself last.
+    """
+    if i == n - 1:
+        return float(b)
+    step = (b - a) / (n - 1)
+    return i * step + a if step else i / (n - 1) * (b - a) + a
+
+
+def exp_inf(x: float) -> float:
+    """``math.exp(x)``, or +inf where it overflows, as numpy's ``exp`` gives."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def expm1_inf(x: float) -> float:
+    """``math.expm1(x)``, or +inf where it overflows, as numpy's ``expm1`` gives."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def power_inf(x, p):
+    """``x ** p`` for ``x >= 0``, a float or an ndarray; a float result beyond
+    the float range (``0 ** p`` for ``p < 0`` included) is +inf, as numpy's
+    ``power`` gives."""
+    try:
+        return x ** p
+    except (OverflowError, ZeroDivisionError):
+        return math.inf

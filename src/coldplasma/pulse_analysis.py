@@ -14,12 +14,11 @@ Lambert W fixed point :func:`lambert_fixed_point` is only a test reference.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chaplygin_bounds import anchor_root_S1, anchor_root_S2
-from .numerics import BracketError, find_root, lambert_w
+from .numerics import BracketError, exp_inf, expm1_inf, find_root, lambert_w
 
 __all__ = [
     "DEFAULT_SIGMA1",
@@ -41,7 +40,7 @@ __all__ = [
 DEFAULT_SIGMA1 = 0.5032
 DEFAULT_SIGMA2 = 0.9423
 
-_SQRT_HALF = np.sqrt(0.5)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class NoFixedPointError(ValueError):
@@ -74,7 +73,7 @@ def f_plus_of_lambda0(lam0: float) -> float:
     """
     if lam0 >= 1.0:
         raise ValueError(f"require lambda0 < 1 (positive density), got {lam0}")
-    return np.sqrt(0.5 * np.expm1(lam0 / (1.0 - lam0) + np.log1p(-lam0)))
+    return math.sqrt(0.5 * expm1_inf(lam0 / (1.0 - lam0) + math.log1p(-lam0)))
 
 
 def _check_map_domain(lam0: float, sigma: float) -> None:
@@ -93,7 +92,7 @@ def lambda1_map(lam0: float, sigma1: float) -> float:
     _check_map_domain(lam0, sigma1)
     b = sigma1 * sigma1
     return (1.0 + 4.0 * b - (2.0 * b + 1.0) * (1.0 - lam0)
-            * np.exp(lam0 / (1.0 - lam0))) / (4.0 * b * (b + 1.0))
+            * exp_inf(lam0 / (1.0 - lam0))) / (4.0 * b * (b + 1.0))
 
 
 def lambda2_map(lam0: float, sigma2: float) -> float:
@@ -110,7 +109,7 @@ def lambda2_map(lam0: float, sigma2: float) -> float:
     if abs(sigma2 - _SQRT_HALF) < 1e-9:
         raise ValueError("sigma2 = 1/sqrt(2) is singular for the upper family")
     b = sigma2 * sigma2
-    fp2 = 0.5 * ((1.0 - lam0) * np.exp(lam0 / (1.0 - lam0)) - 1.0)
+    fp2 = 0.5 * ((1.0 - lam0) * exp_inf(lam0 / (1.0 - lam0)) - 1.0)
     s2 = (2.0 * b - 1.0) * (fp2 * (2.0 * b + 1.0) - b * b) / (2.0 * b * (b - 1.0))
     return s2 + 1.0
 
@@ -147,8 +146,7 @@ def fixed_point(which: str, sigma: float) -> FixedPointResult:
         return lam - mp(lam, sigma)
 
     try:
-        with np.errstate(over="ignore"):
-            root = find_root(g, 1e-6, 1.0 - 1e-6, tol=1e-14)
+        root = find_root(g, 1e-6, 1.0 - 1e-6, tol=1e-14)
     except BracketError:
         raise NoFixedPointError(
             f"{which} map has no fixed point on (0,1) at sigma={sigma}") from None
@@ -168,19 +166,19 @@ def lambert_fixed_point(which: str, sigma: float) -> float:
     if which == "lambda1":
         # map: lam = (B - D x e^(1/x)/e)/A, x = 1-lam, A=4b(b+1), B=1+4b, D=2b+1
         A = 4.0 * b * (b + 1.0)
-        p = np.e * (1.0 - 4.0 * b * b) / (2.0 * b + 1.0)
-        q = np.e * A / (2.0 * b + 1.0)
+        p = math.e * (1.0 - 4.0 * b * b) / (2.0 * b + 1.0)
+        q = math.e * A / (2.0 * b + 1.0)
         branch = -1 if sigma < _SQRT_HALF else 0
     elif which == "lambda2":
         alpha = (2.0 * b - 1.0) * (2.0 * b + 1.0) / (2.0 * b * (b - 1.0))
         beta = -(2.0 * b - 1.0) * b * b / (2.0 * b * (b - 1.0)) + 1.0
         # lam = alpha*(x e^(1/x)/e - 1)/2 + beta, x = 1 - lam
-        p = (2.0 * np.e / alpha) * (1.0 + alpha / 2.0 - beta)
-        q = -2.0 * np.e / alpha
+        p = (2.0 * math.e / alpha) * (1.0 + alpha / 2.0 - beta)
+        q = -2.0 * math.e / alpha
         branch = -1
     else:
         raise ValueError(f"unknown map {which!r}")
-    return 1.0 - 1.0 / (-q / p - lambert_w(branch, -np.exp(-q / p) / p))
+    return 1.0 - 1.0 / (-q / p - lambert_w(branch, -math.exp(-q / p) / p))
 
 
 @dataclass(frozen=True)
@@ -216,10 +214,10 @@ def _threshold(which: str, lo: float, hi: float) -> tuple[float, float]:
 
     def g(b):
         n, X = _stationary_point(which, b)
-        return np.log(n) + 1.0 / n - 1.0 - np.log(X)
+        return math.log(n) + 1.0 / n - 1.0 - math.log(X)
 
     b = find_root(g, lo, hi, tol=1e-15)
-    return float(np.sqrt(b)), float(1.0 - _stationary_point(which, b)[0])
+    return math.sqrt(b), 1.0 - _stationary_point(which, b)[0]
 
 
 def optimize_thresholds() -> Thresholds:

@@ -12,14 +12,13 @@ of the smooth-solution lifetime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .chaplygin_bounds import BoundCurve, Side, sigma_curve
 from .core_dynamics import RadialProfile, orbit_extremes, profile_divergences
-from .numerics import BracketError, find_root, integrate_singular
+from .numerics import BracketError, find_root, integrate_singular, linspace, linspace_point
 from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2, f_plus_of_lambda0
 
 __all__ = [
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-14
+_RIGHT_GRID = 4096   # points from s0 to just left of 0 that bracket an ascending root
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,11 @@ class SpiralSegment:
     def s_interval(self) -> tuple[float, float]:
         return (min(self.s_start, self.s_end), max(self.s_start, self.s_end))
 
-    def sample(self, n: int = 200) -> tuple[np.ndarray, np.ndarray]:
-        """(s, D) polyline of the arc in traversal order."""
-        s = np.linspace(self.s_start, self.s_end, n)
-        z = np.clip(self.curve.value(s), 0.0, None)
-        d = np.sqrt(z)
-        return s, (-d if self.lower_half else d)
+    def sample(self, n: int = 200) -> tuple[list[float], list[float]]:
+        """(s, D) polyline of the arc in traversal order, as two lists."""
+        s = linspace(self.s_start, self.s_end, n)
+        d = [0.0 if z <= 0.0 else math.sqrt(z) for z in map(self.curve.value, s)]
+        return s, ([-x for x in d] if self.lower_half else d)
 
 
 @dataclass
@@ -81,16 +80,16 @@ class Spiral:
     def crossings_lambda(self) -> list[float]:
         return [s + 1.0 for s in self.crossings]
 
-    def polyline(self, points_per_segment: int = 200) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (lambda, D) samples of all segments."""
+    def polyline(self, points_per_segment: int = 200) -> tuple[list[float], list[float]]:
+        """Concatenated (lambda, D) samples of all segments, as two lists."""
         if not self.segments:
-            return np.array([self.start_lambda]), np.array([self.start_divv])
-        ss, dd = [], []
+            return [self.start_lambda], [self.start_divv]
+        lam, dd = [], []
         for seg in self.segments:
             s, dv = seg.sample(points_per_segment)
-            ss.append(s)
-            dd.append(dv)
-        return np.concatenate(ss) + 1.0, np.concatenate(dd)
+            lam += [x + 1.0 for x in s]
+            dd += dv
+        return lam, dd
 
 
 def _left_root(curve: BoundCurve, s0: float) -> Optional[float]:
@@ -113,18 +112,35 @@ def _left_root(curve: BoundCurve, s0: float) -> Optional[float]:
 
 
 def _right_root(curve: BoundCurve, s0: float) -> Optional[float]:
-    """Root of the curve strictly right of s0 (toward 0-), or None."""
+    """Root of a sigma-family curve strictly right of s0 (toward 0-), or None.
+
+    The bracket is ``[grid(i-1), grid(i)]`` for the first ``i`` with
+    ``Z(grid(i)) <= 0`` on :data:`_RIGHT_GRID` even points from
+    ``a = s0+`` to -1e-9, found by bisection: those points form a tail of
+    the grid.  On s < 0 the curve ``Z = lin_a s + lin_b + C |s|**p`` is
+    concave, so ``{Z > 0}`` is an interval and holds ``a``, or convex, and
+    then monotone: its slope ``lin_a - C p |s|**(p-1)`` stays below
+    ``lin_a <= 0`` where p > 1 (C > 0) and above ``lin_a > 0`` where p < 1
+    (upper family with sigma**2 > 1/2).
+    """
     f = curve.value
     a = s0 + 1e-11 * max(1.0, abs(s0))
     if f(a) <= 0.0:
         return None
-    grid = np.linspace(a, -1e-9, 4096)
-    vals = f(grid)
-    neg = np.nonzero(vals <= 0.0)[0]
-    if len(neg) == 0 or neg[0] == 0:
+
+    def grid(i):
+        return linspace_point(a, -1e-9, _RIGHT_GRID, i)
+
+    lo, hi = 1, _RIGHT_GRID     # the first index with Z <= 0 is in [lo, hi]; hi: none
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(grid(mid)) <= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == _RIGHT_GRID:
         return None
-    i = neg[0]
-    return find_root(f, grid[i - 1], grid[i], tol=_ROOT_TOL)
+    return find_root(f, grid(lo - 1), grid(lo), tol=_ROOT_TOL)
 
 
 def build_spiral(
@@ -249,7 +265,9 @@ def segment_time(seg: SpiralSegment) -> float:
     z_end = {seg.s_start: curve.Z0, seg.s_end: 0.0}
 
     def f(end, h):
-        return 1.0 / (abs(end + h) * np.sqrt(z_end[end] + curve.increment(end, h)))
+        z = z_end[end] + curve.increment(end, h)
+        # a Z that rounds to <= 0 gives NaN, which integrate_singular reports
+        return 1.0 / (abs(end + h) * math.sqrt(z)) if z > 0.0 else math.nan
 
     return integrate_singular(f, *seg.s_interval)
 
@@ -304,7 +322,7 @@ def guaranteed_field_lifetime(
         lam0, D0 = profile_divergences(profile, r0)
         F0, G0 = profile.F0(r0), profile.G0(r0)
         if abs(lam0) < 1e-14 and abs(D0) < 1e-14 and abs(F0) < 1e-14 and abs(G0) < 1e-14:
-            rows.append((r0, np.inf))
+            rows.append((r0, math.inf))
             continue
         if r0 == 0.0:
             rule = None   # centered: refresh from the crossing divergence
@@ -316,4 +334,4 @@ def guaranteed_field_lifetime(
         est = lifetime(inner, outer)
         rows.append((r0, est.T_lower if est.revolutions > 0 else 0.0))
     r_min, t_star = min(rows, key=lambda row: row[1])
-    return FieldLifetime(float(t_star), r_min, tuple(rows))
+    return FieldLifetime(t_star, r_min, tuple(rows))

@@ -197,7 +197,8 @@ def test_criterion_06_ode_residuals():
         ]
         ss = np.linspace(1.5 * s0, 0.2 * s0, 100)
         for curve in curves:
-            res = np.max(np.abs(curve.derivative(ss) - curve.q(ss, curve.value(ss))))
+            q = np.array([curve.q(s, curve.value(s)) for s in ss.tolist()])
+            res = np.max(np.abs(curve.derivative(ss) - q))
             worst = max(worst, float(res))
     ok = worst < 1e-10
     _line(6, ok, f"max |dZ/ds - q| over families = {worst:.2e}")
@@ -217,8 +218,8 @@ def test_criterion_07_first_integral_drift(d):
         return [dF, dG]
 
     traj = integrate(rhs, [0.0, 0.1], (0.0, 10.0 * T), tol=1e-10)
-    drift = float(np.max(np.abs(traj.y[0] ** 2
-                                - cp.evaluate_first_integral(traj.y[1], const))))
+    Y = np.array([cp.evaluate_first_integral(G, const) for G in traj.y[1].tolist()])
+    drift = float(np.max(np.abs(traj.y[0] ** 2 - Y)))
     ok = drift < 1e-8
     _line(7, ok, f"d={d}: drift over 10 periods = {drift:.2e}")
     assert drift < 1e-8

@@ -67,10 +67,11 @@ class TestClosedFormsSolveTheirOde:
 
     def _residuals(self, curve, s_lo, s_hi):
         ss = np.linspace(s_lo, s_hi, 100)
-        analytic = curve.derivative(ss) - curve.q(ss, curve.value(ss))
+        q = np.array([curve.q(s, curve.value(s)) for s in ss.tolist()])
+        analytic = curve.derivative(ss) - q
         h = 1e-7
         fd = (curve.value(ss + h) - curve.value(ss - h)) / (2.0 * h)
-        fd_res = fd - curve.q(ss, curve.value(ss))
+        fd_res = fd - q
         return np.max(np.abs(analytic)), np.max(np.abs(fd_res))
 
     def test_plain(self, rng):
@@ -133,6 +134,46 @@ class TestIncrement:
             for h in (1e-9, -1e-9):
                 lin = curve.derivative(s) * h
                 assert abs(curve.increment(s, h) - lin) <= 1e-7 * abs(lin) + 1e-16
+
+
+class TestFloatAndArrayInputs:
+    """``value`` and ``derivative`` take a float or an ndarray and agree.
+
+    On floats the power term comes from libm's ``pow``, on arrays from
+    numpy's SIMD ``power``; the two differ in the last bit of some
+    arguments.  The tolerance, 1e-15, is relative to the sum of the terms'
+    magnitudes, which bounds the rounding of either evaluation: relative to
+    the value itself, the cancellation near a root amplifies that one bit.
+    """
+
+    RTOL = 1e-15
+
+    @pytest.mark.parametrize("family", ["plain", "irrotational", "lower", "upper"])
+    def test_agree(self, family, rng):
+        ss = np.linspace(-3.0, -1e-6, 400)
+        for _ in range(25):
+            s0, Z0 = _random_anchor(rng)
+            fp = rng.uniform(0.0, 0.8)
+            curve = {
+                "plain": lambda: plain_lower_curve(s0, Z0, xi30=rng.uniform(-0.5, 0.5)),
+                "irrotational": lambda: irrotational_lower_curve(s0, Z0),
+                "lower": lambda: sigma_curve(Side.LOWER, s0, Z0, rng.uniform(0.2, 1.2), fp),
+                "upper": lambda: sigma_curve(Side.UPPER, s0, Z0, rng.uniform(0.2, 0.95), fp),
+            }[family]()
+            if curve.a4 is not None:
+                terms = [np.abs(curve.a4 * ss ** 4), np.abs(curve.a2 * ss ** 2),
+                         np.abs(curve.a1 * ss), abs(curve.a0)]
+                slopes = [np.abs(4.0 * curve.a4 * ss ** 3), np.abs(2.0 * curve.a2 * ss),
+                          abs(curve.a1)]
+            else:
+                power = np.abs(curve.pow_coef) * np.abs(ss) ** curve.expo
+                terms = [np.abs(curve.lin_a * ss), abs(curve.lin_b), power]
+                slopes = [abs(curve.lin_a), np.abs(curve.expo * power / ss)]
+            for fn, scale in ((curve.value, sum(terms)), (curve.derivative, sum(slopes))):
+                on_array = fn(ss)
+                on_floats = np.array([fn(s) for s in ss.tolist()])
+                assert isinstance(fn(float(ss[0])), float)
+                assert np.all(np.abs(on_array - on_floats) <= self.RTOL * scale), family
 
 
 class TestAnchorsAndCoefficients:

@@ -133,7 +133,8 @@ class TestFirstIntegral:
 
         T = period(0.0, 0.1, d)
         traj = integrate(rhs, [0.0, 0.1], (0.0, 10.0 * T), tol=1e-10)
-        drift = np.abs(traj.y[0] ** 2 - evaluate_first_integral(traj.y[1], const))
+        Y = np.array([evaluate_first_integral(G, const) for G in traj.y[1].tolist()])
+        drift = np.abs(traj.y[0] ** 2 - Y)
         assert np.max(drift) < 1e-8
 
     def test_zero_roots_bracket_g0(self):

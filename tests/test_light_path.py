@@ -1,0 +1,69 @@
+"""numpy only where the ODE runs, and scipy nowhere.
+
+The closed-form modes and the package import run on the standard library;
+the oracle's ODE engine loads numpy on its first run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import coldplasma
+
+_SRC = str(Path(coldplasma.__file__).resolve().parents[1])
+
+_LIGHT_RUNS = [
+    ["criterion-1d", "--v0-prime", "0", "--e0-prime", "0.6"],
+    ["first-period", "--div-v0", "0", "--div-e0", "0.2"],
+    ["gauss-pulse", "--k", "0.15"],
+    ["count-revolutions", "--k", "0.1"],
+    ["lifetime", "--k", "0.1"],
+]
+
+
+def _loaded_after(code: str) -> dict:
+    """numpy and scipy module names in ``sys.modules`` after ``code`` runs
+    in a fresh interpreter."""
+    probe = code + "\nimport json, sys\nprint(json.dumps({p: sorted(" \
+        "m for m in sys.modules if m == p or m.startswith(p + '.')) for p in ('numpy', 'scipy')}))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cli_runs(runs, out_dir) -> str:
+    return "from coldplasma import cli\n" + "".join(
+        f"assert cli.main({args + ['--out-dir', str(out_dir / str(i))]!r}) == 0\n"
+        for i, args in enumerate(runs))
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    assert _loaded_after("import coldplasma") == {"numpy": [], "scipy": []}
+    assert _loaded_after("import coldplasma.cli") == {"numpy": [], "scipy": []}
+
+
+def test_light_cli_modes_load_neither_numpy_nor_scipy(tmp_path):
+    assert _loaded_after(_cli_runs(_LIGHT_RUNS, tmp_path)) == {"numpy": [], "scipy": []}
+    assert all((tmp_path / str(i) / "report.json").exists() for i in range(len(_LIGHT_RUNS)))
+
+
+def test_ode_runs_load_numpy_but_not_scipy(tmp_path):
+    runs = [["oracle-run", "--k", "0.1", "--r0", "0", "--t-max", "25"],
+            ["sweep", "--k", "0.222", "--n-r", "3", "--t-max", "30"]]
+    for i, run in enumerate(runs):
+        loaded = _loaded_after(_cli_runs([run], tmp_path / str(i)))
+        assert "numpy" in loaded["numpy"] and loaded["scipy"] == [], run[0]
+        assert (tmp_path / str(i) / "0" / "report.json").exists()
+
+
+def test_oracle_names_resolve_on_first_use():
+    code = ("import sys, coldplasma\nassert 'numpy' not in sys.modules\n"
+            "from coldplasma import run_characteristic, BlowupRecord\n"
+            "assert run_characteristic.__module__ == 'coldplasma.oracle'\n"
+            "assert coldplasma.sandwich_check is sys.modules['coldplasma.oracle'].sandwich_check\n"
+            "assert 'blowup_sweep' in dir(coldplasma)")
+    assert _loaded_after(code)["numpy"]

@@ -7,22 +7,20 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import lambertw as scipy_lambertw
 
-from coldplasma import _dop853_tables as dop
+from coldplasma import _dop853 as dop
+from coldplasma._dop853 import _KEPT_STAGES, _dense_output, _horner
 from coldplasma.core_dynamics import j_exact_radial, rhs_divergence, rhs_radial
-
 from coldplasma.numerics import (
-    _KEPT_STAGES,
     _QUAD_LIMIT,
     BracketError,
     QuadratureError,
     _adaptive_gk21,
-    _dense_output,
-    _horner,
     _qk21,
     find_root,
     integrate,
     integrate_singular,
     lambert_w,
+    linspace,
     optimize_scalar,
 )
 
@@ -68,6 +66,14 @@ class TestIntegrate:
         traj = integrate(lambda t, y: [float("nan")], [1.0], (0.0, 1.0))
         assert traj.status == "singular-step"
         assert list(traj.t) == [0.0]
+
+    def test_run_without_a_step_interpolates_its_start(self):
+        traj = integrate(lambda t, y: [float("nan"), 0.0], [1.0, -2.0], (0.0, 1.0))
+        assert traj.t.tolist() == [0.0]
+        for t in (0.0, 0.5):
+            assert traj(t).tolist() == [1.0, -2.0]
+        assert traj(np.array([0.0, 0.25, 1.0])).tolist() == [[1.0] * 3, [-2.0] * 3]
+        assert traj.final_state.tolist() == [1.0, -2.0]
 
     @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
     def test_forward_only(self, t_span):
@@ -371,3 +377,18 @@ class TestOptimizeScalar:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             optimize_scalar(lambda x: x, 0.0, 1.0, mode="saddle")
+
+
+class TestLinspace:
+    def test_equals_numpy_bit_for_bit(self, rng):
+        cases = [(0.0, 6.0, 257), (0.0, 3.0, 16), (-1.3, -1e-9, 4096), (0.25, -7.0, 2),
+                 (1.0, 1.0, 5), (0.0, 5e-324, 3), (2.5, 3.5, 1), (2.5, 3.5, 0)]
+        for _ in range(300):
+            a, b = rng.uniform(-10.0, 10.0, 2) * 10.0 ** rng.integers(-6, 7, 2)
+            cases.append((float(a), float(b), int(rng.integers(2, 300))))
+        for a, b, n in cases:
+            got = linspace(a, b, n)
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [x.hex() for x in np.linspace(a, b, n).tolist()]
+            if n >= 2:
+                assert got[-1] == b

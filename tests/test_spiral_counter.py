@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from coldplasma import spiral_counter
+from coldplasma.chaplygin_bounds import Side, sigma_curve
 from coldplasma.core_dynamics import constant_profile, gaussian_profile
+from coldplasma.numerics import find_root
 from coldplasma.spiral_counter import (
     Spiral,
     build_spiral,
@@ -66,6 +68,60 @@ class TestBuildSpiral:
     def test_stop_reason_is_boundedness_loss(self, spirals_default_k01):
         _, outer = spirals_default_k01
         assert outer.stop_reason == "lower curve unbounded (C1 >= 0)"
+
+
+def _scanned_right_root(curve, s0):
+    """The reference for ``_right_root``: its bracket and root by a full scan
+    of the 4096-point grid, the first point with Z <= 0 taken."""
+    a = s0 + 1e-11 * max(1.0, abs(s0))
+    if curve.value(a) <= 0.0:
+        return None
+    grid = np.linspace(a, -1e-9, 4096)
+    below = np.nonzero(curve.value(grid) <= 0.0)[0]
+    if len(below) == 0 or below[0] == 0:
+        return None
+    lo, hi = grid[below[0] - 1], grid[below[0]]
+    return (lo, hi), find_root(curve.value, lo, hi, tol=1e-14)
+
+
+class TestRightRoot:
+    """``_right_root`` bisects where the old code scanned every grid point."""
+
+    @staticmethod
+    def _searched(curve, s0, monkeypatch):
+        brackets = []
+
+        def recording(f, lo, hi, tol):
+            brackets.append((lo, hi))
+            return find_root(f, lo, hi, tol=tol)
+
+        monkeypatch.setattr(spiral_counter, "find_root", recording)
+        root = spiral_counter._right_root(curve, s0)
+        monkeypatch.undo()
+        return None if root is None else (brackets[0], root)
+
+    def test_seeded_anchors_of_both_families(self, rng, monkeypatch):
+        found = 0
+        for _ in range(300):
+            # upper sigmas on both sides of 1/sqrt(2) and of 1: exponents
+            # 2 (1 - sigma**2) above 1, in (0, 1) and below 0
+            side = Side.LOWER if rng.random() < 0.5 else Side.UPPER
+            sigma = rng.uniform(0.2, 1.2) if side is Side.LOWER else rng.choice(
+                [rng.uniform(0.2, 0.7), rng.uniform(0.72, 0.99), rng.uniform(1.01, 1.4)])
+            s0 = -(10.0 ** rng.uniform(-2.0, 0.5))
+            curve = sigma_curve(side, s0, rng.uniform(0.0, 2.0), sigma, rng.uniform(0.0, 0.8))
+            want = _scanned_right_root(curve, s0)
+            assert self._searched(curve, s0, monkeypatch) == want, (side, sigma, s0)
+            found += want is not None
+        assert found > 50
+
+    def test_every_arc_of_the_readme_spirals(self, spirals_default_k01, monkeypatch):
+        for spiral in spirals_default_k01:
+            for seg in spiral.segments:
+                want = _scanned_right_root(seg.curve, seg.s_start)
+                assert self._searched(seg.curve, seg.s_start, monkeypatch) == want
+                if not seg.lower_half:
+                    assert want[1] == seg.s_end
 
 
 class TestCounting:
