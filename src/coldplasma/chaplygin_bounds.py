@@ -227,7 +227,11 @@ def sigma_curve(
         expo = 2.0 * (1.0 - sg2)
         lin_a = -2.0 / (1.0 - 2.0 * sg2)
         lin_b = (k_bound - 1.0) / (1.0 - sg2)
-    offset, scale = Z0 - (lin_a * s0 + lin_b), abs(s0) ** expo
+    offset = Z0 - (lin_a * s0 + lin_b)
+    try:
+        scale = abs(s0) ** expo
+    except OverflowError:
+        raise OverflowError(f"sigma curve anchored at s0 = {s0}: |s0|**{expo} overflows") from None
     # a scale that underflows to 0 gives numpy's quotient: +-inf, or NaN for 0/0
     pow_coef = offset / scale if scale else offset * math.inf
     return BoundCurve(

@@ -225,7 +225,7 @@ _MODES = {
         "r0": (float, 0.0, "starting radius"),
         "t_max": (float, 40.0, "integration horizon"),
         "tol": (float, 1e-10, "integrator tolerance"),
-        "d_cap": (float, 1e6, "blow-up guard magnitude"),
+        "d_cap": (float, 1e6, "a blow-up run's trajectory ends where lambda reaches -d_cap"),
     }),
     "sweep": (_cmd_sweep, {
         **_K,
@@ -321,7 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, RuntimeError, FloatingPointError) as exc:
+    except (QuadratureError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     report = {"mode": mode, "inputs": cfg, **report}

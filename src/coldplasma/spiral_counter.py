@@ -57,10 +57,14 @@ class SpiralSegment:
         return (min(self.s_start, self.s_end), max(self.s_start, self.s_end))
 
     def sample(self, n: int = 200) -> tuple[list[float], list[float]]:
-        """(s, D) polyline of the arc in traversal order, as two lists."""
+        """(s, D) polyline of the arc in traversal order, as two lists.
+
+        The last sample is the arc's axis crossing, where D is 0 exactly,
+        not the square root of Z's rounding error there.
+        """
         s = linspace(self.s_start, self.s_end, n)
-        d = [0.0 if z <= 0.0 else math.sqrt(z) for z in map(self.curve.value, s)]
-        return s, ([-x for x in d] if self.lower_half else d)
+        d = [0.0 if z <= 0.0 else math.sqrt(z) for z in map(self.curve.value, s[:-1])]
+        return s, ([-x for x in d] if self.lower_half else d) + [0.0]
 
 
 @dataclass

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from coldplasma.cli import EXIT_CONFIG, EXIT_OK, main
+from coldplasma.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def run_cli(args, tmp_path, sub="out"):
@@ -176,6 +176,27 @@ class TestSpiralModes:
         lines = (out / "spiral_outer.csv").read_text().splitlines()
         assert lines[0] == "curve_id,s,lambda,D"
         assert len(lines) == 1
+
+    def test_arcs_end_on_the_axis(self, tmp_path):
+        # the last sample of every arc is its crossing, where D is 0 exactly
+        code, out = run_cli(["count-revolutions", "--k", "0.1"], tmp_path)
+        assert code == EXIT_OK
+        for name in ("spiral_outer.csv", "spiral_inner.csv"):
+            last = {}
+            for line in (out / name).read_text().splitlines()[1:]:
+                curve_id, _, _, dv = line.split(",")
+                last[curve_id] = dv
+            assert len(last) >= 2
+            assert set(last.values()) == {"0"}, (name, last)
+
+    def test_overflowing_curve_is_numerical_failure(self, tmp_path, capsys):
+        code, out = run_cli(["count-revolutions", "--k", "0.1", "--sigma1", "19.47658418883824",
+                             "--start-lambda", "-1.756944146263344", "--max-rev", "1"], tmp_path)
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "overflows" in err
+        assert err.count("\n") == 1
 
     def test_deterministic_reruns(self, tmp_path):
         code1, out1 = run_cli(["lifetime", "--k", "0.1"], tmp_path, sub="a")
