@@ -29,7 +29,6 @@ from .chaplygin_bounds import (
     sigma_curve,
 )
 from .core_dynamics import (
-    CharacteristicState,
     FirstIntegralConstant,
     OrbitExtremes,
     PhasePoint,

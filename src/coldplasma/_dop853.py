@@ -254,7 +254,7 @@ def _horner(coefs: list, x: float, y_old: list) -> list:
 
     ``coefs`` holds the 7 coefficients of each component; the nesting
     alternates the factors ``x`` and ``1 - x`` (Hairer's ``contd8``).  The
-    operations, from ``0.0 + c6`` on, are those of :func:`_dense_output`,
+    operations, from ``0.0 + c6`` on, are those of :class:`_DenseOutput`,
     so the values agree to the bit.
     """
     x1 = 1.0 - x
@@ -286,46 +286,57 @@ def _dense_coefficients(rhs, t: float, h: float, y: np.ndarray, y_new: np.ndarra
     return F
 
 
-def _dense_output(rhs, ts: np.ndarray, ys: np.ndarray, hs: list, Fs: list):
-    """Interpolant over the stored steps: step ``i`` starts at ``ts[i]``, ``ys[i]``.
+class _DenseOutput:
+    """Interpolant over the stored steps: step ``i`` starts at ``t[i]``, ``ys[i]``.
 
-    ``Fs[i]`` is step ``i``'s coefficient array ``F``, or, for a step whose
-    dense output nobody has read yet, its stages :data:`_KEPT_STAGES`; the
-    first call that needs such a step builds ``F`` by
-    :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.  It
-    takes a scalar ``t`` (giving shape ``(n,)``) or an array (``(n, m)``).
-    A time on a breakpoint takes the earlier step; times outside
-    ``[ts[0], ts[-1]]`` extrapolate the first or last step.  A run that
-    stored no step gives its initial state at every time.
+    The coefficients of every step live in one ``(steps, 7, n)`` array,
+    filled lazily: ``Fs[i]`` is step ``i``'s coefficient array ``F``, or,
+    for a step whose dense output nobody has read yet, its stages
+    :data:`_KEPT_STAGES`; the first read that needs such a step builds
+    ``F`` by :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.
+    A call takes a scalar ``t`` (giving shape ``(n,)``) or an array
+    (``(n, m)``).  A time on a breakpoint takes the earlier step; times
+    outside ``[t[0], t[-1]]`` extrapolate the first or last step.  A run
+    that stored no step gives its initial state at every time.
     """
-    h, y_old = np.array(hs), ys[:len(hs)]
-    last, n = len(hs) - 1, ys.shape[1]
 
-    def coefficients(i):
-        F = Fs[i]
-        if F.shape[0] != INTERPOLATOR_POWER:   # ys[i + 1] is its end: a guard stop is built
-            K = np.zeros((N_STAGES_EXTENDED, F.shape[1]))
-            K[_KEPT_STAGES] = F
-            F = Fs[i] = _dense_coefficients(rhs, float(ts[i]), hs[i], ys[i], ys[i + 1], K)
-        return F
+    def __init__(self, rhs, ts: np.ndarray, ys: np.ndarray, hs: list, Fs: list):
+        self.rhs, self.t, self.ys, self.h = rhs, ts, ys, np.array(hs)
+        self.stages = Fs
+        self.coef = np.empty((len(hs), INTERPOLATOR_POWER, ys.shape[1]))
+        self.built = np.array([F.shape[0] == INTERPOLATOR_POWER for F in Fs], dtype=bool)
+        for i in np.flatnonzero(self.built).tolist():
+            self.coef[i] = Fs[i]
 
-    def interpolant(t):
+    def coefficients(self, steps) -> np.ndarray:
+        """The coefficients of the given steps (an index array): shape ``steps.shape + (7, n)``."""
+        steps = np.asarray(steps)
+        if not self.built[steps].all():
+            need = np.zeros_like(self.built)
+            need[steps] = True
+            for i in np.flatnonzero(need & ~self.built).tolist():
+                # ys[i + 1] is its end: a guard stop is built
+                K = np.zeros((N_STAGES_EXTENDED, self.ys.shape[1]))
+                K[_KEPT_STAGES] = self.stages[i]
+                self.coef[i] = _dense_coefficients(self.rhs, float(self.t[i]), float(self.h[i]),
+                                                   self.ys[i], self.ys[i + 1], K)
+                self.built[i] = True
+        return self.coef[steps]
+
+    def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if not hs:
-            return np.broadcast_to(ys[0], t.shape + (n,)).T.copy()
-        seg = np.clip(np.searchsorted(ts, t) - 1, 0, last)
-        F = np.array([coefficients(i) for i in seg.ravel().tolist()]).reshape(
-            seg.shape + (INTERPOLATOR_POWER, n))
-        x = ((t - ts[seg]) / h[seg])[..., None]
+        if not self.h.size:
+            return np.broadcast_to(self.ys[0], t.shape + self.ys.shape[1:]).T.copy()
+        seg = np.clip(np.searchsorted(self.t, t) - 1, 0, self.h.size - 1)
+        F = self.coefficients(seg)
+        x = ((t - self.t[seg]) / self.h[seg])[..., None]
         x1 = 1.0 - x
-        y = np.zeros(x.shape[:-1] + (n,))
+        y = np.zeros(x.shape[:-1] + self.ys.shape[1:])
         for i in range(6, -1, -1):
             y += F[..., i, :]
             y *= x if i % 2 == 0 else x1
-        y += y_old[seg]
+        y += self.ys[seg]
         return y.T
-
-    return interpolant
 
 
 def dop853(rhs, y0, t_span, tol, events, magnitude_cap) -> OdeTrajectory:
@@ -428,7 +439,7 @@ def dop853(rhs, y0, t_span, tol, events, magnitude_cap) -> OdeTrajectory:
             break
 
     t_arr, y_arr = np.array(ts), np.array(ys)
-    interpolant = _dense_output(rhs, t_arr, y_arr, hs, Fs)
+    interpolant = _DenseOutput(rhs, t_arr, y_arr, hs, Fs)
     recs = sorted((EventRecord(i, te, interpolant(te) if state is None else state)
                    for i, found in enumerate(hits) for te, state in found),
                   key=lambda r: r.time)

@@ -28,7 +28,6 @@ from .numerics import (
 
 __all__ = [
     "check_dimension",
-    "CharacteristicState",
     "PhasePoint",
     "RadialProfile",
     "FirstIntegralConstant",
@@ -58,22 +57,6 @@ def check_dimension(d: int) -> int:
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
     return d
-
-
-@dataclass
-class CharacteristicState:
-    """State carried along one characteristic curve."""
-
-    t: float
-    lam: float          # Div E
-    div_v: float        # Div v
-    F: float = 0.0
-    G: float = 0.0
-    r: float = 0.0
-
-    @property
-    def density(self) -> float:
-        return 1.0 - self.lam
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,11 @@ class OdeTrajectory:
     as a suspected finite-time singularity).  ``interpolant`` is the dense
     output valid on ``[t[0], t[-1]]``, at a scalar or an array of times; it
     keeps ``rhs`` and calls it, three times per step, the first time it
-    reads a step whose dense output the run did not need.
+    reads a step whose dense output the run did not need.  Its
+    ``coefficients(steps)`` gives the polynomials of chosen steps, each
+    component's 7 coefficients in one ``(len(steps), 7, n)`` array, and its
+    ``t`` and ``h`` the steps' starts and sizes, so a caller can work on
+    one step's polynomial without searching the steps.
     """
 
     t: np.ndarray

@@ -20,9 +20,11 @@ iterate of an affine map (Floquet theory; Coddington & Levinson, *Theory of
 Ordinary Differential Equations*, 1955, ch. 3).  For d = 1 the equation has
 constant coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of
 1D cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
-follow the same law through v = 1/(1 - G), so no ODE runs.  The oracle
-records the axis crossings D = 0 and the blow-up time, and verifies the
-comparison-curve sandwich along arcs between crossings.
+follow the same law through v = 1/(1 - G), so no ODE runs.  A run finds
+the blow-up time at once, and the trajectory and the axis crossings D = 0
+when they are first read; roots are found on one step's dense polynomial.
+The oracle also verifies the comparison-curve sandwich along arcs between
+crossings.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .chaplygin_bounds import Side, sigma_curve
 from .core_dynamics import (
-    CharacteristicState,
     RadialProfile,
     orbit_extremes,
     period,
@@ -61,6 +63,7 @@ _SAMPLES_PER_ARC = 400   # oracle times compared against the envelope per arc
 _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 runs
 _XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iterations
 _MAXITER = 100
+_W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
 
 
 @dataclass(frozen=True)
@@ -70,37 +73,6 @@ class BlowupRecord:
     detected: bool
     t_star: Optional[float] = None
     method: Optional[str] = None   # "inverse-density-zero": t* is the root of w
-
-
-@dataclass
-class CharacteristicRun:
-    """One characteristic solution with its crossing log and blow-up time.
-
-    ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
-    evaluates it at any time; ``t_star`` is the first zero of w (None when
-    w stays positive up to ``t_max``).
-    """
-
-    profile: RadialProfile
-    r0: float
-    trajectory: OdeTrajectory
-    crossing_times: np.ndarray       # times of D = 0 crossings (t > 0)
-    crossing_lambdas: np.ndarray     # lambda at those crossings
-    d_cap: float
-    t_star: Optional[float] = None
-
-    @property
-    def d(self) -> int:
-        return self.profile.d
-
-    def state(self, t):
-        """(F, G, lambda, D, r) at time t."""
-        return self.trajectory(t)
-
-    def characteristic_state(self, t) -> CharacteristicState:
-        F, G, lam, Dv, r = self.trajectory(t)
-        return CharacteristicState(float(t), float(lam), float(Dv),
-                                   float(F), float(G), float(r))
 
 
 def _period_rhs(d: int):
@@ -128,6 +100,11 @@ class _Floquet:
     and c those solutions at tau = T.  Without a period (the point orbit, or
     one ``period`` cannot resolve) T is infinite: the integration spans
     ``[0, t_max]`` and k is always 0.
+
+    The nodes are those of every period before t_max, then t_max itself:
+    node i is the start of step i % S of period i // S, where S is the
+    number of steps of the period.  w and p on the nodes are built at once,
+    F and G by :meth:`fg`.
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
@@ -135,7 +112,6 @@ class _Floquet:
             T = period(F0, G0, d)
         except (ValueError, QuadratureError):
             T = math.inf
-        self.d = d
         self.one = one = integrate(_period_rhs(d), [F0, G0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
                                    (0.0, min(T, t_max)), tol=tol, magnitude_cap=math.inf)
         n = max(1, math.ceil(t_max / T))     # periods begun before t_max
@@ -146,15 +122,15 @@ class _Floquet:
             starts.append((m00 * w + m01 * p + c0, m10 * w + m11 * p + c1))
         self.t0 = T * np.arange(n) if n > 1 else np.zeros(1)
         self.wk, self.pk = np.array(starts).T
-        # the nodes of every period before t_max, then t_max itself
+        self.steps = one.t.size - 1
         tau, Y = one.t[:-1], one.y[:, :-1]
         t = (self.t0[:, None] + tau).ravel()
         keep = t < t_max
-        nodes = [np.tile(Y[0], n), np.tile(Y[1], n),
-                 (np.outer(self.wk, Y[2]) + np.outer(self.pk, Y[4]) + Y[6]).ravel(),
-                 (np.outer(self.wk, Y[3]) + np.outer(self.pk, Y[5]) + Y[7]).ravel()]
         self.t = np.append(t[keep], t_max)
-        self.nodes = [np.append(v[keep], e) for v, e in zip(nodes, self(t_max))]
+        self.end = self(t_max)      # (F, G, w, p) at t_max
+        self.w, self.p = (
+            np.append((np.outer(self.wk, Y[j]) + np.outer(self.pk, Y[j + 2]) + Y[j + 4]).ravel()[keep],
+                      self.end[j]) for j in (_W, _P))
 
     def __call__(self, t):
         """(F, G, w, p) at a time or an array of times."""
@@ -164,11 +140,40 @@ class _Floquet:
         wk, pk = self.wk[k], self.pk[k]
         return Y[0], Y[1], Y[2] * wk + Y[4] * pk + Y[6], Y[3] * wk + Y[5] * pk + Y[7]
 
-    def hill(self, t):
-        """(w, p, p') at an array of times."""
-        F, _, w, p = self(t)
-        d = self.d
-        return w, p, 2.0 * (d - 1) * F * p - ((d - 1) * d * F * F + 1.0) * w + 1.0
+    def fg(self):
+        """F and G on the nodes."""
+        m = self.t.size - 1
+        return [np.append(np.tile(Y, self.t0.size)[:m], e)
+                for Y, e in zip(self.one.y[:2, :-1], self.end)]
+
+    def on_brackets(self, i, j):
+        """w (j = 2) or p (j = 3) on the brackets that start at nodes ``i``.
+
+        Each bracket lies in one step, so the variable there is one
+        polynomial, ``w_k P(w1) + p_k P(w2) + P(wc)`` (or the same in p)
+        with the step's dense coefficients P.  Returns ``f``: ``f(t)`` is
+        the value and the derivative at an array of times, one per bracket.
+        """
+        k, s = np.divmod(i, self.steps)
+        dense = self.one.interpolant
+        P = dense.coefficients(s)
+        c = (P[:, :, j] * self.wk[k, None] + P[:, :, j + 2] * self.pk[k, None] + P[:, :, j + 4]).T
+        y0, t0, ts, h = (self.w, self.p)[j - _W][i], self.t0[k], dense.t[s], dense.h[s]
+
+        def f(t):
+            # the interpolant's nesting of x and 1 - x, differentiated along
+            x = ((t - t0) - ts) / h
+            x1 = 1.0 - x
+            v = dv = 0.0
+            for n in range(6, -1, -1):
+                v = v + c[n]
+                if n % 2:
+                    dv, v = dv * x1 - v, v * x1
+                else:
+                    dv, v = dv * x + v, v * x
+            return v + y0, dv / h
+
+        return f
 
 
 class _Lagrangian:
@@ -184,7 +189,7 @@ class _Lagrangian:
         self.coef = (w0 - 1.0, p0, v0 - 1.0, F0 * v0)
         n = math.ceil(t_max * _ONE_D_NODES / (2.0 * math.pi))
         self.t = np.linspace(0.0, t_max, n + 1)
-        self.nodes = list(self(self.t))
+        self.F, self.G, self.w, self.p = self(self.t)
 
     def __call__(self, t):
         A, B, a, b = self.coef
@@ -192,11 +197,19 @@ class _Lagrangian:
         v = 1.0 + a * c + b * s
         return (b * c - a * s) / v, 1.0 - 1.0 / v, 1.0 + A * c + B * s, B * c - A * s
 
-    def hill(self, t):
+    def fg(self):
+        return self.F, self.G
+
+    def on_brackets(self, i, j):
+        """w (j = 2) or p (j = 3) and its derivative, at any times."""
         A, B, _, _ = self.coef
-        c, s = np.cos(t), np.sin(t)
-        w = 1.0 + A * c + B * s
-        return w, B * c - A * s, 1.0 - w
+
+        def f(t):
+            c, s = np.cos(t), np.sin(t)
+            w, p = 1.0 + A * c + B * s, B * c - A * s
+            return (w, p) if j == _W else (p, 1.0 - w)
+
+        return f
 
 
 def _roots(f, a, b, fa, fb) -> np.ndarray:
@@ -228,6 +241,120 @@ def _roots(f, a, b, fa, fb) -> np.ndarray:
     return x
 
 
+def _falls_to(flow, level: float, t_below: float) -> float:
+    """The time before ``t_below``, where w <= level, at which w falls to ``level``.
+
+    The bracket starts at the last node before ``t_below`` with w above
+    ``level`` and ends at the next node or at ``t_below``, whichever comes
+    first, so it lies in one step; with no such node, w starts at or below
+    ``level`` and the time is 0.
+    """
+    t = flow.t
+    above = np.flatnonzero((t < t_below) & (flow.w > level))
+    if not above.size:
+        return 0.0
+    k = above[-1:]
+    end = np.minimum(t[k + 1], t_below)
+    w_on = flow.on_brackets(k, _W)
+
+    def f(x):
+        wx, dwx = w_on(x)
+        return wx - level, dwx
+
+    # w <= level at the end; rounding in the evaluation must not flip it
+    w_end = np.minimum(f(end)[0], 0.0)
+    return float(_roots(f, t[k], end, flow.w[k] - level, w_end)[0])
+
+
+class CharacteristicRun:
+    """One characteristic solution: its blow-up time, and on first read its
+    trajectory and crossing log.
+
+    ``t_star``, the first zero of w (None when w stays positive up to
+    t_max), is found when the run is made.  w can dip below 0 and return
+    within one step, so its sign is tested at every node and at every
+    minimum (a crossing where p turns from negative to positive) in the
+    brackets that start before the first node with w <= 0, and t* is the
+    root before the first such value.
+
+    ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
+    evaluates it at any time; it ends at t_max (status ``"completed"``) or,
+    after a blow-up, where lambda reaches ``-d_cap`` (``"terminal-event"``),
+    so ``d_cap`` moves neither t* nor a bounded run.  ``crossing_times``
+    and ``crossing_lambdas`` are the axis crossings D = 0 before that end:
+    every sign change of p between nodes, located by :func:`_roots` for all
+    crossings at once (the minima found for t* are reused), with lambda
+    there from the trajectory.  The trajectory and the crossings are built
+    on first read and cached.
+    """
+
+    def __init__(self, profile: RadialProfile, r0: float, flow, d_cap: float):
+        self.profile, self.r0, self.d_cap, self._flow = profile, r0, d_cap, flow
+        t, w, p = flow.t, flow.w, flow.p
+        sign = np.sign(p)
+        self._brackets = i = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
+        first = np.flatnonzero(w <= 0.0)[:1]
+        self._lows = lows = i[(sign[i] < 0.0) & (i < (first[0] if first.size else t.size))]
+        self._minima = minima = _roots(flow.on_brackets(lows, _P), t[lows], t[lows + 1],
+                                       p[lows], p[lows + 1])
+        below = np.concatenate([minima[flow.on_brackets(lows, _W)(minima)[0] <= 0.0][:1],
+                                t[first]])
+        self.t_star: Optional[float] = _falls_to(flow, 0.0, below.min()) if below.size else None
+
+    @property
+    def d(self) -> int:
+        return self.profile.d
+
+    def state(self, t):
+        """(F, G, lambda, D, r) at time t."""
+        return self.trajectory(t)
+
+    @cached_property
+    def trajectory(self) -> OdeTrajectory:
+        flow, d, r0 = self._flow, self.d, self.r0
+        t_end, status = flow.t[-1], "completed"
+        if self.t_star is not None:    # lambda = -d_cap
+            t_end, status = _falls_to(flow, 1.0 / (1.0 + self.d_cap), self.t_star), "terminal-event"
+        ratio = 1.0 - d * self.profile.G0(r0)
+
+        # reads no attribute of the run: the run holds the trajectory, and a
+        # reference back would leave every run to the cycle collector
+        def states(F, G, w, p):
+            return np.array([F, G, 1.0 - 1.0 / w, p / w, r0 * (ratio / (1.0 - d * G)) ** (1.0 / d)])
+
+        keep = flow.t < t_end
+        y = states(*(np.append(v[keep], e)
+                     for v, e in zip((*flow.fg(), flow.w, flow.p), flow(t_end))))
+        return OdeTrajectory(np.append(flow.t[keep], t_end), y, lambda tt: states(*flow(tt)),
+                             status=status)
+
+    @cached_property
+    def _crossings(self) -> tuple[np.ndarray, np.ndarray]:
+        traj, flow = self.trajectory, self._flow
+        t, p, t_end = flow.t, flow.p, traj.t[-1]
+        i = self._brackets[t[self._brackets] < t_end]
+        roots = np.full(t.size, np.nan)
+        roots[self._lows] = self._minima
+        todo = i[np.isnan(roots[i])]
+        roots[todo] = _roots(flow.on_brackets(todo, _P), t[todo], t[todo + 1], p[todo], p[todo + 1])
+        times = roots[i]
+        times = times[times < t_end]
+        at = traj(times)
+        # rounding noise in p crosses 0 on an equilibrium: keep crossings of moving states
+        moving = np.max(np.abs(at[:3]), axis=0) > 1e-12
+        return times[moving], at[2][moving]
+
+    @property
+    def crossing_times(self) -> np.ndarray:
+        """Times of the D = 0 crossings (t > 0)."""
+        return self._crossings[0]
+
+    @property
+    def crossing_lambdas(self) -> np.ndarray:
+        """lambda at those crossings."""
+        return self._crossings[1]
+
+
 def run_characteristic(
     profile: RadialProfile,
     r0: float,
@@ -238,15 +365,12 @@ def run_characteristic(
     """Solve the characteristic starting at radius r0 up to t_max.
 
     For d = 2 and 3 one period of the 8-variable system is integrated at
-    ``tol`` (no magnitude guard); d = 1 is closed form.  Every sign change
-    of p between nodes is a crossing D = 0, located on the flow by
-    :func:`_roots` for all crossings at once.  The blow-up time is the first
-    zero of w.  w can dip below 0 and return within one step, so its sign is
-    tested at every node and at every minimum of w (a crossing where p turns
-    from negative to positive), and the root is found before the first
-    negative value.  A blow-up run's trajectory ends where lambda reaches
-    ``-d_cap`` (status ``"terminal-event"``); ``d_cap`` moves neither t* nor
-    any bounded run, which ends at t_max (``"completed"``).
+    ``tol`` (no magnitude guard); d = 1 is closed form.  The run computes
+    two things at once: this flow, with w and p on its nodes, and the
+    blow-up time t*, from the minima of w on the step polynomials of the
+    brackets before the first node with w <= 0.  Its trajectory (ending
+    where lambda reaches ``-d_cap`` after a blow-up) and its crossings are
+    built when first read; see :class:`CharacteristicRun`.
     """
     d = profile.d
     F0, G0 = profile.F0(r0), profile.G0(r0)
@@ -262,52 +386,7 @@ def run_characteristic(
         flow = _Lagrangian(F0, G0, w0, D0 * w0, t_max)
     else:
         flow = _Floquet(F0, G0, w0, D0 * w0, d, t_max, tol)
-    t, (F, G, w, p) = flow.t, flow.nodes
-    sign = np.sign(p)
-    i = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
-    crossings = _roots(lambda x: flow.hill(x)[1:], t[i], t[i + 1], p[i], p[i + 1])
-    minima = crossings[sign[i] < 0.0]
-    negative = np.concatenate([t[w <= 0.0][:1], minima[flow.hill(minima)[0] <= 0.0][:1]])
-    t_star, t_end, status = None, t_max, "completed"
-    if negative.size:
-        t_star = _falls_to(flow, t, w, 0.0, negative.min())
-        t_end = _falls_to(flow, t, w, 1.0 / (1.0 + d_cap), t_star)   # lambda = -d_cap
-        status = "terminal-event"
-
-    ratio = 1.0 - d * G0
-
-    def states(F, G, w, p):
-        return np.array([F, G, 1.0 - 1.0 / w, p / w, r0 * (ratio / (1.0 - d * G)) ** (1.0 / d)])
-
-    keep = t < t_end
-    y = states(*(np.append(v[keep], e) for v, e in zip((F, G, w, p), flow(t_end))))
-    traj = OdeTrajectory(np.append(t[keep], t_end), y, lambda tt: states(*flow(tt)),
-                         status=status)
-    times = crossings[crossings < t_end]
-    at = traj(times)
-    # rounding noise in p crosses 0 on an equilibrium: keep crossings of moving states
-    moving = np.max(np.abs(at[:3]), axis=0) > 1e-12
-    return CharacteristicRun(profile, r0, traj, times[moving], at[2][moving], d_cap, t_star)
-
-
-def _falls_to(flow, t, w, level: float, t_below: float) -> float:
-    """The time before ``t_below``, where w <= level, at which w falls to ``level``.
-
-    The bracket starts at the last node before ``t_below`` with w above
-    ``level``; with no such node, w starts at or below it and the time is 0.
-    """
-    above = np.flatnonzero((t < t_below) & (w > level))
-    if not above.size:
-        return 0.0
-    k = above[-1]
-
-    def f(x):
-        wx, px, _ = flow.hill(x)
-        return wx - level, px
-
-    # w <= level at t_below (a node or a minimum); rounding in the evaluation must not flip it
-    w_below = np.minimum(flow.hill(np.array([t_below]))[0] - level, 0.0)
-    return float(_roots(f, t[k:k + 1], [t_below], w[k:k + 1] - level, w_below)[0])
+    return CharacteristicRun(profile, r0, flow, d_cap)
 
 
 def detect_blowup(run: CharacteristicRun) -> BlowupRecord:

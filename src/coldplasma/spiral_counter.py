@@ -288,12 +288,18 @@ def lifetime(spiral_inner: Spiral, spiral_outer: Spiral) -> LifetimeEstimate:
         spiral_outer.start_divv,
     ):
         raise ValueError("spirals must share the start point")
-    n = min(count_revolutions(spiral_outer), count_revolutions(spiral_inner))
-    if n == 0:
-        return LifetimeEstimate(0.0, 0.0, 0)
-    t_low = sum(segment_time(seg) for seg in spiral_inner.segments[: 2 * n])
-    t_up = sum(segment_time(seg) for seg in spiral_outer.segments[: 2 * n])
-    return LifetimeEstimate(t_low, t_up, n)
+    n = _certified_revolutions(spiral_inner, spiral_outer)
+    return LifetimeEstimate(_passage_time(spiral_inner, n), _passage_time(spiral_outer, n), n)
+
+
+def _certified_revolutions(spiral_inner: Spiral, spiral_outer: Spiral) -> int:
+    """Revolutions whose passage time :func:`lifetime` brackets."""
+    return min(count_revolutions(spiral_outer), count_revolutions(spiral_inner))
+
+
+def _passage_time(spiral: Spiral, n: int) -> float:
+    """Passage time of a spiral's first n revolutions: its first 2n arcs (0.0 for n = 0)."""
+    return sum((segment_time(seg) for seg in spiral.segments[: 2 * n]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -335,7 +341,7 @@ def guaranteed_field_lifetime(
             rule = lambda lam, fp=fp: fp
         outer = build_spiral("outer", (lam0, D0), rule, sigma_pair, profile.d, max_rev)
         inner = build_spiral("inner", (lam0, D0), rule, sigma_pair, profile.d, max_rev)
-        est = lifetime(inner, outer)
-        rows.append((r0, est.T_lower if est.revolutions > 0 else 0.0))
+        # T_lower of lifetime(inner, outer), without the outer spiral's arcs
+        rows.append((r0, _passage_time(inner, _certified_revolutions(inner, outer))))
     r_min, t_star = min(rows, key=lambda row: row[1])
     return FieldLifetime(t_star, r_min, tuple(rows))

@@ -60,6 +60,14 @@ def test_ode_runs_load_numpy_but_not_scipy(tmp_path):
         assert (tmp_path / str(i) / "0" / "report.json").exists()
 
 
+def test_blowup_sweep_leaves_numpy_ma_unloaded():
+    code = ("import numpy as np\nfrom coldplasma import blowup_sweep, gaussian_profile\n"
+            "sweep = blowup_sweep(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48), 400.0, 1e-8)\n"
+            "assert sum(t is not None for _, t in sweep) == 16")
+    loaded = _loaded_after(code)["numpy"]
+    assert "numpy" in loaded and "numpy.ma" not in loaded
+
+
 def test_oracle_names_resolve_on_first_use():
     code = ("import sys, coldplasma\nassert 'numpy' not in sys.modules\n"
             "from coldplasma import run_characteristic, BlowupRecord\n"

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import lambertw as scipy_lambertw
 
 from coldplasma import _dop853 as dop
-from coldplasma._dop853 import _KEPT_STAGES, _dense_output, _horner
+from coldplasma._dop853 import _KEPT_STAGES, _DenseOutput, _horner
 from coldplasma.core_dynamics import j_exact_radial, rhs_divergence, rhs_radial
 from coldplasma.numerics import (
     _QUAD_LIMIT,
@@ -191,7 +191,7 @@ class TestLazyDenseOutput:
         Fs = [rng.normal(scale=10.0 ** rng.uniform(-12, 2), size=(dop.INTERPOLATOR_POWER, n))
               for _ in range(steps)]
         Fs[3][:, 0] = ys[3, 0] = -0.0    # 0.0 + c6 keeps the interpolant's sign of zero
-        interpolant = _dense_output(None, ts, ys, hs, Fs)
+        interpolant = _DenseOutput(None, ts, ys, hs, Fs)
         for i in range(steps):
             for tt in rng.uniform(ts[i], ts[i + 1], 5):
                 want = interpolant(tt)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from coldplasma.core_dynamics import (
     rhs_divergence,
     rhs_radial,
 )
-from coldplasma.numerics import integrate
+from coldplasma.numerics import find_root, integrate
 from coldplasma.oracle import (
+    blowup_sweep,
     count_revolutions_oracle,
     detect_blowup,
     run_characteristic,
@@ -39,6 +42,12 @@ def direct_run(profile, r0, t_end, tol=1e-12, cap=math.inf):
     lam0, D0 = profile_divergences(profile, r0)
     return integrate(rhs, [profile.F0(r0), profile.G0(r0), lam0, D0, r0], (0.0, t_end),
                      tol=tol, magnitude_cap=cap)
+
+
+def gaussian(K, d):
+    """The pulse G0 = K exp(-r**2), F0 = 0, in dimension d."""
+    return RadialProfile(G0=lambda r: K * math.exp(-r * r), F0=lambda r: 0.0, d=d,
+                         dG0=lambda r: -2.0 * K * r * math.exp(-r * r), dF0=lambda r: 0.0)
 
 
 def assert_divergences_agree(run, direct, times, tol=1e-8):
@@ -83,10 +92,29 @@ class TestRunCharacteristic:
         assert np.max(np.abs(y[3] - 3.0 * y[0])) < 1e-8
 
     def test_typed_state_accessor(self, center_run_k01):
-        st = center_run_k01.characteristic_state(1.0)
-        assert st.t == 1.0
-        assert abs(st.density - (1.0 - st.lam)) < 1e-15
-        assert st.r == 0.0
+        st = center_run_k01.state(1.0)
+        assert st.tobytes() == center_run_k01.trajectory(1.0).tobytes()
+        F, G, lam, Dv, r = st
+        assert 1.0 - lam > 0.0      # the density
+        assert r == 0.0
+
+    def test_trajectory_is_built_once(self):
+        run = run_characteristic(gaussian_profile(0.1), 0.8, 25.0)
+        assert run.trajectory is run.trajectory
+        assert run.crossing_times is run.crossing_times
+
+    def test_run_is_freed_without_the_cycle_collector(self):
+        # the built trajectory must not refer back to its run, or every run
+        # of a loop stays in memory until a collection
+        gc.disable()
+        try:
+            run = run_characteristic(gaussian_profile(0.45), 0.894, 400.0, tol=1e-8)
+            assert run.t_star is not None and len(run.crossing_times)
+            ref = weakref.ref(run)
+            del run
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_density_stays_nonnegative(self, center_run_k01):
         lam = center_run_k01.trajectory.y[2]
@@ -222,17 +250,11 @@ class TestOneDimensionalExact:
 class TestFloquetAgainstDirect:
     """d = 2, 3: one integrated period and its affine map against a direct run."""
 
-    @staticmethod
-    def gaussian_3d(K):
-        return RadialProfile(G0=lambda r: K * math.exp(-r * r), F0=lambda r: 0.0, d=3,
-                             dG0=lambda r: -2.0 * K * r * math.exp(-r * r),
-                             dF0=lambda r: 0.0)
-
     @pytest.mark.parametrize("case", ["gauss-2d", "gauss-3d", "constant-2d", "constant-3d"])
     def test_states_agree(self, case):
         profile, r0 = {
             "gauss-2d": (gaussian_profile(0.1), 0.8),
-            "gauss-3d": (self.gaussian_3d(0.08), 0.7),
+            "gauss-3d": (gaussian(0.08, 3), 0.7),
             "constant-2d": (constant_profile(0.15, 0.2, 2), 1.0),
             "constant-3d": (constant_profile(-0.2, 0.1, 3), 1.0),
         }[case]
@@ -262,3 +284,45 @@ class TestFloquetAgainstDirect:
             guard = direct_run(profile, r0, 400.0, tol=1e-10, cap=1e6)
             assert guard.status == "terminal-event"
             assert 0.0 < t - guard.t[-1] < 1e-3, (r0, t, guard.t[-1])
+
+
+class TestLazyRun:
+    """t* is found when the run is made; the trajectory and crossings on first read."""
+
+    @pytest.mark.parametrize("case", ["breaking-2d", "gauss-3d", "gauss-1d"])
+    def test_sweep_t_star_is_the_run_t_star(self, case):
+        profile, grid, t_max = {
+            "breaking-2d": (gaussian_profile(0.45), np.linspace(0.0, 3.0, 48), 400.0),
+            "gauss-3d": (gaussian(0.3, 3), np.linspace(0.0, 3.0, 24), 100.0),
+            "gauss-1d": (gaussian(0.6, 1), np.linspace(0.0, 3.0, 24), 100.0),
+        }[case]
+        swept = blowup_sweep(profile, grid, t_max=t_max, tol=1e-8)
+        assert any(t is not None for _, t in swept)
+        for r0, t in swept:
+            assert t == run_characteristic(profile, r0, t_max, tol=1e-8).t_star, r0
+
+    @pytest.mark.parametrize("case", ["1d-blowup", "1d-bounded", "2d-blowup", "2d-bounded",
+                                      "3d-blowup", "3d-bounded"])
+    def test_crossings_are_roots_of_p_on_the_trajectory(self, case):
+        profile, r0, t_max, tol = {
+            "1d-blowup": (one_d_point_profile(0.3, 0.9), 0.0, 20.0, 1e-10),
+            "1d-bounded": (one_d_point_profile(0.2, 0.3), 0.0, 20.0, 1e-10),
+            # w dips below 0 and returns within one step before t*
+            "2d-blowup": (gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)[14], 400.0, 1e-8),
+            "2d-bounded": (gaussian_profile(0.1), 0.8, 25.0, 1e-10),
+            "3d-blowup": (gaussian(0.3, 3), np.linspace(0.0, 3.0, 24)[2], 100.0, 1e-10),
+            "3d-bounded": (gaussian(0.08, 3), 0.7, 20.0, 1e-10),
+        }[case]
+        run = run_characteristic(profile, r0, t_max, tol=tol)
+        assert (run.t_star is not None) == case.endswith("blowup")
+        assert len(run.crossing_times) >= 1
+        traj = run.trajectory
+
+        def p(t):
+            _, _, lam, Dv, _ = traj(t)
+            return Dv / (1.0 - lam)
+
+        for t in run.crossing_times:
+            k = np.searchsorted(traj.t, t)
+            root = find_root(p, traj.t[k - 1], traj.t[k], tol=1e-300)
+            assert abs(root - t) <= 1e-12 * t, (t, root)
