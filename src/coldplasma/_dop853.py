@@ -8,7 +8,8 @@ solution, ``E5``/``E3`` the 5th- and 3rd-order error estimates, and the
 extra stages 13-15 with ``D`` give the 7th-degree dense output.  The
 numbers and the way ``E3`` is formed from ``B`` are those of scipy's
 ``dop853_coefficients``, so the engine built on them reproduces scipy's
-``DOP853`` bit for bit.
+``DOP853`` bit for bit.  A run stores each accepted step's stages and
+builds its dense polynomial only when the interpolant first reads it.
 
 With the oracle, it is the only module of the package that imports numpy;
 ``numerics.integrate`` imports it on its first call, so code that runs no
@@ -22,8 +23,7 @@ import sys
 
 import numpy as np
 
-from . import numerics
-from .numerics import EventRecord, OdeTrajectory
+from .numerics import OdeTrajectory
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
@@ -225,7 +225,6 @@ _ERR_EXP = -1 / 8
 # the stages the dense output reads: rows 1-4 have zero weight in A[13:16] and D
 _KEPT_STAGES = [0, *range(5, N_STAGES + 1)]
 _EPS = sys.float_info.epsilon
-_ROOT_XTOL = 4.0 * _EPS   # event roots: the absolute part of find_root's stop
 
 
 def _rms(x: np.ndarray) -> float:
@@ -247,19 +246,6 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
     else:
         h1 = (0.01 / max(d1, d2)) ** -_ERR_EXP
     return min(100 * h0, h1, span)
-
-
-def _horner(coefs: list, x: float, y_old: list) -> list:
-    """DOP853 dense polynomial of one step at ``x = (t - t_old)/h``, in floats.
-
-    ``coefs`` holds the 7 coefficients of each component; the nesting
-    alternates the factors ``x`` and ``1 - x`` (Hairer's ``contd8``).  The
-    operations, from ``0.0 + c6`` on, are those of :class:`_DenseOutput`,
-    so the values agree to the bit.
-    """
-    x1 = 1.0 - x
-    return [((((((((0.0 + c6) * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0)
-             * x + y0) for (c0, c1, c2, c3, c4, c5, c6), y0 in zip(coefs, y_old)]
 
 
 def _dense_coefficients(rhs, t: float, h: float, y: np.ndarray, y_new: np.ndarray,
@@ -289,24 +275,21 @@ def _dense_coefficients(rhs, t: float, h: float, y: np.ndarray, y_new: np.ndarra
 class _DenseOutput:
     """Interpolant over the stored steps: step ``i`` starts at ``t[i]``, ``ys[i]``.
 
-    The coefficients of every step live in one ``(steps, 7, n)`` array,
-    filled lazily: ``Fs[i]`` is step ``i``'s coefficient array ``F``, or,
-    for a step whose dense output nobody has read yet, its stages
-    :data:`_KEPT_STAGES`; the first read that needs such a step builds
-    ``F`` by :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.
+    ``stages[i]`` holds step ``i``'s stages :data:`_KEPT_STAGES`.  The
+    coefficients of every step live in one ``(steps, 7, n)`` array, filled
+    lazily: the first read that needs a step builds its ``F`` by
+    :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.
     A call takes a scalar ``t`` (giving shape ``(n,)``) or an array
     (``(n, m)``).  A time on a breakpoint takes the earlier step; times
     outside ``[t[0], t[-1]]`` extrapolate the first or last step.  A run
     that stored no step gives its initial state at every time.
     """
 
-    def __init__(self, rhs, ts: np.ndarray, ys: np.ndarray, hs: list, Fs: list):
+    def __init__(self, rhs, ts: np.ndarray, ys: np.ndarray, hs: list, stages: list):
         self.rhs, self.t, self.ys, self.h = rhs, ts, ys, np.array(hs)
-        self.stages = Fs
+        self.stages = stages
         self.coef = np.empty((len(hs), INTERPOLATOR_POWER, ys.shape[1]))
-        self.built = np.array([F.shape[0] == INTERPOLATOR_POWER for F in Fs], dtype=bool)
-        for i in np.flatnonzero(self.built).tolist():
-            self.coef[i] = Fs[i]
+        self.built = np.zeros(len(hs), dtype=bool)
 
     def coefficients(self, steps) -> np.ndarray:
         """The coefficients of the given steps (an index array): shape ``steps.shape + (7, n)``."""
@@ -315,7 +298,6 @@ class _DenseOutput:
             need = np.zeros_like(self.built)
             need[steps] = True
             for i in np.flatnonzero(need & ~self.built).tolist():
-                # ys[i + 1] is its end: a guard stop is built
                 K = np.zeros((N_STAGES_EXTENDED, self.ys.shape[1]))
                 K[_KEPT_STAGES] = self.stages[i]
                 self.coef[i] = _dense_coefficients(self.rhs, float(self.t[i]), float(self.h[i]),
@@ -339,12 +321,8 @@ class _DenseOutput:
         return y.T
 
 
-def dop853(rhs, y0, t_span, tol, events, magnitude_cap) -> OdeTrajectory:
-    """The run of :func:`coldplasma.numerics.integrate`, which documents it.
-
-    Event roots are located by ``numerics.find_root``, looked up on the
-    module at each call, so a wrapper installed there later is used.
-    """
+def dop853(rhs, y0, t_span, tol) -> OdeTrajectory:
+    """The run of :func:`coldplasma.numerics.integrate`, which documents it."""
     if not tol >= 100 * _EPS:
         raise ValueError(f"tol must be at least 100 eps, got {tol}")
     t, t_end = float(t_span[0]), float(t_span[1])
@@ -352,12 +330,6 @@ def dop853(rhs, y0, t_span, tol, events, magnitude_cap) -> OdeTrajectory:
         raise ValueError(f"integrate runs forward only: t_span = {t_span}")
     y = np.array(y0, dtype=float)
     n = y.size
-    events = list(events)
-
-    def guard(t, y):
-        return max(map(abs, y)) - magnitude_cap
-
-    checks = events + [guard]
     K = np.empty((N_STAGES_EXTENDED, n))
     # stage s evaluates rhs at t + c_s h, y + h (a_s . rows 0..s-1 of K)
     stages = [(s, A[s, :s], K[:s].T, _C_LIST[s]) for s in range(1, N_STAGES)]
@@ -366,11 +338,9 @@ def dop853(rhs, y0, t_span, tol, events, magnitude_cap) -> OdeTrajectory:
     f = np.asarray(rhs(t, y.tolist()), dtype=float)
     h_abs = _initial_step(rhs, t, y, f, t_end, tol)
     ylist = y.tolist()
-    g = [ev(t, ylist) for ev in checks]
-    ts, ys, hs, Fs = [t], [y], [], []
-    hits: list[list[tuple]] = [[] for _ in events]
+    ts, ys, hs, kept = [t], [y], [], []
     status = "completed"
-    while True:
+    while status == "completed" and t < t_end:
         min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -395,52 +365,14 @@ def dop853(rhs, y0, t_span, tol, events, magnitude_cap) -> OdeTrajectory:
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
                 h_abs *= min(1, factor) if rejected else factor
+                ts.append(t_new)
+                ys.append(y_new)
+                hs.append(h)
+                kept.append(K[_KEPT_STAGES])
+                t, y, ylist, f = t_new, y_new, ylist_new, f_new
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
             rejected = True
-        if status == "singular-step":
-            break
-
-        g_new = [ev(t_new, ylist_new) for ev in checks]
-        # scipy's rule: a sign change over the step, or a zero at either end
-        active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a <= 0.0 <= b or b <= 0.0 <= a]
-        if active:
-            F = _dense_coefficients(rhs, t, h, y, y_new, K)
-            coef = F.T.tolist()
-            roots = [(numerics.find_root(
-                lambda tt, ev=checks[i]: ev(tt, _horner(coef, (tt - t) / h, ylist)),
-                t, t_new, tol=_ROOT_XTOL), i) for i in active]
-            for root, i in sorted(roots):
-                if i == len(events):
-                    status = "terminal-event"
-                    t_stop = root
-                    break
-                # the interpolant gives a root on the step's start the
-                # earlier step's value, so its state is read after the run
-                hits[i].append((root, None if root == t else
-                                np.array(_horner(coef, (root - t) / h, ylist))))
-        else:
-            F = K[_KEPT_STAGES]
-        g = g_new
-        if status == "terminal-event":
-            # a guard root on the step's start leaves that point as the last one
-            if not (len(ts) > 1 and t_stop == ts[-1]):
-                ts.append(t_stop)
-                ys.append(np.array(_horner(coef, (t_stop - t) / h, ylist)))
-                hs.append(h)
-                Fs.append(F)
-            break
-        ts.append(t_new)
-        ys.append(y_new)
-        hs.append(h)
-        Fs.append(F)
-        t, y, ylist, f = t_new, y_new, ylist_new, f_new
-        if t_new >= t_end:
-            break
 
     t_arr, y_arr = np.array(ts), np.array(ys)
-    interpolant = _DenseOutput(rhs, t_arr, y_arr, hs, Fs)
-    recs = sorted((EventRecord(i, te, interpolant(te) if state is None else state)
-                   for i, found in enumerate(hits) for te, state in found),
-                  key=lambda r: r.time)
-    return OdeTrajectory(t_arr, y_arr.T, interpolant, recs, status)
+    return OdeTrajectory(t_arr, y_arr.T, _DenseOutput(rhs, t_arr, y_arr, hs, kept), status)

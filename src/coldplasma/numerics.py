@@ -1,9 +1,9 @@
 """Numerical kernels shared by the physics modules.
 
-Adaptive ODE integration with dense output, events and a blow-up guard
-(DOP853 with the step control of scipy's ``solve_ivp``, whose accepted steps
-and values it reproduces), real Lambert W on branches 0 and -1, bracketed
-root finding (Brent's method), quadrature for integrands with
+Adaptive ODE integration with dense output (DOP853 with the step control
+of scipy's ``solve_ivp``, whose accepted steps and values it reproduces;
+no events and no magnitude guard), real Lambert W on branches 0 and -1,
+bracketed root finding (Brent's method), quadrature for integrands with
 inverse-square-root endpoint singularities (adaptive 21-point
 Gauss-Kronrod), a golden section scalar optimizer, ``linspace``, and
 ``exp``, ``expm1`` and ``power`` that overflow to +inf as numpy's do.  All
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:
@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BracketError",
     "QuadratureError",
-    "EventRecord",
     "OdeTrajectory",
     "integrate",
     "lambert_w",
@@ -75,24 +74,16 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass
-class EventRecord:
-    """One located zero crossing of an event function."""
-
-    index: int
-    time: float
-    state: np.ndarray
-
-
-@dataclass
 class OdeTrajectory:
     """Result of an adaptive integration.
 
-    ``status`` is one of ``"completed"``, ``"terminal-event"`` (the magnitude
-    guard fired) or ``"singular-step"`` (step size underflow, which we treat
-    as a suspected finite-time singularity).  ``interpolant`` is the dense
-    output valid on ``[t[0], t[-1]]``, at a scalar or an array of times; it
-    keeps ``rhs`` and calls it, three times per step, the first time it
-    reads a step whose dense output the run did not need.  Its
+    ``status`` is ``"completed"`` or, from :func:`integrate`,
+    ``"singular-step"`` (a NaN or a step size underflow, which we treat as a
+    suspected finite-time singularity); the oracle's trajectory after a
+    blow-up ends where lambda reaches ``-d_cap``, as ``"terminal-event"``.
+    ``interpolant`` is the dense output valid on ``[t[0], t[-1]]``, at a
+    scalar or an array of times; it keeps ``rhs`` and calls it, three times
+    per step, the first time it reads a step.  Its
     ``coefficients(steps)`` gives the polynomials of chosen steps, each
     component's 7 coefficients in one ``(len(steps), 7, n)`` array, and its
     ``t`` and ``h`` the steps' starts and sizes, so a caller can work on
@@ -102,7 +93,6 @@ class OdeTrajectory:
     t: np.ndarray
     y: np.ndarray
     interpolant: Callable[[float], np.ndarray]
-    events: list[EventRecord] = field(default_factory=list)
     status: str = "completed"
 
     def __call__(self, t):
@@ -118,36 +108,29 @@ def integrate(
     y0: Sequence[float],
     t_span: tuple[float, float],
     tol: float = 1e-10,
-    events: Sequence[Callable[[float, list], float]] = (),
-    magnitude_cap: float = 1e6,
 ) -> OdeTrajectory:
     """Integrate ``y' = rhs(t, y)`` forward in time by DOP853 with dense output.
 
     Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, *Solving ODEs I*,
     sec. II.4-II.6 and II.10) with the step control of scipy's ``DOP853``
     at ``rtol = atol = tol``, so a run takes the same accepted steps and
-    gives the same numbers as ``solve_ivp(method="DOP853")``.  ``rhs`` and
-    the event functions receive the state as a list of floats; ``rhs`` is
-    called only through the argument given.  Event functions are scalar;
-    each sign change over a step is located on that step's dense polynomial
-    by :func:`find_root`, and the event's state is that polynomial at the
-    root (the interpolant's value there).  A terminal guard stops the run at
-    the time ``max|y|`` reaches ``magnitude_cap`` (the blow-up guard); events
-    past that time are dropped.  A step below ten spacings of the floats at
-    ``t`` ends the run as ``"singular-step"``.  Identical inputs always
-    produce identical trajectories.
+    gives the same numbers as ``solve_ivp(method="DOP853")``.  ``rhs``
+    receives the state as a list of floats and is called only through the
+    argument given.  The run ends at ``t_span[1]`` (``"completed"``) or,
+    when the step size is NaN or below ten spacings of the floats at ``t``,
+    as ``"singular-step"``, the status ``solve_ivp`` reports as -1.
+    Identical inputs always produce identical trajectories.
 
-    Each accepted step costs 12 ``rhs`` calls.  The 3 extra stages of its
-    dense output are paid on the step itself only when an event or the
-    guard changes sign over it; any other step keeps the stages they read
-    and builds its polynomial on the interpolant's first read, so the calls
-    and values match ``solve_ivp`` once every step has been read.  The
-    engine and its numpy arrays live in ``_dop853``, imported on the first
-    call.
+    Each accepted step costs 12 ``rhs`` calls.  It keeps the stages its
+    dense output reads, and the interpolant builds the step's polynomial,
+    with 3 more ``rhs`` calls, the first time it reads the step; so the
+    calls and values match ``solve_ivp`` once every step has been read.
+    The engine and its numpy arrays live in ``_dop853``, imported on the
+    first call.
     """
     from ._dop853 import dop853
 
-    return dop853(rhs, y0, t_span, tol, events, magnitude_cap)
+    return dop853(rhs, y0, t_span, tol)
 
 
 def _halley(w: float, x: float, max_iter: int = 50) -> float:

@@ -113,7 +113,7 @@ class _Floquet:
         except (ValueError, QuadratureError):
             T = math.inf
         self.one = one = integrate(_period_rhs(d), [F0, G0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-                                   (0.0, min(T, t_max)), tol=tol, magnitude_cap=math.inf)
+                                   (0.0, min(T, t_max)), tol=tol)
         n = max(1, math.ceil(t_max / T))     # periods begun before t_max
         m00, m10, m01, m11, c0, c1 = one.y[2:, -1].tolist()
         starts = [(w0, p0)]
@@ -365,10 +365,10 @@ def run_characteristic(
     """Solve the characteristic starting at radius r0 up to t_max.
 
     For d = 2 and 3 one period of the 8-variable system is integrated at
-    ``tol`` (no magnitude guard); d = 1 is closed form.  The run computes
-    two things at once: this flow, with w and p on its nodes, and the
-    blow-up time t*, from the minima of w on the step polynomials of the
-    brackets before the first node with w <= 0.  Its trajectory (ending
+    ``tol``; d = 1 is closed form.  The run computes two things at once:
+    this flow, with w and p on its nodes, and the blow-up time t*, from the
+    minima of w on the step polynomials of the brackets before the first
+    node with w <= 0.  Its trajectory (ending
     where lambda reaches ``-d_cap`` after a blow-up) and its crossings are
     built when first read; see :class:`CharacteristicRun`.
     """
@@ -451,12 +451,11 @@ def blowup_sweep(
     r_grid: Sequence[float],
     t_max: float = 400.0,
     tol: float = 1e-8,
-    d_cap: float = 1e6,
 ) -> list[tuple[float, Optional[float]]]:
     """Blow-up time per starting radius (None where no blow-up by t_max)."""
     out: list[tuple[float, Optional[float]]] = []
     for r0 in r_grid:
-        run = run_characteristic(profile, r0, t_max, tol=tol, d_cap=d_cap)
+        run = run_characteristic(profile, r0, t_max, tol=tol)
         rec = detect_blowup(run)
         out.append((r0, rec.t_star if rec.detected else None))
     return out

@@ -10,6 +10,7 @@ with the measured values printed alongside.
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.special import lambertw as scipy_lambertw
 
 import coldplasma as cp
@@ -239,8 +240,9 @@ def test_criterion_08_period():
     def f_zero(t, y):
         return y[0]
 
-    traj = integrate(rhs, [0.0, 0.1], (0.0, 20.0), tol=1e-12, events=[f_zero])
-    times = [e.time for e in traj.events if e.time > 1e-9]
+    ref = solve_ivp(rhs, (0.0, 20.0), [0.0, 0.1], method="DOP853", rtol=1e-12, atol=1e-12,
+                    events=f_zero)
+    times = [t for t in ref.t_events[0] if t > 1e-9]
     measured = times[2] - times[0]
     err_meas = abs(cp.period(0.0, 0.1, 2) - measured)
     ok = err_small < 1e-3 and err_meas < 1e-6

@@ -3,6 +3,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from coldplasma import core_dynamics
 from coldplasma.chaplygin_bounds import criterion_1d
@@ -302,8 +303,9 @@ class TestPeriod:
         def f_zero(t, y):
             return y[0]
 
-        traj = integrate(rhs, [0.0, 0.1], (0.0, 20.0), tol=1e-12, events=[f_zero])
-        times = [e.time for e in traj.events if e.time > 1e-9]
+        ref = solve_ivp(rhs, (0.0, 20.0), [0.0, 0.1], method="DOP853", rtol=1e-12, atol=1e-12,
+                        events=f_zero)
+        times = [t for t in ref.t_events[0] if t > 1e-9]
         measured = times[2] - times[0]
         assert abs(period(0.0, 0.1, d) - measured) < 1e-6
 

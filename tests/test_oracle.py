@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from coldplasma.core_dynamics import (
     RadialProfile,
@@ -29,10 +30,8 @@ def one_d_point_profile(lam0, D0):
     return constant_profile(D0, lam0, 1)
 
 
-def direct_run(profile, r0, t_end, tol=1e-12, cap=math.inf):
-    """The five-variable characteristic system (F, G, lambda, D, r), integrated
-    directly by DOP853, which stops where max|y| reaches ``cap``: the
-    reference for the linearized oracle."""
+def direct_system(profile, r0):
+    """The five-variable characteristic system (F, G, lambda, D, r) and its start at r0."""
     d = profile.d
 
     def rhs(t, y):
@@ -40,8 +39,13 @@ def direct_run(profile, r0, t_end, tol=1e-12, cap=math.inf):
         return (*rhs_radial(F, G, d), *rhs_divergence(lam, Dv, j_exact_radial(F, Dv, d)), F * r)
 
     lam0, D0 = profile_divergences(profile, r0)
-    return integrate(rhs, [profile.F0(r0), profile.G0(r0), lam0, D0, r0], (0.0, t_end),
-                     tol=tol, magnitude_cap=cap)
+    return rhs, [profile.F0(r0), profile.G0(r0), lam0, D0, r0]
+
+
+def direct_run(profile, r0, t_end, tol=1e-12):
+    """That system integrated directly by DOP853: the reference for the linearized oracle."""
+    rhs, y0 = direct_system(profile, r0)
+    return integrate(rhs, y0, (0.0, t_end), tol=tol)
 
 
 def gaussian(K, d):
@@ -277,13 +281,20 @@ class TestFloquetAgainstDirect:
             assert abs(t - fine[r0]) <= 1e-9 * fine[r0], (r0, t, fine[r0])
         # at r0 = 0.894 and 0.957 ([14] and [15]) w dips below 0 and returns
         # within one step of a tol 1e-8 run, so a sign test at the nodes alone
-        # finds a zero a period later; the direct system's magnitude guard
-        # (|lambda| = 1e6) trips just before the first zero
+        # finds a zero a period later; a magnitude guard (|lambda| = 1e6) on
+        # the direct system, a terminal event of solve_ivp, trips just before
+        # the first zero
+        def guard(t, y):
+            return np.max(np.abs(y)) - 1e6
+        guard.terminal = True
+
         for r0 in grid[14:16]:
             t = detect_blowup(run_characteristic(profile, r0, 400.0, tol=1e-8)).t_star
-            guard = direct_run(profile, r0, 400.0, tol=1e-10, cap=1e6)
-            assert guard.status == "terminal-event"
-            assert 0.0 < t - guard.t[-1] < 1e-3, (r0, t, guard.t[-1])
+            rhs, y0 = direct_system(profile, r0)
+            ref = solve_ivp(rhs, (0.0, 400.0), y0, method="DOP853", rtol=1e-10, atol=1e-10,
+                            events=guard)
+            assert ref.status == 1
+            assert 0.0 < t - ref.t[-1] < 1e-3, (r0, t, ref.t[-1])
 
 
 class TestLazyRun:
