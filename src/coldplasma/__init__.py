@@ -31,7 +31,6 @@ from .chaplygin_bounds import (
 from .core_dynamics import (
     FirstIntegralConstant,
     OrbitExtremes,
-    PhasePoint,
     RadialProfile,
     constant_profile,
     evaluate_first_integral,

@@ -6,9 +6,11 @@ symmetric flows.  Each bound yields a linear comparison ODE with an explicit
 solution (a Chaplygin comparison curve); between consecutive axis crossings
 these curves enclose the true trajectory.
 
-For negative s the power term s**(2(1 +/- sigma^2)) is evaluated as
-|s|**(2(1 +/- sigma^2)), the even extension that keeps the curves real and
-anchored; the linear-plus-power structure is cached per curve.
+Every curve has one closed form, Z(s) = quad s^2 + lin_a s + lin_b +
+pow_coef |s|^expo: the plain and irrotational quartics have expo = 4, the
+radial sigma family has quad = 0 and expo = 2(1 +/- sigma^2).  For negative
+s the power term is evaluated on |s|, the even extension that keeps the
+curves real and anchored.
 
 Pointwise sufficient conditions (the 1D smoothness criterion and the
 first-period criterion) live here as well.
@@ -19,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .numerics import expm1_inf, power_inf
 
@@ -60,6 +61,11 @@ def _check_sigma_upper(sigma: float) -> None:
         )
 
 
+def _upper_j_bound(sg2: float, f_plus: float, d: int) -> float:
+    """The upper family's bound (d-1)(d(b+1)-1) F+^2 / b on J, with b = sigma^2."""
+    return (d - 1) * (d * (sg2 + 1.0) - 1.0) * f_plus**2 / sg2
+
+
 def q_rhs(
     kind: BoundKind,
     side: Side,
@@ -72,20 +78,17 @@ def q_rhs(
 ) -> float:
     """Right-hand side dZ/ds of the comparison ODE for the given case.
 
-    ``c3`` is the plain-case vorticity ratio xi3/(lambda-1); ``sigma`` and
-    ``f_plus`` parameterize the radial family.  Only s < 0 is admissible.
+    ``c3`` is the plain-case vorticity ratio xi3/(lambda-1) (0 for an
+    irrotational flow); ``sigma`` and ``f_plus`` parameterize the radial
+    family.  Only s < 0 is admissible.
     """
     if s >= 0.0:
         raise ValueError("comparison ODEs are defined on s < 0 only")
 
-    if kind is BoundKind.PLAIN:
+    if kind is not BoundKind.RADIAL_SIGMA:
         if side is not Side.LOWER:
-            raise ValueError("plain oscillations provide only the lower family")
+            raise ValueError(f"{kind.value} oscillations provide only the lower family")
         num = 2.0 * Z + s + c3 * c3 * s * s + 1.0
-    elif kind is BoundKind.IRROTATIONAL:
-        if side is not Side.LOWER:
-            raise ValueError("irrotational oscillations provide only the lower family")
-        num = 2.0 * Z + s + 1.0
     else:
         sg2 = sigma * sigma
         if sigma <= 0.0:
@@ -94,74 +97,46 @@ def q_rhs(
             num = (1.0 + sg2) * Z + s + (d - 1) ** 2 * f_plus**2 / sg2 + 1.0
         else:
             _check_sigma_upper(sigma)
-            k_bound = (d - 1) * (d * (sg2 + 1.0) - 1.0) * f_plus**2 / sg2
-            num = (1.0 - sg2) * Z + s - k_bound + 1.0
+            num = (1.0 - sg2) * Z + s - _upper_j_bound(sg2, f_plus, d) + 1.0
     return 2.0 * num / s
 
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """One anchored comparison curve.
+    """One comparison curve anchored at (s0, Z0), in the closed form
 
-    Quartic representation (plain/irrotational):
-        Z(s) = a4 s^4 + a2 s^2 + a1 s + a0
-    Linear-plus-power representation (radial sigma family):
-        Z(s) = lin_a s + lin_b + pow_coef |s|^expo
-    Exactly one of the two coefficient sets is active (the other is None).
-    ``value`` and ``derivative`` are operator expressions in ``s``, so they
-    take a float or a numpy array; ``increment`` and ``q`` take floats.  A
-    power beyond the float range is +inf, as in numpy.
+        Z(s) = quad s^2 + lin_a s + lin_b + pow_coef |s|^expo
+
+    that every family shares: the plain and irrotational quartics have
+    expo = 4, the radial sigma family has quad = 0, which adds an exact zero
+    to each method.  ``value`` and ``derivative`` are operator expressions in
+    ``s``, so they take a float or a numpy array; ``increment`` takes floats.
+    A power beyond the float range is +inf, as in numpy.
     """
 
-    kind: BoundKind
-    side: Side
     s0: float
     Z0: float
-    # quartic coefficients
-    a4: Optional[float] = None
-    a2: Optional[float] = None
-    a1: Optional[float] = None
-    a0: Optional[float] = None
-    # sigma-family coefficients
-    lin_a: Optional[float] = None
-    lin_b: Optional[float] = None
-    pow_coef: Optional[float] = None
-    expo: Optional[float] = None
-    # originating parameters (kept for rhs evaluation and provenance)
-    c3: float = 0.0
-    sigma: float = 1.0
-    f_plus: float = 0.0
-    d: int = 2
+    quad: float
+    lin_a: float
+    lin_b: float
+    pow_coef: float
+    expo: float
 
     def value(self, s):
-        if self.a4 is not None:
-            return ((self.a4 * s * s + self.a2) * s + self.a1) * s + self.a0
-        return self.lin_a * s + self.lin_b + self.pow_coef * power_inf(abs(s), self.expo)
+        return ((self.quad * s + self.lin_a) * s + self.lin_b
+                + self.pow_coef * power_inf(abs(s), self.expo))
 
     def increment(self, s_ref: float, h: float) -> float:
         """Z(s_ref + h) - Z(s_ref), free of the cancellation of two values.
 
         Both points must lie on the same side of s = 0.
         """
-        if self.a4 is not None:
-            s = s_ref
-            return h * (self.a4 * (((h + 4.0 * s) * h + 6.0 * s * s) * h + 4.0 * s**3)
-                        + self.a2 * (2.0 * s + h) + self.a1)
-        return h * self.lin_a + self.pow_coef * power_inf(abs(s_ref), self.expo) * expm1_inf(
-            self.expo * math.log1p(h / s_ref))
+        return h * (self.quad * (2.0 * s_ref + h) + self.lin_a) + self.pow_coef * power_inf(
+            abs(s_ref), self.expo) * expm1_inf(self.expo * math.log1p(h / s_ref))
 
     def derivative(self, s):
-        if self.a4 is not None:
-            return (4.0 * self.a4 * s * s + 2.0 * self.a2) * s + self.a1
-        return self.lin_a - self.pow_coef * self.expo * power_inf(abs(s), self.expo - 1.0)
-
-    def q(self, s: float, Z: float) -> float:
-        """The comparison rhs this curve solves."""
-        return q_rhs(self.kind, self.side, s, Z,
-                     c3=self.c3, sigma=self.sigma, f_plus=self.f_plus, d=self.d)
-
-    def __call__(self, s):
-        return self.value(s)
+        return (self.lin_a - self.pow_coef * self.expo * power_inf(abs(s), self.expo - 1.0)
+                + 2.0 * self.quad * s)
 
 
 def plain_lower_curve(s0: float, Z0: float, xi30: float) -> BoundCurve:
@@ -176,24 +151,13 @@ def plain_lower_curve(s0: float, Z0: float, xi30: float) -> BoundCurve:
         raise ValueError("anchor must satisfy s0 < 0")
     c3 = xi30 / s0
     a4 = (Z0 + xi30 * xi30 + (2.0 / 3.0) * s0 + 0.5) / s0**4
-    return BoundCurve(
-        BoundKind.PLAIN, Side.LOWER, s0, Z0,
-        a4=a4, a2=-c3 * c3, a1=-2.0 / 3.0, a0=-0.5, c3=c3,
-    )
+    return BoundCurve(s0, Z0, quad=-c3 * c3, lin_a=-2.0 / 3.0, lin_b=-0.5, pow_coef=a4, expo=4.0)
 
 
 def irrotational_lower_curve(s0: float, Z0: float) -> BoundCurve:
-    """Lower comparison curve for irrotational flows (any dimension).
-
-    Z1(s) = A4 s^4 - (2/3) s - 1/2 with A4 = (Z0 + (2/3) s0 + 1/2)/s0^4.
-    """
-    if s0 >= 0.0:
-        raise ValueError("anchor must satisfy s0 < 0")
-    a4 = (Z0 + (2.0 / 3.0) * s0 + 0.5) / s0**4
-    return BoundCurve(
-        BoundKind.IRROTATIONAL, Side.LOWER, s0, Z0,
-        a4=a4, a2=0.0, a1=-2.0 / 3.0, a0=-0.5,
-    )
+    """Lower comparison curve for irrotational flows (any dimension): the
+    plain curve without vorticity, Z1(s) = A4 s^4 - (2/3) s - 1/2."""
+    return plain_lower_curve(s0, Z0, 0.0)
 
 
 def sigma_curve(
@@ -223,10 +187,9 @@ def sigma_curve(
         lin_b = -((d - 1) ** 2 * f_plus**2 + sg2) / (sg2 * (1.0 + sg2))
     else:
         _check_sigma_upper(sigma)
-        k_bound = (d - 1) * (d * (sg2 + 1.0) - 1.0) * f_plus**2 / sg2
         expo = 2.0 * (1.0 - sg2)
         lin_a = -2.0 / (1.0 - 2.0 * sg2)
-        lin_b = (k_bound - 1.0) / (1.0 - sg2)
+        lin_b = (_upper_j_bound(sg2, f_plus, d) - 1.0) / (1.0 - sg2)
     offset = Z0 - (lin_a * s0 + lin_b)
     try:
         scale = abs(s0) ** expo
@@ -234,11 +197,7 @@ def sigma_curve(
         raise OverflowError(f"sigma curve anchored at s0 = {s0}: |s0|**{expo} overflows") from None
     # a scale that underflows to 0 gives numpy's quotient: +-inf, or NaN for 0/0
     pow_coef = offset / scale if scale else offset * math.inf
-    return BoundCurve(
-        BoundKind.RADIAL_SIGMA, side, s0, Z0,
-        lin_a=lin_a, lin_b=lin_b, pow_coef=pow_coef, expo=expo,
-        sigma=sigma, f_plus=f_plus, d=d,
-    )
+    return BoundCurve(s0, Z0, quad=0.0, lin_a=lin_a, lin_b=lin_b, pow_coef=pow_coef, expo=expo)
 
 
 def anchor_root_S1(sigma: float, f_plus: float, d: int = 2) -> float:
@@ -268,8 +227,8 @@ def anchor_root_S2(sigma: float, f_plus: float, d: int = 2) -> float:
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"require 0 < sigma < 1, got {sigma}")
     sg2 = sigma * sigma
-    k_bound = (d - 1) * (d * (sg2 + 1.0) - 1.0) * f_plus**2 / sg2
-    c2_zero_anchor = (k_bound - 1.0) * (1.0 - 2.0 * sg2) / (2.0 * (1.0 - sg2))
+    c2_zero_anchor = ((_upper_j_bound(sg2, f_plus, d) - 1.0) * (1.0 - 2.0 * sg2)
+                      / (2.0 * (1.0 - sg2)))
     return c2_zero_anchor - 0.5 * (2.0 * sg2 - 1.0)
 
 

@@ -28,7 +28,6 @@ from .numerics import (
 
 __all__ = [
     "check_dimension",
-    "PhasePoint",
     "RadialProfile",
     "FirstIntegralConstant",
     "OrbitExtremes",
@@ -57,26 +56,6 @@ def check_dimension(d: int) -> int:
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
     return d
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point (s, Z) = (lambda - 1, D**2) of the comparison phase plane.
-
-    Iterable, so it can stand in wherever an (s0, Z0) anchor pair is taken.
-    """
-
-    s: float
-    Z: float
-
-    def __post_init__(self):
-        if self.s > 0.0:
-            raise ValueError(f"s = lambda - 1 must be <= 0 (n >= 0), got {self.s}")
-        if self.Z < 0.0:
-            raise ValueError(f"Z = D**2 must be >= 0, got {self.Z}")
-
-    def __iter__(self):
-        return iter((self.s, self.Z))
 
 
 @dataclass(frozen=True)

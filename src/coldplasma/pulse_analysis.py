@@ -17,7 +17,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .chaplygin_bounds import anchor_root_S1, anchor_root_S2
 from .numerics import BracketError, exp_inf, expm1_inf, find_root, lambert_w
 
 __all__ = [

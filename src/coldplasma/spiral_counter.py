@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .chaplygin_bounds import BoundCurve, Side, sigma_curve
 from .core_dynamics import RadialProfile, orbit_extremes, profile_divergences
-from .numerics import BracketError, find_root, integrate_singular, linspace, linspace_point
+from .numerics import find_root, integrate_singular, linspace, linspace_point
 from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2, f_plus_of_lambda0
 
 __all__ = [

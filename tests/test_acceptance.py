@@ -15,11 +15,13 @@ from scipy.special import lambertw as scipy_lambertw
 
 import coldplasma as cp
 from coldplasma.chaplygin_bounds import (
+    BoundKind,
     Side,
     anchor_root_S1,
     anchor_root_S2,
     irrotational_lower_curve,
     plain_lower_curve,
+    q_rhs,
     sigma_curve,
 )
 from coldplasma.core_dynamics import RadialProfile, constant_profile
@@ -190,15 +192,19 @@ def test_criterion_06_ode_residuals():
         s0 = rng.uniform(-1.8, -0.1)
         Z0 = rng.uniform(0.0, 0.4)
         fp = rng.uniform(0.0, 0.4)
-        curves = [
-            plain_lower_curve(s0, Z0, rng.uniform(-0.5, 0.5)),
-            irrotational_lower_curve(s0, Z0),
-            sigma_curve(Side.LOWER, s0, Z0, cp.DEFAULT_SIGMA1, fp),
-            sigma_curve(Side.UPPER, s0, Z0, cp.DEFAULT_SIGMA2, fp),
+        xi30 = rng.uniform(-0.5, 0.5)
+        sig1, sig2 = cp.DEFAULT_SIGMA1, cp.DEFAULT_SIGMA2
+        cases = [
+            (plain_lower_curve(s0, Z0, xi30), BoundKind.PLAIN, Side.LOWER, {"c3": xi30 / s0}),
+            (irrotational_lower_curve(s0, Z0), BoundKind.IRROTATIONAL, Side.LOWER, {}),
+            (sigma_curve(Side.LOWER, s0, Z0, sig1, fp), BoundKind.RADIAL_SIGMA, Side.LOWER,
+             {"sigma": sig1, "f_plus": fp}),
+            (sigma_curve(Side.UPPER, s0, Z0, sig2, fp), BoundKind.RADIAL_SIGMA, Side.UPPER,
+             {"sigma": sig2, "f_plus": fp}),
         ]
         ss = np.linspace(1.5 * s0, 0.2 * s0, 100)
-        for curve in curves:
-            q = np.array([curve.q(s, curve.value(s)) for s in ss.tolist()])
+        for curve, kind, side, params in cases:
+            q = np.array([q_rhs(kind, side, s, curve.value(s), **params) for s in ss.tolist()])
             res = np.max(np.abs(curve.derivative(ss) - q))
             worst = max(worst, float(res))
     ok = worst < 1e-10

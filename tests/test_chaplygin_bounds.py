@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,9 +67,9 @@ class TestClosedFormsSolveTheirOde:
     """Each curve satisfies its own comparison ODE to 1e-10 (analytic and
     finite-difference derivatives agree with the rhs at 100 points)."""
 
-    def _residuals(self, curve, s_lo, s_hi):
+    def _residuals(self, curve, s_lo, s_hi, kind, side, **params):
         ss = np.linspace(s_lo, s_hi, 100)
-        q = np.array([curve.q(s, curve.value(s)) for s in ss.tolist()])
+        q = np.array([q_rhs(kind, side, s, curve.value(s), **params) for s in ss.tolist()])
         analytic = curve.derivative(ss) - q
         h = 1e-7
         fd = (curve.value(ss + h) - curve.value(ss - h)) / (2.0 * h)
@@ -77,8 +79,10 @@ class TestClosedFormsSolveTheirOde:
     def test_plain(self, rng):
         for _ in range(10):
             s0, Z0 = _random_anchor(rng)
-            curve = plain_lower_curve(s0, Z0, xi30=rng.uniform(-0.5, 0.5))
-            an, fd = self._residuals(curve, 1.5 * s0, 0.2 * s0)
+            xi30 = rng.uniform(-0.5, 0.5)
+            curve = plain_lower_curve(s0, Z0, xi30=xi30)
+            an, fd = self._residuals(curve, 1.5 * s0, 0.2 * s0,
+                                     BoundKind.PLAIN, Side.LOWER, c3=xi30 / s0)
             assert an < 1e-10
             assert fd < 1e-6
 
@@ -86,7 +90,8 @@ class TestClosedFormsSolveTheirOde:
         for _ in range(10):
             s0, Z0 = _random_anchor(rng)
             curve = irrotational_lower_curve(s0, Z0)
-            an, fd = self._residuals(curve, 1.5 * s0, 0.2 * s0)
+            an, fd = self._residuals(curve, 1.5 * s0, 0.2 * s0,
+                                     BoundKind.IRROTATIONAL, Side.LOWER)
             assert an < 1e-10
             assert fd < 1e-6
 
@@ -97,8 +102,10 @@ class TestClosedFormsSolveTheirOde:
     def test_sigma_family(self, side, sigma, rng):
         for _ in range(10):
             s0, Z0 = _random_anchor(rng)
-            curve = sigma_curve(side, s0, Z0, sigma, f_plus=rng.uniform(0.0, 0.4))
-            an, fd = self._residuals(curve, 1.5 * s0, 0.2 * s0)
+            fp = rng.uniform(0.0, 0.4)
+            curve = sigma_curve(side, s0, Z0, sigma, f_plus=fp)
+            an, fd = self._residuals(curve, 1.5 * s0, 0.2 * s0,
+                                     BoundKind.RADIAL_SIGMA, side, sigma=sigma, f_plus=fp)
             assert an < 1e-10
             assert fd < 1e-5
 
@@ -110,7 +117,8 @@ class TestClosedFormsSolveTheirOde:
             for side, sg in ((Side.LOWER, DEFAULT_SIGMA1), (Side.UPPER, DEFAULT_SIGMA2)):
                 curve = sigma_curve(side, s0, Z0, sg, fp, d=d)
                 assert abs(curve.value(s0) - Z0) < 1e-12
-                an, _ = self._residuals(curve, 1.5 * s0, 0.2 * s0)
+                an, _ = self._residuals(curve, 1.5 * s0, 0.2 * s0, BoundKind.RADIAL_SIGMA,
+                                        side, sigma=sg, f_plus=fp, d=d)
                 assert an < 1e-10
 
 
@@ -134,6 +142,30 @@ class TestIncrement:
             for h in (1e-9, -1e-9):
                 lin = curve.derivative(s) * h
                 assert abs(curve.increment(s, h) - lin) <= 1e-7 * abs(lin) + 1e-16
+
+
+class TestSigmaFamilyBits:
+    """A sigma-family curve (quad = 0) keeps the bits of the linear-plus-power
+    form: the quadratic term adds an exact zero to each method."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("side,sigma", [(Side.LOWER, DEFAULT_SIGMA1),
+                                            (Side.UPPER, DEFAULT_SIGMA2)])
+    def test_bit_identical_to_linear_plus_power(self, side, sigma, d, rng):
+        ss = -rng.uniform(1e-6, 3.0, 200)
+        for _ in range(20):
+            s0, Z0 = _random_anchor(rng)
+            c = sigma_curve(side, s0, Z0, sigma, rng.uniform(0.0, 0.8), d)
+            assert c.quad == 0.0
+            a, b, k, e = c.lin_a, c.lin_b, c.pow_coef, c.expo
+            assert np.array_equal(c.value(ss), a * ss + b + k * np.abs(ss) ** e)
+            assert np.array_equal(c.derivative(ss), a - k * e * np.abs(ss) ** (e - 1.0))
+            for s in ss[:50].tolist():
+                h = rng.uniform(-0.5, 0.5) * s
+                assert c.value(s) == a * s + b + k * abs(s) ** e
+                assert c.derivative(s) == a - k * e * abs(s) ** (e - 1.0)
+                assert c.increment(s, h) == h * a + k * abs(s) ** e * math.expm1(
+                    e * math.log1p(h / s))
 
 
 class TestFloatAndArrayInputs:
@@ -160,15 +192,11 @@ class TestFloatAndArrayInputs:
                 "lower": lambda: sigma_curve(Side.LOWER, s0, Z0, rng.uniform(0.2, 1.2), fp),
                 "upper": lambda: sigma_curve(Side.UPPER, s0, Z0, rng.uniform(0.2, 0.95), fp),
             }[family]()
-            if curve.a4 is not None:
-                terms = [np.abs(curve.a4 * ss ** 4), np.abs(curve.a2 * ss ** 2),
-                         np.abs(curve.a1 * ss), abs(curve.a0)]
-                slopes = [np.abs(4.0 * curve.a4 * ss ** 3), np.abs(2.0 * curve.a2 * ss),
-                          abs(curve.a1)]
-            else:
-                power = np.abs(curve.pow_coef) * np.abs(ss) ** curve.expo
-                terms = [np.abs(curve.lin_a * ss), abs(curve.lin_b), power]
-                slopes = [abs(curve.lin_a), np.abs(curve.expo * power / ss)]
+            power = np.abs(curve.pow_coef) * np.abs(ss) ** curve.expo
+            terms = [np.abs(curve.quad * ss ** 2), np.abs(curve.lin_a * ss), abs(curve.lin_b),
+                     power]
+            slopes = [np.abs(2.0 * curve.quad * ss), abs(curve.lin_a),
+                      np.abs(curve.expo * power / ss)]
             for fn, scale in ((curve.value, sum(terms)), (curve.derivative, sum(slopes))):
                 on_array = fn(ss)
                 on_floats = np.array([fn(s) for s in ss.tolist()])
@@ -185,20 +213,10 @@ class TestAnchorsAndCoefficients:
             for side, sg in ((Side.LOWER, DEFAULT_SIGMA1), (Side.UPPER, DEFAULT_SIGMA2)):
                 assert abs(sigma_curve(side, s0, Z0, sg, 0.2).value(s0) - Z0) < 1e-12
 
-    def test_phase_point_works_as_anchor(self):
-        from coldplasma.core_dynamics import PhasePoint
-
-        anchor = PhasePoint(-0.8, 0.04)
-        assert abs(irrotational_lower_curve(*anchor).value(-0.8) - 0.04) < 1e-14
-        with pytest.raises(ValueError):
-            PhasePoint(0.2, 0.0)
-        with pytest.raises(ValueError):
-            PhasePoint(-0.5, -0.1)
-
     def test_plain_a4_bounded_case(self):
         curve = plain_lower_curve(-1.0, 0.0, xi30=0.0)
-        assert abs(curve.a4 + 1.0 / 6.0) < 1e-14
-        assert curve.a4 < 0.0
+        assert abs(curve.pow_coef + 1.0 / 6.0) < 1e-14
+        assert curve.pow_coef < 0.0
 
     def test_plain_a4_sign_equals_first_period_criterion(self, rng):
         """A4 < 0 exactly when the first-period quantity is negative.
@@ -214,11 +232,11 @@ class TestAnchorsAndCoefficients:
             xi = rng.uniform(-0.8, 0.8)
             curve = plain_lower_curve(lam0 - 1.0, D0 * D0, xi)
             delta = D0 * D0 + xi * xi + (2.0 / 3.0) * lam0 - 1.0 / 6.0
-            assert abs(curve.a4 * (lam0 - 1.0) ** 4 - delta) < 1e-12
+            assert abs(curve.pow_coef * (lam0 - 1.0) ** 4 - delta) < 1e-12
 
     def test_irrotational_marginal_line(self):
         curve = irrotational_lower_curve(-0.75, 0.0)
-        assert abs(curve.a4) < 1e-14
+        assert abs(curve.pow_coef) < 1e-14
         ss = np.linspace(-2.0, -0.1, 50)
         assert np.max(np.abs(curve.value(ss) - (-(2.0 / 3.0) * ss - 0.5))) < 1e-12
 
