@@ -49,9 +49,10 @@ class ConfigError(ValueError):
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    # one %-format per row: the same bytes as f"{v:.15g}" per value
+    fmt = ",".join(["%.15g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.15g}" for v in row))
+    lines.extend(fmt % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -161,6 +162,7 @@ def _cmd_oracle_run(cfg: dict):
                    "method": blow.method},
         "sandwich_violation": violation,
         "status": run.trajectory.status,
+        "floquet": run.floquet,
     }, {"trajectory.csv": (("t", "lambda", "D", "F", "G", "r"),
                            zip(run.trajectory.t, lam, Dv, F, G, r))}
 

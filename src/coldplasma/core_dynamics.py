@@ -2,8 +2,9 @@
 
 Covers the divergence pair (lambda, D) = (Div E, Div v) along characteristics,
 the radially symmetric velocity/field factors (F, G) with v = F r, E = G r in
-dimension d, their first integral and closed orbits, the oscillation period,
-and radial initial profiles (Gaussian pulse included).
+dimension d, their first integral and closed orbits, the oscillation period
+and the phase of a point on its orbit, and radial initial profiles (Gaussian
+pulse included).
 
 Conventions: the electron density is n = 1 - lambda, so physically admissible
 states have lambda < 1.  At the symmetry center r = 0 the divergences satisfy
@@ -40,6 +41,7 @@ __all__ = [
     "first_integral_increment",
     "orbit_extremes",
     "period",
+    "orbit_phase",
     "gaussian_profile",
     "constant_profile",
     "profile_divergences",
@@ -125,15 +127,56 @@ def first_integral_derivative(G: float, const: FirstIntegralConstant) -> float:
     return 2.0 / (d - 2) - 2.0 * C * math.copysign(abs(u) ** (2.0 / d - 1.0), u)
 
 
-def first_integral_increment(G: float, h: float, const: FirstIntegralConstant) -> float:
-    """Y(G + h) - Y(G) through log1p/expm1, free of the cancellation of two
-    values; G and G + h must lie on the half-plane G < 1/d."""
-    d, C = const.d, const.C
-    u = 1.0 - d * G
+# (n - 1)/n! for n = 17, ..., 2: beyond n = 17 the series below changes
+# nothing for |L| < 1/2
+_DEFECT_COEF = [(n - 1) / math.factorial(n) for n in range(17, 1, -1)]
+
+
+def _exp_defect(L: float) -> float:
+    """L e**L - expm1(L) for |L| < 1/2, where its terms cancel: summed as
+    the series over n >= 2 of (n - 1) L**n / n!."""
+    total = 0.0
+    for c in _DEFECT_COEF:
+        total = total * L + c
+    return total * L * L
+
+
+def _orbit_increment(Y_e: float, G_e: float, d: int, L: float) -> float:
+    """Y - Y_e on the orbit through a point (F_e, G_e) with Y_e = F_e**2, at
+    the G with log((1 - d G)/(1 - d G_e)) = L.
+
+    Written about the point, the orbit constant drops out.  With
+    u_e = 1 - d G_e and, for d = 1, 3, t = expm1(L/d) (so Y is a
+    polynomial in t):
+
+        d = 2:  (Y_e + 1/2) expm1(L) - u_e/2 L e**L
+              = Y_e expm1(L) + G_e L e**L - (L e**L - expm1(L))/2,
+        d = 3:  (Y_e + 1/3) t (2 + t) - 2/3 u_e t (1 + t)**2
+              = Y_e t (2 + t) + 2 G_e t (1 + t)**2 - t**2 (1 + 2t/3),
+        d = 1:  Y_e t (2 + t) + 2 G_e t (1 + t) - t**2.
+
+    The second forms are of first order in L only through Y_e and G_e, so
+    about a turning point (Y_e = 0) of a small orbit nothing cancels; they
+    serve for |L| < 1/2 and the first forms, which keep their terms apart
+    where G_e nears the vacuum point 1/d, beyond.
+    """
     if d == 2:
-        return h * (math.log1p(-2.0 * G) + C) - 0.5 * (u - 2.0 * h) * math.log1p(-2.0 * h / u)
-    return 2.0 * h / (d - 2) + C * power_inf(u, 2.0 / d) * expm1_inf(
-        (2.0 / d) * math.log1p(-d * h / u))
+        if abs(L) < 0.5:
+            return Y_e * math.expm1(L) + G_e * L * math.exp(L) - 0.5 * _exp_defect(L)
+        return (Y_e + 0.5) * expm1_inf(L) - 0.5 * (1.0 - 2.0 * G_e) * L * exp_inf(L)
+    t = expm1_inf(L / d)
+    if d == 1:
+        return t * (Y_e * (2.0 + t) + 2.0 * G_e * (1.0 + t) - t)
+    if abs(L) < 0.5:
+        return t * (Y_e * (2.0 + t) + 2.0 * G_e * (1.0 + t) ** 2 - t * (1.0 + 2.0 / 3.0 * t))
+    return t * ((Y_e + 1.0 / 3.0) * (2.0 + t) - 2.0 / 3.0 * (1.0 - 3.0 * G_e) * (1.0 + t) ** 2)
+
+
+def first_integral_increment(F0: float, G0: float, h: float, d: int) -> float:
+    """Y(G0 + h) - F0**2 on the orbit through (F0, G0), from the data itself:
+    the orbit constant, whose rounding leaves Y'(G0) only to about 1e-16
+    absolute, is not used.  G0 and G0 + h must lie on the half-plane G < 1/d."""
+    return _orbit_increment(F0 * F0, G0, d, math.log1p(-d * h / (1.0 - d * G0)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +235,7 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
 
     def Y(G):
         if G <= G_mid:
-            return F0 * F0 + first_integral_increment(G0, G - G0, const)
+            return F0 * F0 + first_integral_increment(F0, G0, G - G0, d)
         if G < 1.0 / d:
             return evaluate_first_integral(G, const)
         return -1.0 / d
@@ -206,7 +249,7 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     if Y_m <= 0.0:      # Y(G_m) >= F0**2, so only a point orbit, up to rounding
         return OrbitExtremes(G0, G0, 0.0)
     F_plus = math.sqrt(Y_m)
-    tol = 1e-15 * min(F_plus, 1.0)    # turning points lie about min(F+, 1/d) or more from 0
+    tol = 1e-16 * min(F_plus, 1.0)    # turning points lie about min(F+, 1/d) or more from 0
     if F0 == 0.0 and G0 >= G_m:
         G_plus = G0
     else:
@@ -218,44 +261,81 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     return OrbitExtremes(float(G_minus), float(G_plus), F_plus)
 
 
+def _x_integral(d: int, ends: dict) -> float:
+    """Integral of dx / sqrt(Y) in x = log(1 - d G) between two points of an
+    orbit with no turning point strictly between them.
+
+    ``ends`` maps the x of each end to its (Y_e, G_e), and Y is evaluated
+    about the nearer end by :func:`_orbit_increment`, so an inverse square
+    root at a turning point (Y_e = 0) is divided out by the substitution of
+    :func:`integrate_singular` and the orbit constant drops out.
+    """
+
+    def f(end, h):
+        Y_e, G_e = ends[end]
+        return 1.0 / math.sqrt(Y_e + _orbit_increment(Y_e, G_e, d, h))
+
+    return integrate_singular(f, *sorted(ends))
+
+
+def _timing(F0: float, G0: float, d: int, phase: bool) -> tuple[float, float, float]:
+    """(T, G_e, tau) for :func:`period` (tau and G_e only when ``phase``)."""
+    try:
+        ext = orbit_extremes(F0, G0, d)
+        if ext.G_plus - ext.G_minus < 1e-13:
+            raise ValueError("point orbit has no period")
+        turning = {math.log1p(-d * G): (0.0, G) for G in (ext.G_plus, ext.G_minus)}
+        T = 2.0 / d * _x_integral(d, turning)
+        if not phase or F0 == 0.0:
+            return T, G0, 0.0
+        # the time to the nearer turning point, so that a start close to one
+        # (F0 small) leaves no narrow peak of the integrand inside the interval
+        (x_plus, _), (x_minus, _) = sorted(turning.items())
+        x0 = math.log1p(-d * G0)
+        near = x_plus if x0 - x_plus <= x_minus - x0 else x_minus
+        Q = 0.0
+        if near != x0:
+            Q = _x_integral(d, {near: turning[near], x0: (F0 * F0, G0)}) / d
+        if near == x_plus:
+            return T, ext.G_plus, Q if F0 < 0.0 else (T - Q) % T
+        return T, ext.G_plus, 0.5 * T + math.copysign(Q, F0)
+    except (ArithmeticError, ValueError, QuadratureError) as exc:
+        kind = QuadratureError if isinstance(exc, QuadratureError) else ValueError
+        raise kind(f"period of the orbit through F0={F0}, G0={G0}, d={d}: {exc}") from None
+
+
 def period(F0: float, G0: float, d: int) -> float:
     """Oscillation period of the closed radial orbit through (F0, G0).
 
     T = 2 * integral over [G-, G+] of dG / ((1 - d G) sqrt(Y(G))), taken in
     x = log(1 - d G), where dG / (1 - d G) = -dx / d, so T = (2/d) times the
-    integral of dx / sqrt(Y) between the turning points.  Y is evaluated as
-    an increment from the nearer turning point x_e, where it vanishes; with
-    u = exp(x_e) and h = x - x_e that increment is
-
-        d = 2:  (expm1(h) - u h e**h) / 2,
-        else:   (expm1(2h/d) + 2u/(d-2) (expm1(2h/d) - expm1(h))) / d,
-
-    so the inverse-square-root singularities are divided out and the orbit
-    constant drops out.  In x the widest orbits (G- down to about -1e268
-    for d = 2) span a few hundred units, where a quadrature in G spans
-    1e20 or more in its square-root variable and misses the mass near G+.
-    Raises ValueError or QuadratureError naming the orbit when it has no
-    finite period in floating point.
+    integral of dx / sqrt(Y) between the turning points.  Y is evaluated
+    about the nearer turning point (:func:`_orbit_increment` with Y_e = 0),
+    so the inverse-square-root singularities are divided out, the orbit
+    constant drops out and nothing cancels on small orbits.  In x the
+    widest orbits (G- down to about -1e268 for d = 2) span a few hundred
+    units, where a quadrature in G spans 1e20 or more in its square-root
+    variable and misses the mass near G+.  Raises ValueError or
+    QuadratureError naming the orbit when it has no finite period in
+    floating point.
     """
-    try:
-        ext = orbit_extremes(F0, G0, d)
-        if ext.G_plus - ext.G_minus < 1e-13:
-            raise ValueError("point orbit has no period")
+    return _timing(F0, G0, d, False)[0]
 
-        def f(end, h):
-            u = math.exp(end)
-            if d == 2:
-                y = 0.5 * (math.expm1(h) - u * h * math.exp(h))
-            else:
-                e2 = math.expm1(2.0 * h / d)
-                y = (e2 + 2.0 * u / (d - 2) * (e2 - math.expm1(h))) / d
-            return 1.0 / math.sqrt(y)
 
-        return 2.0 / d * integrate_singular(f, math.log1p(-d * ext.G_plus),
-                                            math.log1p(-d * ext.G_minus))
-    except (ArithmeticError, ValueError, QuadratureError) as exc:
-        kind = QuadratureError if isinstance(exc, QuadratureError) else ValueError
-        raise kind(f"period of the orbit through F0={F0}, G0={G0}, d={d}: {exc}") from None
+def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, float, float]:
+    """(T, G_e, tau): the period, a turning point (0, G_e) of the orbit
+    through (F0, G0), and the time tau in [0, T) the flow takes from there
+    to (F0, G0).
+
+    For F0 = 0 the start is the turning point: G_e = G0 and tau = 0.
+    Otherwise G_e = G+; from (0, G+) the flow runs with F < 0 down to G- at
+    T/2 and back with F > 0, so tau is the time Q from G+ to G0 (F0 < 0) or
+    T - Q (F0 > 0), or from G- at T/2, T/2 -/+ Q; Q is the integral of
+    :func:`period` between x0 = log(1 - d G0) and the nearer turning point,
+    divided by d, with Y about x0 taken from Y = F0**2 there.  Raises as
+    :func:`period` does.
+    """
+    return _timing(F0, G0, d, True)
 
 
 @dataclass

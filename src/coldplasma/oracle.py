@@ -14,9 +14,12 @@ Equation*, 1966).  It is linear and smooth through a blow-up, which happens
 exactly where w reaches 0; then lambda = 1 - 1/w and D = p/w.  Since
 G' = F (1 - d G), r = r0 ((1 - d G0)/(1 - d G))**(1/d) needs no ODE.
 
-For d = 2 and 3, (F, G) is periodic with T = ``period(F0, G0, d)``: one
-period is integrated and the state at the start of each later period is an
-iterate of an affine map (Floquet theory; Coddington & Levinson, *Theory of
+For d = 2 and 3, (F, G) is periodic with T = ``period(F0, G0, d)`` and
+reversible under (F, G, t) -> (-F, G, -t) (Lamb & Roberts, Physica D 112,
+1998), and q = 1/(1 - d G) is an exact particular solution: half a period
+is integrated from a turning point, the other half is its mirror, and the
+homogeneous part at the start of each later period is an iterate of a
+linear map with det 1 (Floquet theory; Coddington & Levinson, *Theory of
 Ordinary Differential Equations*, 1955, ch. 3).  For d = 1 the equation has
 constant coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of
 1D cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
@@ -41,7 +44,7 @@ from .chaplygin_bounds import Side, sigma_curve
 from .core_dynamics import (
     RadialProfile,
     orbit_extremes,
-    period,
+    orbit_phase,
     profile_divergences,
     rhs_radial,
 )
@@ -64,6 +67,9 @@ _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 ru
 _XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iterations
 _MAXITER = 100
 _W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
+# the maxima on [0, 1] of x, x(1-x), x^2(1-x), ..., x^4(1-x)^3: the basis of
+# the dense output's nesting of x and 1 - x
+_BASIS_MAX = np.array([1.0, 1 / 4, 4 / 27, 1 / 16, 108 / 3125, 1 / 64, 6912 / 823543])
 
 
 @dataclass(frozen=True)
@@ -75,103 +81,224 @@ class BlowupRecord:
     method: Optional[str] = None   # "inverse-density-zero": t* is the root of w
 
 
-def _period_rhs(d: int):
-    """(F, G) with two fundamental solutions and one particular solution of
-    the (w, p) system: 8 variables, on floats."""
+def _half_rhs(d: int):
+    """(F, G) with the two fundamental solutions of the homogeneous (w, p)
+    system: 6 variables, on floats."""
     b_coef, a_coef = 2.0 * (d - 1), float((d - 1) * d)
 
     def rhs(t, y):
-        F, G, w1, p1, w2, p2, wc, pc = y
+        F, G, w1, p1, w2, p2 = y
         b, a = b_coef * F, a_coef * F * F + 1.0
-        return (*rhs_radial(F, G, d), p1, b * p1 - a * w1, p2, b * p2 - a * w2,
-                pc, b * pc - a * wc + 1.0)
+        return (*rhs_radial(F, G, d), p1, b * p1 - a * w1, p2, b * p2 - a * w2)
 
     return rhs
 
 
+def _horner(c, x):
+    """The dense interpolant's nesting of x and 1 - x over the coefficients
+    ``c`` (7 leading, then any shape that x broadcasts to), with its
+    derivative in x."""
+    xs = np.empty(c.shape[1:])
+    xs[...] = x
+    x1 = 1.0 - xs
+    v, dv = c[6] * xs, c[6].copy()
+    for n in range(5, -1, -1):
+        v += c[n]
+        if n % 2:
+            dv *= x1
+            dv -= v
+            v *= x1
+        else:
+            dv *= xs
+            dv += v
+            v *= xs
+    return v, dv
+
+
 class _Floquet:
-    """(F, G, w, p) along a characteristic with d = 2 or 3, from one period.
+    """(F, G, w, p) along a characteristic with d = 2 or 3, from half a period.
 
-    One integration carries (F, G) over a period T together with the
-    fundamental solutions (w1, p1), (w2, p2) (the identity at t = 0) and the
-    particular solution (wc, pc) (zero at t = 0) of the (w, p) system.  At
-    t = kT + tau, (w, p) = w_k (w1, p1)(tau) + p_k (w2, p2)(tau) + (wc, pc)(tau),
-    and the state at the start of period k + 1 is M (w_k, p_k) + c with M
-    and c those solutions at tau = T.  Without a period (the point orbit, or
-    one ``period`` cannot resolve) T is infinite: the integration spans
-    ``[0, t_max]`` and k is always 0.
+    w = q + h with q = 1/(1 - d G), the exact particular solution
+    (q' = d F q), and (h, h') a solution of the homogeneous system.  The
+    flow is reversible, (F, G, t) -> (-F, G, -t), so one integration from a
+    turning point (0, G_e) over [0, T/2] carries (F, G) and the fundamental
+    matrix Phi (the identity at the turning point) for the whole period:
+    F(T - tau) = -F(tau), G(T - tau) = G(tau) and
+    Phi(tau) = R Phi(T - tau) R M with R = diag(1, -1), where the period map
+    M = R Phi(T/2)^-1 R Phi(T/2) has det M = 1.  The start lies at the phase
+    tau_s of :func:`orbit_phase` (0 when F0 = 0), polished by one Newton
+    step onto the integrated orbit, and at tau = kT + sigma,
+    (h, h') = Phi(sigma) M^k v with v = Phi(tau_s)^-1 u, where
+    u = (w0 - q0, p0 - d F0 q0) is taken from the exact start data, so a
+    spatially constant start has u = 0 and w = q > 0 at every time.
+    Without a period (the point orbit, or one ``period`` cannot resolve) T
+    is infinite: the integration starts at (F0, G0) and spans [0, t_max].
 
-    The nodes are those of every period before t_max, then t_max itself:
-    node i is the start of step i % S of period i // S, where S is the
-    number of steps of the period.  w and p on the nodes are built at once,
-    F and G by :meth:`fg`.
+    A period has P node positions: the half's step starts, then the same
+    mirrored in reverse order, each starting the step it ends (the junction
+    T/2, where F is 0, first).  The nodes are the positions of every period
+    in [0, t_max), t = 0 when the start lies inside a step, and t_max; node
+    i is position ``(i + offset) % P`` of period ``(i + offset) // P``.
+    ``floquet`` describes the period map: T, the steps of the half period,
+    the trace of M and det M - 1 (None without a period).
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
+        self.d = d
         try:
-            T = period(F0, G0, d)
+            T, G_e, tau = orbit_phase(F0, G0, d)
+            F_e = 0.0
         except (ValueError, QuadratureError):
-            T = math.inf
-        self.one = one = integrate(_period_rhs(d), [F0, G0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-                                   (0.0, min(T, t_max)), tol=tol)
-        n = max(1, math.ceil(t_max / T))     # periods begun before t_max
-        m00, m10, m01, m11, c0, c1 = one.y[2:, -1].tolist()
-        starts = [(w0, p0)]
-        for _ in range(n - 1):
-            w, p = starts[-1]
-            starts.append((m00 * w + m01 * p + c0, m10 * w + m11 * p + c1))
-        self.t0 = T * np.arange(n) if n > 1 else np.zeros(1)
-        self.wk, self.pk = np.array(starts).T
-        self.steps = one.t.size - 1
-        tau, Y = one.t[:-1], one.y[:, :-1]
-        t = (self.t0[:, None] + tau).ravel()
-        keep = t < t_max
-        self.t = np.append(t[keep], t_max)
-        self.end = self(t_max)      # (F, G, w, p) at t_max
-        self.w, self.p = (
-            np.append((np.outer(self.wk, Y[j]) + np.outer(self.pk, Y[j + 2]) + Y[j + 4]).ravel()[keep],
-                      self.end[j]) for j in (_W, _P))
+            T, F_e, G_e, tau = math.inf, F0, G0, 0.0
+        self.T, self.half = T, 0.5 * T    # the half period is integrated whatever t_max
+        self.one = one = integrate(_half_rhs(d), [F_e, G_e, 1.0, 0.0, 0.0, 1.0],
+                                   (0.0, self.half if math.isfinite(T) else t_max), tol=tol)
+        S = one.t.size - 1
+        self.M = (1.0, 0.0, 0.0, 1.0)         # the period map, row by row
+        self.floquet = None
+        tau_nodes, step = one.t[:S], np.arange(S)
+        n, t0 = 1, np.zeros(1)
+        if math.isfinite(T):
+            a, c, b, e = one.y[2:, -1].tolist()      # Phi(T/2) = [[a, b], [c, e]]
+            det, diag = a * e - b * c, a * e + b * c
+            self.M = m00, m01, m10, m11 = diag / det, 2.0 * b * e / det, 2.0 * a * c / det, diag / det
+            self.floquet = {"period": T, "half_period_steps": S, "monodromy_trace": m00 + m11,
+                            "det_minus_one": m00 * m11 - m01 * m10 - 1.0}
+            tau_nodes = np.concatenate([tau_nodes, T - one.t[S:0:-1]])
+            step = np.concatenate([step, step[::-1]])
+            if F0:      # one Newton step of the phase onto the integrated orbit
+                F, G, *_ = self._at(tau)
+                dF, dG = rhs_radial(F, G, d)
+                tau = (tau + ((F0 - F) * dF + (G0 - G) * dG) / (dF * dF + dG * dG)) % T
+            n = math.ceil((tau + t_max) / T)   # periods begun before t_max
+            t0 = T * np.arange(n) - tau
+        self.t0, self._step = t0, step
+        mirror = np.arange(step.size) >= S
+        self._sign = sign = np.where(mirror, -1.0, 1.0)
+
+        q0 = 1.0 / (1.0 - d * G0)
+        u0, u1 = w0 - q0, p0 - (d * F0) * q0
+        v = (u0, u1)                              # Phi(0) is the identity
+        if tau and (u0 or u1):
+            _, _, a, b, c, e = self._at(tau)
+            det = a * e - b * c
+            v = ((e * u0 - b * u1) / det, (a * u1 - c * u0) / det)
+        m00, m01, m10, m11 = self.M
+        C = [v]
+        for _ in range(n):
+            x, y = C[-1]
+            C.append((m00 * x + m01 * y, m10 * x + m11 * y))
+        self._C = C = np.array(C)                 # M^k v
+        # the weights of (w1, w2) per period and position: M^k v, or
+        # R M^(k+1) v on a mirrored position
+        rows = np.arange(n)[:, None] + mirror
+        self._c0, self._c1 = C[rows, 0], C[rows, 1] * sign
+
+        Y = one.y[:, step + mirror]               # a mirrored position ends its step
+        F, G = sign * Y[0], Y[1]
+        F[S:S + 1] = 0.0                          # the junction at T/2
+        q = 1.0 / (1.0 - d * G)
+        w = q + self._c0 * Y[2] + self._c1 * Y[4]
+        p = d * F * q + sign * (self._c0 * Y[3] + self._c1 * Y[5])
+        t = (t0[:, None] + tau_nodes).ravel()
+        first, last = np.searchsorted(t, [0.0, t_max])
+        inside = first == t.size or t[first] > 0.0   # t = 0 lies inside a step
+        self.offset = first - inside              # node i is flat position i + offset
+        self._inner, self._fg = slice(first, last), (F, G)
+        # (t, F, G, w, p) at t = 0 when it lies inside a step, and at t_max
+        self._start = (0.0, *self(0.0)) if inside else None
+        self._stop = (t_max, *self(t_max))
+        self.t, self.w, self.p = (self._nodes(x, i) for i, x in ((0, t), (3, w), (4, p)))
+
+    def _nodes(self, flat, i):
+        """Node values from those at the positions of every period,
+        ``flat``, and entry i of the ends."""
+        head = [self._start[i]] if self._start else []
+        return np.concatenate([head, flat.ravel()[self._inner], [self._stop[i]]])
+
+    def _at(self, tau):
+        """F, G and Phi = [[a, b], [c, e]] at a phase tau in [0, T), as
+        (F, G, a, b, c, e)."""
+        if tau <= self.half:
+            F, G, a, c, b, e = self.one(tau).tolist()
+            return F, G, a, b, c, e
+        F, G, a, c, b, e = self.one(self.T - tau).tolist()
+        m00, m01, m10, m11 = self.M      # R Phi(T - tau) R M
+        return (-F, G, a * m00 - b * m10, a * m01 - b * m11,
+                e * m10 - c * m00, e * m11 - c * m01)
 
     def __call__(self, t):
         """(F, G, w, p) at a time or an array of times."""
         t = np.asarray(t, dtype=float)
         k = np.maximum(np.searchsorted(self.t0, t, side="right") - 1, 0)
-        Y = self.one(t - self.t0[k])
-        wk, pk = self.wk[k], self.pk[k]
-        return Y[0], Y[1], Y[2] * wk + Y[4] * pk + Y[6], Y[3] * wk + Y[5] * pk + Y[7]
+        tau = t - self.t0[k]
+        mirror = tau > self.half
+        Y = self.one(np.where(mirror, self.T - tau, tau))
+        sign = np.where(mirror, -1.0, 1.0)
+        c0, c1 = self._C[k + mirror].T
+        c1 = c1 * sign
+        F, G = sign * Y[0], Y[1]
+        q = 1.0 / (1.0 - self.d * G)
+        return F, G, q + Y[2] * c0 + Y[4] * c1, self.d * F * q + sign * (Y[3] * c0 + Y[5] * c1)
 
     def fg(self):
         """F and G on the nodes."""
-        m = self.t.size - 1
-        return [np.append(np.tile(Y, self.t0.size)[:m], e)
-                for Y, e in zip(self.one.y[:2, :-1], self.end)]
+        return [self._nodes(np.tile(x, self.t0.size), i) for i, x in zip((1, 2), self._fg)]
+
+    def _polynomials(self, i, j):
+        """Rows d F, 1 - d G = 1/q and the homogeneous part of w (j = 2) or
+        p (j = 3) on the brackets that start at nodes ``i``: their
+        coefficients ``(len(i), 7, 3)`` and values at x = 0 ``(3, len(i))``,
+        with the brackets' period k, step s and sign (-1: mirrored)."""
+        k, pos = np.divmod(i + self.offset, self._step.size)
+        s, sign = self._step[pos], self._sign[pos]
+        c0, c1 = self._c0[k, pos], self._c1[k, pos]
+        d, dense = self.d, self.one.interpolant
+        rows = np.zeros((s.size, 6, 3))          # of the step's 6 components
+        rows[:, 0, 0], rows[:, 1, 1] = d * sign, -d
+        rows[:, j, 2], rows[:, j + 2, 2] = (c0, c1) if j == _W else (sign * c0, sign * c1)
+        base = np.einsum("nc,ncr->rn", dense.ys[s], rows)
+        base[1] += 1.0
+        return dense.coefficients(s) @ rows, base, k, s, sign
+
+    def positive(self, i):
+        """Where w is certainly positive on the brackets that start at nodes
+        ``i``: each basis function of the step polynomial (see
+        :func:`_horner`) is nonnegative on [0, 1] with the maximum in
+        ``_BASIS_MAX``, so bounding each term bounds 1 - d G = 1/q on both
+        sides and the homogeneous part below."""
+        coef, base, *_ = self._polynomials(i, _W)
+        pos, neg = np.maximum(coef, 0.0), np.minimum(coef, 0.0)
+        u_min = base[1] + neg[:, :, 1] @ _BASIS_MAX
+        u_max = base[1] + pos[:, :, 1] @ _BASIS_MAX
+        h_min = base[2] + neg[:, :, 2] @ _BASIS_MAX
+        return (u_min > 0.0) & (1.0 / u_max + h_min > 0.0)
 
     def on_brackets(self, i, j):
         """w (j = 2) or p (j = 3) on the brackets that start at nodes ``i``.
 
-        Each bracket lies in one step, so the variable there is one
-        polynomial, ``w_k P(w1) + p_k P(w2) + P(wc)`` (or the same in p)
-        with the step's dense coefficients P.  Returns ``f``: ``f(t)`` is
-        the value and the derivative at an array of times, one per bracket.
+        Each bracket lies in one half step, so F, G and the homogeneous part
+        are its polynomials: read at x, or at 1 - x (as T - tau) on a
+        mirrored step, with the position's weights and, there, F and p
+        turned.  w adds q(G) and p adds d F q, differentiated along the
+        polynomials.  Returns ``f``: ``f(t)`` is the value and the
+        derivative at an array of times, one per bracket.
         """
-        k, s = np.divmod(i, self.steps)
+        coef, base, k, s, sign = self._polynomials(i, j)
+        coef = np.ascontiguousarray(coef.transpose(1, 2, 0))
         dense = self.one.interpolant
-        P = dense.coefficients(s)
-        c = (P[:, :, j] * self.wk[k, None] + P[:, :, j + 2] * self.pk[k, None] + P[:, :, j + 4]).T
-        y0, t0, ts, h = (self.w, self.p)[j - _W][i], self.t0[k], dense.t[s], dense.h[s]
+        t0, h = self.t0[k], dense.h[s]
+        off, dxdt = (np.where(sign < 0.0, self.T, 0.0) - dense.t[s]) / h, sign / h
 
         def f(t):
-            # the interpolant's nesting of x and 1 - x, differentiated along
-            x = ((t - t0) - ts) / h
-            x1 = 1.0 - x
-            v = dv = 0.0
-            for n in range(6, -1, -1):
-                v = v + c[n]
-                if n % 2:
-                    dv, v = dv * x1 - v, v * x1
-                else:
-                    dv, v = dv * x + v, v * x
-            return v + y0, dv / h
+            v, dv = _horner(coef, (t - t0) * dxdt + off)
+            v += base
+            dv *= dxdt
+            q = 1.0 / v[1]
+            dq = q * q * dv[1]       # minus the derivative of q
+            if j == _W:
+                return q + v[2], dv[2] - dq
+            return v[0] * q + v[2], dv[0] * q - v[0] * dq + dv[2]
 
         return f
 
@@ -199,6 +326,14 @@ class _Lagrangian:
 
     def fg(self):
         return self.F, self.G
+
+    floquet = None
+
+    def positive(self, i):
+        """Where w = 1 + A cos t + B sin t >= 1 - hypot(A, B) is certainly
+        positive on the brackets that start at nodes ``i``."""
+        A, B, _, _ = self.coef
+        return np.full(len(i), math.hypot(A, B) < 1.0)
 
     def on_brackets(self, i, j):
         """w (j = 2) or p (j = 3) and its derivative, at any times."""
@@ -274,8 +409,9 @@ class CharacteristicRun:
     t_max), is found when the run is made.  w can dip below 0 and return
     within one step, so its sign is tested at every node and at every
     minimum (a crossing where p turns from negative to positive) in the
-    brackets that start before the first node with w <= 0, and t* is the
-    root before the first such value.
+    brackets that start before the first node with w <= 0, unless the
+    flow's ``positive`` bound rules a dip out there, and t* is the root
+    before the first such value.
 
     ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
     evaluates it at any time; it ends at t_max (status ``"completed"``) or,
@@ -294,16 +430,27 @@ class CharacteristicRun:
         sign = np.sign(p)
         self._brackets = i = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
         first = np.flatnonzero(w <= 0.0)[:1]
-        self._lows = lows = i[(sign[i] < 0.0) & (i < (first[0] if first.size else t.size))]
-        self._minima = minima = _roots(flow.on_brackets(lows, _P), t[lows], t[lows + 1],
-                                       p[lows], p[lows + 1])
-        below = np.concatenate([minima[flow.on_brackets(lows, _W)(minima)[0] <= 0.0][:1],
-                                t[first]])
+        lows = i[(sign[i] < 0.0) & (i < (first[0] if first.size else t.size))]
+        if lows.size:
+            lows = lows[~flow.positive(lows)]
+        self._lows, self._minima, below = lows, np.empty(0), t[first]
+        if lows.size:
+            self._minima = minima = _roots(flow.on_brackets(lows, _P), t[lows], t[lows + 1],
+                                           p[lows], p[lows + 1])
+            below = np.append(minima[flow.on_brackets(lows, _W)(minima)[0] <= 0.0][:1], below)
         self.t_star: Optional[float] = _falls_to(flow, 0.0, below.min()) if below.size else None
 
     @property
     def d(self) -> int:
         return self.profile.d
+
+    @property
+    def floquet(self) -> Optional[dict]:
+        """The period map of a d = 2, 3 run with a period: ``period`` T,
+        ``half_period_steps`` (the DOP853 steps over T/2), and the
+        ``monodromy_trace`` and ``det_minus_one`` of M (det M is 1 exactly,
+        so the latter is rounding); None for d = 1 or without a period."""
+        return self._flow.floquet
 
     def state(self, t):
         """(F, G, lambda, D, r) at time t."""
@@ -364,13 +511,15 @@ def run_characteristic(
 ) -> CharacteristicRun:
     """Solve the characteristic starting at radius r0 up to t_max.
 
-    For d = 2 and 3 one period of the 8-variable system is integrated at
-    ``tol``; d = 1 is closed form.  The run computes two things at once:
-    this flow, with w and p on its nodes, and the blow-up time t*, from the
-    minima of w on the step polynomials of the brackets before the first
-    node with w <= 0.  Its trajectory (ending
-    where lambda reaches ``-d_cap`` after a blow-up) and its crossings are
-    built when first read; see :class:`CharacteristicRun`.
+    For d = 2 and 3, (F, G) and the fundamental matrix, 6 variables, are
+    integrated at ``tol`` over half a period from a turning point (over
+    [0, t_max] from the start when the orbit has no period), and the rest
+    of the run is mirrored and mapped from it; d = 1 is closed form.  The
+    run computes two things at once: this flow, with w and p on its nodes,
+    and the blow-up time t*, from the minima of w on the step polynomials
+    of the brackets before the first node with w <= 0.  Its trajectory
+    (ending where lambda reaches ``-d_cap`` after a blow-up) and its
+    crossings are built when first read; see :class:`CharacteristicRun`.
     """
     d = profile.d
     F0, G0 = profile.F0(r0), profile.G0(r0)

@@ -81,3 +81,21 @@ def count_integrand(monkeypatch):
         return evals
 
     return install
+
+
+@pytest.fixture()
+def ode_steps(monkeypatch):
+    """Count the DOP853 steps of every ``integrate`` run the oracle makes,
+    one list entry per run."""
+    from coldplasma import oracle
+
+    steps = []
+    orig = oracle.integrate
+
+    def counting(*args, **kwargs):
+        traj = orig(*args, **kwargs)
+        steps.append(traj.t.size - 1)
+        return traj
+
+    monkeypatch.setattr(oracle, "integrate", counting)
+    return steps

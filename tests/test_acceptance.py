@@ -294,9 +294,10 @@ def test_criterion_09_one_dimensional_criterion():
 # 10. affine global smoothness
 # ----------------------------------------------------------------------
 def test_criterion_10_affine_global_smoothness():
-    # G0 stays clear of the vacuum line 1/d: orbits anchored within
-    # O(0.05/d) of it are still closed but swing to |lambda| ~ 1e6..1e8
-    # (finite yet beyond any practical magnitude guard)
+    # G0 stays below 0.85/d, the range perfbench's affine-ensemble draws
+    # from.  Nearer the vacuum line 1/d the orbits are still closed but
+    # swing to |lambda| ~ 1e6 and far beyond (G- reaches -2.6e49 at
+    # d G0 = 0.99); test_oracle.py checks those starts up to d G0 = 0.99
     rng = np.random.default_rng(13)
     survived = 0
     for i in range(100):

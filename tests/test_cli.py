@@ -221,6 +221,19 @@ class TestOracleModes:
         assert traj[0] == "t,lambda,D,F,G,r"
         assert len(traj) > 10
 
+    def test_oracle_run_reports_the_period_map(self, tmp_path):
+        code, out = run_cli(["oracle-run", "--k", "0.1", "--t-max", "5"], tmp_path, sub="orbit")
+        assert code == EXIT_OK
+        floquet = json.loads((out / "report.json").read_text())["floquet"]
+        assert sorted(floquet) == ["det_minus_one", "half_period_steps", "monodromy_trace", "period"]
+        assert abs(floquet["period"] - 6.276156321355657) < 1e-9   # period(0, 0.1, 2)
+        assert floquet["half_period_steps"] > 0
+        assert abs(floquet["monodromy_trace"] - 2.0) < 1e-9 and abs(floquet["det_minus_one"]) < 1e-12
+        # a start on the point orbit has no period
+        code, out = run_cli(["oracle-run", "--k", "1e-300", "--t-max", "5"], tmp_path, sub="point")
+        assert code == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["floquet"] is None
+
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("COLDPLASMA_OUT", str(target))

@@ -17,6 +17,7 @@ from coldplasma.core_dynamics import (
     gaussian_profile,
     j_exact_radial,
     orbit_extremes,
+    orbit_phase,
     period,
     profile_divergences,
     rhs_divergence,
@@ -101,13 +102,14 @@ class TestFirstIntegral:
     def test_increment_matches_differences_and_slope(self, d, rng):
         for _ in range(20):
             G = rng.uniform(-0.5, 0.8 / d)
-            const = first_integral_constant(rng.uniform(-0.3, 0.3), G, d)
+            F = rng.uniform(-0.3, 0.3)
+            const = first_integral_constant(F, G, d)
             for h in (1e-2, -1e-2):
                 diff = evaluate_first_integral(G + h, const) - evaluate_first_integral(G, const)
-                assert abs(first_integral_increment(G, h, const) - diff) <= 1e-10 * abs(diff)
+                assert abs(first_integral_increment(F, G, h, d) - diff) <= 1e-10 * abs(diff)
             for h in (1e-9, -1e-9):
                 lin = first_integral_derivative(G, const) * h
-                assert abs(first_integral_increment(G, h, const) - lin) <= 1e-7 * abs(lin)
+                assert abs(first_integral_increment(F, G, h, d) - lin) <= 1e-7 * abs(lin)
 
     def test_degenerate_orbit_rejected(self):
         with pytest.raises(ValueError):
@@ -335,6 +337,44 @@ class TestPeriod:
     def test_point_orbit_rejected(self):
         with pytest.raises(ValueError):
             period(0.0, 0.0, 2)
+
+    def test_small_orbits_to_the_last_digits(self):
+        # frozen from mpmath 1.3 at 60 digits (an 80-digit rerun agrees): C
+        # from (F0, G0), Y in closed form in G, G_m from Y'(G_m) = 0, each
+        # turning point by bisection on Y on its side of G_m, F+ =
+        # sqrt(Y(G_m)) and T = 2 * quad of dG / ((1 - d G) sqrt(Y)) over
+        # [G-, G_m, G+]; Y taken about the turning point leaves nothing to
+        # cancel, where its increment through the orbit constant lost 1e-12
+        refs = {
+            (0.0, 1e-4, 2): (-0.00010002667377965087, 1e-4, 0.00010001333594500309,
+                             6.283185301942202),
+            (0.0, 1e-3, 2): (-0.0010026737965525008, 1e-3, 0.001001335950042024,
+                             6.28318478218141),
+            (0.0, 1e-4, 3): (-0.00010003334444811974, 1e-4, 0.0001000166707788929,
+                             6.283185301941853),
+        }
+        for args, ref in refs.items():
+            for got, want in zip((*orbit_extremes(*args), period(*args)), ref):
+                assert abs(got - want) <= 1e-15 * abs(want), (args, got, want)
+
+
+class TestOrbitPhase:
+    @pytest.mark.parametrize("start", [(0.1, 0.05, 2), (-0.1, 0.05, 2), (0.2, -0.3, 3),
+                                       (-0.35, 0.2, 3), (1e-3, -0.1366, 2), (-1e-3, 0.1, 2)])
+    def test_the_flow_from_the_turning_point_reaches_the_start(self, start):
+        F0, G0, d = start
+        T, G_e, tau = orbit_phase(F0, G0, d)
+        assert T == period(F0, G0, d) and G_e == orbit_extremes(F0, G0, d).G_plus
+        assert 0.0 < tau < T
+
+        def rhs(t, y):
+            return rhs_radial(y[0], y[1], d)
+
+        F, G = integrate(rhs, [0.0, G_e], (0.0, tau), tol=1e-13).final_state
+        assert abs(F - F0) < 1e-12 and abs(G - G0) < 1e-12, (F, G)
+
+    def test_a_turning_point_is_its_own_start(self):
+        assert orbit_phase(0.0, 0.1, 2) == (period(0.0, 0.1, 2), 0.1, 0.0)
 
 
 class TestProfiles:

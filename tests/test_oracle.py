@@ -11,6 +11,7 @@ from coldplasma.core_dynamics import (
     constant_profile,
     gaussian_profile,
     j_exact_radial,
+    period,
     profile_divergences,
     rhs_divergence,
     rhs_radial,
@@ -46,6 +47,29 @@ def direct_run(profile, r0, t_end, tol=1e-12):
     """That system integrated directly by DOP853: the reference for the linearized oracle."""
     rhs, y0 = direct_system(profile, r0)
     return integrate(rhs, y0, (0.0, t_end), tol=tol)
+
+
+def full_period_run(F0, G0, d, tol=1e-12):
+    """(F, G) with two fundamental solutions and the particular solution
+    with zero start of the (w, p) system over one whole period from
+    (F0, G0): 8 variables, the reference for the half-period oracle."""
+    b_coef, a_coef = 2.0 * (d - 1), float((d - 1) * d)
+
+    def rhs(t, y):
+        F, G, w1, p1, w2, p2, wc, pc = y
+        b, a = b_coef * F, a_coef * F * F + 1.0
+        return (*rhs_radial(F, G, d), p1, b * p1 - a * w1, p2, b * p2 - a * w2,
+                pc, b * pc - a * wc + 1.0)
+
+    return integrate(rhs, [F0, G0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (0.0, period(F0, G0, d)), tol=tol)
+
+
+def moving_pulse(K, c, d):
+    """G0 = K exp(-r**2) and F0 = c exp(-r**2) in dimension d: a start off
+    any turning point, with a homogeneous part, at every radius but 0."""
+    return RadialProfile(G0=lambda r: K * math.exp(-r * r), F0=lambda r: c * math.exp(-r * r), d=d,
+                         dG0=lambda r: -2.0 * K * r * math.exp(-r * r),
+                         dF0=lambda r: -2.0 * c * r * math.exp(-r * r))
 
 
 def gaussian(K, d):
@@ -208,6 +232,20 @@ class TestAffineGlobalSmoothness:
             assert run.trajectory.status == "completed"
             assert not detect_blowup(run).detected
 
+    def test_starts_near_the_vacuum_line_stay_bounded(self, rng):
+        # w = 1/(1 - d G) > 0 at every time.  Up to d G0 = 0.99 the orbits
+        # swing to G- = -2.6e49 (the first start), where w is 1.9e-50: a w
+        # combined from a numerical particular solution lost its sign there
+        # and the first two starts reported t* = 4.4809 and 1.8729
+        starts = [(0.3453357560128335, 0.4947984459018959, 2),
+                  (-0.18741567765598877, 0.49496380500106, 2)]
+        for d in (2, 3):
+            starts += [(rng.uniform(-0.4, 0.4), rng.uniform(0.85, 0.99) / d, d) for _ in range(6)]
+        for F0, G0, d in starts:
+            run = run_characteristic(constant_profile(F0, G0, d), 1.0, 200.0, tol=1e-9)
+            assert run.trajectory.status == "completed", (F0, G0, d)
+            assert not detect_blowup(run).detected, (F0, G0, d, run.t_star)
+
 
 class TestOneDimensionalExact:
     """d = 1 against its exact solution w = 1/(1 - lambda) = 1 + A cos t + B sin t."""
@@ -252,7 +290,7 @@ class TestOneDimensionalExact:
 
 
 class TestFloquetAgainstDirect:
-    """d = 2, 3: one integrated period and its affine map against a direct run."""
+    """d = 2, 3: half an integrated period, its mirror and the period map against a direct run."""
 
     @pytest.mark.parametrize("case", ["gauss-2d", "gauss-3d", "constant-2d", "constant-3d"])
     def test_states_agree(self, case):
@@ -337,3 +375,80 @@ class TestLazyRun:
             k = np.searchsorted(traj.t, t)
             root = find_root(p, traj.t[k - 1], traj.t[k], tol=1e-300)
             assert abs(root - t) <= 1e-12 * t, (t, root)
+
+
+class TestHalfPeriod:
+    """The half period from a turning point, its mirror and the start's phase."""
+
+    @pytest.mark.parametrize("case", ["2d-bounded", "3d-bounded", "2d-blowup", "3d-blowup"])
+    def test_moving_starts_against_direct(self, case):
+        # F0 != 0 puts the start off the turning point and gives w a
+        # homogeneous part, so the phase and the mirror are both read
+        (K, c, d), r0 = {
+            "2d-bounded": ((0.45, -0.5, 2), 1.2),
+            "3d-bounded": ((0.3, 0.6, 3), 0.9),
+            "2d-blowup": ((0.45, 0.5, 2), 0.6),
+            "3d-blowup": ((0.3, -0.6, 3), 0.3),
+        }[case]
+        profile = moving_pulse(K, c, d)
+        run = run_characteristic(profile, r0, 20.0)
+        direct = direct_run(profile, r0, 20.0)
+        assert (run.t_star is not None) == case.endswith("blowup")
+        # in both halves of each of the first three periods, before t*
+        times = run.floquet["period"] * (np.arange(3)[:, None] + [0.25, 0.75]).ravel()
+        if run.t_star is not None:
+            times = times[times < run.t_star]
+            # the direct system runs into the singularity and stops there
+            assert direct.status == "singular-step"
+            assert abs(direct.t[-1] - run.t_star) <= 1e-7 * run.t_star, (direct.t[-1], run.t_star)
+        assert times.size >= 4
+        assert_divergences_agree(run, direct, times)
+
+    @pytest.mark.parametrize("c", [1e-9, -1e-9])
+    def test_start_next_to_a_turning_point(self, c):
+        # with |F0| = 1e-9, G0 lies within rounding of a turning point, where
+        # the phase quadrature sees no interval; one Newton step of the phase
+        # onto the integrated orbit places the start (2.8e-9 off without it)
+        profile = moving_pulse(0.3, c, 2)
+        run = run_characteristic(profile, 0.5, 20.0)
+        times = run.floquet["period"] * (np.arange(3)[:, None] + [0.25, 0.75]).ravel()
+        assert_divergences_agree(run, direct_run(profile, 0.5, 20.0), times, tol=1e-9)
+
+    @pytest.mark.parametrize("orbit", [(0.0, 0.1, 2), (0.0, 0.45, 2), (0.0, 0.08, 3), (0.0, -0.3, 3)])
+    def test_period_map_against_a_full_period(self, orbit):
+        F0, G0, d = orbit
+        full = full_period_run(F0, G0, d)
+        F, G, w1, p1, w2, p2, wc, pc = full.y
+        # q = 1/(1 - d G) is a particular solution: the one with zero start
+        # is q less the homogeneous solution through (q0, q0') = (q0, d F0 q0)
+        q, q0 = 1.0 / (1.0 - d * G), 1.0 / (1.0 - d * G0)
+        assert np.max(np.abs(wc - (q - q0 * w1 - d * F0 * q0 * w2))) <= 1e-10
+        flow = run_characteristic(constant_profile(F0, G0, d), 1.0, 10.0, tol=1e-12)._flow
+        M = np.reshape(flow.M, (2, 2))
+        assert np.max(np.abs(M - [[w1[-1], w2[-1]], [p1[-1], p2[-1]]])) <= 1e-9
+        assert abs(np.linalg.det(M) - 1.0) <= 1e-12
+        assert abs(flow.floquet["det_minus_one"]) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["breaking-2d", "moving-2d", "moving-3d"])
+    def test_positive_bound_holds_on_the_brackets(self, case):
+        # the bound that spares a minimum's root must never pass a bracket
+        # where w reaches 0; these runs blow up, so some brackets do
+        profile, r0 = {
+            "breaking-2d": (gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)[14]),
+            "moving-2d": (moving_pulse(0.45, 0.5, 2), 0.6),
+            "moving-3d": (moving_pulse(0.3, -0.6, 3), 0.3),
+        }[case]
+        flow = run_characteristic(profile, r0, 400.0, tol=1e-8)._flow
+        i = np.arange(flow.t.size - 1)
+        certain = flow.positive(i)
+        w = flow.on_brackets(i, 2)
+        lowest = np.min([w(t)[0] for t in flow.t[:-1] + np.linspace(0.0, 1.0, 65)[:, None] * np.diff(flow.t)],
+                        axis=0)
+        assert certain.any() and (lowest <= 0.0).any()
+        assert np.all(lowest[certain] > 0.0)
+
+    def test_breaking_sweep_work(self, ode_steps):
+        # one DOP853 run of half a period per radius; the whole period took 856 steps
+        blowup_sweep(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48), 400.0, 1e-8)
+        assert len(ode_steps) == 48
+        assert sum(ode_steps) <= 480
