@@ -18,8 +18,8 @@ For d = 2 and 3, (F, G) is periodic with T = ``period(F0, G0, d)`` and
 reversible under (F, G, t) -> (-F, G, -t) (Lamb & Roberts, Physica D 112,
 1998), and q = 1/(1 - d G) is an exact particular solution: half a period
 is integrated from a turning point, the other half is its mirror, and the
-homogeneous part at the start of each later period is an iterate of a
-linear map with det 1 (Floquet theory; Coddington & Levinson, *Theory of
+homogeneous part moves from period to period by a unipotent map, a shear
+written in closed form (Floquet theory; Coddington & Levinson, *Theory of
 Ordinary Differential Equations*, 1955, ch. 3).  For d = 1 the equation has
 constant coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of
 1D cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
@@ -122,25 +122,35 @@ class _Floquet:
     (q' = d F q), and (h, h') a solution of the homogeneous system.  The
     flow is reversible, (F, G, t) -> (-F, G, -t), so one integration from a
     turning point (0, G_e) over [0, T/2] carries (F, G) and the fundamental
-    matrix Phi (the identity at the turning point) for the whole period:
-    F(T - tau) = -F(tau), G(T - tau) = G(tau) and
-    Phi(tau) = R Phi(T - tau) R M with R = diag(1, -1), where the period map
-    M = R Phi(T/2)^-1 R Phi(T/2) has det M = 1.  The start lies at the phase
-    tau_s of :func:`orbit_phase` (0 when F0 = 0), polished by one Newton
-    step onto the integrated orbit, and at tau = kT + sigma,
-    (h, h') = Phi(sigma) M^k v with v = Phi(tau_s)^-1 u, where
-    u = (w0 - q0, p0 - d F0 q0) is taken from the exact start data, so a
-    spatially constant start has u = 0 and w = q > 0 at every time.
-    Without a period (the point orbit, or one ``period`` cannot resolve) T
-    is infinite: the integration starts at (F0, G0) and spans [0, t_max].
+    matrix Phi = [[w1, w2], [p1, p2]] (the identity at the turning point,
+    w1 even and w2 odd) for the whole period: F(T - tau) = -F(tau),
+    G(T - tau) = G(tau) and Phi(tau) = R Phi(T - tau) R M with
+    R = diag(1, -1), where the period map M turns (h, h') = Phi(tau) v
+    into Phi(tau) M v at tau + T.
+
+    M = [[1, 0], [n, 1]].  F q solves the homogeneous equation (use
+    F' = -F**2 - G), is T-periodic and vanishes at the turning point, so it
+    is a multiple of w2: M fixes (0, 1), and w2(T/2) = 0 as F(T/2) = 0.
+    By Liouville det M = 1, since F = (log q)'/d integrates to 0 over a
+    period.  At tau = -T/2, p1 odd and p2 even turn (p1, p2)(T/2) = (c, e)
+    into c = -c + n e, so n = 2 c/e: the shear of the period function
+    (Chicone, J. Differential Equations 69, 1987), Dawson's phase mixing.
+    The start lies at the phase tau_s of :func:`orbit_phase` (0 when
+    F0 = 0), polished by one Newton step onto the integrated orbit, and at
+    tau = kT + sigma, (h, h') = Phi(sigma) M^k v = Phi(sigma) (v0,
+    v1 + k n v0) with v = Phi(tau_s)^-1 u and u = (w0 - q0, p0 - d F0 q0)
+    from the exact start data, so a spatially constant start has u = 0
+    and w = q > 0 at every time.  Without a period (the point orbit, or
+    one ``period`` cannot resolve) T is infinite, n = 0 and the
+    integration spans [0, t_max] from (F0, G0).
 
     A period has P node positions: the half's step starts, then the same
     mirrored in reverse order, each starting the step it ends (the junction
     T/2, where F is 0, first).  The nodes are the positions of every period
     in [0, t_max), t = 0 when the start lies inside a step, and t_max; node
     i is position ``(i + offset) % P`` of period ``(i + offset) // P``.
-    ``floquet`` describes the period map: T, the steps of the half period,
-    the trace of M and det M - 1 (None without a period).
+    ``floquet`` holds T, the half period's steps, n and the residual
+    w2(T/2), 0 but for the integration error (None without a period).
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
@@ -154,16 +164,13 @@ class _Floquet:
         self.one = one = integrate(_half_rhs(d), [F_e, G_e, 1.0, 0.0, 0.0, 1.0],
                                    (0.0, self.half if math.isfinite(T) else t_max), tol=tol)
         S = one.t.size - 1
-        self.M = (1.0, 0.0, 0.0, 1.0)         # the period map, row by row
-        self.floquet = None
+        self.shear, self.floquet = 0.0, None
         tau_nodes, step = one.t[:S], np.arange(S)
         n, t0 = 1, np.zeros(1)
         if math.isfinite(T):
             a, c, b, e = one.y[2:, -1].tolist()      # Phi(T/2) = [[a, b], [c, e]]
-            det, diag = a * e - b * c, a * e + b * c
-            self.M = m00, m01, m10, m11 = diag / det, 2.0 * b * e / det, 2.0 * a * c / det, diag / det
-            self.floquet = {"period": T, "half_period_steps": S, "monodromy_trace": m00 + m11,
-                            "det_minus_one": m00 * m11 - m01 * m10 - 1.0}
+            self.shear = 2.0 * c / e
+            self.floquet = {"period": T, "half_period_steps": S, "shear": self.shear, "residual": b}
             tau_nodes = np.concatenate([tau_nodes, T - one.t[S:0:-1]])
             step = np.concatenate([step, step[::-1]])
             if F0:      # one Newton step of the phase onto the integrated orbit
@@ -178,28 +185,19 @@ class _Floquet:
 
         q0 = 1.0 / (1.0 - d * G0)
         u0, u1 = w0 - q0, p0 - (d * F0) * q0
-        v = (u0, u1)                              # Phi(0) is the identity
+        self.v = (u0, u1)                         # Phi(0) is the identity
         if tau and (u0 or u1):
             _, _, a, b, c, e = self._at(tau)
             det = a * e - b * c
-            v = ((e * u0 - b * u1) / det, (a * u1 - c * u0) / det)
-        m00, m01, m10, m11 = self.M
-        C = [v]
-        for _ in range(n):
-            x, y = C[-1]
-            C.append((m00 * x + m01 * y, m10 * x + m11 * y))
-        self._C = C = np.array(C)                 # M^k v
-        # the weights of (w1, w2) per period and position: M^k v, or
-        # R M^(k+1) v on a mirrored position
-        rows = np.arange(n)[:, None] + mirror
-        self._c0, self._c1 = C[rows, 0], C[rows, 1] * sign
+            self.v = ((e * u0 - b * u1) / det, (a * u1 - c * u0) / det)
 
         Y = one.y[:, step + mirror]               # a mirrored position ends its step
         F, G = sign * Y[0], Y[1]
         F[S:S + 1] = 0.0                          # the junction at T/2
         q = 1.0 / (1.0 - d * G)
-        w = q + self._c0 * Y[2] + self._c1 * Y[4]
-        p = d * F * q + sign * (self._c0 * Y[3] + self._c1 * Y[5])
+        c0, c1 = self.v[0], self._c1(np.arange(n)[:, None], mirror)
+        w = q + c0 * Y[2] + c1 * Y[4]
+        p = d * F * q + sign * (c0 * Y[3] + c1 * Y[5])
         t = (t0[:, None] + tau_nodes).ravel()
         first, last = np.searchsorted(t, [0.0, t_max])
         inside = first == t.size or t[first] > 0.0   # t = 0 lies inside a step
@@ -223,9 +221,14 @@ class _Floquet:
             F, G, a, c, b, e = self.one(tau).tolist()
             return F, G, a, b, c, e
         F, G, a, c, b, e = self.one(self.T - tau).tolist()
-        m00, m01, m10, m11 = self.M      # R Phi(T - tau) R M
-        return (-F, G, a * m00 - b * m10, a * m01 - b * m11,
-                e * m10 - c * m00, e * m11 - c * m01)
+        n = self.shear                   # R Phi(T - tau) R M
+        return -F, G, a - b * n, -b, e * n - c, e
+
+    def _c1(self, k, mirror):
+        """The weight of w2 (that of w1 is v0) in period k: v1 + k n v0 from
+        M^k v, or -(v1 + (k + 1) n v0) from R M^(k+1) v where ``mirror``."""
+        v0, v1 = self.v
+        return np.where(mirror, -1.0, 1.0) * (v1 + (k + mirror) * self.shear * v0)
 
     def __call__(self, t):
         """(F, G, w, p) at a time or an array of times."""
@@ -235,8 +238,7 @@ class _Floquet:
         mirror = tau > self.half
         Y = self.one(np.where(mirror, self.T - tau, tau))
         sign = np.where(mirror, -1.0, 1.0)
-        c0, c1 = self._C[k + mirror].T
-        c1 = c1 * sign
+        c0, c1 = self.v[0], self._c1(k, mirror)
         F, G = sign * Y[0], Y[1]
         q = 1.0 / (1.0 - self.d * G)
         return F, G, q + Y[2] * c0 + Y[4] * c1, self.d * F * q + sign * (Y[3] * c0 + Y[5] * c1)
@@ -252,7 +254,7 @@ class _Floquet:
         with the brackets' period k, step s and sign (-1: mirrored)."""
         k, pos = np.divmod(i + self.offset, self._step.size)
         s, sign = self._step[pos], self._sign[pos]
-        c0, c1 = self._c0[k, pos], self._c1[k, pos]
+        c0, c1 = self.v[0], self._c1(k, sign < 0.0)
         d, dense = self.d, self.one.interpolant
         rows = np.zeros((s.size, 6, 3))          # of the step's 6 components
         rows[:, 0, 0], rows[:, 1, 1] = d * sign, -d
@@ -446,15 +448,11 @@ class CharacteristicRun:
 
     @property
     def floquet(self) -> Optional[dict]:
-        """The period map of a d = 2, 3 run with a period: ``period`` T,
-        ``half_period_steps`` (the DOP853 steps over T/2), and the
-        ``monodromy_trace`` and ``det_minus_one`` of M (det M is 1 exactly,
-        so the latter is rounding); None for d = 1 or without a period."""
+        """The period map [[1, 0], [shear, 1]] of a d = 2, 3 run with a
+        period: ``period`` T, ``half_period_steps`` (the DOP853 steps over
+        T/2), ``shear`` and the ``residual`` w2(T/2), 0 but for the
+        integration error; None for d = 1 or without a period."""
         return self._flow.floquet
-
-    def state(self, t):
-        """(F, G, lambda, D, r) at time t."""
-        return self.trajectory(t)
 
     @cached_property
     def trajectory(self) -> OdeTrajectory:
@@ -514,7 +512,8 @@ def run_characteristic(
     For d = 2 and 3, (F, G) and the fundamental matrix, 6 variables, are
     integrated at ``tol`` over half a period from a turning point (over
     [0, t_max] from the start when the orbit has no period), and the rest
-    of the run is mirrored and mapped from it; d = 1 is closed form.  The
+    of the run is mirrored from it, with the odd solution's weight growing
+    by the period map's shear each period; d = 1 is closed form.  The
     run computes two things at once: this flow, with w and p on its nodes,
     and the blow-up time t*, from the minima of w on the step polynomials
     of the brackets before the first node with w <= 0.  Its trajectory
@@ -556,7 +555,7 @@ def _arc_bounds(run: CharacteristicRun, k: int, f_plus: float,
     if k == 0:
         lam_a, D_a = profile_divergences(run.profile, run.r0)
     else:
-        st = run.state(run.crossing_times[k - 1])
+        st = run.trajectory(run.crossing_times[k - 1])
         lam_a, D_a = st[2], 0.0
     s_a, Z_a = lam_a - 1.0, D_a * D_a
     lower = sigma_curve(Side.LOWER, s_a, Z_a, sigma_pair[0], f_plus, run.d)

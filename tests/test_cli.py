@@ -225,10 +225,10 @@ class TestOracleModes:
         code, out = run_cli(["oracle-run", "--k", "0.1", "--t-max", "5"], tmp_path, sub="orbit")
         assert code == EXIT_OK
         floquet = json.loads((out / "report.json").read_text())["floquet"]
-        assert sorted(floquet) == ["det_minus_one", "half_period_steps", "monodromy_trace", "period"]
+        assert sorted(floquet) == ["half_period_steps", "period", "residual", "shear"]
         assert abs(floquet["period"] - 6.276156321355657) < 1e-9   # period(0, 0.1, 2)
         assert floquet["half_period_steps"] > 0
-        assert abs(floquet["monodromy_trace"] - 2.0) < 1e-9 and abs(floquet["det_minus_one"]) < 1e-12
+        assert abs(floquet["shear"] + 0.0130823715) < 1e-9 and abs(floquet["residual"]) < 1e-9
         # a start on the point orbit has no period
         code, out = run_cli(["oracle-run", "--k", "1e-300", "--t-max", "5"], tmp_path, sub="point")
         assert code == EXIT_OK

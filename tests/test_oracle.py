@@ -120,9 +120,7 @@ class TestRunCharacteristic:
         assert np.max(np.abs(y[3] - 3.0 * y[0])) < 1e-8
 
     def test_typed_state_accessor(self, center_run_k01):
-        st = center_run_k01.state(1.0)
-        assert st.tobytes() == center_run_k01.trajectory(1.0).tobytes()
-        F, G, lam, Dv, r = st
+        F, G, lam, Dv, r = center_run_k01.trajectory(1.0)
         assert 1.0 - lam > 0.0      # the density
         assert r == 0.0
 
@@ -423,11 +421,37 @@ class TestHalfPeriod:
         # is q less the homogeneous solution through (q0, q0') = (q0, d F0 q0)
         q, q0 = 1.0 / (1.0 - d * G), 1.0 / (1.0 - d * G0)
         assert np.max(np.abs(wc - (q - q0 * w1 - d * F0 * q0 * w2))) <= 1e-10
-        flow = run_characteristic(constant_profile(F0, G0, d), 1.0, 10.0, tol=1e-12)._flow
-        M = np.reshape(flow.M, (2, 2))
+        # F q solves the homogeneous equation and is 0 at the turning point,
+        # so it is the odd solution w2 times (F q)'(0) = -G0 q0
+        assert np.max(np.abs(w2 + F * q / (G0 * q0))) <= 1e-9
+        shear = run_characteristic(constant_profile(F0, G0, d), 1.0, 10.0, tol=1e-12).floquet["shear"]
+        M = np.array([[1.0, 0.0], [shear, 1.0]])
         assert np.max(np.abs(M - [[w1[-1], w2[-1]], [p1[-1], p2[-1]]])) <= 1e-9
-        assert abs(np.linalg.det(M) - 1.0) <= 1e-12
-        assert abs(flow.floquet["det_minus_one"]) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("G0", [0.02, 0.1, 0.2, 0.3])
+    def test_odd_solution_vanishes_at_the_half_period(self, G0, d):
+        floquet = run_characteristic(constant_profile(0.0, G0, d), 1.0, 1.0, tol=1e-12).floquet
+        assert abs(floquet["residual"]) <= 1e-11
+
+    def test_no_drift_over_thousands_of_periods(self):
+        # t* comes after 3566 periods: an error in the period map compounds
+        # with every period, so t* must not move with tol
+        profile = gaussian_profile(0.222)
+        coarse, fine = (run_characteristic(profile, 0.05, 50000.0, tol=tol).t_star
+                        for tol in (1e-8, 1e-12))
+        assert abs(coarse - fine) <= 1e-6 * fine, (coarse, fine)
+
+    @pytest.mark.parametrize("r0", [0.01, 0.03, 0.06])
+    def test_extreme_orbit_stays_finite(self, r0):
+        # G- = -4.1e19, F+ = 3.9e9 and det Phi(T/2) = 3.5e-20 at r0 = 0.01:
+        # no node may overflow or turn NaN (a RuntimeWarning fails the test)
+        profile = gaussian_profile(0.49)
+        run = run_characteristic(profile, r0, 400.0, tol=1e-8)
+        assert np.all(np.isfinite(run._flow.w))
+        direct = direct_run(profile, r0, 400.0)
+        assert direct.status == "singular-step"
+        assert abs(run.t_star - direct.t[-1]) <= 1e-8 * direct.t[-1], (run.t_star, direct.t[-1])
 
     @pytest.mark.parametrize("case", ["breaking-2d", "moving-2d", "moving-3d"])
     def test_positive_bound_holds_on_the_brackets(self, case):

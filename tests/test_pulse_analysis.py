@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from coldplasma.chaplygin_bounds import anchor_root_S1, anchor_root_S2
+from coldplasma.core_dynamics import gaussian_profile, period
+from coldplasma.oracle import run_characteristic
 from coldplasma.pulse_analysis import (
     DEFAULT_SIGMA1,
     DEFAULT_SIGMA2,
@@ -195,11 +197,29 @@ class TestThresholds:
         assert thresholds.blowup_K == 0.5 * thresholds.lambda2
 
 
+def _contradicted(periods):
+    """The oracle's measured contradiction of a blow-up-first-period verdict."""
+    return pytest.mark.xfail(strict=True, reason=(
+        "the oracle finds no breaking within the first period on 101 radii in [0, 1]; "
+        f"on those radii the earliest comes after {periods} periods"))
+
+
 class TestClassifier:
     def test_reference_examples(self):
         assert classify_pulse(0.15) is PulseVerdict.SMOOTH_FIRST_PERIOD
         assert classify_pulse(0.29) is PulseVerdict.BLOW_UP_FIRST_PERIOD
         assert classify_pulse(0.222) is PulseVerdict.INDETERMINATE
+
+    @pytest.mark.parametrize("K", [0.10, 0.15, pytest.param(0.29, marks=_contradicted(36.7)),
+                                   pytest.param(0.35, marks=_contradicted(11.6)),
+                                   pytest.param(0.40, marks=_contradicted(3.6)), 0.45, 0.46])
+    def test_first_period_verdict_against_the_oracle(self, K):
+        verdict, profile = classify_pulse(K), gaussian_profile(K)
+        assert verdict is not PulseVerdict.INDETERMINATE
+        # each characteristic runs to the end of its own first period
+        breaks = any(run_characteristic(profile, r0, period(0.0, profile.G0(r0), 2)).t_star is not None
+                     for r0 in np.linspace(0.0, 1.0, 101))
+        assert breaks == (verdict is PulseVerdict.BLOW_UP_FIRST_PERIOD)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
