@@ -9,8 +9,9 @@ plus CSV curve samples into the output directory.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure.
 
-Only ``oracle-run`` and ``sweep`` integrate the characteristic ODE; they
-import the oracle, and with it numpy, when they run.
+Each mode imports the modules it runs when it runs, so a fresh process
+compiles only those: only ``oracle-run`` and ``sweep`` integrate the
+characteristic ODE, and they alone import the oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -25,17 +26,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .chaplygin_bounds import criterion_1d, criterion_first_period
-from .core_dynamics import gaussian_profile, profile_divergences
-from .numerics import QuadratureError, linspace
-from .pulse_analysis import (
-    DEFAULT_SIGMA1,
-    DEFAULT_SIGMA2,
-    PulseScenario,
-    classify_pulse,
-    optimize_thresholds,
-)
-from .spiral_counter import build_spiral, count_revolutions, guaranteed_field_lifetime, lifetime
+from .numerics import QuadratureError
+from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,16 +61,22 @@ def _write_report(out_dir: Path, report: dict) -> None:
 # ``inputs`` (the configuration itself) and writes nothing until it returns.
 
 def _cmd_criterion_1d(cfg: dict):
+    from .chaplygin_bounds import criterion_1d
+
     v = criterion_1d(cfg["v0_prime"], cfg["e0_prime"])
     return {"delta": v.value, "verdict": "satisfied" if v.satisfied else "violated"}, {}
 
 
 def _cmd_first_period(cfg: dict):
+    from .chaplygin_bounds import criterion_first_period
+
     v = criterion_first_period(cfg["div_v0"], cfg["curl_sq"], cfg["div_e0"])
     return {"delta_minus": v.value, "verdict": "satisfied" if v.satisfied else "violated"}, {}
 
 
 def _cmd_gauss_pulse(cfg: dict):
+    from .pulse_analysis import PulseScenario, classify_pulse, optimize_thresholds
+
     K = cfg["k"]
     scenario = PulseScenario(K)
     th = optimize_thresholds()
@@ -104,6 +102,9 @@ def _spiral_pair(cfg: dict):
     inputs show the start actually used; returns the spirals, the report
     keys the two spiral modes share and the CSVs.
     """
+    from .pulse_analysis import PulseScenario
+    from .spiral_counter import build_spiral
+
     K = cfg["k"]
     PulseScenario(K)
     if cfg["start_lambda"] is None:
@@ -124,6 +125,8 @@ def _spiral_pair(cfg: dict):
 
 
 def _cmd_count_revolutions(cfg: dict):
+    from .spiral_counter import count_revolutions
+
     outer, inner, report, csvs = _spiral_pair(cfg)
     return {
         **report,
@@ -135,6 +138,8 @@ def _cmd_count_revolutions(cfg: dict):
 
 
 def _cmd_lifetime(cfg: dict):
+    from .spiral_counter import lifetime
+
     outer, inner, report, csvs = _spiral_pair(cfg)
     est = lifetime(inner, outer)
     return {**report, "revolutions": est.revolutions,
@@ -142,6 +147,7 @@ def _cmd_lifetime(cfg: dict):
 
 
 def _cmd_oracle_run(cfg: dict):
+    from .core_dynamics import gaussian_profile, profile_divergences
     from .oracle import count_revolutions_oracle, detect_blowup, run_characteristic, sandwich_check
 
     profile = gaussian_profile(cfg["k"])
@@ -168,7 +174,10 @@ def _cmd_oracle_run(cfg: dict):
 
 
 def _cmd_sweep(cfg: dict):
+    from .core_dynamics import gaussian_profile
+    from .numerics import linspace
     from .oracle import blowup_sweep
+    from .spiral_counter import guaranteed_field_lifetime
 
     profile = gaussian_profile(cfg["k"])
     r_min, r_max, n_r = cfg["r_min"], cfg["r_max"], cfg["n_r"]

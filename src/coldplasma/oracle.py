@@ -24,8 +24,10 @@ Ordinary Differential Equations*, 1955, ch. 3).  For d = 1 the equation has
 constant coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of
 1D cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
 follow the same law through v = 1/(1 - G), so no ODE runs.  A run finds
-the blow-up time at once, and the trajectory and the axis crossings D = 0
-when they are first read; roots are found on one step's dense polynomial.
+the blow-up time at once, by a search over the brackets of one period
+whose cost does not grow with t_max (which may be infinite), and builds
+its nodes, trajectory and axis crossings D = 0 only when they are first
+read; roots are found on one step's dense polynomial.
 The oracle also verifies the comparison-curve sandwich along arcs between
 crossings.
 """
@@ -64,6 +66,9 @@ __all__ = [
 
 _SAMPLES_PER_ARC = 400   # oracle times compared against the envelope per arc
 _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 runs
+_SECTIONS = 64           # periods tested per round of the search for a breaking period
+_FEW = 3                 # minima located one at a time, in floats, up to this many
+_MAX_PERIODS = 2 ** 52   # periods searched at most (k + 1 stays exact)
 _XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iterations
 _MAXITER = 100
 _W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
@@ -142,44 +147,45 @@ class _Floquet:
     from the exact start data, so a spatially constant start has u = 0
     and w = q > 0 at every time.  Without a period (the point orbit, or
     one ``period`` cannot resolve) T is infinite, n = 0 and the
-    integration spans [0, t_max] from (F0, G0).
+    integration spans [0, t_max] from (F0, G0), as one period.
 
     A period has P node positions: the half's step starts, then the same
     mirrored in reverse order, each starting the step it ends (the junction
-    T/2, where F is 0, first).  The nodes are the positions of every period
-    in [0, t_max), t = 0 when the start lies inside a step, and t_max; node
-    i is position ``(i + offset) % P`` of period ``(i + offset) // P``.
-    ``floquet`` holds T, the half period's steps, n and the residual
-    w2(T/2), 0 but for the integration error (None without a period).
+    T/2, where F is 0, first).  Node f (a flat index) is position f mod P
+    of period k = f div P, at (kT - tau_s) + its phase; the run's nodes are
+    those in [0, t_max), ``first`` to ``last`` - 1, after t = 0 when the
+    start lies inside a step (``inside``) and before t_max, and node i of
+    :meth:`nodes` is flat node i + ``offset``.  No node value is built
+    before it is read.  ``floquet`` holds T, the half period's steps, n,
+    the residual w2(T/2) and the turning-point miss |F(T/2)|/F+, both 0
+    but for the integration error (None without a period).
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
-        self.d = d
+        self.d, self.t_max, self._orbit = d, t_max, (F0, G0)
         try:
             T, G_e, tau = orbit_phase(F0, G0, d)
             F_e = 0.0
-        except (ValueError, QuadratureError):
+        except (ValueError, QuadratureError) as exc:
+            if math.isinf(t_max):
+                raise ValueError(f"t_max = inf needs a periodic orbit: {exc}") from exc
             T, F_e, G_e, tau = math.inf, F0, G0, 0.0
         self.T, self.half = T, 0.5 * T    # the half period is integrated whatever t_max
         self.one = one = integrate(_half_rhs(d), [F_e, G_e, 1.0, 0.0, 0.0, 1.0],
                                    (0.0, self.half if math.isfinite(T) else t_max), tol=tol)
         S = one.t.size - 1
-        self.shear, self.floquet = 0.0, None
+        self.shear, self._T = 0.0, 0.0           # _T: T, or 0 for the one period of no orbit
         tau_nodes, step = one.t[:S], np.arange(S)
-        n, t0 = 1, np.zeros(1)
         if math.isfinite(T):
-            a, c, b, e = one.y[2:, -1].tolist()      # Phi(T/2) = [[a, b], [c, e]]
-            self.shear = 2.0 * c / e
-            self.floquet = {"period": T, "half_period_steps": S, "shear": self.shear, "residual": b}
+            c, e = one.y[[3, 5], -1].tolist()        # p1 and p2 at T/2
+            self.shear, self._T = 2.0 * c / e, T
             tau_nodes = np.concatenate([tau_nodes, T - one.t[S:0:-1]])
             step = np.concatenate([step, step[::-1]])
             if F0:      # one Newton step of the phase onto the integrated orbit
                 F, G, *_ = self._at(tau)
                 dF, dG = rhs_radial(F, G, d)
                 tau = (tau + ((F0 - F) * dF + (G0 - G) * dG) / (dF * dF + dG * dG)) % T
-            n = math.ceil((tau + t_max) / T)   # periods begun before t_max
-            t0 = T * np.arange(n) - tau
-        self.t0, self._step = t0, step
+        self.tau, self._step = tau, step
         mirror = np.arange(step.size) >= S
         self._sign = sign = np.where(mirror, -1.0, 1.0)
 
@@ -191,28 +197,31 @@ class _Floquet:
             det = a * e - b * c
             self.v = ((e * u0 - b * u1) / det, (a * u1 - c * u0) / det)
 
+        # per position: its phase, F, G, the parts of w and p that do not
+        # move with k, the weights of w2 and p2, its sign and mirror flag
         Y = one.y[:, step + mirror]               # a mirrored position ends its step
         F, G = sign * Y[0], Y[1]
         F[S:S + 1] = 0.0                          # the junction at T/2
         q = 1.0 / (1.0 - d * G)
-        c0, c1 = self.v[0], self._c1(np.arange(n)[:, None], mirror)
-        w = q + c0 * Y[2] + c1 * Y[4]
-        p = d * F * q + sign * (c0 * Y[3] + c1 * Y[5])
-        t = (t0[:, None] + tau_nodes).ravel()
-        first, last = np.searchsorted(t, [0.0, t_max])
-        inside = first == t.size or t[first] > 0.0   # t = 0 lies inside a step
-        self.offset = first - inside              # node i is flat position i + offset
-        self._inner, self._fg = slice(first, last), (F, G)
-        # (t, F, G, w, p) at t = 0 when it lies inside a step, and at t_max
-        self._start = (0.0, *self(0.0)) if inside else None
-        self._stop = (t_max, *self(t_max))
-        self.t, self.w, self.p = (self._nodes(x, i) for i, x in ((0, t), (3, w), (4, p)))
+        c0 = self.v[0]
+        self._fg = (F, G)
+        self._table = np.array([tau_nodes, q + c0 * Y[2], d * F * q, c0 * Y[3], Y[4], Y[5],
+                                sign, mirror])
+        self._slope = sign * (self.shear * self.v[0]) * Y[4]     # of w at a node, per period
+        t = tau_nodes - tau                       # period 0; the next one starts at T - tau > 0
+        self.first = first = int(np.searchsorted(t, 0.0))
+        self.inside = first == step.size or bool(t[first] > 0.0)   # t = 0 lies inside a step
+        self.offset = first - self.inside
+        self.last = self._count(t_max) if math.isfinite(t_max) else None
 
-    def _nodes(self, flat, i):
-        """Node values from those at the positions of every period,
-        ``flat``, and entry i of the ends."""
-        head = [self._start[i]] if self._start else []
-        return np.concatenate([head, flat.ravel()[self._inner], [self._stop[i]]])
+    @cached_property
+    def floquet(self) -> Optional[dict]:
+        if not self._T:
+            return None
+        F_half, residual = self.one.y[[0, 4], -1].tolist()      # F and w2 at T/2
+        return {"period": self.T, "half_period_steps": self.one.t.size - 1, "shear": self.shear,
+                "residual": residual,
+                "turning_point_miss": abs(F_half) / orbit_extremes(*self._orbit, self.d).F_plus}
 
     def _at(self, tau):
         """F, G and Phi = [[a, b], [c, e]] at a phase tau in [0, T), as
@@ -230,11 +239,42 @@ class _Floquet:
         v0, v1 = self.v
         return np.where(mirror, -1.0, 1.0) * (v1 + (k + mirror) * self.shear * v0)
 
+    def _t0(self, k):
+        """The time of phase 0 of period k."""
+        return self._T * k - self.tau
+
+    def _node(self, f, times=True):
+        """t (if ``times``), w and p at the nodes ``f`` (flat indices, an array)."""
+        k, j = np.divmod(f, self._step.size)
+        tau, wq, dFq, c0p, w2, p2, sign, mirror = self._table[:, j]
+        c1 = self._c1(k, mirror)
+        wp = (wq + c1 * w2, dFq + sign * (c0p + c1 * p2))
+        return (self._t0(k) + tau, *wp) if times else wp
+
+    def _count(self, t_end):
+        """The first node at or after ``t_end``, a flat index."""
+        k = max(math.ceil((self.tau + t_end) / self._T) - 1, 0) if self._T else 0
+        return k * self._step.size + int(np.searchsorted(self._t0(k) + self._table[0], t_end))
+
+    def nodes(self, t_end):
+        """t, F, G, w and p on the nodes in [0, t_end) and at ``t_end``."""
+        f = np.arange(self.first, self._count(t_end))
+        t, w, p = self._node(f)
+        j = f % self._step.size
+        head = [(0.0, *self(0.0))] if self.inside and t_end > 0.0 else []
+        tail = (t_end, *self(t_end))
+        return [np.concatenate([[h[i] for h in head], x, [tail[i]]])
+                for i, x in enumerate((t, self._fg[0][j], self._fg[1][j], w, p))]
+
     def __call__(self, t):
         """(F, G, w, p) at a time or an array of times."""
         t = np.asarray(t, dtype=float)
-        k = np.maximum(np.searchsorted(self.t0, t, side="right") - 1, 0)
-        tau = t - self.t0[k]
+        k = np.zeros(t.shape)
+        if self._T:        # the last period that starts at or before t
+            k = np.floor((t + self.tau) / self._T)
+            k -= self._t0(k) > t
+            k = np.maximum(k + (self._t0(k + 1.0) <= t), 0.0)
+        tau = t - self._t0(k)
         mirror = tau > self.half
         Y = self.one(np.where(mirror, self.T - tau, tau))
         sign = np.where(mirror, -1.0, 1.0)
@@ -243,16 +283,12 @@ class _Floquet:
         q = 1.0 / (1.0 - self.d * G)
         return F, G, q + Y[2] * c0 + Y[4] * c1, self.d * F * q + sign * (Y[3] * c0 + Y[5] * c1)
 
-    def fg(self):
-        """F and G on the nodes."""
-        return [self._nodes(np.tile(x, self.t0.size), i) for i, x in zip((1, 2), self._fg)]
-
-    def _polynomials(self, i, j):
+    def _polynomials(self, f, j):
         """Rows d F, 1 - d G = 1/q and the homogeneous part of w (j = 2) or
-        p (j = 3) on the brackets that start at nodes ``i``: their
-        coefficients ``(len(i), 7, 3)`` and values at x = 0 ``(3, len(i))``,
+        p (j = 3) on the brackets that start at nodes ``f``: their
+        coefficients ``(len(f), 7, 3)`` and values at x = 0 ``(3, len(f))``,
         with the brackets' period k, step s and sign (-1: mirrored)."""
-        k, pos = np.divmod(i + self.offset, self._step.size)
+        k, pos = np.divmod(f, self._step.size)
         s, sign = self._step[pos], self._sign[pos]
         c0, c1 = self.v[0], self._c1(k, sign < 0.0)
         d, dense = self.d, self.one.interpolant
@@ -263,21 +299,21 @@ class _Floquet:
         base[1] += 1.0
         return dense.coefficients(s) @ rows, base, k, s, sign
 
-    def positive(self, i):
+    def positive(self, f):
         """Where w is certainly positive on the brackets that start at nodes
-        ``i``: each basis function of the step polynomial (see
+        ``f``: each basis function of the step polynomial (see
         :func:`_horner`) is nonnegative on [0, 1] with the maximum in
         ``_BASIS_MAX``, so bounding each term bounds 1 - d G = 1/q on both
         sides and the homogeneous part below."""
-        coef, base, *_ = self._polynomials(i, _W)
+        coef, base, *_ = self._polynomials(f, _W)
         pos, neg = np.maximum(coef, 0.0), np.minimum(coef, 0.0)
         u_min = base[1] + neg[:, :, 1] @ _BASIS_MAX
         u_max = base[1] + pos[:, :, 1] @ _BASIS_MAX
         h_min = base[2] + neg[:, :, 2] @ _BASIS_MAX
         return (u_min > 0.0) & (1.0 / u_max + h_min > 0.0)
 
-    def on_brackets(self, i, j):
-        """w (j = 2) or p (j = 3) on the brackets that start at nodes ``i``.
+    def on_brackets(self, f, j):
+        """w (j = 2) or p (j = 3) on the brackets that start at nodes ``f``.
 
         Each bracket lies in one half step, so F, G and the homogeneous part
         are its polynomials: read at x, or at 1 - x (as T - tau) on a
@@ -286,10 +322,10 @@ class _Floquet:
         polynomials.  Returns ``f``: ``f(t)`` is the value and the
         derivative at an array of times, one per bracket.
         """
-        coef, base, k, s, sign = self._polynomials(i, j)
+        coef, base, k, s, sign = self._polynomials(f, j)
         coef = np.ascontiguousarray(coef.transpose(1, 2, 0))
         dense = self.one.interpolant
-        t0, h = self.t0[k], dense.h[s]
+        t0, h = self._t0(k), dense.h[s]
         off, dxdt = (np.where(sign < 0.0, self.T, 0.0) - dense.t[s]) / h, sign / h
 
         def f(t):
@@ -304,21 +340,259 @@ class _Floquet:
 
         return f
 
+    def on_bracket(self, f, j):
+        """w (j = 2) or p (j = 3) and its derivative on the one bracket that
+        starts at node ``f``, at a time, in floats: :meth:`on_brackets`'
+        operations in the same order, so the same numbers, at a fraction of
+        the cost of arrays of one."""
+        coef, base, k, s, sign = self._polynomials(np.array([f]), j)
+        dense = self.one.interpolant
+        h, mirrored = float(dense.h[s[0]]), bool(sign[0] < 0.0)
+        t0, dxdt = float(self._t0(k[0])), float(sign[0]) / h
+        off = ((self.T if mirrored else 0.0) - float(dense.t[s[0]])) / h
+        c, (b0, b1, b2) = coef[0].tolist(), base[:, 0].tolist()
+
+        def g(t):
+            x = (t - t0) * dxdt + off
+            x1 = 1.0 - x
+            d0, d1, d2 = c[6]
+            v0, v1, v2 = d0 * x, d1 * x, d2 * x
+            for n in range(5, -1, -1):       # _horner
+                c0, c1, c2 = c[n]
+                v0, v1, v2 = v0 + c0, v1 + c1, v2 + c2
+                if n % 2:
+                    d0, d1, d2 = d0 * x1 - v0, d1 * x1 - v1, d2 * x1 - v2
+                    v0, v1, v2 = v0 * x1, v1 * x1, v2 * x1
+                else:
+                    d0, d1, d2 = d0 * x + v0, d1 * x + v1, d2 * x + v2
+                    v0, v1, v2 = v0 * x, v1 * x, v2 * x
+            v0, v1, v2, d0, d1, d2 = v0 + b0, v1 + b1, v2 + b2, d0 * dxdt, d1 * dxdt, d2 * dxdt
+            q = 1.0 / v1
+            dq = q * q * d1
+            if j == _W:
+                return q + v2, d2 - dq
+            return v0 * q + v2, d0 * q - v0 * dq + d2
+
+        return g
+
+    def first_zero(self) -> Optional[float]:
+        """t*, the first zero of w in [0, t_max] (None where w stays
+        positive), searched bracket by bracket over one period.
+
+        At a fixed phase w(kT + sigma) = A(sigma) + k B(sigma) is affine in
+        the period k, with B = n v0 w2 (mirrored: its turn), and so are w and
+        p at every node, in floating point as well as monotone in k.  Over
+        one bracket, the minimum of w is therefore concave in k, a minimum of
+        affine functions; so is the ``positive`` bound, whose coefficients
+        are affine in k, min(coef, 0) being concave.  The periods in which a
+        bracket stays positive, or certainly positive, thus form an interval,
+        and where w reaches 0 on a bracket (at an end node, or at a minimum,
+        where p turns from negative to nonnegative, not ruled out by the
+        bound) they are an interval [lo, a] and another [b, hi].  So:
+
+        - a node value A_i + k B_i with B_i < 0 is <= 0 from
+          k_i = ceil(-A_i/B_i) on (the node values settle the rounding), so
+          no bracket after the first such node is searched, and where no
+          node value falls (n v0 = 0) the periods repeat, so for
+          t_max = inf one period is;
+        - a bracket that is a minimum of w in neither the first nor the
+          last period of its range (p at its ends is monotone in k), or is
+          certainly positive in both, never reaches 0 before that node;
+        - on every other bracket, a bisection in k finds the first period
+          in which w reaches 0 there: its first round tests the first
+          period and the last two, as w reaches 0 at the end of a range if
+          anywhere, the next ones ``_SECTIONS`` periods each.
+
+        The partial brackets from t = 0 to the first node and from the last
+        node to t_max are tested as they are, unless their whole brackets
+        have positive end nodes and no minimum or are certainly positive.
+        t* is then the root of w on the earliest bracket where w reaches 0,
+        up to its minimum or its end node, found by :func:`_fall_time` as
+        :func:`_falls_to` does.  ``examined`` counts the brackets at which w
+        was bounded or evaluated.
+        """
+        P, first, last = self._step.size, self.first, self.last
+        self.examined = 0
+        j = np.arange(P)
+        lo = (first + P - 1 - j) // P          # each position's first and last period
+        hi = (last - 2 - j) // P if last is not None else np.full(P, _MAX_PERIODS)
+        # the whole brackets of the partial ones, from t = 0 and to t_max
+        e = np.array(([first - 1] if self.inside else []) +
+                     ([last - 1] if last is not None and last > first else []), dtype=int)
+        f, g = lo * P + j, hi * P + j
+        w, p = self._node(np.concatenate([f, f + 1, g, g + 1, e, e + 1]), times=False)
+        node = None
+        if last is None or (w <= 0.0).any():   # the first node with w <= 0
+            node = self._first_nonpositive(j, lo, w[:P], last)
+            if node == first and not self.inside:   # w(0) <= 0
+                return 0.0
+            if last is None and not self._slope.any():   # n v0 = 0: the periods repeat
+                hi = lo
+            if node is not None:               # up to the bracket that ends at that node
+                hi = np.minimum(hi, (node - 1 - j) // P)
+                e = e[:self.inside]
+            g = hi * P + j
+            w_hi, p_hi = self._node(np.concatenate([g, g + 1, e, e + 1]), times=False)
+            w, p = np.concatenate([w[:2 * P], w_hi]), np.concatenate([p[:2 * P], p_hi])
+        live = lo <= hi
+        j, lo, hi, f, g = j[live], lo[live], hi[live], f[live], g[live]
+        p_lo, p_hi = p[:2 * P].reshape(2, -1)[:, live], p[2 * P:4 * P].reshape(2, -1)[:, live]
+        w_e, p_e = w[4 * P:].reshape(2, -1), p[4 * P:].reshape(2, -1)
+        n = j.size
+        # a minimum of w, p turning from negative to nonnegative, in some
+        # period shows in the first or the last one, p being monotone in k;
+        # a whole bracket with positive nodes and no minimum stays positive
+        doubt = np.flatnonzero(((p_lo[0] < 0.0) | (p_hi[0] < 0.0)) & ((p_lo[1] >= 0.0) | (p_hi[1] >= 0.0)))
+        clear = (w_e > 0.0).all(axis=0) & ~((p_e[0] < 0.0) & (p_e[1] >= 0.0))
+        edges = e[~clear if self._T else slice(None)]   # without a period no node follows t_max
+        self.examined += n + int(np.count_nonzero(hi > lo)) + e.size
+        # the bound at both ends rules brackets out; before a node with w <= 0
+        # the search reads them along with that node's bracket instead
+        m = 0 if node is not None else doubt.size
+        bound = np.concatenate([f[doubt[:m]], g[doubt[:m]], edges])
+        sure = self.positive(bound) if bound.size else bound > 0
+        if m:
+            doubt = doubt[~(sure[:m] & sure[m:2 * m])]
+        edges = set(edges[~sure[2 * m:]].tolist())
+        if first - 1 in edges:                 # from t = 0 to the first node
+            end = self._node(np.array([first])) if last is None or first < last else \
+                self._at_time(self.t_max)
+            found = self._edge(first - 1, self._at_time(0.0), end)
+            if found is not None or last == first:
+                return found
+        found = None
+        if doubt.size or node is not None:
+            found = self._search(j[doubt], lo[doubt], hi[doubt], node)
+        if found is None and last is not None and last - 1 in edges:   # to t_max
+            found = self._edge(last - 1, self._node(np.array([last - 1])), self._at_time(self.t_max))
+        return found
+
+    def _search(self, j, lo, hi, node):
+        """The first zero of w on the whole brackets of positions ``j`` in
+        periods ``lo`` to ``hi``, and on the bracket that ends at ``node``
+        (the first node with w <= 0, or None), or None."""
+        P = self._step.size
+        # w first reaches 0 in period b, not in (a, b) as far as known yet: b = hi + 1 is never
+        a, b = lo - 1, hi + 1
+        below, start = np.full(j.size, np.inf), np.zeros((2, j.size))
+        last = [] if node is None else [node - 1]      # tested along with the first round
+        rounds = 0
+        while True:
+            o = np.flatnonzero(b - a > 1)
+            if not (o.size or last):
+                break
+            if rounds:
+                pts = a[o, None] + 1 + (np.arange(_SECTIONS) * (b - a - 1)[o, None]) // _SECTIONS
+            else:          # the first period and the last two: w reaches 0 at the end, if at all
+                pts = np.maximum(b[o, None] - [[3, 2, 1]], a[o, None] + 1)
+                pts[:, 0] = a[o] + 1
+            rounds += 1
+            f, inv = np.unique(np.concatenate([(pts * P + j[o, None]).ravel(), last]).astype(int),
+                               return_inverse=True)
+            ta, wa, pa = self._node(f)
+            at = self._below(f, (ta, wa, pa), self._node(f + 1))
+            if last:
+                i = inv[-1]
+                last, node_at = [], (f[i], ta[i], wa[i], at[i])
+            i = inv[:pts.size].reshape(pts.shape)
+            hit = at[i] < np.inf
+            h, r = hit.argmax(axis=1), np.arange(o.size)
+            some, i = hit[r, h], i[r, h]
+            a[o] = np.where(some, np.where(h > 0, pts[r, h - 1], a[o]), pts[:, -1])
+            b[o] = np.where(some, pts[r, h], b[o])
+            below[o] = np.where(some, at[i], below[o])
+            start[:, o] = np.where(some, (ta[i], wa[i]), start[:, o])
+        found = np.flatnonzero(b <= hi)
+        if found.size:
+            i = found[np.argmin(b[found] * P + j[found])]
+            best = (b[i] * P + j[i], start[0, i], start[1, i], below[i])
+            if node is None or best[0] < node - 1:
+                return self._t_star_on(*best)
+        if node is None:
+            return None
+        return self._t_star_on(*node_at)
+
+    def _first_nonpositive(self, j, lo, w_lo, last):
+        """The first node at which w <= 0, up to node ``last`` - 1 (None
+        where w stays positive there): a node value A + k B, ``w_lo`` at
+        k = ``lo``, is <= 0 from k = lo + ceil(-w_lo/B) on where B < 0, up
+        to rounding, which the node values themselves settle."""
+        P, slope = self._step.size, self._slope
+        k = np.where(w_lo <= 0.0, lo, np.inf)
+        down = (slope < 0.0) & (w_lo > 0.0)
+        with np.errstate(over="ignore"):
+            k[down] = lo[down] + np.ceil(-w_lo[down] / slope[down])
+        limit = (_MAX_PERIODS if last is None else (last - 1) // P) + 1
+        near = k <= limit
+        if not near.any():
+            return None
+        j, lo, k = j[near], lo[near], k[near].astype(int)
+        for _ in range(8):   # the first k >= lo with w <= 0, a step off at most
+            w = self._node(np.concatenate([(k - 1) * P + j, k * P + j]), times=False)[0]
+            back = (k > lo) & (w[:k.size] <= 0.0)
+            ahead = ~back & (w[k.size:] > 0.0)
+            if not (back.any() or ahead.any()):
+                break
+            k = k - back + ahead
+        f = k * P + j
+        f = f[f <= (_MAX_PERIODS * P if last is None else last - 1)]
+        return int(f.min()) if f.size else None
+
+    def _below(self, f, a, b):
+        """Where w first reaches 0 on the brackets of nodes ``f`` with ends
+        ``a`` and ``b``, each (t, w, p): at the start where w <= 0 there,
+        else at the minimum (where p turns from negative to nonnegative and
+        ``positive`` does not rule it out) where w <= 0 there, else at the
+        end where w <= 0 there; inf where w stays positive.  That is where
+        the bracket of t*'s root ends."""
+        (ta, wa, pa), (tb, wb, pb) = a, b
+        self.examined += int(f.size)
+        below = np.where(wb <= 0.0, tb, np.inf)
+        i = np.flatnonzero((pa < 0.0) & (pb >= 0.0))
+        if i.size:
+            i = i[~self.positive(f[i])]
+        if i.size > _FEW:        # all at once, on arrays
+            x = _roots(self.on_brackets(f[i], _P), ta[i], tb[i], pa[i], pb[i])
+            hit = self.on_brackets(f[i], _W)(x)[0] <= 0.0
+            below[i[hit]] = x[hit]
+        else:                    # one at a time, in floats
+            for n in i:
+                x = _root_of(self.on_bracket(f[n], _P), *(float(v[n]) for v in (ta, tb, pa, pb)))
+                if self.on_bracket(f[n], _W)(x)[0] <= 0.0:
+                    below[n] = x
+        return np.where(wa <= 0.0, ta, below)
+
+    def _at_time(self, t):
+        """t, w and p at a time, each an array of one."""
+        _, _, w, p = self(t)
+        return np.array([t]), np.array([w]), np.array([p])
+
+    def _edge(self, f, a, b):
+        """t* on one partial bracket of the polynomial of node ``f``, or None."""
+        below = self._below(np.array([f]), a, b)[0]
+        return None if below == np.inf else self._t_star_on(f, a[0][0], a[1][0], below)
+
+    def _t_star_on(self, f, ta, wa, below):
+        """The zero of w on the bracket of node ``f`` from ``ta`` to ``below``."""
+        if wa <= 0.0:
+            return float(ta)
+        return _fall_time(self.on_bracket(f, _W), 0.0, float(ta), float(below), float(wa))
+
 
 class _Lagrangian:
     """(F, G, w, p) along a characteristic with d = 1, in closed form.
 
     There w'' = 1 - w, so w = 1 + A cos t + B sin t with A = w0 - 1 and
     B = p0, and v = 1/(1 - G) obeys the same equation with v' = F v.  The
-    nodes are evenly spaced, ``_ONE_D_NODES`` per 2 pi.
+    nodes are evenly spaced, ``_ONE_D_NODES`` per 2 pi over [0, t_max]
+    (over [0, t_end] when t_max is inf), and built when read.
     """
+
+    floquet, offset = None, 0
 
     def __init__(self, F0, G0, w0, p0, t_max):
         v0 = 1.0 / (1.0 - G0)
-        self.coef = (w0 - 1.0, p0, v0 - 1.0, F0 * v0)
-        n = math.ceil(t_max * _ONE_D_NODES / (2.0 * math.pi))
-        self.t = np.linspace(0.0, t_max, n + 1)
-        self.F, self.G, self.w, self.p = self(self.t)
+        self.coef, self.t_max = (w0 - 1.0, p0, v0 - 1.0, F0 * v0), t_max
 
     def __call__(self, t):
         A, B, a, b = self.coef
@@ -326,18 +600,29 @@ class _Lagrangian:
         v = 1.0 + a * c + b * s
         return (b * c - a * s) / v, 1.0 - 1.0 / v, 1.0 + A * c + B * s, B * c - A * s
 
-    def fg(self):
-        return self.F, self.G
+    def nodes(self, t_end):
+        """t, F, G, w and p on the nodes in [0, t_end) and at ``t_end``."""
+        span = self.t_max if math.isfinite(self.t_max) else t_end
+        t = np.linspace(0.0, span, math.ceil(span * _ONE_D_NODES / (2.0 * math.pi)) + 1)
+        t = np.append(t[t < t_end], t_end)
+        return [t, *self(t)]
 
-    floquet = None
-
-    def positive(self, i):
-        """Where w = 1 + A cos t + B sin t >= 1 - hypot(A, B) is certainly
-        positive on the brackets that start at nodes ``i``."""
+    def first_zero(self) -> Optional[float]:
+        """t*: with R = hypot(A, B) and phi = atan2(B, A), w = 1 + R cos(t - phi)
+        first falls to 0 where t - phi = arccos(-1/R) (mod 2 pi), if R >= 1."""
         A, B, _, _ = self.coef
-        return np.full(len(i), math.hypot(A, B) < 1.0)
+        R = math.hypot(A, B)
+        if R < 1.0:
+            return None
+        t = (math.atan2(B, A) + math.acos(-1.0 / R)) % (2.0 * math.pi)
+        return t if t <= self.t_max else None
 
-    def on_brackets(self, i, j):
+    def on_bracket(self, f, j):
+        """w (j = 2) or p (j = 3) and its derivative at a time, in floats."""
+        g = self.on_brackets(f, j)
+        return lambda t: tuple(map(float, g(t)))
+
+    def on_brackets(self, f, j):
         """w (j = 2) or p (j = 3) and its derivative, at any times."""
         A, B, _, _ = self.coef
 
@@ -378,29 +663,53 @@ def _roots(f, a, b, fa, fb) -> np.ndarray:
     return x
 
 
-def _falls_to(flow, level: float, t_below: float) -> float:
-    """The time before ``t_below``, where w <= level, at which w falls to ``level``.
+def _root_of(f, a: float, b: float, fa: float, fb: float) -> float:
+    """:func:`_roots` on one bracket, in floats: the same iterates for an
+    ``f`` that gives the same numbers, without the cost of arrays of one."""
+    x = a - fa * (b - a) / (fb - fa)
+    for _ in range(_MAXITER):
+        fx, dfx = f(x)
+        if (fx > 0.0) - (fx < 0.0) == (fa > 0.0) - (fa < 0.0):
+            a, fa = x, fx
+        else:
+            b = x
+        x_new = x - fx / dfx if dfx != 0.0 else math.nan
+        xtol = _XTOL * abs(x)
+        if fx == 0.0 or abs(x_new - x) <= xtol or b - a <= xtol:
+            break
+        x = x_new if a < x_new < b else 0.5 * (a + b)
+    return float(x)
+
+
+def _fall_time(w, level: float, ta: float, tb: float, wa: float) -> float:
+    """The time in [ta, tb] at which w falls to ``level``, for w from
+    ``w(t)`` (value and derivative) on one bracket with w(ta) = wa above
+    ``level`` and w <= level at tb."""
+
+    def f(x):
+        wx, dwx = w(x)
+        return wx - level, dwx
+
+    # w <= level at the end; rounding in the evaluation must not flip it
+    return _root_of(f, ta, tb, wa - level, min(f(tb)[0], 0.0))
+
+
+def _falls_to(flow, nodes, level: float, t_below: float) -> float:
+    """The time before ``t_below``, where w <= level, at which w falls to
+    ``level``, from the flow's ``nodes`` (t, F, G, w, p) up to ``t_below``.
 
     The bracket starts at the last node before ``t_below`` with w above
     ``level`` and ends at the next node or at ``t_below``, whichever comes
     first, so it lies in one step; with no such node, w starts at or below
     ``level`` and the time is 0.
     """
-    t = flow.t
-    above = np.flatnonzero((t < t_below) & (flow.w > level))
+    t, w = nodes[0], nodes[3]
+    above = np.flatnonzero((t < t_below) & (w > level))
     if not above.size:
         return 0.0
-    k = above[-1:]
-    end = np.minimum(t[k + 1], t_below)
-    w_on = flow.on_brackets(k, _W)
-
-    def f(x):
-        wx, dwx = w_on(x)
-        return wx - level, dwx
-
-    # w <= level at the end; rounding in the evaluation must not flip it
-    w_end = np.minimum(f(end)[0], 0.0)
-    return float(_roots(f, t[k], end, flow.w[k] - level, w_end)[0])
+    k = above[-1]
+    return _fall_time(flow.on_bracket(k + flow.offset, _W), level, float(t[k]),
+                    float(min(t[k + 1], t_below)), float(w[k]))
 
 
 class CharacteristicRun:
@@ -408,39 +717,26 @@ class CharacteristicRun:
     trajectory and crossing log.
 
     ``t_star``, the first zero of w (None when w stays positive up to
-    t_max), is found when the run is made.  w can dip below 0 and return
-    within one step, so its sign is tested at every node and at every
-    minimum (a crossing where p turns from negative to positive) in the
-    brackets that start before the first node with w <= 0, unless the
-    flow's ``positive`` bound rules a dip out there, and t* is the root
-    before the first such value.
+    t_max), is found when the run is made, by the flow's ``first_zero``:
+    for d = 2, 3 a search over the brackets of one period (see
+    :meth:`_Floquet.first_zero`), whose cost does not grow with t_max, and
+    in closed form for d = 1.  So t_max may be inf.
 
     ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
     evaluates it at any time; it ends at t_max (status ``"completed"``) or,
     after a blow-up, where lambda reaches ``-d_cap`` (``"terminal-event"``),
-    so ``d_cap`` moves neither t* nor a bounded run.  ``crossing_times``
-    and ``crossing_lambdas`` are the axis crossings D = 0 before that end:
-    every sign change of p between nodes, located by :func:`_roots` for all
-    crossings at once (the minima found for t* are reused), with lambda
-    there from the trajectory.  The trajectory and the crossings are built
-    on first read and cached.
+    so ``d_cap`` moves neither t* nor a bounded run; a run that never
+    breaks up to t_max = inf has no end, and reading it raises ValueError.
+    ``crossing_times`` and ``crossing_lambdas`` are the axis crossings
+    D = 0 before that end: every sign change of p between nodes, located by
+    :func:`_roots` for all crossings at once, with lambda there from the
+    trajectory.  The nodes, the trajectory and the crossings are built on
+    first read and cached.
     """
 
     def __init__(self, profile: RadialProfile, r0: float, flow, d_cap: float):
         self.profile, self.r0, self.d_cap, self._flow = profile, r0, d_cap, flow
-        t, w, p = flow.t, flow.w, flow.p
-        sign = np.sign(p)
-        self._brackets = i = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
-        first = np.flatnonzero(w <= 0.0)[:1]
-        lows = i[(sign[i] < 0.0) & (i < (first[0] if first.size else t.size))]
-        if lows.size:
-            lows = lows[~flow.positive(lows)]
-        self._lows, self._minima, below = lows, np.empty(0), t[first]
-        if lows.size:
-            self._minima = minima = _roots(flow.on_brackets(lows, _P), t[lows], t[lows + 1],
-                                           p[lows], p[lows + 1])
-            below = np.append(minima[flow.on_brackets(lows, _W)(minima)[0] <= 0.0][:1], below)
-        self.t_star: Optional[float] = _falls_to(flow, 0.0, below.min()) if below.size else None
+        self.t_star: Optional[float] = flow.first_zero()
 
     @property
     def d(self) -> int:
@@ -450,16 +746,31 @@ class CharacteristicRun:
     def floquet(self) -> Optional[dict]:
         """The period map [[1, 0], [shear, 1]] of a d = 2, 3 run with a
         period: ``period`` T, ``half_period_steps`` (the DOP853 steps over
-        T/2), ``shear`` and the ``residual`` w2(T/2), 0 but for the
-        integration error; None for d = 1 or without a period."""
+        T/2), ``shear``, the ``residual`` w2(T/2) and the
+        ``turning_point_miss`` |F(T/2)|/F+, where the half period ends
+        against the turning point it should reach (both 0 but for the
+        integration error); None for d = 1 or without a period."""
         return self._flow.floquet
+
+    @cached_property
+    def _nodes(self) -> list:
+        """t, F, G, w and p on the trajectory's nodes, up to its end."""
+        flow = self._flow
+        if self.t_star is None:
+            if math.isinf(flow.t_max):
+                raise ValueError("w stays positive for all time and t_max = inf: "
+                                 "the run has no blow-up, and its trajectory no end")
+            return flow.nodes(flow.t_max)
+        # the end, lambda = -d_cap, from t and w up to t*; for d = 1, G = lambda
+        # is infinite at t*, where only w is read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upto = flow.nodes(self.t_star)
+        return flow.nodes(_falls_to(flow, upto, 1.0 / (1.0 + self.d_cap), self.t_star))
 
     @cached_property
     def trajectory(self) -> OdeTrajectory:
         flow, d, r0 = self._flow, self.d, self.r0
-        t_end, status = flow.t[-1], "completed"
-        if self.t_star is not None:    # lambda = -d_cap
-            t_end, status = _falls_to(flow, 1.0 / (1.0 + self.d_cap), self.t_star), "terminal-event"
+        t, *state = self._nodes
         ratio = 1.0 - d * self.profile.G0(r0)
 
         # reads no attribute of the run: the run holds the trajectory, and a
@@ -467,23 +778,17 @@ class CharacteristicRun:
         def states(F, G, w, p):
             return np.array([F, G, 1.0 - 1.0 / w, p / w, r0 * (ratio / (1.0 - d * G)) ** (1.0 / d)])
 
-        keep = flow.t < t_end
-        y = states(*(np.append(v[keep], e)
-                     for v, e in zip((*flow.fg(), flow.w, flow.p), flow(t_end))))
-        return OdeTrajectory(np.append(flow.t[keep], t_end), y, lambda tt: states(*flow(tt)),
-                             status=status)
+        return OdeTrajectory(t, states(*state), lambda tt: states(*flow(tt)),
+                             status="completed" if self.t_star is None else "terminal-event")
 
     @cached_property
     def _crossings(self) -> tuple[np.ndarray, np.ndarray]:
         traj, flow = self.trajectory, self._flow
-        t, p, t_end = flow.t, flow.p, traj.t[-1]
-        i = self._brackets[t[self._brackets] < t_end]
-        roots = np.full(t.size, np.nan)
-        roots[self._lows] = self._minima
-        todo = i[np.isnan(roots[i])]
-        roots[todo] = _roots(flow.on_brackets(todo, _P), t[todo], t[todo + 1], p[todo], p[todo + 1])
-        times = roots[i]
-        times = times[times < t_end]
+        t, p = self._nodes[0], self._nodes[4]
+        sign = np.sign(p)
+        i = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
+        times = _roots(flow.on_brackets(i + flow.offset, _P), t[i], t[i + 1], p[i], p[i + 1])
+        times = times[times < t[-1]]
         at = traj(times)
         # rounding noise in p crosses 0 on an equilibrium: keep crossings of moving states
         moving = np.max(np.abs(at[:3]), axis=0) > 1e-12
@@ -514,11 +819,12 @@ def run_characteristic(
     [0, t_max] from the start when the orbit has no period), and the rest
     of the run is mirrored from it, with the odd solution's weight growing
     by the period map's shear each period; d = 1 is closed form.  The
-    run computes two things at once: this flow, with w and p on its nodes,
-    and the blow-up time t*, from the minima of w on the step polynomials
-    of the brackets before the first node with w <= 0.  Its trajectory
-    (ending where lambda reaches ``-d_cap`` after a blow-up) and its
-    crossings are built when first read; see :class:`CharacteristicRun`.
+    run finds the blow-up time t* at once, for d = 2, 3 by a search over
+    the brackets of one period whose cost does not grow with t_max, so
+    ``t_max`` may be ``math.inf`` (not for an orbit without a period).  Its
+    nodes, its trajectory (ending where lambda reaches ``-d_cap`` after a
+    blow-up) and its crossings are built when first read; see
+    :class:`CharacteristicRun`.
     """
     d = profile.d
     F0, G0 = profile.F0(r0), profile.G0(r0)
@@ -600,7 +906,8 @@ def blowup_sweep(
     t_max: float = 400.0,
     tol: float = 1e-8,
 ) -> list[tuple[float, Optional[float]]]:
-    """Blow-up time per starting radius (None where no blow-up by t_max)."""
+    """Blow-up time per starting radius (None where no blow-up by t_max,
+    which may be ``math.inf``)."""
     out: list[tuple[float, Optional[float]]] = []
     for r0 in r_grid:
         run = run_characteristic(profile, r0, t_max, tol=tol)

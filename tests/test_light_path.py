@@ -1,7 +1,8 @@
-"""numpy only where the ODE runs, and scipy nowhere.
+"""numpy only where the ODE runs, scipy nowhere, and each module only where it runs.
 
 The closed-form modes and the package import run on the standard library;
-the oracle's ODE engine loads numpy on its first run.
+the oracle's ODE engine loads numpy on its first run, and every CLI mode
+imports the package modules it runs.
 """
 
 import json
@@ -23,11 +24,11 @@ _LIGHT_RUNS = [
 ]
 
 
-def _loaded_after(code: str) -> dict:
-    """numpy and scipy module names in ``sys.modules`` after ``code`` runs
-    in a fresh interpreter."""
+def _loaded_after(code: str, packages=("numpy", "scipy")) -> dict:
+    """The module names of each package in ``sys.modules`` after ``code``
+    runs in a fresh interpreter."""
     probe = code + "\nimport json, sys\nprint(json.dumps({p: sorted(" \
-        "m for m in sys.modules if m == p or m.startswith(p + '.')) for p in ('numpy', 'scipy')}))"
+        f"m for m in sys.modules if m == p or m.startswith(p + '.')) for p in {packages!r}}}))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -49,6 +50,15 @@ def test_import_loads_neither_numpy_nor_scipy():
 def test_light_cli_modes_load_neither_numpy_nor_scipy(tmp_path):
     assert _loaded_after(_cli_runs(_LIGHT_RUNS, tmp_path)) == {"numpy": [], "scipy": []}
     assert all((tmp_path / str(i) / "report.json").exists() for i in range(len(_LIGHT_RUNS)))
+
+
+def test_pointwise_criteria_load_only_what_they_run(tmp_path):
+    # each CLI mode imports its own modules: the two pointwise criteria need
+    # chaplygin_bounds, not the spirals, the dynamics or the oracle
+    loaded = _loaded_after(_cli_runs(_LIGHT_RUNS[:2], tmp_path), ("coldplasma",))["coldplasma"]
+    assert "coldplasma.chaplygin_bounds" in loaded
+    assert not {"coldplasma.spiral_counter", "coldplasma.core_dynamics", "coldplasma.oracle"} & set(loaded)
+    assert _loaded_after("import coldplasma", ("coldplasma",)) == {"coldplasma": ["coldplasma"]}
 
 
 def test_ode_runs_load_numpy_but_not_scipy(tmp_path):

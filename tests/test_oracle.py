@@ -18,6 +18,10 @@ from coldplasma.core_dynamics import (
 )
 from coldplasma.numerics import find_root, integrate
 from coldplasma.oracle import (
+    _P,
+    _W,
+    _root_of,
+    _roots,
     blowup_sweep,
     count_revolutions_oracle,
     detect_blowup,
@@ -448,10 +452,22 @@ class TestHalfPeriod:
         # no node may overflow or turn NaN (a RuntimeWarning fails the test)
         profile = gaussian_profile(0.49)
         run = run_characteristic(profile, r0, 400.0, tol=1e-8)
-        assert np.all(np.isfinite(run._flow.w))
+        assert np.all(np.isfinite(run._flow.nodes(400.0)[3]))
         direct = direct_run(profile, r0, 400.0)
         assert direct.status == "singular-step"
         assert abs(run.t_star - direct.t[-1]) <= 1e-8 * direct.t[-1], (run.t_star, direct.t[-1])
+
+    def test_turning_point_miss(self):
+        # the half period ends at T/2 from period's quadrature, where F must
+        # be 0: on breaking-sweep's orbits |F(T/2)|/F+ is at most 2.9e-7 (at
+        # the center), but at K = 0.49, r0 = 0.01 (F+ = 3.9e9) F(T/2) = 1.2e9
+        # while the residual w2(T/2) reads -8.6e-11
+        profile = gaussian_profile(0.45)
+        misses = [run_characteristic(profile, r0, 400.0, tol=1e-8).floquet["turning_point_miss"]
+                  for r0 in np.linspace(0.0, 3.0, 48)]
+        assert max(misses) <= 1e-6, max(misses)
+        floquet = run_characteristic(gaussian_profile(0.49), 0.01, 400.0, tol=1e-8).floquet
+        assert floquet["turning_point_miss"] > 0.1 and abs(floquet["residual"]) < 1e-9, floquet
 
     @pytest.mark.parametrize("case", ["breaking-2d", "moving-2d", "moving-3d"])
     def test_positive_bound_holds_on_the_brackets(self, case):
@@ -463,16 +479,106 @@ class TestHalfPeriod:
             "moving-3d": (moving_pulse(0.3, -0.6, 3), 0.3),
         }[case]
         flow = run_characteristic(profile, r0, 400.0, tol=1e-8)._flow
-        i = np.arange(flow.t.size - 1)
+        t = flow.nodes(400.0)[0]
+        i = np.arange(t.size - 1) + flow.offset
         certain = flow.positive(i)
         w = flow.on_brackets(i, 2)
-        lowest = np.min([w(t)[0] for t in flow.t[:-1] + np.linspace(0.0, 1.0, 65)[:, None] * np.diff(flow.t)],
+        lowest = np.min([w(x)[0] for x in t[:-1] + np.linspace(0.0, 1.0, 65)[:, None] * np.diff(t)],
                         axis=0)
         assert certain.any() and (lowest <= 0.0).any()
         assert np.all(lowest[certain] > 0.0)
+
+    @pytest.mark.parametrize("case", ["breaking-2d", "moving-3d"])
+    def test_one_bracket_in_floats_is_the_array_iteration(self, case):
+        # on one bracket the root iteration runs in floats (on_bracket,
+        # _root_of): the same operations as on arrays, so the same numbers
+        profile, r0 = {
+            "breaking-2d": (gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)[14]),
+            "moving-3d": (moving_pulse(0.3, -0.6, 3), 0.3),
+        }[case]
+        run = run_characteristic(profile, r0, 40.0, tol=1e-8)
+        flow = run._flow
+        t, _, _, w, p = flow.nodes(40.0)
+        i = np.flatnonzero((p[:-1] < 0.0) & (p[1:] >= 0.0))   # minima of w
+        assert i.size >= 2
+        x = t[i] + np.linspace(0.0, 1.0, 5)[:, None] * (t[i + 1] - t[i])
+        for j in (_W, _P):
+            f = flow.on_brackets(i + flow.offset, j)
+            want = np.array([f(row) for row in x])              # (5, 2, len(i))
+            for n, k in enumerate(i):
+                g = flow.on_bracket(k + flow.offset, j)
+                assert [g(float(v)) for v in x[:, n]] == [tuple(pair) for pair in want[:, :, n]]
+        ends = (t[i], t[i + 1], p[i], p[i + 1])
+        want = _roots(flow.on_brackets(i + flow.offset, _P), *ends)
+        for n, k in enumerate(i):
+            got = _root_of(flow.on_bracket(k + flow.offset, _P), *(float(e[n]) for e in ends))
+            assert got == want[n], (case, got, want[n])
 
     def test_breaking_sweep_work(self, ode_steps):
         # one DOP853 run of half a period per radius; the whole period took 856 steps
         blowup_sweep(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48), 400.0, 1e-8)
         assert len(ode_steps) == 48
         assert sum(ode_steps) <= 480
+
+
+class TestHorizon:
+    """t* is searched over the brackets of one period, so it does not depend on t_max."""
+
+    def test_t_star_does_not_depend_on_the_horizon(self):
+        profile, grid = gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)
+        short, long_, endless = (blowup_sweep(profile, grid, t_max, 1e-8)
+                                 for t_max in (400.0, 20000.0, math.inf))
+        assert sum(t is not None for _, t in short) == 16
+        for (r0, a), (_, b), (_, c) in zip(short, long_, endless):
+            if a is not None:
+                assert a == b == c, (r0, a, b, c)
+            elif b is not None:       # breaks after 400
+                assert b == c and b > 400.0, (r0, b, c)
+        # the center has v = 0: w = q for all time
+        assert endless[0] == (0.0, None)
+
+    @pytest.mark.parametrize("r0", [0.0, 2.5])
+    def test_search_cost_does_not_grow_with_the_horizon(self, r0):
+        profile = gaussian_profile(0.45)
+        runs = [run_characteristic(profile, r0, t_max, tol=1e-8) for t_max in (400.0, 20000.0)]
+        assert all(run.t_star is None for run in runs)
+        assert runs[0]._flow.examined == runs[1]._flow.examined
+
+    def test_nodes_are_built_only_when_read(self):
+        # 3566 periods before t*: no node is built for the search
+        run = run_characteristic(gaussian_profile(0.222), 0.05, 50000.0, tol=1e-8)
+        assert abs(run.t_star - 22208.32562) <= 1e-5, run.t_star
+        assert "_nodes" not in run.__dict__
+        traj = run.trajectory
+        assert "_nodes" in run.__dict__
+        assert traj.status == "terminal-event" and traj.t[-1] < run.t_star
+
+    def test_orbit_without_a_period_breaks_in_its_last_step(self):
+        # F0 = G0 = 0 at r0 = 1 with lambda0 = 0.8 and D0 = -0.5: on the
+        # point orbit w = 1 + A cos t + B sin t; a horizon just past t* puts
+        # the zero in the last step of the one integrated span
+        profile = RadialProfile(
+            G0=lambda r: 0.8 * (r - 1.0) * math.exp(-4.0 * (r - 1.0) ** 2),
+            F0=lambda r: -0.5 * (r - 1.0) * math.exp(-4.0 * (r - 1.0) ** 2), d=2,
+            dG0=lambda r: 0.8 * math.exp(-4.0 * (r - 1.0) ** 2) * (1.0 - 8.0 * (r - 1.0) ** 2),
+            dF0=lambda r: -0.5 * math.exp(-4.0 * (r - 1.0) ** 2) * (1.0 - 8.0 * (r - 1.0) ** 2))
+        exact = TestOneDimensionalExact.first_zero(*profile_divergences(profile, 1.0))
+        for t_max in (exact * (1.0 + 1e-9), exact * 1.01, 10.0):
+            run = run_characteristic(profile, 1.0, t_max, tol=1e-10)
+            assert run.floquet is None and abs(run.t_star - exact) <= 1e-9 * exact, (t_max, run.t_star)
+
+    def test_infinite_horizon(self):
+        profile = gaussian_profile(0.45)
+        run = run_characteristic(profile, 0.0, math.inf, tol=1e-8)
+        assert run.t_star is None
+        with pytest.raises(ValueError, match="no end"):
+            run.trajectory
+        # a breaking run ends where lambda reaches -d_cap, as with a finite horizon
+        finite, endless = (run_characteristic(profile, 0.894, t_max, tol=1e-8) for t_max in (400.0, math.inf))
+        assert endless.trajectory.t.tobytes() == finite.trajectory.t.tobytes()
+        # the point orbit has no period to search over
+        with pytest.raises(ValueError, match="periodic orbit"):
+            run_characteristic(constant_profile(0.0, 0.0, 2), 1.0, math.inf)
+        # d = 1 is closed form: its t* lies within the first 2 pi
+        one_d = one_d_point_profile(0.3, 0.9)
+        assert run_characteristic(one_d, 0.0, math.inf).t_star == run_characteristic(one_d, 0.0, 20.0).t_star
