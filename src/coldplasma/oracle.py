@@ -67,7 +67,6 @@ __all__ = [
 _SAMPLES_PER_ARC = 400   # oracle times compared against the envelope per arc
 _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 runs
 _SECTIONS = 64           # periods tested per round of the search for a breaking period
-_FEW = 3                 # minima located one at a time, in floats, up to this many
 _MAX_PERIODS = 2 ** 52   # periods searched at most (k + 1 stays exact)
 _XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iterations
 _MAXITER = 100
@@ -153,16 +152,17 @@ class _Floquet:
     mirrored in reverse order, each starting the step it ends (the junction
     T/2, where F is 0, first).  Node f (a flat index) is position f mod P
     of period k = f div P, at (kT - tau_s) + its phase; the run's nodes are
-    those in [0, t_max), ``first`` to ``last`` - 1, after t = 0 when the
-    start lies inside a step (``inside``) and before t_max, and node i of
+    those in [0, t_max) from ``first`` on, after t = 0 when the start lies
+    inside a step (``inside``) and before t_max, and node i of
     :meth:`nodes` is flat node i + ``offset``.  No node value is built
-    before it is read.  ``floquet`` holds T, the half period's steps, n,
-    the residual w2(T/2) and the turning-point miss |F(T/2)|/F+, both 0
-    but for the integration error (None without a period).
+    before it is read.  ``floquet`` holds T, the half period's steps, n
+    with its ``shear_error``, the residual w2(T/2) and the turning-point
+    miss |F(T/2)|/F+, both 0 but for the integration error (None without
+    a period).
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
-        self.d, self.t_max, self._orbit = d, t_max, (F0, G0)
+        self.d, self.t_max, self.tol, self._orbit = d, t_max, tol, (F0, G0)
         try:
             T, G_e, tau = orbit_phase(F0, G0, d)
             F_e = 0.0
@@ -212,7 +212,6 @@ class _Floquet:
         self.first = first = int(np.searchsorted(t, 0.0))
         self.inside = first == step.size or bool(t[first] > 0.0)   # t = 0 lies inside a step
         self.offset = first - self.inside
-        self.last = self._count(t_max) if math.isfinite(t_max) else None
 
     @cached_property
     def floquet(self) -> Optional[dict]:
@@ -220,8 +219,25 @@ class _Floquet:
             return None
         F_half, residual = self.one.y[[0, 4], -1].tolist()      # F and w2 at T/2
         return {"period": self.T, "half_period_steps": self.one.t.size - 1, "shear": self.shear,
-                "residual": residual,
+                "shear_error": self.shear_error, "residual": residual,
                 "turning_point_miss": abs(F_half) / orbit_extremes(*self._orbit, self.d).F_plus}
+
+    @cached_property
+    def shear_error(self) -> float:
+        """An estimate of the error of n = 2 c/e, (c, e) = (p1, p2) at the
+        end of the half period.  That end lies dt = w2/e past the turning
+        point, where w2 = 0, so c and e are off by (p1', p2') dt, with
+        p' = 2(d-1) F p - ((d-1) d F**2 + 1) w; the integration adds up to
+        tol (1 + |c|) to c and tol (1 + |e|) to e.  On the orbits of
+        Gaussian pulses (K = 0.222 to 0.49) and of moving 2D and 3D pulses
+        it exceeds the error against tol 1e-13: by 1.03 times at least at
+        tol 1e-7, 1.4 times at 1e-8, 1.8 times at 1e-9 and 1e-10."""
+        F, _, w1, c, w2, e = self.one.y[:, -1].tolist()
+        d, n, tol = self.d, self.shear, self.tol
+        b, a = 2.0 * (d - 1) * F, (d - 1) * d * F * F + 1.0
+        dt = w2 / e
+        dc, de = (b * c - a * w1) * dt, (b * e - a * w2) * dt
+        return (abs(2.0 * dc - n * de) + tol * (2.0 * (1.0 + abs(c)) + abs(n) * (1.0 + abs(e)))) / abs(e)
 
     def _at(self, tau):
         """F, G and Phi = [[a, b], [c, e]] at a phase tau in [0, T), as
@@ -340,44 +356,43 @@ class _Floquet:
 
         return f
 
-    def on_bracket(self, f, j):
-        """w (j = 2) or p (j = 3) and its derivative on the one bracket that
-        starts at node ``f``, at a time, in floats: :meth:`on_brackets`'
-        operations in the same order, so the same numbers, at a fraction of
-        the cost of arrays of one."""
-        coef, base, k, s, sign = self._polynomials(np.array([f]), j)
+    def w_on_bracket(self, f):
+        """w and its derivative at a time, in floats, on the one bracket
+        that starts at node ``f``: :meth:`on_brackets`' operations on w in
+        the same order, so the same numbers, for :func:`_fall_time`."""
+        coef, base, k, s, sign = self._polynomials(np.array([f]), _W)
         dense = self.one.interpolant
-        h, mirrored = float(dense.h[s[0]]), bool(sign[0] < 0.0)
+        h = float(dense.h[s[0]])
         t0, dxdt = float(self._t0(k[0])), float(sign[0]) / h
-        off = ((self.T if mirrored else 0.0) - float(dense.t[s[0]])) / h
-        c, (b0, b1, b2) = coef[0].tolist(), base[:, 0].tolist()
+        off = ((self.T if sign[0] < 0.0 else 0.0) - float(dense.t[s[0]])) / h
+        c, (b1, b2) = coef[0, :, 1:].tolist(), base[1:, 0].tolist()   # rows 1 - d G and h
 
-        def g(t):
+        def w(t):
             x = (t - t0) * dxdt + off
             x1 = 1.0 - x
-            d0, d1, d2 = c[6]
-            v0, v1, v2 = d0 * x, d1 * x, d2 * x
+            d1, d2 = c[6]
+            v1, v2 = d1 * x, d2 * x
             for n in range(5, -1, -1):       # _horner
-                c0, c1, c2 = c[n]
-                v0, v1, v2 = v0 + c0, v1 + c1, v2 + c2
+                v1, v2 = v1 + c[n][0], v2 + c[n][1]
                 if n % 2:
-                    d0, d1, d2 = d0 * x1 - v0, d1 * x1 - v1, d2 * x1 - v2
-                    v0, v1, v2 = v0 * x1, v1 * x1, v2 * x1
+                    d1, d2 = d1 * x1 - v1, d2 * x1 - v2
+                    v1, v2 = v1 * x1, v2 * x1
                 else:
-                    d0, d1, d2 = d0 * x + v0, d1 * x + v1, d2 * x + v2
-                    v0, v1, v2 = v0 * x, v1 * x, v2 * x
-            v0, v1, v2, d0, d1, d2 = v0 + b0, v1 + b1, v2 + b2, d0 * dxdt, d1 * dxdt, d2 * dxdt
-            q = 1.0 / v1
-            dq = q * q * d1
-            if j == _W:
-                return q + v2, d2 - dq
-            return v0 * q + v2, d0 * q - v0 * dq + d2
+                    d1, d2 = d1 * x + v1, d2 * x + v2
+                    v1, v2 = v1 * x, v2 * x
+            q = 1.0 / (v1 + b1)
+            return q + (v2 + b2), d2 * dxdt - q * q * (d1 * dxdt)
 
-        return g
+        return w
 
     def first_zero(self) -> Optional[float]:
         """t*, the first zero of w in [0, t_max] (None where w stays
         positive), searched bracket by bracket over one period.
+
+        At t_max = inf, where n v0 = 0 or n is 0 within ``shear_error``,
+        w repeats each period, so the search runs to t = T, one period
+        from the start: a shear the integration cannot tell from 0 breaks
+        no run.
 
         At a fixed phase w(kT + sigma) = A(sigma) + k B(sigma) is affine in
         the period k, with B = n v0 w2 (mirrored: its turn), and so are w and
@@ -392,9 +407,7 @@ class _Floquet:
 
         - a node value A_i + k B_i with B_i < 0 is <= 0 from
           k_i = ceil(-A_i/B_i) on (the node values settle the rounding), so
-          no bracket after the first such node is searched, and where no
-          node value falls (n v0 = 0) the periods repeat, so for
-          t_max = inf one period is;
+          no bracket after the first such node is searched;
         - a bracket that is a minimum of w in neither the first nor the
           last period of its range (p at its ends is monotone in k), or is
           certainly positive in both, never reaches 0 before that node;
@@ -408,11 +421,12 @@ class _Floquet:
         have positive end nodes and no minimum or are certainly positive.
         t* is then the root of w on the earliest bracket where w reaches 0,
         up to its minimum or its end node, found by :func:`_fall_time` as
-        :func:`_falls_to` does.  ``examined`` counts the brackets at which w
-        was bounded or evaluated.
+        :func:`_falls_to` does.
         """
-        P, first, last = self._step.size, self.first, self.last
-        self.examined = 0
+        P, first, t_end = self._step.size, self.first, self.t_max
+        if math.isinf(t_end) and (not self._slope.any() or abs(self.shear) <= self.shear_error):
+            t_end = self._T
+        last = self._count(t_end) if math.isfinite(t_end) else None
         j = np.arange(P)
         lo = (first + P - 1 - j) // P          # each position's first and last period
         hi = (last - 2 - j) // P if last is not None else np.full(P, _MAX_PERIODS)
@@ -426,8 +440,6 @@ class _Floquet:
             node = self._first_nonpositive(j, lo, w[:P], last)
             if node == first and not self.inside:   # w(0) <= 0
                 return 0.0
-            if last is None and not self._slope.any():   # n v0 = 0: the periods repeat
-                hi = lo
             if node is not None:               # up to the bracket that ends at that node
                 hi = np.minimum(hi, (node - 1 - j) // P)
                 e = e[:self.inside]
@@ -438,14 +450,12 @@ class _Floquet:
         j, lo, hi, f, g = j[live], lo[live], hi[live], f[live], g[live]
         p_lo, p_hi = p[:2 * P].reshape(2, -1)[:, live], p[2 * P:4 * P].reshape(2, -1)[:, live]
         w_e, p_e = w[4 * P:].reshape(2, -1), p[4 * P:].reshape(2, -1)
-        n = j.size
         # a minimum of w, p turning from negative to nonnegative, in some
         # period shows in the first or the last one, p being monotone in k;
         # a whole bracket with positive nodes and no minimum stays positive
         doubt = np.flatnonzero(((p_lo[0] < 0.0) | (p_hi[0] < 0.0)) & ((p_lo[1] >= 0.0) | (p_hi[1] >= 0.0)))
         clear = (w_e > 0.0).all(axis=0) & ~((p_e[0] < 0.0) & (p_e[1] >= 0.0))
         edges = e[~clear if self._T else slice(None)]   # without a period no node follows t_max
-        self.examined += n + int(np.count_nonzero(hi > lo)) + e.size
         # the bound at both ends rules brackets out; before a node with w <= 0
         # the search reads them along with that node's bracket instead
         m = 0 if node is not None else doubt.size
@@ -456,7 +466,7 @@ class _Floquet:
         edges = set(edges[~sure[2 * m:]].tolist())
         if first - 1 in edges:                 # from t = 0 to the first node
             end = self._node(np.array([first])) if last is None or first < last else \
-                self._at_time(self.t_max)
+                self._at_time(t_end)
             found = self._edge(first - 1, self._at_time(0.0), end)
             if found is not None or last == first:
                 return found
@@ -464,7 +474,7 @@ class _Floquet:
         if doubt.size or node is not None:
             found = self._search(j[doubt], lo[doubt], hi[doubt], node)
         if found is None and last is not None and last - 1 in edges:   # to t_max
-            found = self._edge(last - 1, self._node(np.array([last - 1])), self._at_time(self.t_max))
+            found = self._edge(last - 1, self._node(np.array([last - 1])), self._at_time(t_end))
         return found
 
     def _search(self, j, lo, hi, node):
@@ -546,20 +556,14 @@ class _Floquet:
         end where w <= 0 there; inf where w stays positive.  That is where
         the bracket of t*'s root ends."""
         (ta, wa, pa), (tb, wb, pb) = a, b
-        self.examined += int(f.size)
         below = np.where(wb <= 0.0, tb, np.inf)
         i = np.flatnonzero((pa < 0.0) & (pb >= 0.0))
         if i.size:
             i = i[~self.positive(f[i])]
-        if i.size > _FEW:        # all at once, on arrays
+        if i.size:
             x = _roots(self.on_brackets(f[i], _P), ta[i], tb[i], pa[i], pb[i])
             hit = self.on_brackets(f[i], _W)(x)[0] <= 0.0
             below[i[hit]] = x[hit]
-        else:                    # one at a time, in floats
-            for n in i:
-                x = _root_of(self.on_bracket(f[n], _P), *(float(v[n]) for v in (ta, tb, pa, pb)))
-                if self.on_bracket(f[n], _W)(x)[0] <= 0.0:
-                    below[n] = x
         return np.where(wa <= 0.0, ta, below)
 
     def _at_time(self, t):
@@ -576,7 +580,7 @@ class _Floquet:
         """The zero of w on the bracket of node ``f`` from ``ta`` to ``below``."""
         if wa <= 0.0:
             return float(ta)
-        return _fall_time(self.on_bracket(f, _W), 0.0, float(ta), float(below), float(wa))
+        return _fall_time(self.w_on_bracket(f), 0.0, float(ta), float(below), float(wa))
 
 
 class _Lagrangian:
@@ -617,10 +621,10 @@ class _Lagrangian:
         t = (math.atan2(B, A) + math.acos(-1.0 / R)) % (2.0 * math.pi)
         return t if t <= self.t_max else None
 
-    def on_bracket(self, f, j):
-        """w (j = 2) or p (j = 3) and its derivative at a time, in floats."""
-        g = self.on_brackets(f, j)
-        return lambda t: tuple(map(float, g(t)))
+    def w_on_bracket(self, f):
+        """w and its derivative at a time, in floats."""
+        w = self.on_brackets(f, _W)
+        return lambda t: tuple(map(float, w(t)))
 
     def on_brackets(self, f, j):
         """w (j = 2) or p (j = 3) and its derivative, at any times."""
@@ -663,12 +667,19 @@ def _roots(f, a, b, fa, fb) -> np.ndarray:
     return x
 
 
-def _root_of(f, a: float, b: float, fa: float, fb: float) -> float:
-    """:func:`_roots` on one bracket, in floats: the same iterates for an
-    ``f`` that gives the same numbers, without the cost of arrays of one."""
+def _fall_time(w, level: float, a: float, b: float, wa: float) -> float:
+    """The time in [a, b] at which w falls to ``level``, for w from
+    ``w(t)`` (value and derivative at a time, in floats) on one bracket
+    with w(a) = wa above ``level`` and w <= level at b: the iteration of
+    :func:`_roots` on one bracket, in floats, so the same iterates
+    without the cost of arrays of one.  Each breaking run finds its t*,
+    and its trajectory's end, this way."""
+    fa = wa - level
+    fb = min(w(b)[0] - level, 0.0)   # w <= level at the end; rounding must not flip it
     x = a - fa * (b - a) / (fb - fa)
     for _ in range(_MAXITER):
-        fx, dfx = f(x)
+        fx, dfx = w(x)
+        fx -= level
         if (fx > 0.0) - (fx < 0.0) == (fa > 0.0) - (fa < 0.0):
             a, fa = x, fx
         else:
@@ -678,20 +689,7 @@ def _root_of(f, a: float, b: float, fa: float, fb: float) -> float:
         if fx == 0.0 or abs(x_new - x) <= xtol or b - a <= xtol:
             break
         x = x_new if a < x_new < b else 0.5 * (a + b)
-    return float(x)
-
-
-def _fall_time(w, level: float, ta: float, tb: float, wa: float) -> float:
-    """The time in [ta, tb] at which w falls to ``level``, for w from
-    ``w(t)`` (value and derivative) on one bracket with w(ta) = wa above
-    ``level`` and w <= level at tb."""
-
-    def f(x):
-        wx, dwx = w(x)
-        return wx - level, dwx
-
-    # w <= level at the end; rounding in the evaluation must not flip it
-    return _root_of(f, ta, tb, wa - level, min(f(tb)[0], 0.0))
+    return x
 
 
 def _falls_to(flow, nodes, level: float, t_below: float) -> float:
@@ -708,8 +706,8 @@ def _falls_to(flow, nodes, level: float, t_below: float) -> float:
     if not above.size:
         return 0.0
     k = above[-1]
-    return _fall_time(flow.on_bracket(k + flow.offset, _W), level, float(t[k]),
-                    float(min(t[k + 1], t_below)), float(w[k]))
+    return _fall_time(flow.w_on_bracket(k + flow.offset), level, float(t[k]),
+                      float(min(t[k + 1], t_below)), float(w[k]))
 
 
 class CharacteristicRun:
@@ -720,7 +718,8 @@ class CharacteristicRun:
     t_max), is found when the run is made, by the flow's ``first_zero``:
     for d = 2, 3 a search over the brackets of one period (see
     :meth:`_Floquet.first_zero`), whose cost does not grow with t_max, and
-    in closed form for d = 1.  So t_max may be inf.
+    in closed form for d = 1.  So t_max may be inf, where a shear that is 0
+    within its error (``floquet["shear_error"]``) counts as 0.
 
     ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
     evaluates it at any time; it ends at t_max (status ``"completed"``) or,
@@ -758,14 +757,16 @@ class CharacteristicRun:
         flow = self._flow
         if self.t_star is None:
             if math.isinf(flow.t_max):
-                raise ValueError("w stays positive for all time and t_max = inf: "
-                                 "the run has no blow-up, and its trajectory no end")
+                raise ValueError("t_max = inf and no blow-up (w stays positive, or its shear is "
+                                 "0 within its error): the trajectory has no end")
             return flow.nodes(flow.t_max)
-        # the end, lambda = -d_cap, from t and w up to t*; for d = 1, G = lambda
-        # is infinite at t*, where only w is read
+        # the end, lambda = -d_cap, from t and w up to t*, and the nodes before
+        # it; for d = 1, G = lambda is infinite at t*, where only w is read
         with np.errstate(divide="ignore", invalid="ignore"):
             upto = flow.nodes(self.t_star)
-        return flow.nodes(_falls_to(flow, upto, 1.0 / (1.0 + self.d_cap), self.t_star))
+        t_end = _falls_to(flow, upto, 1.0 / (1.0 + self.d_cap), self.t_star)
+        keep = upto[0] < t_end
+        return [np.append(x[keep], end) for x, end in zip(upto, (t_end, *flow(t_end)))]
 
     @cached_property
     def trajectory(self) -> OdeTrajectory:
@@ -907,7 +908,7 @@ def blowup_sweep(
     tol: float = 1e-8,
 ) -> list[tuple[float, Optional[float]]]:
     """Blow-up time per starting radius (None where no blow-up by t_max,
-    which may be ``math.inf``)."""
+    which may be ``math.inf``: see :class:`CharacteristicRun`)."""
     out: list[tuple[float, Optional[float]]] = []
     for r0 in r_grid:
         run = run_characteristic(profile, r0, t_max, tol=tol)

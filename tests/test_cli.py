@@ -226,11 +226,12 @@ class TestOracleModes:
         assert code == EXIT_OK
         floquet = json.loads((out / "report.json").read_text())["floquet"]
         assert sorted(floquet) == ["half_period_steps", "period", "residual", "shear",
-                                   "turning_point_miss"]
+                                   "shear_error", "turning_point_miss"]
         assert abs(floquet["period"] - 6.276156321355657) < 1e-9   # period(0, 0.1, 2)
         assert floquet["half_period_steps"] > 0
         assert abs(floquet["shear"] + 0.0130823715) < 1e-9 and abs(floquet["residual"]) < 1e-9
         assert 0.0 <= floquet["turning_point_miss"] < 1e-9
+        assert 0.0 < floquet["shear_error"] < 1e-8
         # a start on the point orbit has no period
         code, out = run_cli(["oracle-run", "--k", "1e-300", "--t-max", "5"], tmp_path, sub="point")
         assert code == EXIT_OK

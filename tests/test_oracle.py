@@ -18,9 +18,9 @@ from coldplasma.core_dynamics import (
 )
 from coldplasma.numerics import find_root, integrate
 from coldplasma.oracle import (
-    _P,
     _W,
-    _root_of,
+    _Floquet,
+    _fall_time,
     _roots,
     blowup_sweep,
     count_revolutions_oracle,
@@ -469,6 +469,16 @@ class TestHalfPeriod:
         floquet = run_characteristic(gaussian_profile(0.49), 0.01, 400.0, tol=1e-8).floquet
         assert floquet["turning_point_miss"] > 0.1 and abs(floquet["residual"]) < 1e-9, floquet
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_shear_error_bounds_the_error(self, tol):
+        # against tol 1e-13, on breaking-sweep's orbits and a moving 3D pulse
+        for profile, grid in ((gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)),
+                              (moving_pulse(0.3, -0.6, 3), np.linspace(0.0, 2.0, 11))):
+            for r0 in grid:
+                flow = run_characteristic(profile, r0, 1.0, tol=tol)._flow
+                exact = run_characteristic(profile, r0, 1.0, tol=1e-13)._flow.shear
+                assert abs(flow.shear - exact) <= flow.shear_error, (r0, flow.shear, exact)
+
     @pytest.mark.parametrize("case", ["breaking-2d", "moving-2d", "moving-3d"])
     def test_positive_bound_holds_on_the_brackets(self, case):
         # the bound that spares a minimum's root must never pass a bracket
@@ -489,30 +499,27 @@ class TestHalfPeriod:
         assert np.all(lowest[certain] > 0.0)
 
     @pytest.mark.parametrize("case", ["breaking-2d", "moving-3d"])
-    def test_one_bracket_in_floats_is_the_array_iteration(self, case):
-        # on one bracket the root iteration runs in floats (on_bracket,
-        # _root_of): the same operations as on arrays, so the same numbers
+    def test_fall_time_in_floats_is_the_array_iteration(self, case):
+        # t* and a trajectory's end are each the root on one bracket, found
+        # by _roots' iteration in floats: the same numbers as on arrays
         profile, r0 = {
             "breaking-2d": (gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)[14]),
             "moving-3d": (moving_pulse(0.3, -0.6, 3), 0.3),
         }[case]
-        run = run_characteristic(profile, r0, 40.0, tol=1e-8)
-        flow = run._flow
-        t, _, _, w, p = flow.nodes(40.0)
-        i = np.flatnonzero((p[:-1] < 0.0) & (p[1:] >= 0.0))   # minima of w
-        assert i.size >= 2
-        x = t[i] + np.linspace(0.0, 1.0, 5)[:, None] * (t[i + 1] - t[i])
-        for j in (_W, _P):
-            f = flow.on_brackets(i + flow.offset, j)
-            want = np.array([f(row) for row in x])              # (5, 2, len(i))
-            for n, k in enumerate(i):
-                g = flow.on_bracket(k + flow.offset, j)
-                assert [g(float(v)) for v in x[:, n]] == [tuple(pair) for pair in want[:, :, n]]
-        ends = (t[i], t[i + 1], p[i], p[i + 1])
-        want = _roots(flow.on_brackets(i + flow.offset, _P), *ends)
-        for n, k in enumerate(i):
-            got = _root_of(flow.on_bracket(k + flow.offset, _P), *(float(e[n]) for e in ends))
-            assert got == want[n], (case, got, want[n])
+        flow = run_characteristic(profile, r0, 40.0, tol=1e-8)._flow
+        t, _, _, w, _ = flow.nodes(40.0)
+        i = np.flatnonzero(w[:-1] > w[1:])
+        level = 0.5 * (w[i] + w[i + 1])
+        on = flow.on_brackets(i + flow.offset, _W)
+
+        def f(x):
+            wx, dwx = on(x)
+            return wx - level, dwx
+
+        want = _roots(f, t[i], t[i + 1], w[i] - level, np.minimum(f(t[i + 1])[0], 0.0))
+        got = [_fall_time(flow.w_on_bracket(k + flow.offset), float(lv), float(t[k]),
+                          float(t[k + 1]), float(w[k])) for k, lv in zip(i, level)]
+        assert i.size > 10 and got == want.tolist()
 
     def test_breaking_sweep_work(self, ode_steps):
         # one DOP853 run of half a period per radius; the whole period took 856 steps
@@ -534,15 +541,36 @@ class TestHorizon:
                 assert a == b == c, (r0, a, b, c)
             elif b is not None:       # breaks after 400
                 assert b == c and b > 400.0, (r0, b, c)
+            else:                     # after 20000, and only where n v0 is told from 0
+                flow = run_characteristic(profile, r0, 1.0, tol=1e-8)._flow
+                resolved = flow.v[0] != 0.0 and abs(flow.shear) > flow.shear_error
+                assert (c is not None) == resolved and (c is None or c > 20000.0), (r0, c)
         # the center has v = 0: w = q for all time
         assert endless[0] == (0.0, None)
+        # from r0 = 2.81 on the shear is within its error, 3e-8 (its sign
+        # flips between r0 = 2.87 and 2.94): no t* from noise
+        assert [t for _, t in endless[44:]] == [None] * 4
+        assert endless[43][1] > 1e10
 
     @pytest.mark.parametrize("r0", [0.0, 2.5])
-    def test_search_cost_does_not_grow_with_the_horizon(self, r0):
-        profile = gaussian_profile(0.45)
-        runs = [run_characteristic(profile, r0, t_max, tol=1e-8) for t_max in (400.0, 20000.0)]
-        assert all(run.t_star is None for run in runs)
-        assert runs[0]._flow.examined == runs[1]._flow.examined
+    def test_search_cost_does_not_grow_with_the_horizon(self, r0, monkeypatch):
+        # every node value, bound and bracket root the search reads goes
+        # through _node, positive and _below: count what they are given
+        read = []
+        for name in ("_node", "positive", "_below"):
+            method = getattr(_Floquet, name)
+
+            def counted(flow, f, *args, method=method, **kwargs):
+                read.append(np.size(f))
+                return method(flow, f, *args, **kwargs)
+
+            monkeypatch.setattr(_Floquet, name, counted)
+        profile, cost = gaussian_profile(0.45), []
+        for t_max in (400.0, 20000.0):
+            read.clear()
+            assert run_characteristic(profile, r0, t_max, tol=1e-8).t_star is None
+            cost.append(list(read))
+        assert cost[0] == cost[1] and sum(cost[0]) > 0, cost
 
     def test_nodes_are_built_only_when_read(self):
         # 3566 periods before t*: no node is built for the search
