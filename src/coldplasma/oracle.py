@@ -68,7 +68,7 @@ _SAMPLES_PER_ARC = 400   # oracle times compared against the envelope per arc
 _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 runs
 _SECTIONS = 64           # periods tested per round of the search for a breaking period
 _MAX_PERIODS = 2 ** 52   # periods searched at most (k + 1 stays exact)
-_XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iterations
+_XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iteration
 _MAXITER = 100
 _W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
 # the maxima on [0, 1] of x, x(1-x), x^2(1-x), ..., x^4(1-x)^3: the basis of
@@ -98,25 +98,36 @@ def _half_rhs(d: int):
     return rhs
 
 
-def _horner(c, x):
-    """The dense interpolant's nesting of x and 1 - x over the coefficients
-    ``c`` (7 leading, then any shape that x broadcasts to), with its
-    derivative in x."""
-    xs = np.empty(c.shape[1:])
-    xs[...] = x
-    x1 = 1.0 - xs
-    v, dv = c[6] * xs, c[6].copy()
-    for n in range(5, -1, -1):
-        v += c[n]
-        if n % 2:
-            dv *= x1
-            dv -= v
-            v *= x1
-        else:
-            dv *= xs
-            dv += v
-            v *= xs
-    return v, dv
+def _bracket(c, base, t0, dxdt, off, j):
+    """w (j = 2) or p (j = 3) and its derivative at a time, in floats, on one
+    bracket: its rows d F, 1 - d G = 1/q and homogeneous part have the
+    coefficients ``c`` (7 rows of 3) of the dense output's nesting of x and
+    1 - x and the values ``base`` at x = 0, with x = (t - t0) dxdt + off.
+    w adds q(G) and p adds d F q, differentiated along the polynomials."""
+    b0, b1, b2 = base
+
+    def g(t):
+        x = (t - t0) * dxdt + off
+        x1 = 1.0 - x
+        d0, d1, d2 = c[6]
+        v0, v1, v2 = d0 * x, d1 * x, d2 * x
+        for n in range(5, -1, -1):
+            a0, a1, a2 = c[n]
+            v0, v1, v2 = v0 + a0, v1 + a1, v2 + a2
+            if n % 2:
+                d0, d1, d2 = d0 * x1 - v0, d1 * x1 - v1, d2 * x1 - v2
+                v0, v1, v2 = v0 * x1, v1 * x1, v2 * x1
+            else:
+                d0, d1, d2 = d0 * x + v0, d1 * x + v1, d2 * x + v2
+                v0, v1, v2 = v0 * x, v1 * x, v2 * x
+        q = 1.0 / (v1 + b1)
+        dq = q * q * (d1 * dxdt)       # minus the derivative of q
+        if j == _W:
+            return q + (v2 + b2), d2 * dxdt - dq
+        v0 += b0
+        return v0 * q + (v2 + b2), (d0 * dxdt) * q - v0 * dq + d2 * dxdt
+
+    return g
 
 
 class _Floquet:
@@ -318,7 +329,7 @@ class _Floquet:
     def positive(self, f):
         """Where w is certainly positive on the brackets that start at nodes
         ``f``: each basis function of the step polynomial (see
-        :func:`_horner`) is nonnegative on [0, 1] with the maximum in
+        :func:`_bracket`) is nonnegative on [0, 1] with the maximum in
         ``_BASIS_MAX``, so bounding each term bounds 1 - d G = 1/q on both
         sides and the homogeneous part below."""
         coef, base, *_ = self._polynomials(f, _W)
@@ -328,62 +339,21 @@ class _Floquet:
         h_min = base[2] + neg[:, :, 2] @ _BASIS_MAX
         return (u_min > 0.0) & (1.0 / u_max + h_min > 0.0)
 
-    def on_brackets(self, f, j):
-        """w (j = 2) or p (j = 3) on the brackets that start at nodes ``f``.
+    def brackets(self, f, j):
+        """w (j = 2) or p (j = 3) on the brackets that start at nodes ``f``,
+        from one gather of their polynomials: one :func:`_bracket` each.
 
         Each bracket lies in one half step, so F, G and the homogeneous part
         are its polynomials: read at x, or at 1 - x (as T - tau) on a
         mirrored step, with the position's weights and, there, F and p
-        turned.  w adds q(G) and p adds d F q, differentiated along the
-        polynomials.  Returns ``f``: ``f(t)`` is the value and the
-        derivative at an array of times, one per bracket.
+        turned.
         """
         coef, base, k, s, sign = self._polynomials(f, j)
-        coef = np.ascontiguousarray(coef.transpose(1, 2, 0))
         dense = self.one.interpolant
-        t0, h = self._t0(k), dense.h[s]
+        h = dense.h[s]
         off, dxdt = (np.where(sign < 0.0, self.T, 0.0) - dense.t[s]) / h, sign / h
-
-        def f(t):
-            v, dv = _horner(coef, (t - t0) * dxdt + off)
-            v += base
-            dv *= dxdt
-            q = 1.0 / v[1]
-            dq = q * q * dv[1]       # minus the derivative of q
-            if j == _W:
-                return q + v[2], dv[2] - dq
-            return v[0] * q + v[2], dv[0] * q - v[0] * dq + dv[2]
-
-        return f
-
-    def w_on_bracket(self, f):
-        """w and its derivative at a time, in floats, on the one bracket
-        that starts at node ``f``: :meth:`on_brackets`' operations on w in
-        the same order, so the same numbers, for :func:`_fall_time`."""
-        coef, base, k, s, sign = self._polynomials(np.array([f]), _W)
-        dense = self.one.interpolant
-        h = float(dense.h[s[0]])
-        t0, dxdt = float(self._t0(k[0])), float(sign[0]) / h
-        off = ((self.T if sign[0] < 0.0 else 0.0) - float(dense.t[s[0]])) / h
-        c, (b1, b2) = coef[0, :, 1:].tolist(), base[1:, 0].tolist()   # rows 1 - d G and h
-
-        def w(t):
-            x = (t - t0) * dxdt + off
-            x1 = 1.0 - x
-            d1, d2 = c[6]
-            v1, v2 = d1 * x, d2 * x
-            for n in range(5, -1, -1):       # _horner
-                v1, v2 = v1 + c[n][0], v2 + c[n][1]
-                if n % 2:
-                    d1, d2 = d1 * x1 - v1, d2 * x1 - v2
-                    v1, v2 = v1 * x1, v2 * x1
-                else:
-                    d1, d2 = d1 * x + v1, d2 * x + v2
-                    v1, v2 = v1 * x, v2 * x
-            q = 1.0 / (v1 + b1)
-            return q + (v2 + b2), d2 * dxdt - q * q * (d1 * dxdt)
-
-        return w
+        return [_bracket(*args, j) for args in zip(coef.tolist(), base.T.tolist(), self._t0(k).tolist(),
+                                                  dxdt.tolist(), off.tolist())]
 
     def first_zero(self) -> Optional[float]:
         """t*, the first zero of w in [0, t_max] (None where w stays
@@ -420,7 +390,7 @@ class _Floquet:
         node to t_max are tested as they are, unless their whole brackets
         have positive end nodes and no minimum or are certainly positive.
         t* is then the root of w on the earliest bracket where w reaches 0,
-        up to its minimum or its end node, found by :func:`_fall_time` as
+        up to its minimum or its end node, found by :func:`_root` as
         :func:`_falls_to` does.
         """
         P, first, t_end = self._step.size, self.first, self.t_max
@@ -561,9 +531,11 @@ class _Floquet:
         if i.size:
             i = i[~self.positive(f[i])]
         if i.size:
-            x = _roots(self.on_brackets(f[i], _P), ta[i], tb[i], pa[i], pb[i])
-            hit = self.on_brackets(f[i], _W)(x)[0] <= 0.0
-            below[i[hit]] = x[hit]
+            ends = zip(ta[i].tolist(), tb[i].tolist(), pa[i].tolist(), pb[i].tolist())
+            for n, p, w, ab in zip(i, self.brackets(f[i], _P), self.brackets(f[i], _W), ends):
+                x = _root(p, *ab)
+                if w(x)[0] <= 0.0:
+                    below[n] = x
         return np.where(wa <= 0.0, ta, below)
 
     def _at_time(self, t):
@@ -580,7 +552,8 @@ class _Floquet:
         """The zero of w on the bracket of node ``f`` from ``ta`` to ``below``."""
         if wa <= 0.0:
             return float(ta)
-        return _fall_time(self.w_on_bracket(f), 0.0, float(ta), float(below), float(wa))
+        w = self.brackets(np.array([f]), _W)[0]    # w <= 0 at ``below``: rounding must not flip it
+        return _root(w, float(ta), float(below), float(wa), min(w(float(below))[0], 0.0))
 
 
 class _Lagrangian:
@@ -621,72 +594,41 @@ class _Lagrangian:
         t = (math.atan2(B, A) + math.acos(-1.0 / R)) % (2.0 * math.pi)
         return t if t <= self.t_max else None
 
-    def w_on_bracket(self, f):
-        """w and its derivative at a time, in floats."""
-        w = self.on_brackets(f, _W)
-        return lambda t: tuple(map(float, w(t)))
-
-    def on_brackets(self, f, j):
-        """w (j = 2) or p (j = 3) and its derivative, at any times."""
+    def brackets(self, f, j):
+        """w (j = 2) or p (j = 3) and its derivative at a time, in floats: one
+        closure, the same on every bracket ``f``."""
         A, B, _, _ = self.coef
 
-        def f(t):
+        def g(t):
             c, s = np.cos(t), np.sin(t)
             w, p = 1.0 + A * c + B * s, B * c - A * s
-            return (w, p) if j == _W else (p, 1.0 - w)
+            return (float(w), float(p)) if j == _W else (float(p), float(1.0 - w))
 
-        return f
+        return [g] * len(f)
 
 
-def _roots(f, a, b, fa, fb) -> np.ndarray:
-    """A zero of ``f`` in each bracket ``[a, b]`` (arrays), all at once.
+def _root(g, a: float, b: float, ga: float, gb: float) -> float:
+    """A zero of ``g`` in the bracket [a, b], in floats.
 
-    ``f(a)`` and ``f(b)`` differ in sign, or ``f(b)`` is 0 with ``f(a)``
-    not; ``f(t)`` returns the value and the derivative at an array of times.
+    ``ga`` = g(a) and ``gb`` = g(b) differ in sign, or ``gb`` is 0 with
+    ``ga`` not; ``g(t)`` returns the value and the derivative at a time.
     Newton steps start from the secant through the ends.  Each iterate
-    replaces the end of its bracket whose value has its sign, and a step
-    that does not land strictly inside the bracket bisects it.  An iterate
-    is settled when its value is 0, or its Newton step or its bracket is at
-    most 4 eps relative; the iteration stops when all are.
+    replaces the end of the bracket whose value has its sign, and a step
+    that does not land strictly inside the bracket bisects it.  The
+    iteration stops at a value 0, or where the Newton step or the bracket
+    is at most 4 eps relative.  t*, a trajectory's end, the minima of w
+    and the crossings are each found this way, one bracket at a time.
     """
-    a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
-    if not a.size:
-        return a
-    x = a - fa * (b - a) / (np.asarray(fb, dtype=float) - fa)
+    x = a - ga * (b - a) / (gb - ga)
     for _ in range(_MAXITER):
-        fx, dfx = f(x)
-        same = np.sign(fx) == np.sign(fa)
-        a, fa, b = np.where(same, x, a), np.where(same, fx, fa), np.where(same, b, x)
-        x_new = x - np.divide(fx, dfx, out=np.full_like(x, np.nan), where=dfx != 0.0)
-        xtol = _XTOL * np.abs(x)
-        settled = (fx == 0.0) | (np.abs(x_new - x) <= xtol) | (b - a <= xtol)
-        if settled.all():
-            break
-        inside = (a < x_new) & (x_new < b)
-        x = np.where(settled, x, np.where(inside, x_new, 0.5 * (a + b)))
-    return x
-
-
-def _fall_time(w, level: float, a: float, b: float, wa: float) -> float:
-    """The time in [a, b] at which w falls to ``level``, for w from
-    ``w(t)`` (value and derivative at a time, in floats) on one bracket
-    with w(a) = wa above ``level`` and w <= level at b: the iteration of
-    :func:`_roots` on one bracket, in floats, so the same iterates
-    without the cost of arrays of one.  Each breaking run finds its t*,
-    and its trajectory's end, this way."""
-    fa = wa - level
-    fb = min(w(b)[0] - level, 0.0)   # w <= level at the end; rounding must not flip it
-    x = a - fa * (b - a) / (fb - fa)
-    for _ in range(_MAXITER):
-        fx, dfx = w(x)
-        fx -= level
-        if (fx > 0.0) - (fx < 0.0) == (fa > 0.0) - (fa < 0.0):
-            a, fa = x, fx
+        gx, dgx = g(x)
+        if (gx > 0.0) - (gx < 0.0) == (ga > 0.0) - (ga < 0.0):
+            a, ga = x, gx
         else:
             b = x
-        x_new = x - fx / dfx if dfx != 0.0 else math.nan
+        x_new = x - gx / dgx if dgx != 0.0 else math.nan
         xtol = _XTOL * abs(x)
-        if fx == 0.0 or abs(x_new - x) <= xtol or b - a <= xtol:
+        if gx == 0.0 or abs(x_new - x) <= xtol or b - a <= xtol:
             break
         x = x_new if a < x_new < b else 0.5 * (a + b)
     return x
@@ -706,8 +648,14 @@ def _falls_to(flow, nodes, level: float, t_below: float) -> float:
     if not above.size:
         return 0.0
     k = above[-1]
-    return _fall_time(flow.w_on_bracket(k + flow.offset), level, float(t[k]),
-                      float(min(t[k + 1], t_below)), float(w[k]))
+    on = flow.brackets(np.array([k + flow.offset]), _W)[0]
+
+    def g(x):
+        wx, dwx = on(x)
+        return wx - level, dwx
+
+    b = float(min(t[k + 1], t_below))     # w <= level at b: rounding must not flip it
+    return _root(g, float(t[k]), b, float(w[k]) - level, min(g(b)[0], 0.0))
 
 
 class CharacteristicRun:
@@ -728,9 +676,9 @@ class CharacteristicRun:
     breaks up to t_max = inf has no end, and reading it raises ValueError.
     ``crossing_times`` and ``crossing_lambdas`` are the axis crossings
     D = 0 before that end: every sign change of p between nodes, located by
-    :func:`_roots` for all crossings at once, with lambda there from the
-    trajectory.  The nodes, the trajectory and the crossings are built on
-    first read and cached.
+    :func:`_root` on each bracket from one gather of all their step
+    polynomials, with lambda there from the trajectory.  The nodes, the
+    trajectory and the crossings are built on first read and cached.
     """
 
     def __init__(self, profile: RadialProfile, r0: float, flow, d_cap: float):
@@ -745,7 +693,8 @@ class CharacteristicRun:
     def floquet(self) -> Optional[dict]:
         """The period map [[1, 0], [shear, 1]] of a d = 2, 3 run with a
         period: ``period`` T, ``half_period_steps`` (the DOP853 steps over
-        T/2), ``shear``, the ``residual`` w2(T/2) and the
+        T/2), ``shear``, ``shear_error`` (an estimate of the shear's error,
+        see :attr:`_Floquet.shear_error`), the ``residual`` w2(T/2) and the
         ``turning_point_miss`` |F(T/2)|/F+, where the half period ends
         against the turning point it should reach (both 0 but for the
         integration error); None for d = 1 or without a period."""
@@ -788,7 +737,9 @@ class CharacteristicRun:
         t, p = self._nodes[0], self._nodes[4]
         sign = np.sign(p)
         i = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
-        times = _roots(flow.on_brackets(i + flow.offset, _P), t[i], t[i + 1], p[i], p[i + 1])
+        ends = zip(flow.brackets(i + flow.offset, _P), t[i].tolist(), t[i + 1].tolist(),
+                   p[i].tolist(), p[i + 1].tolist())
+        times = np.fromiter((_root(*bracket) for bracket in ends), float, count=i.size)
         times = times[times < t[-1]]
         at = traj(times)
         # rounding noise in p crosses 0 on an equilibrium: keep crossings of moving states

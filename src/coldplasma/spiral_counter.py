@@ -171,6 +171,8 @@ def build_spiral(
     """
     if kind not in ("outer", "inner"):
         raise ValueError(f"kind must be 'outer' or 'inner', got {kind!r}")
+    if max_rev < 1:
+        raise ValueError(f"max_rev must be at least 1, got {max_rev}")
     lam0, D0 = start
     if lam0 >= 1.0:
         raise ValueError(f"start requires lambda0 < 1, got {lam0}")

@@ -44,6 +44,9 @@ class TestValidation:
         cases = [
             ["gauss-pulse", "--k", "0.7"],
             ["sweep", "--k", "0.1", "--r-min", "2", "--r-max", "1"],
+            # a cap of no revolution: 0 revolutions would read as "reached max_rev"
+            ["count-revolutions", "--k", "0.1", "--max-rev", "-1"],
+            ["lifetime", "--k", "0.1", "--max-rev", "0"],
         ]
         for i, args in enumerate(cases):
             code, out = run_cli(args, tmp_path, sub=f"out{i}")

@@ -16,12 +16,10 @@ from coldplasma.core_dynamics import (
     rhs_divergence,
     rhs_radial,
 )
-from coldplasma.numerics import find_root, integrate
+from coldplasma import oracle
+from coldplasma.numerics import BracketError, find_root, integrate
 from coldplasma.oracle import (
-    _W,
     _Floquet,
-    _fall_time,
-    _roots,
     blowup_sweep,
     count_revolutions_oracle,
     detect_blowup,
@@ -492,40 +490,62 @@ class TestHalfPeriod:
         t = flow.nodes(400.0)[0]
         i = np.arange(t.size - 1) + flow.offset
         certain = flow.positive(i)
-        w = flow.on_brackets(i, 2)
-        lowest = np.min([w(x)[0] for x in t[:-1] + np.linspace(0.0, 1.0, 65)[:, None] * np.diff(t)],
-                        axis=0)
+        x = t[:-1] + np.linspace(0.0, 1.0, 65)[:, None] * np.diff(t)
+        lowest = np.min(flow(x.ravel())[2].reshape(x.shape), axis=0)
         assert certain.any() and (lowest <= 0.0).any()
         assert np.all(lowest[certain] > 0.0)
 
-    @pytest.mark.parametrize("case", ["breaking-2d", "moving-3d"])
-    def test_fall_time_in_floats_is_the_array_iteration(self, case):
-        # t* and a trajectory's end are each the root on one bracket, found
-        # by _roots' iteration in floats: the same numbers as on arrays
-        profile, r0 = {
-            "breaking-2d": (gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)[14]),
-            "moving-3d": (moving_pulse(0.3, -0.6, 3), 0.3),
-        }[case]
-        flow = run_characteristic(profile, r0, 40.0, tol=1e-8)._flow
-        t, _, _, w, _ = flow.nodes(40.0)
-        i = np.flatnonzero(w[:-1] > w[1:])
-        level = 0.5 * (w[i] + w[i + 1])
-        on = flow.on_brackets(i + flow.offset, _W)
+    @pytest.mark.parametrize("case", ["oracle-run", "crossings-84", "breaking-sweep"])
+    def test_roots_agree_with_brent(self, case, monkeypatch):
+        # every bracket root of the crossings, of t* and of the minima of w,
+        # against Brent's method on the same bracket function
+        calls = []
+        root = oracle._root
 
-        def f(x):
-            wx, dwx = on(x)
-            return wx - level, dwx
+        def recorded(g, a, b, ga, gb):
+            x = root(g, a, b, ga, gb)
+            calls.append((g, a, b, ga, gb, x))
+            return x
 
-        want = _roots(f, t[i], t[i + 1], w[i] - level, np.minimum(f(t[i + 1])[0], 0.0))
-        got = [_fall_time(flow.w_on_bracket(k + flow.offset), float(lv), float(t[k]),
-                          float(t[k + 1]), float(w[k])) for k, lv in zip(i, level)]
-        assert i.size > 10 and got == want.tolist()
+        monkeypatch.setattr(oracle, "_root", recorded)
+        if case == "breaking-sweep":
+            found = {t for _, t in blowup_sweep(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48),
+                                                400.0, 1e-8) if t is not None}
+            assert len(found) == 16 and found <= {x for *_, x in calls}
+        else:
+            K, r0, t_max, tol = {"oracle-run": (0.1, 0.0, 25.0, 1e-10),
+                                 "crossings-84": (0.3, 0.6, 400.0, 1e-10)}[case]
+            run = run_characteristic(gaussian_profile(K), r0, t_max, tol=tol)
+            calls.clear()
+            times = run.crossing_times
+            assert times.size == {"oracle-run": 7, "crossings-84": 84}[case]
+            assert set(times.tolist()) <= {x for *_, x in calls}
+        for g, a, b, ga, gb, x in calls:
+            try:
+                want = find_root(lambda t: g(t)[0], a, b, tol=1e-300)
+            except BracketError:   # the ends' signs hold only on the values the iteration is given
+                want = find_root(lambda t: ga if t == a else gb if t == b else g(t)[0], a, b, tol=1e-300)
+            assert abs(x - want) <= 8.0 * np.finfo(float).eps * abs(want), (a, b, x, want)
 
     def test_breaking_sweep_work(self, ode_steps):
         # one DOP853 run of half a period per radius; the whole period took 856 steps
         blowup_sweep(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48), 400.0, 1e-8)
         assert len(ode_steps) == 48
         assert sum(ode_steps) <= 480
+
+    def test_crossings_share_one_gather(self, monkeypatch):
+        # 1605 crossings, each rooted on its own bracket: their polynomials
+        # are gathered at once, not once per crossing
+        run = run_characteristic(gaussian_profile(0.222), 0.05, 5000.0, tol=1e-8)
+        gathered, gather = [], _Floquet._polynomials
+
+        def counted(flow, f, j):
+            gathered.append(np.size(f))
+            return gather(flow, f, j)
+
+        monkeypatch.setattr(_Floquet, "_polynomials", counted)
+        assert run.crossing_times.size == 1605
+        assert len(gathered) == 1 and gathered[0] >= 1605, gathered
 
 
 class TestHorizon:
