@@ -279,10 +279,11 @@ class _DenseOutput:
     coefficients of every step live in one ``(steps, 7, n)`` array, filled
     lazily: the first read that needs a step builds its ``F`` by
     :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.
-    A call takes a scalar ``t`` (giving shape ``(n,)``) or an array
-    (``(n, m)``).  A time on a breakpoint takes the earlier step; times
-    outside ``[t[0], t[-1]]`` extrapolate the first or last step.  A run
-    that stored no step gives its initial state at every time.
+    A call takes a scalar ``t`` (giving shape ``(n,)``) or an array of
+    any shape (``(n,) + t.shape``).  A time on a breakpoint takes the
+    earlier step; times outside ``[t[0], t[-1]]`` extrapolate the first or
+    last step.  A run that stored no step gives its initial state at every
+    time.
     """
 
     def __init__(self, rhs, ts: np.ndarray, ys: np.ndarray, hs: list, stages: list):
@@ -308,7 +309,7 @@ class _DenseOutput:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if not self.h.size:
-            return np.broadcast_to(self.ys[0], t.shape + self.ys.shape[1:]).T.copy()
+            return np.moveaxis(np.broadcast_to(self.ys[0], t.shape + self.ys.shape[1:]), -1, 0).copy()
         seg = np.clip(np.searchsorted(self.t, t) - 1, 0, self.h.size - 1)
         F = self.coefficients(seg)
         x = ((t - self.t[seg]) / self.h[seg])[..., None]
@@ -318,7 +319,7 @@ class _DenseOutput:
             y += F[..., i, :]
             y *= x if i % 2 == 0 else x1
         y += self.ys[seg]
-        return y.T
+        return np.moveaxis(y, -1, 0)
 
 
 def dop853(rhs, y0, t_span, tol) -> OdeTrajectory:

@@ -25,7 +25,8 @@ constant coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of
 1D cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
 follow the same law through v = 1/(1 - G), so no ODE runs.  A run finds
 the blow-up time at once, by a search over the brackets of one period
-whose cost does not grow with t_max (which may be infinite), and builds
+whose cost does not grow with t_max (which may be infinite), or without
+one where the homogeneous part is 0 and w = q > 0 for all time, and builds
 its nodes, trajectory and axis crossings D = 0 only when they are first
 read; roots are found on one step's dense polynomial.
 The oracle also verifies the comparison-curve sandwich along arcs between
@@ -68,6 +69,7 @@ _SAMPLES_PER_ARC = 400   # oracle times compared against the envelope per arc
 _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 runs
 _SECTIONS = 64           # periods tested per round of the search for a breaking period
 _MAX_PERIODS = 2 ** 52   # periods searched at most (k + 1 stays exact)
+_MAX_NODES = 2 ** 22     # nodes a trajectory is built on at most (5 arrays of 32 MiB)
 _XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iteration
 _MAXITER = 100
 _W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
@@ -283,6 +285,10 @@ class _Floquet:
         k = max(math.ceil((self.tau + t_end) / self._T) - 1, 0) if self._T else 0
         return k * self._step.size + int(np.searchsorted(self._t0(k) + self._table[0], t_end))
 
+    def size(self, t_end) -> int:
+        """The number of nodes :meth:`nodes` gives up to ``t_end``."""
+        return self._count(t_end) - self.first + (self.inside and t_end > 0.0) + 1
+
     def nodes(self, t_end):
         """t, F, G, w and p on the nodes in [0, t_end) and at ``t_end``."""
         f = np.arange(self.first, self._count(t_end))
@@ -356,6 +362,23 @@ class _Floquet:
                                                   dxdt.tolist(), off.tolist())]
 
     def first_zero(self) -> Optional[float]:
+        """t*, the first zero of w in [0, t_max] (None where w stays
+        positive): decided without a search where v = (0, 0), else found
+        by :meth:`_search_zero`.
+
+        With v = (0, 0) the homogeneous part is 0, so w = q = 1/(1 - d G)
+        exactly; and G' = F (1 - d G) gives 1 - d G = (1 - d G0) exp(-d I)
+        > 0 along the orbit, I the integral of F from 0 to t, so w never
+        reaches 0, and no node, bound or polynomial is read.  Every
+        spatially constant start has v = (0, 0) exactly (u = 0), and so
+        does the center r0 = 0 of every radial profile, where
+        lambda0 = d G0 and D0 = d F0.
+        """
+        if self.v == (0.0, 0.0):
+            return None
+        return self._search_zero()
+
+    def _search_zero(self) -> Optional[float]:
         """t*, the first zero of w in [0, t_max] (None where w stays
         positive), searched bracket by bracket over one period.
 
@@ -562,7 +585,8 @@ class _Lagrangian:
     There w'' = 1 - w, so w = 1 + A cos t + B sin t with A = w0 - 1 and
     B = p0, and v = 1/(1 - G) obeys the same equation with v' = F v.  The
     nodes are evenly spaced, ``_ONE_D_NODES`` per 2 pi over [0, t_max]
-    (over [0, t_end] when t_max is inf), and built when read.
+    (over [0, t_end] when t_max is inf), and built when read, only up to
+    t_end.
     """
 
     floquet, offset = None, 0
@@ -577,10 +601,27 @@ class _Lagrangian:
         v = 1.0 + a * c + b * s
         return (b * c - a * s) / v, 1.0 - 1.0 / v, 1.0 + A * c + B * s, B * c - A * s
 
+    def _grid(self, t_end):
+        """The node spacing, span/m with m = ceil(span ``_ONE_D_NODES``/(2 pi)),
+        and a count of nodes i span/m from i = 0 on that covers those before
+        ``t_end``: the nodes of ``np.linspace(0, span, m + 1)`` but its
+        last, span >= t_end."""
+        span = self.t_max if math.isfinite(self.t_max) else t_end
+        m = math.ceil(span * _ONE_D_NODES / (2.0 * math.pi))
+        if not m:                    # span = 0
+            return 0.0, 0
+        step = span / m
+        return step, min(m, math.floor(t_end / step) + 2)
+
+    def size(self, t_end) -> int:
+        """The number of nodes :meth:`nodes` gives up to ``t_end``, or one
+        or two more."""
+        return self._grid(t_end)[1] + 1
+
     def nodes(self, t_end):
         """t, F, G, w and p on the nodes in [0, t_end) and at ``t_end``."""
-        span = self.t_max if math.isfinite(self.t_max) else t_end
-        t = np.linspace(0.0, span, math.ceil(span * _ONE_D_NODES / (2.0 * math.pi)) + 1)
+        step, n = self._grid(t_end)
+        t = np.arange(n, dtype=float) * step
         t = np.append(t[t < t_end], t_end)
         return [t, *self(t)]
 
@@ -665,15 +706,20 @@ class CharacteristicRun:
     ``t_star``, the first zero of w (None when w stays positive up to
     t_max), is found when the run is made, by the flow's ``first_zero``:
     for d = 2, 3 a search over the brackets of one period (see
-    :meth:`_Floquet.first_zero`), whose cost does not grow with t_max, and
-    in closed form for d = 1.  So t_max may be inf, where a shear that is 0
+    :meth:`_Floquet._search_zero`), whose cost does not grow with t_max,
+    and in closed form for d = 1.  No search runs where the homogeneous
+    part is 0, v = (0, 0), as at every spatially constant start and every
+    center: there w = q = 1/(1 - d G), and 1 - d G = (1 - d G0) exp(-d I)
+    > 0 with I the integral of F, so t* is None.  So t_max may be inf, where a shear that is 0
     within its error (``floquet["shear_error"]``) counts as 0.
 
     ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
     evaluates it at any time; it ends at t_max (status ``"completed"``) or,
     after a blow-up, where lambda reaches ``-d_cap`` (``"terminal-event"``),
     so ``d_cap`` moves neither t* nor a bounded run; a run that never
-    breaks up to t_max = inf has no end, and reading it raises ValueError.
+    breaks up to t_max = inf has no end, and reading it raises ValueError,
+    as does reading one of more than ``_MAX_NODES`` nodes, before any of
+    them is built (the flow's ``size`` counts them in O(1)).
     ``crossing_times`` and ``crossing_lambdas`` are the axis crossings
     D = 0 before that end: every sign change of p between nodes, located by
     :func:`_root` on each bracket from one gather of all their step
@@ -704,18 +750,23 @@ class CharacteristicRun:
     def _nodes(self) -> list:
         """t, F, G, w and p on the trajectory's nodes, up to its end."""
         flow = self._flow
+        if self.t_star is None and math.isinf(flow.t_max):
+            raise ValueError("t_max = inf and no blow-up (w stays positive, or its shear is "
+                             "0 within its error): the trajectory has no end")
+        t_end = flow.t_max if self.t_star is None else self.t_star
+        size = flow.size(t_end)
+        if size > _MAX_NODES:
+            raise ValueError(f"the trajectory to t = {t_end!r} has {size} nodes, more than the "
+                             f"{_MAX_NODES} a run builds")
         if self.t_star is None:
-            if math.isinf(flow.t_max):
-                raise ValueError("t_max = inf and no blow-up (w stays positive, or its shear is "
-                                 "0 within its error): the trajectory has no end")
-            return flow.nodes(flow.t_max)
+            return flow.nodes(t_end)
         # the end, lambda = -d_cap, from t and w up to t*, and the nodes before
         # it; for d = 1, G = lambda is infinite at t*, where only w is read
         with np.errstate(divide="ignore", invalid="ignore"):
-            upto = flow.nodes(self.t_star)
-        t_end = _falls_to(flow, upto, 1.0 / (1.0 + self.d_cap), self.t_star)
-        keep = upto[0] < t_end
-        return [np.append(x[keep], end) for x, end in zip(upto, (t_end, *flow(t_end)))]
+            upto = flow.nodes(t_end)
+        stop = _falls_to(flow, upto, 1.0 / (1.0 + self.d_cap), t_end)
+        keep = upto[0] < stop
+        return [np.append(x[keep], end) for x, end in zip(upto, (stop, *flow(stop)))]
 
     @cached_property
     def trajectory(self) -> OdeTrajectory:

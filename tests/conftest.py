@@ -99,3 +99,27 @@ def ode_steps(monkeypatch):
 
     monkeypatch.setattr(oracle, "integrate", counting)
     return steps
+
+
+@pytest.fixture()
+def floquet_reads(monkeypatch):
+    """``install(*names)``: record, for each call of the named ``_Floquet``
+    methods, the number of nodes it is given, one list entry per call.
+    Every node value, bound, bracket polynomial and bracket root that the
+    search for t* reads goes through ``_node``, ``positive``, ``_below``
+    and ``_polynomials``."""
+    from coldplasma.oracle import _Floquet
+
+    def install(*names):
+        read = []
+        for name in names:
+            method = getattr(_Floquet, name)
+
+            def counted(flow, f, *args, method=method, **kwargs):
+                read.append(np.size(f))
+                return method(flow, f, *args, **kwargs)
+
+            monkeypatch.setattr(_Floquet, name, counted)
+        return read
+
+    return install

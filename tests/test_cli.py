@@ -240,6 +240,15 @@ class TestOracleModes:
         assert code == EXIT_OK
         assert json.loads((out / "report.json").read_text())["floquet"] is None
 
+    def test_oracle_run_too_long_to_build(self, tmp_path, capsys):
+        # t* = 9.70e6: the trajectory up to it has 18,521,578 nodes
+        code, out = run_cli(["oracle-run", "--k", "0.45", "--r0", "2.17", "--t-max", "1e7",
+                             "--tol", "1e-8"], tmp_path)
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: the trajectory to t = 9697861.") and "4194304" in err, err
+
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("COLDPLASMA_OUT", str(target))

@@ -66,6 +66,16 @@ class TestIntegrate:
         assert traj(np.array([0.0, 0.25, 1.0])).tolist() == [[1.0] * 3, [-2.0] * 3]
         assert traj.final_state.tolist() == [1.0, -2.0]
 
+    def test_times_of_any_shape(self):
+        # components first, then the shape of t: a (2, 3) grid is its ravel, reshaped
+        grid = np.linspace(0.1, 2.9, 6).reshape(2, 3)
+        runs = [integrate(lambda t, y: [y[1], -np.sin(y[0])], [1.0, 0.3], (0.0, 3.0), tol=1e-10),
+                integrate(lambda t, y: [float("nan"), 0.0], [1.0, -2.0], (0.0, 1.0))]   # no step
+        for traj in runs:
+            got = traj(grid)
+            assert got.shape == (2, 2, 3)
+            assert got.tobytes() == traj(grid.ravel()).reshape(2, 2, 3).tobytes()
+
     @pytest.mark.parametrize("t_span", [(1.0, 1.0), (1.0, 0.0)])
     def test_forward_only(self, t_span):
         with pytest.raises(ValueError):

@@ -572,25 +572,40 @@ class TestHorizon:
         assert [t for _, t in endless[44:]] == [None] * 4
         assert endless[43][1] > 1e10
 
-    @pytest.mark.parametrize("r0", [0.0, 2.5])
-    def test_search_cost_does_not_grow_with_the_horizon(self, r0, monkeypatch):
+    @pytest.mark.parametrize("r0", [2.2, 2.5])
+    def test_search_cost_does_not_grow_with_the_horizon(self, r0, floquet_reads):
         # every node value, bound and bracket root the search reads goes
         # through _node, positive and _below: count what they are given
-        read = []
-        for name in ("_node", "positive", "_below"):
-            method = getattr(_Floquet, name)
-
-            def counted(flow, f, *args, method=method, **kwargs):
-                read.append(np.size(f))
-                return method(flow, f, *args, **kwargs)
-
-            monkeypatch.setattr(_Floquet, name, counted)
+        # (both radii have v != 0 and no t* at either horizon; on r0 = 1.6
+        # to 2.1 the bound reads more brackets at 20000, at most one period's)
+        read = floquet_reads("_node", "positive", "_below")
         profile, cost = gaussian_profile(0.45), []
         for t_max in (400.0, 20000.0):
             read.clear()
             assert run_characteristic(profile, r0, t_max, tol=1e-8).t_star is None
             cost.append(list(read))
         assert cost[0] == cost[1] and sum(cost[0]) > 0, cost
+
+    def test_a_trajectory_too_long_to_build_fails_fast(self, monkeypatch):
+        # t* = 9.70e6 after 1.6 million periods: its trajectory would take
+        # 18,521,578 nodes, and its crossings about 1 GB
+        run = run_characteristic(gaussian_profile(0.45), 2.17, math.inf, tol=1e-8)
+        assert abs(run.t_star - 9697861.626) <= 1e-2, run.t_star
+
+        def build(*args):
+            raise AssertionError("a node array was built")
+
+        monkeypatch.setattr(_Floquet, "nodes", build)
+        with pytest.raises(ValueError, match="18521578 nodes, more than the 4194304"):
+            run.crossing_times
+
+    def test_one_d_nodes_are_counted_from_their_spacing(self):
+        # R < 1: no blow-up, and 1.0e8 nodes of spacing pi/32 up to t_max
+        with pytest.raises(ValueError, match="more than the 4194304"):
+            run_characteristic(one_d_point_profile(0.1, 0.2), 0.0, 1e7).trajectory
+        # t* < 2 pi: only the nodes before it are built, whatever t_max
+        run = run_characteristic(one_d_point_profile(0.3, 0.9), 0.0, 1e9)
+        assert run.trajectory.t.size < 100 and run.trajectory.status == "terminal-event"
 
     def test_nodes_are_built_only_when_read(self):
         # 3566 periods before t*: no node is built for the search
@@ -630,3 +645,52 @@ class TestHorizon:
         # d = 1 is closed form: its t* lies within the first 2 pi
         one_d = one_d_point_profile(0.3, 0.9)
         assert run_characteristic(one_d, 0.0, math.inf).t_star == run_characteristic(one_d, 0.0, 20.0).t_star
+
+
+def _constant_starts():
+    """Spatially constant starts from criterion 10's distribution."""
+    starts = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for i in range(6):
+            d = 2 + i % 2
+            starts.append((rng.uniform(-0.4, 0.4), rng.uniform(-0.6, 0.85 / d), d))
+    return starts
+
+
+class TestNoHomogeneousPart:
+    """v = (0, 0): w = q = 1/(1 - d G) > 0 for all time, decided without a search."""
+
+    CASES = ([pytest.param(constant_profile(*s), 1.0, id=f"constant-{s[2]}d-{i}")
+              for i, s in enumerate(_constant_starts())]
+             + [pytest.param(gaussian_profile(K), 0.0, id=f"center-K{K}")
+                for K in (0.05, 0.1, 0.222, 0.45, 0.49)]
+             + [pytest.param(moving_pulse(K, c, d), 0.0, id=f"moving-center-{d}d-{c}")
+                for d in (2, 3) for K, c in ((0.2, 0.3), (0.3, -0.2))])
+
+    @pytest.mark.parametrize("profile, r0", CASES)
+    def test_decision_against_the_search(self, profile, r0):
+        for t_max in (400.0, math.inf):
+            run = run_characteristic(profile, r0, t_max, tol=1e-8)
+            assert run._flow.v == (0.0, 0.0) and run.t_star is None
+            assert run._flow._search_zero() is None, t_max     # the search on the same flow
+        # on the nodes of a trajectory read, w is q(G) bit for bit
+        run = run_characteristic(profile, r0, 400.0, tol=1e-8)
+        assert run.trajectory.status == "completed"
+        t, F, G, w, p = run._nodes
+        assert t.size > 100 and w.tobytes() == (1.0 / (1.0 - profile.d * G)).tobytes()
+
+    def test_no_search_is_made(self, floquet_reads):
+        read = floquet_reads("_node", "positive", "_below", "_polynomials")
+        for profile, r0 in ((gaussian_profile(0.45), 0.0), (constant_profile(0.3, 0.2, 3), 1.0)):
+            for t_max in (400.0, math.inf):
+                assert run_characteristic(profile, r0, t_max, tol=1e-8).t_star is None
+        assert read == []
+
+    def test_times_of_any_shape(self):
+        grid = np.linspace(1.0, 2.0, 6).reshape(2, 3)
+        for run in (run_characteristic(gaussian_profile(0.3), 0.6, 40.0),
+                    run_characteristic(one_d_point_profile(0.3, 0.9), 0.0, 40.0)):
+            got = run.trajectory(grid)
+            assert got.shape == (5, 2, 3)
+            assert got.tobytes() == run.trajectory(grid.ravel()).reshape(5, 2, 3).tobytes()
