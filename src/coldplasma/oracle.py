@@ -24,11 +24,12 @@ Ordinary Differential Equations*, 1955, ch. 3).  For d = 1 the equation has
 constant coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of
 1D cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
 follow the same law through v = 1/(1 - G), so no ODE runs.  A run finds
-the blow-up time at once, by a search over the brackets of one period
-whose cost does not grow with t_max (which may be infinite), or without
-one where the homogeneous part is 0 and w = q > 0 for all time, and builds
-its nodes, trajectory and axis crossings D = 0 only when they are first
-read; roots are found on one step's dense polynomial.
+the blow-up time at once, by a bisection over windows of one period's
+brackets up to t_max (which may be infinite), which reads two windows at
+any horizon where w stays positive, or without a search where the
+homogeneous part is 0 and w = q > 0 for all time, and builds its nodes,
+trajectory and axis crossings D = 0 only when they are first read; roots
+are found on one step's dense polynomial.
 The oracle also verifies the comparison-curve sandwich along arcs between
 crossings.
 """
@@ -67,7 +68,7 @@ __all__ = [
 
 _SAMPLES_PER_ARC = 400   # oracle times compared against the envelope per arc
 _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 runs
-_SECTIONS = 64           # periods tested per round of the search for a breaking period
+_SECTIONS = 64           # windows tested per round of the bisection after its first two
 _MAX_PERIODS = 2 ** 52   # periods searched at most (k + 1 stays exact)
 _MAX_NODES = 2 ** 22     # nodes a trajectory is built on at most (5 arrays of 32 MiB)
 _XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iteration
@@ -380,7 +381,7 @@ class _Floquet:
 
     def _search_zero(self) -> Optional[float]:
         """t*, the first zero of w in [0, t_max] (None where w stays
-        positive), searched bracket by bracket over one period.
+        positive), found by a bisection over windows of one period.
 
         At t_max = inf, where n v0 = 0 or n is 0 within ``shear_error``,
         w repeats each period, so the search runs to t = T, one period
@@ -388,158 +389,83 @@ class _Floquet:
         no run.
 
         At a fixed phase w(kT + sigma) = A(sigma) + k B(sigma) is affine in
-        the period k, with B = n v0 w2 (mirrored: its turn), and so are w and
-        p at every node, in floating point as well as monotone in k.  Over
-        one bracket, the minimum of w is therefore concave in k, a minimum of
-        affine functions; so is the ``positive`` bound, whose coefficients
-        are affine in k, min(coef, 0) being concave.  The periods in which a
-        bracket stays positive, or certainly positive, thus form an interval,
-        and where w reaches 0 on a bracket (at an end node, or at a minimum,
-        where p turns from negative to nonnegative, not ruled out by the
-        bound) they are an interval [lo, a] and another [b, hi].  So:
-
-        - a node value A_i + k B_i with B_i < 0 is <= 0 from
-          k_i = ceil(-A_i/B_i) on (the node values settle the rounding), so
-          no bracket after the first such node is searched;
-        - a bracket that is a minimum of w in neither the first nor the
-          last period of its range (p at its ends is monotone in k), or is
-          certainly positive in both, never reaches 0 before that node;
-        - on every other bracket, a bisection in k finds the first period
-          in which w reaches 0 there: its first round tests the first
-          period and the last two, as w reaches 0 at the end of a range if
-          anywhere, the next ones ``_SECTIONS`` periods each.
-
-        The partial brackets from t = 0 to the first node and from the last
-        node to t_max are tested as they are, unless their whole brackets
-        have positive end nodes and no minimum or are certainly positive.
-        t* is then the root of w on the earliest bracket where w reaches 0,
-        up to its minimum or its end node, found by :func:`_root` as
-        :func:`_falls_to` does.
+        the period k (B = n v0 w2; mirrored, its turn), so the minimum of w
+        over a bracket, a minimum of affine functions, is concave in k.
+        Window m, the P whole brackets from node min(first + m P,
+        last - 1 - P) on, holds each node position once, a period (in the
+        last window at most one) after window m - 1.  Where window 0 stays
+        positive, each bracket thus reaches 0 from some period on, if ever,
+        and "w reaches 0 in window m" (:meth:`_below`) is monotone in m.
+        The first round tests window 0 and the last; the second the window
+        where a node value A + m B first falls to 0, ceil(-A/B), and the
+        two before it; the next ones ``_SECTIONS`` windows each.  t* lies
+        on the first bracket that reaches 0 in the first window that does;
+        the partial brackets from t = 0 and to t_max are tested as they
+        are, by :meth:`_edge`, where their whole brackets reach 0 (always
+        without a period, where no node follows t_max).
         """
         P, first, t_end = self._step.size, self.first, self.t_max
         if math.isinf(t_end) and (not self._slope.any() or abs(self.shear) <= self.shear_error):
             t_end = self._T
         last = self._count(t_end) if math.isfinite(t_end) else None
-        j = np.arange(P)
-        lo = (first + P - 1 - j) // P          # each position's first and last period
-        hi = (last - 2 - j) // P if last is not None else np.full(P, _MAX_PERIODS)
+        end = last - 1 if last is not None else (_MAX_PERIODS + 1) * P   # whole brackets [first, end)
+        top = max(-((first + P - end) // P), 0)                            # the last window
+
+        def start(m):
+            return max(first, min(first + m * P, end - P))
+
+        def windows(ms):        # the brackets of the windows ``ms`` (ascending), each once
+            s = [start(m) for m in ms]
+            return [np.arange(max(a, b), min(a + P, end)) for a, b in zip(s, [first] + [x + P for x in s])]
+
         # the whole brackets of the partial ones, from t = 0 and to t_max
-        e = np.array(([first - 1] if self.inside else []) +
-                     ([last - 1] if last is not None and last > first else []), dtype=int)
-        f, g = lo * P + j, hi * P + j
-        w, p = self._node(np.concatenate([f, f + 1, g, g + 1, e, e + 1]), times=False)
-        node = None
-        if last is None or (w <= 0.0).any():   # the first node with w <= 0
-            node = self._first_nonpositive(j, lo, w[:P], last)
-            if node == first and not self.inside:   # w(0) <= 0
-                return 0.0
-            if node is not None:               # up to the bracket that ends at that node
-                hi = np.minimum(hi, (node - 1 - j) // P)
-                e = e[:self.inside]
-            g = hi * P + j
-            w_hi, p_hi = self._node(np.concatenate([g, g + 1, e, e + 1]), times=False)
-            w, p = np.concatenate([w[:2 * P], w_hi]), np.concatenate([p[:2 * P], p_hi])
-        live = lo <= hi
-        j, lo, hi, f, g = j[live], lo[live], hi[live], f[live], g[live]
-        p_lo, p_hi = p[:2 * P].reshape(2, -1)[:, live], p[2 * P:4 * P].reshape(2, -1)[:, live]
-        w_e, p_e = w[4 * P:].reshape(2, -1), p[4 * P:].reshape(2, -1)
-        # a minimum of w, p turning from negative to nonnegative, in some
-        # period shows in the first or the last one, p being monotone in k;
-        # a whole bracket with positive nodes and no minimum stays positive
-        doubt = np.flatnonzero(((p_lo[0] < 0.0) | (p_hi[0] < 0.0)) & ((p_lo[1] >= 0.0) | (p_hi[1] >= 0.0)))
-        clear = (w_e > 0.0).all(axis=0) & ~((p_e[0] < 0.0) & (p_e[1] >= 0.0))
-        edges = e[~clear if self._T else slice(None)]   # without a period no node follows t_max
-        # the bound at both ends rules brackets out; before a node with w <= 0
-        # the search reads them along with that node's bracket instead
-        m = 0 if node is not None else doubt.size
-        bound = np.concatenate([f[doubt[:m]], g[doubt[:m]], edges])
-        sure = self.positive(bound) if bound.size else bound > 0
-        if m:
-            doubt = doubt[~(sure[:m] & sure[m:2 * m])]
-        edges = set(edges[~sure[2 * m:]].tolist())
-        if first - 1 in edges:                 # from t = 0 to the first node
-            end = self._node(np.array([first])) if last is None or first < last else \
-                self._at_time(t_end)
-            found = self._edge(first - 1, self._at_time(0.0), end)
-            if found is not None or last == first:
-                return found
+        edges = (([first - 1] if self.inside else []) +
+                 ([last - 1] if self._T and last is not None and last > first else []))
+        f, ta, wa, below = self._test(np.concatenate([*windows(sorted({0, top})), np.array(edges, dtype=int)]))
+        reach = set(f[below < np.inf].tolist())
+        ms, lo, hi, best = [0, top], -1, top + 1, None   # windows up to lo stay positive; hi reaches 0
+        while True:
+            hit = np.flatnonzero((below < np.inf) & (f >= first) & (f < end))
+            if hit.size:
+                i = hit[0]
+                hi = next(m for m in ms if f[i] < start(m) + P)
+                lo = max([lo] + [m for m in ms if m < hi])
+                best = (f[i], ta[i], wa[i], below[i])
+            else:
+                lo = max(lo, ms[-1])
+            if hi - lo <= 1:
+                break
+            if ms[0] == 0:      # after the first round: where a node value A + m B falls to 0
+                j = first + np.arange(P)
+                A, B = self._node(j, times=False)[0], self._slope[j % P]
+                with np.errstate(divide="ignore", over="ignore"):
+                    k = np.ceil(-A[B < 0.0] / B[B < 0.0])
+                h = max(int(min(k.min(), hi)) if k.size else hi, lo + 1)
+                ms = [m for m in (h - 2, h - 1, h) if lo < m < hi]
+            else:
+                ms = sorted({lo + 1 + i * (hi - lo - 1) // _SECTIONS for i in range(_SECTIONS)})
+            f, ta, wa, below = self._test(np.concatenate(windows(ms)))
+
         found = None
-        if doubt.size or node is not None:
-            found = self._search(j[doubt], lo[doubt], hi[doubt], node)
-        if found is None and last is not None and last - 1 in edges:   # to t_max
+        if first - 1 in reach:                 # from t = 0 to the first node
+            b = self._node(np.array([first])) if last is None or first < last else self._at_time(t_end)
+            found = self._edge(first - 1, self._at_time(0.0), b)
+        if found is None and best is not None:
+            found = self._t_star_on(*best)
+        if found is None and last is not None and last > first and (last - 1 in reach or not self._T):
             found = self._edge(last - 1, self._node(np.array([last - 1])), self._at_time(t_end))
         return found
 
-    def _search(self, j, lo, hi, node):
-        """The first zero of w on the whole brackets of positions ``j`` in
-        periods ``lo`` to ``hi``, and on the bracket that ends at ``node``
-        (the first node with w <= 0, or None), or None."""
-        P = self._step.size
-        # w first reaches 0 in period b, not in (a, b) as far as known yet: b = hi + 1 is never
-        a, b = lo - 1, hi + 1
-        below, start = np.full(j.size, np.inf), np.zeros((2, j.size))
-        last = [] if node is None else [node - 1]      # tested along with the first round
-        rounds = 0
-        while True:
-            o = np.flatnonzero(b - a > 1)
-            if not (o.size or last):
-                break
-            if rounds:
-                pts = a[o, None] + 1 + (np.arange(_SECTIONS) * (b - a - 1)[o, None]) // _SECTIONS
-            else:          # the first period and the last two: w reaches 0 at the end, if at all
-                pts = np.maximum(b[o, None] - [[3, 2, 1]], a[o, None] + 1)
-                pts[:, 0] = a[o] + 1
-            rounds += 1
-            f, inv = np.unique(np.concatenate([(pts * P + j[o, None]).ravel(), last]).astype(int),
-                               return_inverse=True)
-            ta, wa, pa = self._node(f)
-            at = self._below(f, (ta, wa, pa), self._node(f + 1))
-            if last:
-                i = inv[-1]
-                last, node_at = [], (f[i], ta[i], wa[i], at[i])
-            i = inv[:pts.size].reshape(pts.shape)
-            hit = at[i] < np.inf
-            h, r = hit.argmax(axis=1), np.arange(o.size)
-            some, i = hit[r, h], i[r, h]
-            a[o] = np.where(some, np.where(h > 0, pts[r, h - 1], a[o]), pts[:, -1])
-            b[o] = np.where(some, pts[r, h], b[o])
-            below[o] = np.where(some, at[i], below[o])
-            start[:, o] = np.where(some, (ta[i], wa[i]), start[:, o])
-        found = np.flatnonzero(b <= hi)
-        if found.size:
-            i = found[np.argmin(b[found] * P + j[found])]
-            best = (b[i] * P + j[i], start[0, i], start[1, i], below[i])
-            if node is None or best[0] < node - 1:
-                return self._t_star_on(*best)
-        if node is None:
-            return None
-        return self._t_star_on(*node_at)
-
-    def _first_nonpositive(self, j, lo, w_lo, last):
-        """The first node at which w <= 0, up to node ``last`` - 1 (None
-        where w stays positive there): a node value A + k B, ``w_lo`` at
-        k = ``lo``, is <= 0 from k = lo + ceil(-w_lo/B) on where B < 0, up
-        to rounding, which the node values themselves settle."""
-        P, slope = self._step.size, self._slope
-        k = np.where(w_lo <= 0.0, lo, np.inf)
-        down = (slope < 0.0) & (w_lo > 0.0)
-        with np.errstate(over="ignore"):
-            k[down] = lo[down] + np.ceil(-w_lo[down] / slope[down])
-        limit = (_MAX_PERIODS if last is None else (last - 1) // P) + 1
-        near = k <= limit
-        if not near.any():
-            return None
-        j, lo, k = j[near], lo[near], k[near].astype(int)
-        for _ in range(8):   # the first k >= lo with w <= 0, a step off at most
-            w = self._node(np.concatenate([(k - 1) * P + j, k * P + j]), times=False)[0]
-            back = (k > lo) & (w[:k.size] <= 0.0)
-            ahead = ~back & (w[k.size:] > 0.0)
-            if not (back.any() or ahead.any()):
-                break
-            k = k - back + ahead
-        f = k * P + j
-        f = f[f <= (_MAX_PERIODS * P if last is None else last - 1)]
-        return int(f.min()) if f.size else None
+    def _test(self, f):
+        """The brackets of nodes ``f`` up to the first node from ``first``
+        on with w <= 0 (no later one can hold t*), with t and w at their
+        start and where w first reaches 0 on them (:meth:`_below`):
+        (f, t, w, below)."""
+        (ta, wa, pa), b = self._node(f), self._node(f + 1)
+        n = np.concatenate([f[(wa <= 0.0) & (f >= self.first)], f[b[1] <= 0.0] + 1])
+        keep = f <= n.min(initial=sys.maxsize)
+        f, ta, wa, pa, b = f[keep], ta[keep], wa[keep], pa[keep], [x[keep] for x in b]
+        return f, ta, wa, self._below(f, (ta, wa, pa), b)
 
     def _below(self, f, a, b):
         """Where w first reaches 0 on the brackets of nodes ``f`` with ends
@@ -705,13 +631,15 @@ class CharacteristicRun:
 
     ``t_star``, the first zero of w (None when w stays positive up to
     t_max), is found when the run is made, by the flow's ``first_zero``:
-    for d = 2, 3 a search over the brackets of one period (see
-    :meth:`_Floquet._search_zero`), whose cost does not grow with t_max,
-    and in closed form for d = 1.  No search runs where the homogeneous
-    part is 0, v = (0, 0), as at every spatially constant start and every
-    center: there w = q = 1/(1 - d G), and 1 - d G = (1 - d G0) exp(-d I)
-    > 0 with I the integral of F, so t* is None.  So t_max may be inf, where a shear that is 0
-    within its error (``floquet["shear_error"]``) counts as 0.
+    for d = 2, 3 by a bisection over windows of one period's brackets (see
+    :meth:`_Floquet._search_zero`), which reads two windows at any horizon
+    where w stays positive, and where it reaches 0 adds a round of up to
+    three windows and rounds of ``_SECTIONS``; in closed form for d = 1.
+    No search runs where the homogeneous part is 0, v = (0, 0), as at
+    every spatially constant start and every center: there
+    w = q = 1/(1 - d G), and 1 - d G = (1 - d G0) exp(-d I) > 0 with I the
+    integral of F, so t* is None.  So t_max may be inf, where a shear that
+    is 0 within its error (``floquet["shear_error"]``) counts as 0.
 
     ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
     evaluates it at any time; it ends at t_max (status ``"completed"``) or,
@@ -822,9 +750,10 @@ def run_characteristic(
     [0, t_max] from the start when the orbit has no period), and the rest
     of the run is mirrored from it, with the odd solution's weight growing
     by the period map's shear each period; d = 1 is closed form.  The
-    run finds the blow-up time t* at once, for d = 2, 3 by a search over
-    the brackets of one period whose cost does not grow with t_max, so
-    ``t_max`` may be ``math.inf`` (not for an orbit without a period).  Its
+    run finds the blow-up time t* at once, for d = 2, 3 by a bisection
+    over windows of one period's brackets, which reads two windows where
+    the run does not break whatever t_max, so ``t_max`` may be
+    ``math.inf`` (not for an orbit without a period).  Its
     nodes, its trajectory (ending where lambda reaches ``-d_cap`` after a
     blow-up) and its crossings are built when first read; see
     :class:`CharacteristicRun`.

@@ -549,7 +549,9 @@ class TestHalfPeriod:
 
 
 class TestHorizon:
-    """t* is searched over the brackets of one period, so it does not depend on t_max."""
+    """t* is searched by a bisection over windows of one period: it does not
+    depend on t_max, and a run that does not break reads two windows at any
+    horizon."""
 
     def test_t_star_does_not_depend_on_the_horizon(self):
         profile, grid = gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)
@@ -572,12 +574,13 @@ class TestHorizon:
         assert [t for _, t in endless[44:]] == [None] * 4
         assert endless[43][1] > 1e10
 
-    @pytest.mark.parametrize("r0", [2.2, 2.5])
+    @pytest.mark.parametrize("r0", [1.6, 1.8, 2.0, 2.2, 2.5])
     def test_search_cost_does_not_grow_with_the_horizon(self, r0, floquet_reads):
         # every node value, bound and bracket root the search reads goes
         # through _node, positive and _below: count what they are given
-        # (both radii have v != 0 and no t* at either horizon; on r0 = 1.6
-        # to 2.1 the bound reads more brackets at 20000, at most one period's)
+        # (every radius has v != 0 and no t* at either horizon; on r0 = 1.6
+        # to 2.0 a search per node position gave the bound more brackets at
+        # 20000, as more of them held a minimum of w in a longer range)
         read = floquet_reads("_node", "positive", "_below")
         profile, cost = gaussian_profile(0.45), []
         for t_max in (400.0, 20000.0):
@@ -645,6 +648,61 @@ class TestHorizon:
         # d = 1 is closed form: its t* lies within the first 2 pi
         one_d = one_d_point_profile(0.3, 0.9)
         assert run_characteristic(one_d, 0.0, math.inf).t_star == run_characteristic(one_d, 0.0, 20.0).t_star
+
+
+def scanned_t_star(flow):
+    """t* from a scan of every bracket of a ``_Floquet`` flow's nodes up to
+    t_max: the first bracket where ``_below`` finds that w reaches 0,
+    rooted by ``_t_star_on`` (None where there is none)."""
+    t, _, _, w, p = flow.nodes(flow.t_max)
+    f = np.arange(t.size - 1) + flow.offset
+    below = flow._below(f, (t[:-1], w[:-1], p[:-1]), (t[1:], w[1:], p[1:]))
+    hit = np.flatnonzero(below < np.inf)
+    if not hit.size:
+        return None
+    i = hit[0]
+    return flow._t_star_on(f[i], t[i], w[i], below[i])
+
+
+class TestSearchAgainstScan:
+    """The window bisection gives the t* of a scan of every bracket, bit for bit."""
+
+    @pytest.mark.parametrize("K, n_r, t_max, breaking", [(0.45, 48, 400.0, 16), (0.222, 16, 150.0, 0)],
+                             ids=["breaking-sweep", "readme-sweep"])
+    def test_sweep_grids(self, K, n_r, t_max, breaking):
+        profile = gaussian_profile(K)
+        runs = [run_characteristic(profile, r0, t_max, tol=1e-8) for r0 in np.linspace(0.0, 3.0, n_r)]
+        assert sum(run.t_star is not None for run in runs) == breaking
+        for run in runs:
+            assert repr(run.t_star) == repr(scanned_t_star(run._flow)), run.r0
+
+    def test_moving_pulses(self):
+        # amplitudes up to 0.9/d, so that about a sixth of the runs break,
+        # on horizons log-uniform in [0.5, 2000]
+        rng = np.random.default_rng(2022)
+        broken = 0
+        for i in range(320):
+            d = 2 + i % 2
+            K, c, r0 = rng.uniform(0.1, 0.9 / d), rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.5)
+            t_max = float(np.exp(rng.uniform(math.log(0.5), math.log(2000.0))))
+            run = run_characteristic(moving_pulse(K, c, d), r0, t_max, tol=(1e-8, 1e-10)[i % 4 // 2])
+            assert repr(run.t_star) == repr(scanned_t_star(run._flow)), (K, c, d, r0, t_max)
+            broken += run.t_star is not None
+        assert broken >= 40, broken
+
+    @pytest.mark.parametrize("start, head", [((0.1, 0.1, 0.01, -1.0, 2), True),
+                                             ((0.2, -0.1, 0.05, -0.5, 3), True),
+                                             ((-0.3, 0.05, 0.02, -2.0, 2), True),
+                                             ((0.1, 0.1, 0.01, 0.0, 2), False)])
+    def test_partial_brackets(self, start, head):
+        # (F0, G0, w0, p0, d): w0 small and falling reaches 0 between t = 0
+        # and the first node (``head``); horizons just past t* put the zero
+        # in the bracket to t_max
+        t_star = _Floquet(*start, 100.0, 1e-10).first_zero()
+        for t_max in (0.5 * t_star, t_star * (1.0 + 1e-9), 1.01 * t_star, 100.0):
+            flow = _Floquet(*start, t_max, 1e-10)
+            assert flow.inside and (t_star < flow._node(np.array([flow.first]))[0][0]) == head
+            assert repr(flow.first_zero()) == repr(scanned_t_star(flow)), t_max
 
 
 def _constant_starts():
