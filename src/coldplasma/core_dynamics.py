@@ -283,7 +283,9 @@ def _timing(F0: float, G0: float, d: int, phase: bool) -> tuple[float, float, fl
     try:
         ext = orbit_extremes(F0, G0, d)
         if ext.G_plus - ext.G_minus < 1e-13:
-            raise ValueError("point orbit has no period")
+            # a point orbit, G = G_e cos tau and F = -G_e sin tau: T - 2 pi ~ -0.525 G_e**2 is 0
+            T, tau = 2.0 * math.pi, math.atan2(-F0, G0) % (2.0 * math.pi)
+            return T, math.hypot(F0, G0), tau if tau < T else 0.0
         turning = {math.log1p(-d * G): (0.0, G) for G in (ext.G_plus, ext.G_minus)}
         T = 2.0 / d * _x_integral(d, turning)
         if not phase or F0 == 0.0:
@@ -315,9 +317,9 @@ def period(F0: float, G0: float, d: int) -> float:
     constant drops out and nothing cancels on small orbits.  In x the
     widest orbits (G- down to about -1e268 for d = 2) span a few hundred
     units, where a quadrature in G spans 1e20 or more in its square-root
-    variable and misses the mass near G+.  Raises ValueError or
-    QuadratureError naming the orbit when it has no finite period in
-    floating point.
+    variable and misses the mass near G+.  A point orbit (G+ - G- < 1e-13)
+    has 2 pi, the plasma period of small oscillations.  Raises ValueError
+    or QuadratureError naming the orbit when it has no finite period.
     """
     return _timing(F0, G0, d, False)[0]
 
@@ -327,13 +329,15 @@ def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, float, float]:
     through (F0, G0), and the time tau in [0, T) the flow takes from there
     to (F0, G0).
 
-    For F0 = 0 the start is the turning point: G_e = G0 and tau = 0.
-    Otherwise G_e = G+; from (0, G+) the flow runs with F < 0 down to G- at
-    T/2 and back with F > 0, so tau is the time Q from G+ to G0 (F0 < 0) or
-    T - Q (F0 > 0), or from G- at T/2, T/2 -/+ Q; Q is the integral of
-    :func:`period` between x0 = log(1 - d G0) and the nearer turning point,
-    divided by d, with Y about x0 taken from Y = F0**2 there.  Raises as
-    :func:`period` does.
+    Off a point orbit, for F0 = 0 the start is the turning point: G_e = G0
+    and tau = 0.  Otherwise G_e = G+; from (0, G+) the flow runs with F < 0
+    down to G- at T/2 and back with F > 0, so tau is the time Q from G+ to
+    G0 (F0 < 0) or T - Q (F0 > 0), or from G- at T/2, T/2 -/+ Q; Q is the
+    integral of :func:`period` between x0 = log(1 - d G0) and the nearer
+    turning point, divided by d, with Y about x0 taken from Y = F0**2
+    there.  On a point orbit T = 2 pi, G_e = hypot(F0, G0) and
+    tau = atan2(-F0, G0) mod 2 pi, from the linearized orbit
+    G = G_e cos tau, F = -G_e sin tau.  Raises as :func:`period` does.
     """
     return _timing(F0, G0, d, True)
 

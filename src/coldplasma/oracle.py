@@ -14,16 +14,18 @@ Equation*, 1966).  It is linear and smooth through a blow-up, which happens
 exactly where w reaches 0; then lambda = 1 - 1/w and D = p/w.  Since
 G' = F (1 - d G), r = r0 ((1 - d G0)/(1 - d G))**(1/d) needs no ODE.
 
-For d = 2 and 3, (F, G) is periodic with T = ``period(F0, G0, d)`` and
-reversible under (F, G, t) -> (-F, G, -t) (Lamb & Roberts, Physica D 112,
-1998), and q = 1/(1 - d G) is an exact particular solution: half a period
-is integrated from a turning point, the other half is its mirror, and the
-homogeneous part moves from period to period by a unipotent map, a shear
-written in closed form (Floquet theory; Coddington & Levinson, *Theory of
-Ordinary Differential Equations*, 1955, ch. 3).  For d = 1 the equation has
-constant coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of
-1D cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
-follow the same law through v = 1/(1 - G), so no ODE runs.  A run finds
+For d = 2 and 3, (F, G) is periodic with T = ``period(F0, G0, d)`` (2 pi,
+the plasma period, on a point orbit) and reversible under (F, G, t) ->
+(-F, G, -t) (Lamb & Roberts, Physica D 112, 1998), and q = 1/(1 - d G) is
+an exact particular solution: half a period is integrated from a turning
+point, the other half is its mirror, and the homogeneous part moves from
+period to period by a unipotent map, a shear written in closed form
+(Floquet theory; Coddington & Levinson, *Theory of Ordinary Differential
+Equations*, 1955, ch. 3).  For d = 1 the equation has constant
+coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of 1D
+cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
+follow the same law through v = 1/(1 - G), so no ODE runs, nor at the
+rest state F0 = G0 = 0 of any d, where w'' = 1 - w.  A run finds
 the blow-up time at once, by a bisection over windows of one period's
 brackets up to t_max (which may be infinite), which reads two windows at
 any horizon where w stays positive, or without a search where the
@@ -52,7 +54,7 @@ from .core_dynamics import (
     profile_divergences,
     rhs_radial,
 )
-from .numerics import OdeTrajectory, QuadratureError, integrate
+from .numerics import OdeTrajectory, integrate
 from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2
 from .spiral_counter import count_crossing_pairs
 
@@ -153,14 +155,15 @@ class _Floquet:
     period.  At tau = -T/2, p1 odd and p2 even turn (p1, p2)(T/2) = (c, e)
     into c = -c + n e, so n = 2 c/e: the shear of the period function
     (Chicone, J. Differential Equations 69, 1987), Dawson's phase mixing.
-    The start lies at the phase tau_s of :func:`orbit_phase` (0 when
-    F0 = 0), polished by one Newton step onto the integrated orbit, and at
-    tau = kT + sigma, (h, h') = Phi(sigma) M^k v = Phi(sigma) (v0,
-    v1 + k n v0) with v = Phi(tau_s)^-1 u and u = (w0 - q0, p0 - d F0 q0)
-    from the exact start data, so a spatially constant start has u = 0
-    and w = q > 0 at every time.  Without a period (the point orbit, or
-    one ``period`` cannot resolve) T is infinite, n = 0 and the
-    integration spans [0, t_max] from (F0, G0), as one period.
+    The start lies at the phase tau_s of :func:`orbit_phase` (0 where
+    F0 = 0 off a point orbit), polished by one Newton step onto the
+    integrated orbit, and at tau = kT + sigma, (h, h') = Phi(sigma) M^k v
+    = Phi(sigma) (v0, v1 + k n v0) with v = Phi(tau_s)^-1 u and
+    u = (w0 - q0, p0 - d F0 q0) from the exact start data, so a spatially
+    constant start has u = 0 and w = q > 0 at every time.  Every orbit but
+    the rest state, which :func:`run_characteristic` solves in closed
+    form, has a finite T (2 pi on a point orbit); one ``period`` cannot
+    resolve raises.
 
     A period has P node positions: the half's step starts, then the same
     mirrored in reverse order, each starting the step it ends (the junction
@@ -171,34 +174,27 @@ class _Floquet:
     :meth:`nodes` is flat node i + ``offset``.  No node value is built
     before it is read.  ``floquet`` holds T, the half period's steps, n
     with its ``shear_error``, the residual w2(T/2) and the turning-point
-    miss |F(T/2)|/F+, both 0 but for the integration error (None without
-    a period).
+    miss |F(T/2)|/F+ (F+ = G_e on a point orbit, where F+ rounds to 0),
+    both 0 but for the integration error.
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
         self.d, self.t_max, self.tol, self._orbit = d, t_max, tol, (F0, G0)
-        try:
-            T, G_e, tau = orbit_phase(F0, G0, d)
-            F_e = 0.0
-        except (ValueError, QuadratureError) as exc:
-            if math.isinf(t_max):
-                raise ValueError(f"t_max = inf needs a periodic orbit: {exc}") from exc
-            T, F_e, G_e, tau = math.inf, F0, G0, 0.0
+        T, G_e, tau = orbit_phase(F0, G0, d)
         self.T, self.half = T, 0.5 * T    # the half period is integrated whatever t_max
-        self.one = one = integrate(_half_rhs(d), [F_e, G_e, 1.0, 0.0, 0.0, 1.0],
-                                   (0.0, self.half if math.isfinite(T) else t_max), tol=tol)
+        self.one = one = integrate(_half_rhs(d), [0.0, G_e, 1.0, 0.0, 0.0, 1.0], (0.0, self.half), tol=tol)
         S = one.t.size - 1
-        self.shear, self._T = 0.0, 0.0           # _T: T, or 0 for the one period of no orbit
-        tau_nodes, step = one.t[:S], np.arange(S)
-        if math.isfinite(T):
-            c, e = one.y[[3, 5], -1].tolist()        # p1 and p2 at T/2
-            self.shear, self._T = 2.0 * c / e, T
-            tau_nodes = np.concatenate([tau_nodes, T - one.t[S:0:-1]])
-            step = np.concatenate([step, step[::-1]])
-            if F0:      # one Newton step of the phase onto the integrated orbit
-                F, G, *_ = self._at(tau)
-                dF, dG = rhs_radial(F, G, d)
-                tau = (tau + ((F0 - F) * dF + (G0 - G) * dG) / (dF * dF + dG * dG)) % T
+        c, e = one.y[[3, 5], -1].tolist()        # p1 and p2 at T/2
+        self.shear = 2.0 * c / e
+        tau_nodes = np.concatenate([one.t[:S], T - one.t[S:0:-1]])
+        step = np.concatenate([np.arange(S), np.arange(S)[::-1]])
+        if F0:      # one Newton step of the phase onto the integrated orbit
+            F, G, *_ = self._at(tau)
+            dF, dG = rhs_radial(F, G, d)
+            speed = dF * dF + dG * dG      # 0 only where it underflows, on orbits below 1e-154
+            if speed:
+                tau = (tau + ((F0 - F) * dF + (G0 - G) * dG) / speed) % T
+            tau = tau if tau < T else 0.0       # a phase that rounds to T is phase 0
         self.tau, self._step = tau, step
         mirror = np.arange(step.size) >= S
         self._sign = sign = np.where(mirror, -1.0, 1.0)
@@ -228,13 +224,12 @@ class _Floquet:
         self.offset = first - self.inside
 
     @cached_property
-    def floquet(self) -> Optional[dict]:
-        if not self._T:
-            return None
+    def floquet(self) -> dict:
         F_half, residual = self.one.y[[0, 4], -1].tolist()      # F and w2 at T/2
+        F_plus = orbit_extremes(*self._orbit, self.d).F_plus or float(self.one.y[1, 0])  # or G_e
         return {"period": self.T, "half_period_steps": self.one.t.size - 1, "shear": self.shear,
                 "shear_error": self.shear_error, "residual": residual,
-                "turning_point_miss": abs(F_half) / orbit_extremes(*self._orbit, self.d).F_plus}
+                "turning_point_miss": abs(F_half) / F_plus}
 
     @cached_property
     def shear_error(self) -> float:
@@ -271,7 +266,7 @@ class _Floquet:
 
     def _t0(self, k):
         """The time of phase 0 of period k."""
-        return self._T * k - self.tau
+        return self.T * k - self.tau
 
     def _node(self, f, times=True):
         """t (if ``times``), w and p at the nodes ``f`` (flat indices, an array)."""
@@ -283,7 +278,7 @@ class _Floquet:
 
     def _count(self, t_end):
         """The first node at or after ``t_end``, a flat index."""
-        k = max(math.ceil((self.tau + t_end) / self._T) - 1, 0) if self._T else 0
+        k = max(math.ceil((self.tau + t_end) / self.T) - 1, 0)
         return k * self._step.size + int(np.searchsorted(self._t0(k) + self._table[0], t_end))
 
     def size(self, t_end) -> int:
@@ -303,11 +298,9 @@ class _Floquet:
     def __call__(self, t):
         """(F, G, w, p) at a time or an array of times."""
         t = np.asarray(t, dtype=float)
-        k = np.zeros(t.shape)
-        if self._T:        # the last period that starts at or before t
-            k = np.floor((t + self.tau) / self._T)
-            k -= self._t0(k) > t
-            k = np.maximum(k + (self._t0(k + 1.0) <= t), 0.0)
+        k = np.floor((t + self.tau) / self.T)     # the last period that starts at or before t
+        k -= self._t0(k) > t
+        k = np.maximum(k + (self._t0(k + 1.0) <= t), 0.0)
         tau = t - self._t0(k)
         mirror = tau > self.half
         Y = self.one(np.where(mirror, self.T - tau, tau))
@@ -401,13 +394,13 @@ class _Floquet:
         two before it; the next ones ``_SECTIONS`` windows each.  t* lies
         on the first bracket that reaches 0 in the first window that does;
         the partial brackets from t = 0 and to t_max are tested as they
-        are, by :meth:`_edge`, where their whole brackets reach 0 (always
-        without a period, where no node follows t_max).
+        are, by :meth:`_edge`, where their whole brackets reach 0.  Past
+        ``_MAX_PERIODS`` + 1 periods a horizon is searched as inf is.
         """
         P, first, t_end = self._step.size, self.first, self.t_max
         if math.isinf(t_end) and (not self._slope.any() or abs(self.shear) <= self.shear_error):
-            t_end = self._T
-        last = self._count(t_end) if math.isfinite(t_end) else None
+            t_end = self.T
+        last = self._count(t_end) if t_end < self._t0(_MAX_PERIODS + 1) else None
         end = last - 1 if last is not None else (_MAX_PERIODS + 1) * P   # whole brackets [first, end)
         top = max(-((first + P - end) // P), 0)                            # the last window
 
@@ -420,7 +413,7 @@ class _Floquet:
 
         # the whole brackets of the partial ones, from t = 0 and to t_max
         edges = (([first - 1] if self.inside else []) +
-                 ([last - 1] if self._T and last is not None and last > first else []))
+                 ([last - 1] if last is not None and last > first else []))
         f, ta, wa, below = self._test(np.concatenate([*windows(sorted({0, top})), np.array(edges, dtype=int)]))
         reach = set(f[below < np.inf].tolist())
         ms, lo, hi, best = [0, top], -1, top + 1, None   # windows up to lo stay positive; hi reaches 0
@@ -452,7 +445,7 @@ class _Floquet:
             found = self._edge(first - 1, self._at_time(0.0), b)
         if found is None and best is not None:
             found = self._t_star_on(*best)
-        if found is None and last is not None and last > first and (last - 1 in reach or not self._T):
+        if found is None and last is not None and last > first and last - 1 in reach:
             found = self._edge(last - 1, self._node(np.array([last - 1])), self._at_time(t_end))
         return found
 
@@ -506,7 +499,8 @@ class _Floquet:
 
 
 class _Lagrangian:
-    """(F, G, w, p) along a characteristic with d = 1, in closed form.
+    """(F, G, w, p) along a characteristic with d = 1, or at rest
+    (F0 = G0 = 0, where F = G = 0 for all time) with any d, in closed form.
 
     There w'' = 1 - w, so w = 1 + A cos t + B sin t with A = w0 - 1 and
     B = p0, and v = 1/(1 - G) obeys the same equation with v' = F v.  The
@@ -634,8 +628,8 @@ class CharacteristicRun:
     for d = 2, 3 by a bisection over windows of one period's brackets (see
     :meth:`_Floquet._search_zero`), which reads two windows at any horizon
     where w stays positive, and where it reaches 0 adds a round of up to
-    three windows and rounds of ``_SECTIONS``; in closed form for d = 1.
-    No search runs where the homogeneous part is 0, v = (0, 0), as at
+    three windows and rounds of ``_SECTIONS``; in closed form for d = 1
+    and the rest state.  No search runs where the homogeneous part is 0, v = (0, 0), as at
     every spatially constant start and every center: there
     w = q = 1/(1 - d G), and 1 - d G = (1 - d G0) exp(-d I) > 0 with I the
     integral of F, so t* is None.  So t_max may be inf, where a shear that
@@ -671,7 +665,8 @@ class CharacteristicRun:
         see :attr:`_Floquet.shear_error`), the ``residual`` w2(T/2) and the
         ``turning_point_miss`` |F(T/2)|/F+, where the half period ends
         against the turning point it should reach (both 0 but for the
-        integration error); None for d = 1 or without a period."""
+        integration error); None for d = 1 and the rest state, which are
+        closed form."""
         return self._flow.floquet
 
     @cached_property
@@ -746,14 +741,14 @@ def run_characteristic(
     """Solve the characteristic starting at radius r0 up to t_max.
 
     For d = 2 and 3, (F, G) and the fundamental matrix, 6 variables, are
-    integrated at ``tol`` over half a period from a turning point (over
-    [0, t_max] from the start when the orbit has no period), and the rest
-    of the run is mirrored from it, with the odd solution's weight growing
-    by the period map's shear each period; d = 1 is closed form.  The
-    run finds the blow-up time t* at once, for d = 2, 3 by a bisection
-    over windows of one period's brackets, which reads two windows where
-    the run does not break whatever t_max, so ``t_max`` may be
-    ``math.inf`` (not for an orbit without a period).  Its
+    integrated at ``tol`` over half a period from a turning point, and the
+    rest of the run is mirrored from it, with the odd solution's weight
+    growing by the period map's shear each period.  d = 1 is closed form,
+    and so is the rest state F0 = G0 = 0 of any d, where w'' = 1 - w.  An
+    orbit ``period`` cannot resolve raises, at any t_max.  The run finds
+    the blow-up time t* at once, for d = 2, 3 by a bisection over windows
+    of one period's brackets, which reads two windows where the run does
+    not break whatever t_max, so ``t_max`` may be ``math.inf``.  Its
     nodes, its trajectory (ending where lambda reaches ``-d_cap`` after a
     blow-up) and its crossings are built when first read; see
     :class:`CharacteristicRun`.
@@ -768,7 +763,7 @@ def run_characteristic(
     if not d_cap > 0.0:
         raise ValueError(f"d_cap must be positive, got {d_cap}")
     w0 = 1.0 / (1.0 - lam0)
-    if d == 1:
+    if d == 1 or F0 == G0 == 0.0:
         flow = _Lagrangian(F0, G0, w0, D0 * w0, t_max)
     else:
         flow = _Floquet(F0, G0, w0, D0 * w0, d, t_max, tol)

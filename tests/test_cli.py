@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -235,10 +236,18 @@ class TestOracleModes:
         assert abs(floquet["shear"] + 0.0130823715) < 1e-9 and abs(floquet["residual"]) < 1e-9
         assert 0.0 <= floquet["turning_point_miss"] < 1e-9
         assert 0.0 < floquet["shear_error"] < 1e-8
-        # a start on the point orbit has no period
+        # a start on the point orbit has the plasma period of small oscillations
         code, out = run_cli(["oracle-run", "--k", "1e-300", "--t-max", "5"], tmp_path, sub="point")
         assert code == EXIT_OK
-        assert json.loads((out / "report.json").read_text())["floquet"] is None
+        assert json.loads((out / "report.json").read_text())["floquet"]["period"] == 2.0 * math.pi
+
+    def test_oracle_run_rejects_an_orbit_without_a_period(self, tmp_path, capsys):
+        # the center of K = 0.4995 starts at G0 = 0.4995, next to the vacuum
+        # point 1/2: its orbit is too wide for a period in floating point
+        code, out = run_cli(["oracle-run", "--k", "0.4995", "--t-max", "10"], tmp_path)
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: period of the orbit through F0=0.0, G0=0.4995")
 
     def test_oracle_run_too_long_to_build(self, tmp_path, capsys):
         # t* = 9.70e6: the trajectory up to it has 18,521,578 nodes

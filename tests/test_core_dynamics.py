@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath as mp
@@ -334,9 +335,19 @@ class TestPeriod:
         traj = integrate(rhs, [0.0, 0.1, 0.0], (0.0, T), tol=1e-12)
         assert abs(traj(T)[2]) < 1e-8
 
-    def test_point_orbit_rejected(self):
-        with pytest.raises(ValueError):
-            period(0.0, 0.0, 2)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_point_orbit_has_the_plasma_period(self, d):
+        # small oscillations have the period 2 pi; T - 2 pi ~ -0.525 G_e**2
+        # is 5e-15 at G_e = 1e-7, where the quadrature still runs
+        assert period(0.0, 0.0, d) == 2.0 * math.pi
+        assert abs(period(0.0, 1e-7, d) - 2.0 * math.pi) <= 1e-14
+        # the phase on the linearized orbit G = G_e cos tau, F = -G_e sin tau
+        assert orbit_phase(0.0, 0.0, d) == (2.0 * math.pi, 0.0, 0.0)
+        T, G_e, tau = orbit_phase(-3e-14, 2e-14, d)
+        assert (T, G_e, tau) == (2.0 * math.pi, math.hypot(3e-14, 2e-14), math.atan2(3e-14, 2e-14))
+        assert orbit_phase(0.0, -1e-14, d) == (2.0 * math.pi, 1e-14, math.pi)
+        # a phase that rounds to 2 pi is phase 0
+        assert orbit_phase(1e-300, 1e-14, d)[2] == 0.0
 
     def test_small_orbits_to_the_last_digits(self):
         # frozen from mpmath 1.3 at 60 digits (an 80-digit rerun agrees): C

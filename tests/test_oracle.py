@@ -11,6 +11,7 @@ from coldplasma.core_dynamics import (
     constant_profile,
     gaussian_profile,
     j_exact_radial,
+    orbit_phase,
     period,
     profile_divergences,
     rhs_divergence,
@@ -548,6 +549,40 @@ class TestHalfPeriod:
         assert len(gathered) == 1 and gathered[0] >= 1605, gathered
 
 
+class TestShearIdentity:
+    """The shear against the derivative of the period: n v0 = w0 r0 T'(r0)
+    G_e q_e / q0, with q = 1/(1 - d G) at the turning point G_e and at the
+    start (ROADMAP item 10), a route that shares nothing with the Hill
+    equation's rhs.  w is the Jacobian of the orbit family, and its growth
+    k n v0 per period is the phase drift of neighbouring orbits."""
+
+    @pytest.mark.parametrize("profile, radii", [
+        (gaussian(0.222, 2), (0.1, 0.4, 0.8, 1.3, 2.0)),
+        (gaussian(0.45, 2), (0.1, 0.4, 0.8, 1.3, 2.0)),
+        (moving_pulse(0.2, 0.3, 2), (0.3, 0.9, 1.5)),
+        (moving_pulse(0.2, 0.3, 3), (0.3, 0.9, 1.5)),
+        (moving_pulse(0.1, -0.4, 2), (0.3, 0.9, 1.5)),
+        (moving_pulse(0.1, -0.4, 3), (0.3, 0.9, 1.5)),
+    ], ids=["gaussian-0.222", "gaussian-0.45", "moving-2d", "moving-3d", "moving-back-2d",
+            "moving-back-3d"])
+    def test_shear_is_the_derivative_of_the_period(self, profile, radii):
+        # T' by central differences: the ratio is 1 within 3.5e-8 on these
+        d = profile.d
+
+        def T(r):
+            return period(profile.F0(r), profile.G0(r), d)
+
+        for r0 in radii:
+            h = 1e-5 * max(r0, 1.0)
+            dT = (T(r0 + h) - T(r0 - h)) / (2.0 * h)
+            G0, G_e = profile.G0(r0), orbit_phase(profile.F0(r0), profile.G0(r0), d)[1]
+            w0 = 1.0 / (1.0 - profile_divergences(profile, r0)[0])
+            want = w0 * r0 * dT * G_e * (1.0 - d * G0) / (1.0 - d * G_e)
+            run = run_characteristic(profile, r0, 1.0, tol=1e-12)
+            got = run.floquet["shear"] * run._flow.v[0]
+            assert abs(got / want - 1.0) <= 1e-6, (r0, got, want)
+
+
 class TestHorizon:
     """t* is searched by a bisection over windows of one period: it does not
     depend on t_max, and a run that does not break reads two windows at any
@@ -619,19 +654,58 @@ class TestHorizon:
         assert "_nodes" in run.__dict__
         assert traj.status == "terminal-event" and traj.t[-1] < run.t_star
 
-    def test_orbit_without_a_period_breaks_in_its_last_step(self):
-        # F0 = G0 = 0 at r0 = 1 with lambda0 = 0.8 and D0 = -0.5: on the
-        # point orbit w = 1 + A cos t + B sin t; a horizon just past t* puts
-        # the zero in the last step of the one integrated span
-        profile = RadialProfile(
-            G0=lambda r: 0.8 * (r - 1.0) * math.exp(-4.0 * (r - 1.0) ** 2),
-            F0=lambda r: -0.5 * (r - 1.0) * math.exp(-4.0 * (r - 1.0) ** 2), d=2,
+    @staticmethod
+    def rest_at_one(F_far, G_far):
+        """(F0, G0) = (F_far, G_far) at r0 = 1, with lambda0 = 0.8 + 2 G_far
+        and D0 = -0.5 + 2 F_far."""
+        return RadialProfile(
+            G0=lambda r: G_far + 0.8 * (r - 1.0) * math.exp(-4.0 * (r - 1.0) ** 2),
+            F0=lambda r: F_far - 0.5 * (r - 1.0) * math.exp(-4.0 * (r - 1.0) ** 2), d=2,
             dG0=lambda r: 0.8 * math.exp(-4.0 * (r - 1.0) ** 2) * (1.0 - 8.0 * (r - 1.0) ** 2),
             dF0=lambda r: -0.5 * math.exp(-4.0 * (r - 1.0) ** 2) * (1.0 - 8.0 * (r - 1.0) ** 2))
+
+    def test_orbit_without_a_period_breaks_in_its_last_step(self):
+        # F0 = G0 = 0 at r0 = 1 with lambda0 = 0.8 and D0 = -0.5: at rest
+        # w'' = 1 - w in every dimension, so w = 1 + A cos t + B sin t in
+        # closed form; a horizon just past t* puts the zero in the last
+        # bracket, and at t_max = inf t* is the same
+        profile = self.rest_at_one(0.0, 0.0)
         exact = TestOneDimensionalExact.first_zero(*profile_divergences(profile, 1.0))
-        for t_max in (exact * (1.0 + 1e-9), exact * 1.01, 10.0):
+        for t_max in (exact * (1.0 + 1e-9), exact * 1.01, 10.0, math.inf):
             run = run_characteristic(profile, 1.0, t_max, tol=1e-10)
             assert run.floquet is None and abs(run.t_star - exact) <= 1e-9 * exact, (t_max, run.t_star)
+
+    @pytest.mark.parametrize("F_far, G_far", [(0.0, 1e-14), (0.0, 1e-300), (1e-200, 0.0), (1e-300, 1e-14)])
+    def test_point_orbit_breaks_as_the_rest_state(self, F_far, G_far):
+        # a start on a point orbit: its period is 2 pi, its half period is
+        # integrated, and F, G of its size leave the Hill equation that of
+        # the rest state; at 1e-200 the Newton step of the phase underflows
+        # (it is skipped), and at F0/G0 = 1e-286 the phase rounds to 2 pi
+        profile = self.rest_at_one(F_far, G_far)
+        exact = TestOneDimensionalExact.first_zero(*profile_divergences(profile, 1.0))
+        for t_max in (exact * (1.0 + 1e-9), exact * 1.01, 10.0, math.inf):
+            run = run_characteristic(profile, 1.0, t_max, tol=1e-10)
+            assert run.floquet["period"] == 2.0 * math.pi
+            assert abs(run.t_star - exact) <= 1e-9 * exact, (t_max, run.t_star)
+            assert np.all(np.diff(run.trajectory.t) > 0.0)
+
+    @pytest.mark.parametrize("t_max", [10.0, math.inf])
+    def test_orbit_without_a_period_is_rejected(self, t_max):
+        # G0 = 0.4995, next to the vacuum point 1/2: period cannot resolve
+        # the orbit, at any horizon
+        with pytest.raises(ValueError, match=r"period of the orbit through F0=0\.0, G0=0\.4995, d=2"):
+            run_characteristic(constant_profile(0.0, 0.4995, 2), 1.0, t_max)
+
+    @pytest.mark.parametrize("r0", [0.5, 2.9, 3.5])
+    def test_horizons_past_the_period_cap(self, r0):
+        # past _MAX_PERIODS + 1 periods the search stops there, as at inf;
+        # the count of periods to 1e30 overflowed a C long (at inf, r0 = 2.9
+        # and 3.5 give None: their shear is 0 within its error)
+        profile = gaussian_profile(0.45)
+        t_star = run_characteristic(profile, r0, 1e15, tol=1e-8).t_star
+        assert t_star is not None
+        for t_max in (1e30, 1e300):
+            assert repr(run_characteristic(profile, r0, t_max, tol=1e-8).t_star) == repr(t_star), t_max
 
     def test_infinite_horizon(self):
         profile = gaussian_profile(0.45)
@@ -642,9 +716,9 @@ class TestHorizon:
         # a breaking run ends where lambda reaches -d_cap, as with a finite horizon
         finite, endless = (run_characteristic(profile, 0.894, t_max, tol=1e-8) for t_max in (400.0, math.inf))
         assert endless.trajectory.t.tobytes() == finite.trajectory.t.tobytes()
-        # the point orbit has no period to search over
-        with pytest.raises(ValueError, match="periodic orbit"):
-            run_characteristic(constant_profile(0.0, 0.0, 2), 1.0, math.inf)
+        # the rest state is closed form: w = 1 for all time
+        rest = run_characteristic(constant_profile(0.0, 0.0, 2), 1.0, math.inf)
+        assert rest.t_star is None and rest.floquet is None
         # d = 1 is closed form: its t* lies within the first 2 pi
         one_d = one_d_point_profile(0.3, 0.9)
         assert run_characteristic(one_d, 0.0, math.inf).t_star == run_characteristic(one_d, 0.0, 20.0).t_star
