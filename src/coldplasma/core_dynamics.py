@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .numerics import (
-    QuadratureError,
     exp_inf,
     expm1_inf,
     find_root,
@@ -127,6 +126,9 @@ def first_integral_derivative(G: float, const: FirstIntegralConstant) -> float:
     return 2.0 / (d - 2) - 2.0 * C * math.copysign(abs(u) ** (2.0 / d - 1.0), u)
 
 
+# amplitude below which orbit_extremes takes the linearized orbit
+_SMALL_ORBIT = 1e-16
+
 # (n - 1)/n! for n = 17, ..., 2: beyond n = 17 the series below changes
 # nothing for |L| < 1/2
 _DEFECT_COEF = [(n - 1) / math.factorial(n) for n in range(17, 1, -1)]
@@ -226,10 +228,20 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     near the vacuum point 1/d, where an increment from a G0 far below 0
     would lose 1 - d G to rounding.  Y tends to -1/d there, so 1/d bounds
     G+ on the right on every orbit, however close G+ comes to it.
+
+    An orbit of amplitude A = hypot(F0, G0) below :data:`_SMALL_ORBIT` is
+    the circle F**2 + G**2 = A**2 of the flow linearized about the rest
+    state (F' = -G, G' = F), so G-, G+, F+ = -A, A, A: the next order is
+    O(A) relative, below rounding.  There the root searches would need
+    hundreds of halvings to reach a tolerance of 1e-16 F+ from a bracket
+    about 1/d wide, and F0**2 + G0**2 underflows below 1e-154.
     """
     check_dimension(d)
     if G0 >= 1.0 / d:
         raise ValueError(f"require G0 < 1/d for a closed orbit, got G0={G0}")
+    A = math.hypot(F0, G0)
+    if A < _SMALL_ORBIT:
+        return OrbitExtremes(-A, A, A)
     const = first_integral_constant(F0, G0, d)
     G_mid = 0.5 * (G0 + 1.0 / d)
 
@@ -301,8 +313,9 @@ def _timing(F0: float, G0: float, d: int, phase: bool) -> tuple[float, float, fl
         if near == x_plus:
             return T, ext.G_plus, Q if F0 < 0.0 else (T - Q) % T
         return T, ext.G_plus, 0.5 * T + math.copysign(Q, F0)
-    except (ArithmeticError, ValueError, QuadratureError) as exc:
-        kind = QuadratureError if isinstance(exc, QuadratureError) else ValueError
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        # a QuadratureError or RuntimeError keeps its type, the rest become ValueError
+        kind = type(exc) if isinstance(exc, RuntimeError) else ValueError
         raise kind(f"period of the orbit through F0={F0}, G0={G0}, d={d}: {exc}") from None
 
 
@@ -319,7 +332,8 @@ def period(F0: float, G0: float, d: int) -> float:
     units, where a quadrature in G spans 1e20 or more in its square-root
     variable and misses the mass near G+.  A point orbit (G+ - G- < 1e-13)
     has 2 pi, the plasma period of small oscillations.  Raises ValueError
-    or QuadratureError naming the orbit when it has no finite period.
+    or QuadratureError naming the orbit when it has no finite period, and
+    RuntimeError naming it when a turning point's root search fails.
     """
     return _timing(F0, G0, d, False)[0]
 

@@ -31,7 +31,6 @@ __all__ = [
     "integrate_singular",
     "optimize_scalar",
     "linspace",
-    "linspace_point",
     "exp_inf",
     "expm1_inf",
     "power_inf",
@@ -383,23 +382,14 @@ def optimize_scalar(
 
 def linspace(a: float, b: float, n: int) -> list[float]:
     """``n`` evenly spaced floats from ``a`` to ``b``, ends included: the same
-    floats as ``numpy.linspace(a, b, n).tolist()``."""
+    floats as ``numpy.linspace(a, b, n).tolist()``, which takes ``i * step + a``
+    with ``step = (b - a)/(n - 1)``, or ``i/(n - 1) * (b - a) + a`` where that
+    step underflows to 0, and ``b`` itself last."""
     if n < 2:
         return [float(a)] * n
-    return [linspace_point(a, b, n, i) for i in range(n)]
-
-
-def linspace_point(a: float, b: float, n: int, i: int) -> float:
-    """Point ``i`` of ``linspace(a, b, n)``, ``n >= 2``, without the others.
-
-    As in numpy: ``i * step + a`` with ``step = (b - a)/(n - 1)``, or
-    ``i/(n - 1) * (b - a) + a`` where that step underflows to 0, and ``b``
-    itself last.
-    """
-    if i == n - 1:
-        return float(b)
     step = (b - a) / (n - 1)
-    return i * step + a if step else i / (n - 1) * (b - a) + a
+    head = [i * step + a if step else i / (n - 1) * (b - a) + a for i in range(n - 1)]
+    return head + [float(b)]
 
 
 def exp_inf(x: float) -> float:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chaplygin_bounds import BoundCurve, Side, sigma_curve
 from .core_dynamics import RadialProfile, orbit_extremes, profile_divergences
-from .numerics import find_root, integrate_singular, linspace, linspace_point
+from .numerics import find_root, integrate_singular, linspace
 from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2, f_plus_of_lambda0
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-14
-_RIGHT_GRID = 4096   # points from s0 to just left of 0 that bracket an ascending root
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,15 @@ class SpiralSegment:
         return (min(self.s_start, self.s_end), max(self.s_start, self.s_end))
 
     def sample(self, n: int = 200) -> tuple[list[float], list[float]]:
-        """(s, D) polyline of the arc in traversal order, as two lists.
+        """(s, D) polyline of the arc in traversal order, as two lists, n >= 2.
 
-        The last sample is the arc's axis crossing, where D is 0 exactly,
-        not the square root of Z's rounding error there.
+        The first sample is the arc's anchor, where Z is Z0 exactly, and the
+        last its axis crossing, where D is 0 exactly; neither is the square
+        root of Z's rounding error there.
         """
         s = linspace(self.s_start, self.s_end, n)
-        d = [0.0 if z <= 0.0 else math.sqrt(z) for z in map(self.curve.value, s[:-1])]
+        z = [self.curve.Z0, *map(self.curve.value, s[1:-1])]
+        d = [0.0 if zi <= 0.0 else math.sqrt(zi) for zi in z]
         return s, ([-x for x in d] if self.lower_half else d) + [0.0]
 
 
@@ -84,85 +85,55 @@ class Spiral:
     def crossings_lambda(self) -> list[float]:
         return [s + 1.0 for s in self.crossings]
 
-    def polyline(self, points_per_segment: int = 200) -> tuple[list[float], list[float]]:
-        """Concatenated (lambda, D) samples of all segments, as two lists."""
-        if not self.segments:
-            return [self.start_lambda], [self.start_divv]
-        lam, dd = [], []
-        for seg in self.segments:
-            s, dv = seg.sample(points_per_segment)
-            lam += [x + 1.0 for x in s]
-            dd += dv
-        return lam, dd
 
+def _arc_root(curve: BoundCurve, a: float, b: float) -> Optional[float]:
+    """The first root of the curve met walking from ``a`` toward ``b``, or None.
 
-def _left_root(curve: BoundCurve, s0: float) -> Optional[float]:
-    """Root of the curve strictly left of s0, or None."""
-    f = curve.value
-    a = s0 - 1e-11 * max(1.0, abs(s0))
-    if f(a) <= 0.0:
-        return None
-    step = 2e-3 * abs(s0)
-    b = a - step
-    for _ in range(400):
-        if f(b) <= 0.0:
-            return find_root(f, b, a, tol=_ROOT_TOL)
-        a = b
-        step *= 1.35
-        b -= step
-        if b < -1e4:
-            return None
-    return None
-
-
-def _right_root(curve: BoundCurve, s0: float) -> Optional[float]:
-    """Root of a sigma-family curve strictly right of s0 (toward 0-), or None.
-
-    The bracket is ``[grid(i-1), grid(i)]`` for the first ``i`` with
-    ``Z(grid(i)) <= 0`` on :data:`_RIGHT_GRID` even points from
-    ``a = s0+`` to -1e-9, found by bisection: those points form a tail of
-    the grid.  On s < 0 the curve ``Z = lin_a s + lin_b + C |s|**p`` is
-    concave, so ``{Z > 0}`` is an interval and holds ``a``, or convex, and
-    then monotone: its slope ``lin_a - C p |s|**(p-1)`` stays below
-    ``lin_a <= 0`` where p > 1 (C > 0) and above ``lin_a > 0`` where p < 1
-    (upper family with sigma**2 > 1/2).
+    The walk takes steps of ``2e-3 |s0|`` (``s0`` the curve's anchor), each
+    1.35 times the last, the final one clamped at ``b``, and hands the first
+    step that ends with ``Z <= 0`` to :func:`find_root`.  On s < 0 a
+    sigma-family curve ``Z = lin_a s + lin_b + C |s|**p`` is concave, so
+    ``{Z > 0}`` is an interval and holds ``a``, or convex, and then
+    monotone: its slope ``lin_a - C p |s|**(p-1)`` stays below ``lin_a <= 0``
+    where p > 1 (C > 0) and above ``lin_a > 0`` where p < 1 (upper family
+    with sigma**2 > 1/2).  Either way ``{Z <= 0}`` on each side of a point
+    with ``Z > 0`` is a tail, so the step found holds the only root on the
+    way, and a ``Z`` still positive at ``b`` means none.
     """
     f = curve.value
-    a = s0 + 1e-11 * max(1.0, abs(s0))
     if f(a) <= 0.0:
         return None
-
-    def grid(i):
-        return linspace_point(a, -1e-9, _RIGHT_GRID, i)
-
-    lo, hi = 1, _RIGHT_GRID     # the first index with Z <= 0 is in [lo, hi]; hi: none
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if f(grid(mid)) <= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == _RIGHT_GRID:
-        return None
-    return find_root(f, grid(lo - 1), grid(lo), tol=_ROOT_TOL)
+    step = math.copysign(2e-3 * abs(curve.s0), b - a)
+    while a != b:
+        x = min(a + step, b) if step > 0.0 else max(a + step, b)
+        if f(x) <= 0.0:
+            return find_root(f, x, a, tol=_ROOT_TOL)
+        a = x
+        step *= 1.35
+    return None
 
 
 def build_spiral(
     kind: str,
     start: tuple[float, float],
-    fplus_rule: Optional[Callable[[float], float]] = None,
+    f_plus: Optional[float] = None,
     sigma_pair: tuple[float, float] = (DEFAULT_SIGMA1, DEFAULT_SIGMA2),
     d: int = 2,
     max_rev: int = 16,
 ) -> Spiral:
     """Construct the compound spiral of the given kind from (lambda0, D0).
 
-    ``fplus_rule`` maps the divergence at an axis crossing to the F+ bound
-    used for the arcs issued there; it defaults to the centered-orbit map
-    (valid at the symmetry center, where every crossing lies on a resting
-    orbit) and is re-evaluated at every crossing.  Pass a constant rule for
-    off-center characteristics, whose orbit F+ does not change along the
-    characteristic.
+    ``f_plus`` is the F+ bound of every arc: pass the orbit's own F+, which
+    does not change along the characteristic.  ``None`` (d = 2 only; other
+    dimensions raise ValueError) takes F+ at the start and again at every
+    axis crossing from :func:`f_plus_of_lambda0`, the F+ of the resting d = 2
+    orbit through ``(F, G) = (0, lambda/2)``: this is the characteristic at
+    the centre of a pulse at rest, where ``lambda = 2G`` and a crossing
+    (``D = 2F = 0``) is a turning point of the orbit.
+
+    Each arc runs from its anchor to the first root of its curve, left to
+    ``s = -1e4`` on a descent and right to ``s = -1e-9`` on an ascent
+    (:func:`_arc_root`).
 
     Construction stops when a lower-family (sigma1) descent can no longer be
     certified (its power coefficient turns nonnegative, so the curve never
@@ -176,8 +147,9 @@ def build_spiral(
     lam0, D0 = start
     if lam0 >= 1.0:
         raise ValueError(f"start requires lambda0 < 1, got {lam0}")
-    if fplus_rule is None:
-        fplus_rule = f_plus_of_lambda0
+    refresh = f_plus is None
+    if refresh and d != 2:
+        raise ValueError(f"f_plus=None takes F+ from the d = 2 resting-centre map, not d = {d}")
     sig1, sig2 = sigma_pair
 
     spiral = Spiral(kind, lam0, D0, d, (sig1, sig2))
@@ -199,7 +171,8 @@ def build_spiral(
     asc_side = Side.UPPER if kind == "outer" else Side.LOWER
     sig_of = {Side.LOWER: sig1, Side.UPPER: sig2}
 
-    f_plus = fplus_rule(lam0)
+    if refresh:
+        f_plus = f_plus_of_lambda0(lam0)
     z_anchor = Z0
     while len(spiral.crossings) < 2 * max_rev:
         side = desc_side if going_down else asc_side
@@ -207,9 +180,11 @@ def build_spiral(
         if going_down and side is Side.LOWER and curve.pow_coef >= 0.0:
             spiral.stop_reason = "lower curve unbounded (C1 >= 0)"
             break
-        root = _left_root(curve, s) if going_down else _right_root(curve, s)
+        far = -1e4 if going_down else -1e-9
+        nudge = 1e-11 * max(1.0, abs(s))
+        root = _arc_root(curve, s - nudge if going_down else s + nudge, far)
         if root is None:
-            if not going_down and curve.value(-1e-9) > 0.0:
+            if not going_down and curve.value(far) > 0.0:
                 spiral.stop_reason = "ascending arc reaches the vacuum line s = 0"
             else:
                 spiral.stop_reason = "no further axis crossing on this arc"
@@ -221,7 +196,8 @@ def build_spiral(
         if s >= 0.0:
             spiral.stop_reason = "crossing escaped s < 0 (vacuum bound)"
             break
-        f_plus = fplus_rule(s + 1.0)
+        if refresh:
+            f_plus = f_plus_of_lambda0(s + 1.0)
         going_down = not going_down
     else:
         spiral.stop_reason = f"reached max_rev = {max_rev}"
@@ -323,9 +299,10 @@ def guaranteed_field_lifetime(
 
     Equilibrium characteristics contribute +inf (no oscillation, nothing to
     certify); characteristics whose spirals certify no full revolution
-    contribute 0 (the method is silent there).  At the symmetry center the
-    crossing-refreshed F+ rule applies; elsewhere the orbit's own F+ is used
-    unchanged across arcs.
+    contribute 0 (the method is silent there).  Each spiral takes the F+ of
+    its characteristic's orbit through (F0(r0), G0(r0)) as ``f_plus``; only
+    the centre r0 = 0 of a d = 2 profile at rest there (F0(0) = 0) passes
+    ``None``, which refreshes F+ at every crossing (:func:`build_spiral`).
     """
     if len(r_grid) == 0:
         raise ValueError("empty radius grid")
@@ -336,13 +313,10 @@ def guaranteed_field_lifetime(
         if abs(lam0) < 1e-14 and abs(D0) < 1e-14 and abs(F0) < 1e-14 and abs(G0) < 1e-14:
             rows.append((r0, math.inf))
             continue
-        if r0 == 0.0:
-            rule = None   # centered: refresh from the crossing divergence
-        else:
-            fp = orbit_extremes(F0, G0, profile.d).F_plus
-            rule = lambda lam, fp=fp: fp
-        outer = build_spiral("outer", (lam0, D0), rule, sigma_pair, profile.d, max_rev)
-        inner = build_spiral("inner", (lam0, D0), rule, sigma_pair, profile.d, max_rev)
+        centre_at_rest = r0 == 0.0 and profile.d == 2 and F0 == 0.0
+        fp = None if centre_at_rest else orbit_extremes(F0, G0, profile.d).F_plus
+        outer = build_spiral("outer", (lam0, D0), fp, sigma_pair, profile.d, max_rev)
+        inner = build_spiral("inner", (lam0, D0), fp, sigma_pair, profile.d, max_rev)
         # T_lower of lifetime(inner, outer), without the outer spiral's arcs
         rows.append((r0, _passage_time(inner, _certified_revolutions(inner, outer))))
     r_min, t_star = min(rows, key=lambda row: row[1])

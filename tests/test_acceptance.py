@@ -83,12 +83,9 @@ def _k01_variants():
         ("figure[lam0=K,refresh]", 0.1, False),
         ("figure[lam0=K,orbit-F+]", 0.1, True),
     ):
-        rule = None
-        if fixed:
-            fp = cp.orbit_extremes(0.0, lam0 / 2.0, 2).F_plus
-            rule = lambda lam, fp=fp: fp
-        outer = cp.build_spiral("outer", (lam0, 0.0), rule)
-        inner = cp.build_spiral("inner", (lam0, 0.0), rule)
+        fp = cp.orbit_extremes(0.0, lam0 / 2.0, 2).F_plus if fixed else None
+        outer = cp.build_spiral("outer", (lam0, 0.0), fp)
+        inner = cp.build_spiral("inner", (lam0, 0.0), fp)
         est = cp.lifetime(inner, outer)
         out[tag] = (cp.count_revolutions(outer), est)
     return out
@@ -143,9 +140,8 @@ def test_criterion_04_sandwich_and_bracketing():
     run01 = run_characteristic(constant_profile(0.0, 0.05, 2), 0.0, 25.0, tol=1e-12)
     worst01 = sandwich_check(run01, max_arcs=6)
     fp = cp.orbit_extremes(0.0, 0.05, 2).F_plus
-    rule = lambda lam: fp
-    outer = cp.build_spiral("outer", (0.1, 0.0), rule)
-    inner = cp.build_spiral("inner", (0.1, 0.0), rule)
+    outer = cp.build_spiral("outer", (0.1, 0.0), fp)
+    inner = cp.build_spiral("inner", (0.1, 0.0), fp)
     brackets = []
     for k in range(3):
         s_true = run01.crossing_lambdas[k]

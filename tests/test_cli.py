@@ -193,6 +193,19 @@ class TestSpiralModes:
             assert len(last) >= 2
             assert set(last.values()) == {"0"}, (name, last)
 
+    def test_arcs_start_on_their_anchor(self, tmp_path):
+        # the first sample of every arc is its anchor: the start (0.2, 0) or
+        # the crossing before, where D is 0 exactly whatever the root's last bits
+        code, out = run_cli(["count-revolutions", "--k", "0.1"], tmp_path)
+        assert code == EXIT_OK
+        for name in ("spiral_outer.csv", "spiral_inner.csv"):
+            first = {}
+            for line in (out / name).read_text().splitlines()[1:]:
+                curve_id, _, _, dv = line.split(",")
+                first.setdefault(curve_id, dv)
+            assert len(first) >= 2
+            assert set(first.values()) <= {"0", "-0"}, (name, first)
+
     def test_overflowing_curve_is_numerical_failure(self, tmp_path, capsys):
         code, out = run_cli(["count-revolutions", "--k", "0.1", "--sigma1", "19.47658418883824",
                              "--start-lambda", "-1.756944146263344", "--max-rev", "1"], tmp_path)

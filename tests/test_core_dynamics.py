@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from coldplasma import core_dynamics
 from coldplasma.chaplygin_bounds import criterion_1d
 from coldplasma.core_dynamics import (
+    RadialProfile,
     constant_profile,
     evaluate_first_integral,
     first_integral_constant,
@@ -25,6 +26,7 @@ from coldplasma.core_dynamics import (
     rhs_radial,
 )
 from coldplasma.numerics import QuadratureError, integrate
+from coldplasma.oracle import run_characteristic
 
 
 class TestRhs:
@@ -219,6 +221,20 @@ class TestOrbitExtremes:
                 raised = True
             assert raised is not criterion_1d(F0, G0).satisfied, (F0, G0)
 
+    @pytest.mark.parametrize("d, r0", [(3, 13.0), (3, 15.0), (3, 18.0), (2, 18.0)])
+    def test_tiny_orbits_of_a_moving_pulse(self, d, r0):
+        # G0 = 0.2 e^-r^2, F0 = 0.3 e^-r^2, of amplitude 1e-74 to 1e-141, where
+        # Brent from [G_m, 1/d] needs about 500 halvings to meet 1e-16 F+:
+        # the orbit is the circle of the flow linearized about the rest state
+        profile = RadialProfile(G0=lambda r: 0.2 * math.exp(-r * r),
+                                F0=lambda r: 0.3 * math.exp(-r * r), d=d)
+        F0, G0 = profile.F0(r0), profile.G0(r0)
+        A = math.hypot(F0, G0)
+        for got, want in zip(orbit_extremes(F0, G0, d), (-A, A, A)):
+            assert abs(got - want) <= 1e-15 * A, (got, want)
+        assert period(F0, G0, d) == 2.0 * math.pi
+        assert run_characteristic(profile, r0, 20.0).t_star is None
+
     def test_against_high_precision(self):
         # frozen from mpmath 1.3 at 60 digits: C from (F0, G0), Y in closed
         # form, G_m from Y'(G_m) = 0, each turning point by findroot on Y
@@ -269,6 +285,14 @@ class TestPeriod:
         assert abs(period(0.0, 0.1, 2) - 6.276156321355657) < 1e-12
         assert abs(period(0.0, 1e-4, 2) - 6.283185301942202) < 1e-12
         assert evals == [42, 42]
+
+    def test_failed_root_search_names_the_orbit(self, monkeypatch):
+        def failing(f, a, b, tol):
+            raise RuntimeError(f"find_root: no convergence on [{a}, {b}]")
+
+        monkeypatch.setattr(core_dynamics, "find_root", failing)
+        with pytest.raises(RuntimeError, match=r"orbit through F0=0\.0, G0=0\.1, d=2: find_root"):
+            period(0.0, 0.1, 2)
 
     def test_wide_orbit_against_high_precision(self):
         # the orbit spans [-5.2e19, 0.49]; frozen from mpmath 1.3 at 50 and 70

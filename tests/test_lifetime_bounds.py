@@ -23,11 +23,10 @@ def _bracket_and_exact(K, r0):
     where no revolution is certified."""
     profile = gaussian_profile(K)
     lam0, D0 = profile_divergences(profile, r0)
-    rule = None                    # the center: F+ refreshed at each crossing
-    if r0 > 0.0:
+    fp = None                      # the center: F+ refreshed at each crossing
+    if r0 > 0.0:                   # elsewhere the orbit's own F+, as guaranteed_field_lifetime
         fp = orbit_extremes(profile.F0(r0), profile.G0(r0), 2).F_plus
-        rule = lambda lam: fp      # noqa: E731  (the orbit's own F+, as guaranteed_field_lifetime)
-    inner, outer = (build_spiral(kind, (lam0, D0), rule) for kind in ("inner", "outer"))
+    inner, outer = (build_spiral(kind, (lam0, D0), fp) for kind in ("inner", "outer"))
     est = lifetime(inner, outer)
     n = est.revolutions
     if n == 0:

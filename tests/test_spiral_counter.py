@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from coldplasma import spiral_counter
 from coldplasma.chaplygin_bounds import Side, sigma_curve
-from coldplasma.core_dynamics import constant_profile, gaussian_profile
+from coldplasma.core_dynamics import (
+    RadialProfile,
+    constant_profile,
+    gaussian_profile,
+    orbit_extremes,
+    profile_divergences,
+)
 from coldplasma.numerics import find_root
 from coldplasma.spiral_counter import (
     Spiral,
@@ -65,43 +73,53 @@ class TestBuildSpiral:
         with pytest.raises(ValueError):
             build_spiral("outer", (1.2, 0.0))
 
+    def test_resting_centre_map_is_d2_only(self):
+        with pytest.raises(ValueError, match="d = 2"):
+            build_spiral("outer", (0.1, 0.0), None, d=3)
+
     def test_stop_reason_is_boundedness_loss(self, spirals_default_k01):
         _, outer = spirals_default_k01
         assert outer.stop_reason == "lower curve unbounded (C1 >= 0)"
 
 
-def _scanned_right_root(curve, s0):
-    """The reference for ``_right_root``: its bracket and root by a full scan
-    of the 4096-point grid, the first point with Z <= 0 taken."""
-    a = s0 + 1e-11 * max(1.0, abs(s0))
+def _scanned_root(curve, a, b):
+    """The reference for ``_arc_root``: the first of a dense grid of points
+    from a to b (even, and geometric in the distance from a) where Z <= 0,
+    and Brent on the cell that ends there."""
     if curve.value(a) <= 0.0:
         return None
-    grid = np.linspace(a, -1e-9, 4096)
+    t = np.union1d(np.linspace(0.0, 1.0, 20001), np.geomspace(1e-12, 1.0, 20001))
+    grid = a + (b - a) * t
+    grid[-1] = b
     below = np.nonzero(curve.value(grid) <= 0.0)[0]
-    if len(below) == 0 or below[0] == 0:
+    if len(below) == 0:
         return None
-    lo, hi = grid[below[0] - 1], grid[below[0]]
-    return (lo, hi), find_root(curve.value, lo, hi, tol=1e-14)
+    i = below[0]
+    return find_root(curve.value, grid[i - 1], grid[i], tol=1e-14)
 
 
-class TestRightRoot:
-    """``_right_root`` bisects where the old code scanned every grid point."""
+def _both_ways(curve):
+    """(a, b) of the walk from the curve's anchor down to -1e4 and up to -1e-9,
+    the ends ``build_spiral`` gives a descending and an ascending arc."""
+    s0 = curve.s0
+    nudge = 1e-11 * max(1.0, abs(s0))
+    return (s0 - nudge, -1e4), (s0 + nudge, -1e-9)
 
-    @staticmethod
-    def _searched(curve, s0, monkeypatch):
-        brackets = []
 
-        def recording(f, lo, hi, tol):
-            brackets.append((lo, hi))
-            return find_root(f, lo, hi, tol=tol)
+def _assert_same_root(curve, a, b):
+    got, want = spiral_counter._arc_root(curve, a, b), _scanned_root(curve, a, b)
+    assert (got is None) == (want is None), (curve, a, b, got, want)
+    if want is not None:
+        assert abs(got - want) <= 1e-12 * abs(want), (curve, a, b, got, want)
+    return want
 
-        monkeypatch.setattr(spiral_counter, "find_root", recording)
-        root = spiral_counter._right_root(curve, s0)
-        monkeypatch.undo()
-        return None if root is None else (brackets[0], root)
 
-    def test_seeded_anchors_of_both_families(self, rng, monkeypatch):
-        found = 0
+class TestArcRoot:
+    """``_arc_root`` walks to the first root, descending and ascending, where
+    the reference scans every point of a dense grid."""
+
+    def test_seeded_anchors_of_both_families(self, rng):
+        found = [0, 0]
         for _ in range(300):
             # upper sigmas on both sides of 1/sqrt(2) and of 1: exponents
             # 2 (1 - sigma**2) above 1, in (0, 1) and below 0
@@ -110,18 +128,17 @@ class TestRightRoot:
                 [rng.uniform(0.2, 0.7), rng.uniform(0.72, 0.99), rng.uniform(1.01, 1.4)])
             s0 = -(10.0 ** rng.uniform(-2.0, 0.5))
             curve = sigma_curve(side, s0, rng.uniform(0.0, 2.0), sigma, rng.uniform(0.0, 0.8))
-            want = _scanned_right_root(curve, s0)
-            assert self._searched(curve, s0, monkeypatch) == want, (side, sigma, s0)
-            found += want is not None
-        assert found > 50
+            for k, (a, b) in enumerate(_both_ways(curve)):
+                found[k] += _assert_same_root(curve, a, b) is not None
+        assert min(found) > 50, found
 
-    def test_every_arc_of_the_readme_spirals(self, spirals_default_k01, monkeypatch):
-        for spiral in spirals_default_k01:
+    def test_every_arc_of_the_readme_spirals(self, spirals_default_k01, spirals_figure_k01):
+        for spiral in (*spirals_default_k01, *spirals_figure_k01):
             for seg in spiral.segments:
-                want = _scanned_right_root(seg.curve, seg.s_start)
-                assert self._searched(seg.curve, seg.s_start, monkeypatch) == want
-                if not seg.lower_half:
-                    assert want[1] == seg.s_end
+                down, up = _both_ways(seg.curve)
+                for a, b in (down, up):
+                    _assert_same_root(seg.curve, a, b)
+                assert spiral_counter._arc_root(seg.curve, *(down if seg.lower_half else up)) == seg.s_end
 
 
 class TestCounting:
@@ -209,6 +226,21 @@ class TestFieldLifetime:
         assert res.r_at_min == 0.0
         assert abs(res.T_star - est.T_lower) < 1e-9
 
+    @pytest.mark.parametrize("d, G, F", [(3, 0.05, 0.0), (2, 0.1, 0.05)])
+    def test_centre_takes_its_orbits_f_plus(self, d, G, F):
+        # the d = 2 resting-centre map gives F+ = 0.083814 (d = 3) and 0.116663
+        # (a moving centre), where the orbits have 0.054762 and 0.129732; the
+        # second lies below the orbit's max |F|, so its bound on J fails.
+        # With them the centre reported T_lower = 6.4060 and 3.5996
+        profile = RadialProfile(G0=lambda r: G * math.exp(-r * r),
+                                F0=lambda r: F * math.exp(-r * r), d=d)
+        fp = orbit_extremes(F, G, d).F_plus
+        start = profile_divergences(profile, 0.0)
+        inner, outer = (build_spiral(kind, start, fp, d=d) for kind in ("inner", "outer"))
+        res = guaranteed_field_lifetime(profile, [0.0])
+        assert res.per_radius == ((0.0, lifetime(inner, outer).T_lower),)
+        assert res.T_star == 0.0
+
     def test_grid_refinement_never_increases(self):
         profile = gaussian_profile(0.1)
         coarse = guaranteed_field_lifetime(profile, [0.0, 0.8])
@@ -218,16 +250,3 @@ class TestFieldLifetime:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             guaranteed_field_lifetime(gaussian_profile(0.1), [])
-
-
-class TestPolyline:
-    def test_polyline_starts_at_start_point(self, spirals_figure_k01):
-        _, outer = spirals_figure_k01
-        lam, dv = outer.polyline(50)
-        assert abs(lam[0] - 0.1) < 1e-12
-        assert abs(dv[0]) < 1e-12
-
-    def test_polyline_segment_count(self, spirals_figure_k01):
-        _, outer = spirals_figure_k01
-        lam, dv = outer.polyline(60)
-        assert len(lam) == len(dv) == 60 * len(outer.segments)
