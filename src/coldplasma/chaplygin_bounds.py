@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import expm1_inf, power_inf
 
@@ -101,8 +101,7 @@ def q_rhs(
     return 2.0 * num / s
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(NamedTuple):
     """One comparison curve anchored at (s0, Z0), in the closed form
 
         Z(s) = quad s^2 + lin_a s + lin_b + pow_coef |s|^expo
@@ -232,8 +231,7 @@ def anchor_root_S2(sigma: float, f_plus: float, d: int = 2) -> float:
     return c2_zero_anchor - 0.5 * (2.0 * sg2 - 1.0)
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     """Outcome of a pointwise sufficient condition."""
 
     value: float

@@ -14,8 +14,7 @@ lambda = d*G and D = d*F exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .numerics import (
     exp_inf,
@@ -59,8 +58,7 @@ def check_dimension(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class FirstIntegralConstant:
+class FirstIntegralConstant(NamedTuple):
     """Orbit constant of the radial (G, F) phase curves."""
 
     C: float
@@ -181,16 +179,12 @@ def first_integral_increment(F0: float, G0: float, h: float, d: int) -> float:
     return _orbit_increment(F0 * F0, G0, d, math.log1p(-d * h / (1.0 - d * G0)))
 
 
-@dataclass(frozen=True)
-class OrbitExtremes:
+class OrbitExtremes(NamedTuple):
     """Turning points and velocity-factor maximum of a closed radial orbit."""
 
     G_minus: float
     G_plus: float
     F_plus: float
-
-    def __iter__(self):
-        return iter((self.G_minus, self.G_plus, self.F_plus))
 
 
 def g_at_maximum(const: FirstIntegralConstant) -> float:
@@ -213,13 +207,37 @@ def g_at_maximum(const: FirstIntegralConstant) -> float:
     return G_m
 
 
+def _g_at_maximum_about(F0: float, G0: float, d: int) -> float:
+    """:func:`g_at_maximum` for d = 1, 3, written about a point (F0, G0) of
+    the orbit.  From (1 - d G_m)/(1 - d G0) = (1 + x)**(d/(d-2)) with
+    x = (d-2) S/(1 - d G0) and S = G0 + F0**2:
+
+        d = 3:  G_m = G0 - S (1 + x + x**2/3),
+        d = 1:  G_m = G0 - S (1 - G0)/(1 - 2 G0 - F0**2).
+
+    The orbit constant, whose rounding (about 1e-16 absolute) would move G_m
+    by as much and put it outside an orbit of that size, drops out.  A d = 1
+    orbit is closed exactly when 1 - 2 G0 - F0**2, the numerator of
+    C (d-2), is positive.
+    """
+    S = G0 + F0 * F0
+    if d == 3:
+        x = S / (1.0 - 3.0 * G0)
+        return G0 - S * (1.0 + x * (1.0 + x / 3.0))
+    n = 1.0 - 2.0 * G0 - F0 * F0
+    if n <= 0.0:
+        raise ValueError(f"orbit is not closed: 1 - 2 G0 - F0**2 = {n} <= 0")
+    return G0 - S * (1.0 - G0) / n
+
+
 def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
     """Turning points G- < 0 <= G+ and F+ = max |F| of the orbit through (F0, G0).
 
     The orbit is the level set Y(G) = F**2 of the first integral; closed
     orbits exist for G0 < 1/d (always for d in {2, 3}; for d = 1 only when
     the orbit constant is negative).  Y is concave there, so F+ = sqrt(Y(G_m))
-    at the closed-form maximum G_m, and each turning point is the one root
+    at the closed-form maximum G_m (for d = 1, 3 written about (F0, G0), see
+    :func:`_g_at_maximum_about`), and each turning point is the one root
     on its side of G_m.  The left bracket is the root of the tangent at
     G_m - max(1, |G_m|), above which concave Y lies.  Up to the midpoint of
     G0 and 1/d, Y is evaluated as an increment from (F0, G0), so nothing
@@ -252,7 +270,7 @@ def orbit_extremes(F0: float, G0: float, d: int) -> OrbitExtremes:
             return evaluate_first_integral(G, const)
         return -1.0 / d
 
-    G_m = g_at_maximum(const)
+    G_m = g_at_maximum(const) if d == 2 else _g_at_maximum_about(F0, G0, d)
     G1 = G_m - max(1.0, abs(G_m))
     Y_m = Y(G_m)
     left = G1 - Y(G1) / first_integral_derivative(G1, const)
@@ -356,7 +374,6 @@ def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, float, float]:
     return _timing(F0, G0, d, True)
 
 
-@dataclass
 class RadialProfile:
     """Initial radial data G0(r), F0(r) with optional analytic derivatives.
 
@@ -365,15 +382,21 @@ class RadialProfile:
     grid of [0, 6] at construction time.
     """
 
-    G0: Callable[[float], float]
-    F0: Callable[[float], float]
-    d: int = 2
-    dG0: Optional[Callable[[float], float]] = None
-    dF0: Optional[Callable[[float], float]] = None
-    label: str = "custom"
-
-    def __post_init__(self):
-        check_dimension(self.d)
+    def __init__(
+        self,
+        G0: Callable[[float], float],
+        F0: Callable[[float], float],
+        d: int = 2,
+        dG0: Optional[Callable[[float], float]] = None,
+        dF0: Optional[Callable[[float], float]] = None,
+        label: str = "custom",
+    ):
+        self.G0 = G0
+        self.F0 = F0
+        self.d = check_dimension(d)
+        self.dG0 = dG0
+        self.dF0 = dF0
+        self.label = label
         rr = linspace(0.0, _ADMISSIBILITY_RMAX, _ADMISSIBILITY_POINTS)
         lam = [self.lambda0(r) for r in rr]
         if any(v >= 1.0 for v in lam):
@@ -381,6 +404,12 @@ class RadialProfile:
             raise ValueError(
                 f"inadmissible profile: lambda0({bad:.4g}) >= 1 (negative density)"
             )
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"RadialProfile({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def _deriv(self, fn: Callable[[float], float], r: float) -> float:
         h = 1e-6 * max(1.0, abs(r))

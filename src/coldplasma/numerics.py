@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:
@@ -72,7 +71,6 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
-@dataclass
 class OdeTrajectory:
     """Result of an adaptive integration.
 
@@ -89,10 +87,18 @@ class OdeTrajectory:
     one step's polynomial without searching the steps.
     """
 
-    t: np.ndarray
-    y: np.ndarray
-    interpolant: Callable[[float], np.ndarray]
-    status: str = "completed"
+    def __init__(self, t: np.ndarray, y: np.ndarray,
+                 interpolant: Callable[[float], np.ndarray], status: str = "completed"):
+        self.t = t
+        self.y = y
+        self.interpolant = interpolant
+        self.status = status
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"OdeTrajectory({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def __call__(self, t):
         return self.interpolant(t)

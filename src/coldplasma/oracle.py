@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +80,7 @@ _W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
 _BASIS_MAX = np.array([1.0, 1 / 4, 4 / 27, 1 / 16, 108 / 3125, 1 / 64, 6912 / 823543])
 
 
-@dataclass(frozen=True)
-class BlowupRecord:
+class BlowupRecord(NamedTuple):
     """Outcome of blow-up detection on one characteristic run."""
 
     detected: bool

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import BracketError, exp_inf, expm1_inf, find_root, lambert_w
 
@@ -46,17 +46,31 @@ class NoFixedPointError(ValueError):
     """The requested map has no fixed point on (0, 1)."""
 
 
-@dataclass(frozen=True)
 class PulseScenario:
-    """Gaussian pulse of amplitude K; the center divergence is 2K."""
+    """Gaussian pulse of amplitude K; the center divergence is 2K.  K is
+    read-only."""
 
-    K: float
+    __slots__ = ("_K",)
 
-    def __post_init__(self):
-        if not 0.0 < self.K:
-            raise ValueError(f"K must be positive, got {self.K}")
-        if 2.0 * self.K >= 1.0:
-            raise ValueError(f"inadmissible pulse: lambda0(0) = 2K = {2 * self.K} >= 1")
+    def __init__(self, K: float):
+        if not 0.0 < K:
+            raise ValueError(f"K must be positive, got {K}")
+        if 2.0 * K >= 1.0:
+            raise ValueError(f"inadmissible pulse: lambda0(0) = 2K = {2 * K} >= 1")
+        self._K = K
+
+    @property
+    def K(self) -> float:
+        return self._K
+
+    def __eq__(self, other):
+        return self._K == other._K if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._K)
+
+    def __repr__(self):
+        return f"PulseScenario(K={self._K!r})"
 
     @property
     def lambda0_at_origin(self) -> float:
@@ -113,8 +127,7 @@ def lambda2_map(lam0: float, sigma2: float) -> float:
     return s2 + 1.0
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     """A located fixed point of one of the threshold maps."""
 
     which: str
@@ -180,8 +193,7 @@ def lambert_fixed_point(which: str, sigma: float) -> float:
     return 1.0 - 1.0 / (-q / p - lambert_w(branch, -math.exp(-q / p) / p))
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Extremized fixed points of the two threshold maps."""
 
     sigma1: float

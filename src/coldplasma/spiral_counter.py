@@ -13,8 +13,7 @@ of the smooth-solution lifetime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chaplygin_bounds import BoundCurve, Side, sigma_curve
 from .core_dynamics import RadialProfile, orbit_extremes, profile_divergences
@@ -37,8 +36,7 @@ __all__ = [
 _ROOT_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class SpiralSegment:
+class SpiralSegment(NamedTuple):
     """One arc of a compound spiral.
 
     ``lower_half`` selects the signed branch (D = -sqrt(Z) there, s runs
@@ -68,18 +66,34 @@ class SpiralSegment:
         return s, ([-x for x in d] if self.lower_half else d) + [0.0]
 
 
-@dataclass
 class Spiral:
     """A compound bound spiral with its axis crossings (s-coordinates)."""
 
-    kind: str                      # "outer" or "inner"
-    start_lambda: float
-    start_divv: float
-    d: int
-    sigma_pair: tuple[float, float]
-    segments: list[SpiralSegment] = field(default_factory=list)
-    crossings: list[float] = field(default_factory=list)
-    stop_reason: str = ""
+    def __init__(
+        self,
+        kind: str,                 # "outer" or "inner"
+        start_lambda: float,
+        start_divv: float,
+        d: int,
+        sigma_pair: tuple[float, float],
+        segments: Optional[list[SpiralSegment]] = None,
+        crossings: Optional[list[float]] = None,
+        stop_reason: str = "",
+    ):
+        self.kind = kind
+        self.start_lambda = start_lambda
+        self.start_divv = start_divv
+        self.d = d
+        self.sigma_pair = sigma_pair
+        self.segments = [] if segments is None else segments
+        self.crossings = [] if crossings is None else crossings
+        self.stop_reason = stop_reason
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"Spiral({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def crossings_lambda(self) -> list[float]:
@@ -227,8 +241,7 @@ def count_revolutions(spiral: Spiral) -> int:
     return count_crossing_pairs(spiral.crossings_lambda)
 
 
-@dataclass(frozen=True)
-class LifetimeEstimate:
+class LifetimeEstimate(NamedTuple):
     """Two-sided estimate of the time to complete the certified revolutions."""
 
     T_lower: float
@@ -280,8 +293,7 @@ def _passage_time(spiral: Spiral, n: int) -> float:
     return sum((segment_time(seg) for seg in spiral.segments[: 2 * n]), 0.0)
 
 
-@dataclass(frozen=True)
-class FieldLifetime:
+class FieldLifetime(NamedTuple):
     """Infimum of the guaranteed lifetime over a radius grid."""
 
     T_star: float

@@ -168,6 +168,28 @@ class TestOrbitExtremes:
         ext = orbit_extremes(0.0, 0.1, d)
         assert abs(evaluate_first_integral(gm, const) - ext.F_plus**2) < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gm_about_the_point_matches_the_closed_form(self, d, rng):
+        # G_m written about (F0, G0) against the closed form from C
+        for _ in range(400):
+            F0, G0 = rng.uniform(-0.3, 0.3), rng.uniform(-3.0, 0.8 / d)
+            if d == 1 and F0 * F0 + 2.0 * G0 >= 1.0:
+                continue
+            gm = g_at_maximum(first_integral_constant(F0, G0, d))
+            assert abs(core_dynamics._g_at_maximum_about(F0, G0, d) - gm) <= 4e-15 * max(1.0, abs(gm))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_small_orbits_are_the_linearized_circle(self, d):
+        # G_m from the orbit constant moved by its rounding, about 1e-16:
+        # F+ was 6e-5 off at A = 1e-14 (d = 3) and 0 at A = 1e-16.  About
+        # (F0, G0) only the next order of G-, G+, F+ = -A, A, A is left, O(A)
+        for A in np.logspace(-16, -8, 17):
+            for theta in np.linspace(0.1, 0.1 + 2.0 * np.pi, 10, endpoint=False):
+                F0, G0 = A * math.cos(theta), A * math.sin(theta)
+                a = math.hypot(F0, G0)
+                for got, want in zip(orbit_extremes(F0, G0, d), (-a, a, a)):
+                    assert abs(got - want) <= (4.0 * a + 1e-14) * a, (F0, G0, got, want)
+
     def test_nonclosed_1d_orbit_rejected(self):
         # d = 1 with positive orbit constant never turns around on the left
         with pytest.raises(ValueError):

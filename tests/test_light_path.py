@@ -2,14 +2,19 @@
 
 The closed-form modes and the package import run on the standard library;
 the oracle's ODE engine loads numpy on its first run, and every CLI mode
-imports the package modules it runs.
+imports the package modules it runs.  The records are NamedTuples and plain
+classes, so no process imports ``dataclasses`` to build them.
 """
 
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import coldplasma
 
@@ -52,6 +57,13 @@ def test_light_cli_modes_load_neither_numpy_nor_scipy(tmp_path):
     assert all((tmp_path / str(i) / "report.json").exists() for i in range(len(_LIGHT_RUNS)))
 
 
+def test_cli_and_light_modes_leave_dataclasses_unloaded(tmp_path):
+    # dataclasses also loads inspect, ast, dis and tokenize: about 10 ms of
+    # each fresh process
+    assert _loaded_after("import coldplasma.cli", ("dataclasses",)) == {"dataclasses": []}
+    assert _loaded_after(_cli_runs(_LIGHT_RUNS, tmp_path), ("dataclasses",)) == {"dataclasses": []}
+
+
 def test_pointwise_criteria_load_only_what_they_run(tmp_path):
     # each CLI mode imports its own modules: the two pointwise criteria need
     # chaplygin_bounds, not the spirals, the dynamics or the oracle
@@ -85,3 +97,65 @@ def test_oracle_names_resolve_on_first_use():
             "assert coldplasma.sandwich_check is sys.modules['coldplasma.oracle'].sandwich_check\n"
             "assert 'blowup_sweep' in dir(coldplasma)")
     assert _loaded_after(code)["numpy"]
+
+
+def _flat(r):
+    return 0.1 * math.exp(-r * r)
+
+
+# record -> (positional arguments, frozen)
+_RECORDS = {
+    "FirstIntegralConstant": ((0.25, 2), True),
+    "OrbitExtremes": ((-0.1, 0.1, 0.1), True),
+    "BoundCurve": ((-0.5, 0.1, 0.0, 1.0, 0.2, 0.3, 2.5), True),
+    "CriterionVerdict": ((-0.2, True, "1d-global-smoothness"), True),
+    "FixedPointResult": (("lambda1", 0.5, 0.3, 0.0), True),
+    "Thresholds": ((0.5, 0.3, 0.9, 0.6), True),
+    "SpiralSegment": ((coldplasma.BoundCurve(-0.5, 0.1, 0.0, 1.0, 0.2, 0.3, 2.5), -0.5, -1.2, True),
+                      True),
+    "LifetimeEstimate": ((1.0, 2.0, 1), True),
+    "FieldLifetime": ((1.0, 0.2, ((0.2, 1.0),)), True),
+    "BlowupRecord": ((True, 3.0, "inverse-density-zero"), True),
+    "PulseScenario": ((0.2,), True),
+    "OdeTrajectory": (([0.0, 1.0], [[1.0, 2.0]], abs, "singular-step"), False),
+    "RadialProfile": ((_flat, abs, 3, _flat, abs, "flat"), False),
+    "Spiral": (("inner", 0.2, 0.0, 2, (0.5, 0.9), [], [-1.2], "cap"), False),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_record_contract(name):
+    # positional and keyword construction, attributes, value equality, a repr
+    # that names the class, and assignment refused where the record is frozen
+    cls, (args, frozen) = getattr(coldplasma, name), _RECORDS[name]
+    names = list(inspect.signature(cls).parameters)
+    rec = cls(*args)
+    assert rec == cls(**dict(zip(names, args))) == cls(*args)
+    assert all(getattr(rec, n) is a for n, a in zip(names, args))
+    assert repr(rec).startswith(f"{name}({names[0]}=")
+    for n, a in zip(names, args):
+        if frozen:
+            with pytest.raises(AttributeError):
+                setattr(rec, n, a)
+        else:
+            setattr(rec, n, a)
+    if frozen:
+        assert hash(rec) == hash(cls(*args))
+
+
+def test_record_defaults_and_checks():
+    c = coldplasma
+    assert c.BlowupRecord(False) == c.BlowupRecord(False, None, None)
+    assert c.OdeTrajectory([0.0], [[1.0]], abs).status == "completed"
+    profile = c.RadialProfile(_flat, abs)
+    assert (profile.d, profile.dG0, profile.dF0, profile.label) == (2, None, None, "custom")
+    a, b = (c.Spiral("outer", 0.2, 0.0, 2, (0.5, 0.9)) for _ in range(2))
+    assert a == b and (a.segments, a.crossings, a.stop_reason) == ([], [], "")
+    assert a.segments is not b.segments and a.crossings is not b.crossings
+    assert c.PulseScenario(0.2) != c.PulseScenario(0.3)
+    with pytest.raises(ValueError, match="inadmissible pulse"):
+        c.PulseScenario(0.6)
+    with pytest.raises(ValueError, match="inadmissible profile"):
+        c.RadialProfile(lambda r: 0.6, lambda r: 0.0)
+    with pytest.raises(ValueError, match="dimension"):
+        c.RadialProfile(_flat, abs, 4)

@@ -583,6 +583,32 @@ class TestShearIdentity:
             assert abs(got / want - 1.0) <= 1e-6, (r0, got, want)
 
 
+class TestDensityIdentity:
+    """The oracle's w = 1/(1 - lambda) against the Lagrangian Jacobian of
+    r = r0 (q/q0)**(1/d), q = 1/(1 - d G):
+
+        w(t) = w0 (q/q0) (1 - r0 q0 G0'(r0) + r0 q dG(t; r0)/dr0),
+
+    with dG/dr0 by central differences of the oracle's own G (ROADMAP item
+    10), a route that does not share the Hill equation's rhs."""
+
+    @pytest.mark.parametrize("r0", [0.3, 0.9])
+    def test_w_is_the_jacobian_of_the_orbit_family(self, r0):
+        # measured: 2.2e-10 at r0 = 0.3 and 4.9e-11 at 0.9
+        profile, d, h = gaussian(0.3, 2), 2, 1e-5
+        times = np.linspace(0.7, 60.2, 50)
+
+        def state(r):
+            return run_characteristic(profile, r, 61.0, tol=1e-12).trajectory(times)
+
+        _, G, lam, _, _ = state(r0)
+        dG = (state(r0 + h)[1] - state(r0 - h)[1]) / (2.0 * h)
+        q, q0 = 1.0 / (1.0 - d * G), 1.0 / (1.0 - d * profile.G0(r0))
+        w0 = 1.0 / (1.0 - profile_divergences(profile, r0)[0])
+        want = w0 * q / q0 * (1.0 - r0 * q0 * profile.G0_prime(r0) + r0 * q * dG)
+        assert np.max(np.abs(1.0 / (1.0 - lam) - want)) <= 1e-8
+
+
 class TestHorizon:
     """t* is searched by a bisection over windows of one period: it does not
     depend on t_max, and a run that does not break reads two windows at any
