@@ -109,8 +109,9 @@ class BoundCurve(NamedTuple):
     that every family shares: the plain and irrotational quartics have
     expo = 4, the radial sigma family has quad = 0, which adds an exact zero
     to each method.  ``value`` and ``derivative`` are operator expressions in
-    ``s``, so they take a float or a numpy array; ``increment`` takes floats.
-    A power beyond the float range is +inf, as in numpy.
+    ``s``, so they take a float or a numpy array; ``increment`` and
+    ``value_slope`` take floats.  A power beyond the float range is +inf, as
+    in numpy.
     """
 
     s0: float
@@ -122,8 +123,16 @@ class BoundCurve(NamedTuple):
     expo: float
 
     def value(self, s):
-        return ((self.quad * s + self.lin_a) * s + self.lin_b
-                + self.pow_coef * power_inf(abs(s), self.expo))
+        _, _, quad, lin_a, lin_b, pow_coef, expo = self
+        return (quad * s + lin_a) * s + lin_b + pow_coef * power_inf(abs(s), expo)
+
+    def value_slope(self, s: float) -> tuple[float, float]:
+        """Z(s), the same float as ``value``, and Z'(s) at one s < 0, from one
+        power: there Z'(s) = lin_a + 2 quad s - expo pow_coef |s|**expo/|s|."""
+        _, _, quad, lin_a, lin_b, pow_coef, expo = self
+        a = abs(s)
+        term = pow_coef * power_inf(a, expo)
+        return (quad * s + lin_a) * s + lin_b + term, lin_a + 2.0 * quad * s - expo * term / a
 
     def increment(self, s_ref: float, h: float) -> float:
         """Z(s_ref + h) - Z(s_ref), free of the cancellation of two values.
@@ -134,8 +143,8 @@ class BoundCurve(NamedTuple):
             abs(s_ref), self.expo) * expm1_inf(self.expo * math.log1p(h / s_ref))
 
     def derivative(self, s):
-        return (self.lin_a - self.pow_coef * self.expo * power_inf(abs(s), self.expo - 1.0)
-                + 2.0 * self.quad * s)
+        _, _, quad, lin_a, _, pow_coef, expo = self
+        return lin_a - pow_coef * expo * power_inf(abs(s), expo - 1.0) + 2.0 * quad * s
 
 
 def plain_lower_curve(s0: float, Z0: float, xi30: float) -> BoundCurve:
@@ -173,8 +182,10 @@ def sigma_curve(
     Upper:  Z(s) = -2s/(1-2b) + (K-1)/(1-b)                 + C2 |s|^(2(1-b))
     with b = sigma^2 and K = (d-1)(d(b+1)-1) F+^2 / b.  The power-term
     constant is fixed by the anchor condition Z(s0) = Z0; the ODE-residual
-    and anchor-identity tests pin both families.
+    and anchor-identity tests pin both families.  The inputs are taken as
+    floats, so the coefficients are floats whatever scalars are given.
     """
+    s0, Z0, sigma, f_plus = float(s0), float(Z0), float(sigma), float(f_plus)
     if s0 >= 0.0:
         raise ValueError("anchor must satisfy s0 < 0")
     if sigma <= 0.0:

@@ -3,7 +3,8 @@
 Adaptive ODE integration with dense output (DOP853 with the step control
 of scipy's ``solve_ivp``, whose accepted steps and values it reproduces;
 no events and no magnitude guard), real Lambert W on branches 0 and -1,
-bracketed root finding (Brent's method), quadrature for integrands with
+bracketed root finding (Brent's method, and a bracketed Newton iteration
+for functions that give their derivative), quadrature for integrands with
 inverse-square-root endpoint singularities (adaptive 21-point
 Gauss-Kronrod), a golden section scalar optimizer, ``linspace``, and
 ``exp``, ``expm1`` and ``power`` that overflow to +inf as numpy's do.  All
@@ -27,6 +28,7 @@ __all__ = [
     "integrate",
     "lambert_w",
     "find_root",
+    "newton_root",
     "integrate_singular",
     "optimize_scalar",
     "linspace",
@@ -41,6 +43,8 @@ _QUAD_TOL = 1e-12   # absolute and relative target of integrate_singular
 _QUAD_LIMIT = 50    # most panels integrate_singular splits one half into
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon   # relative part of find_root's stop
 _ROOT_MAXITER = 200
+_NEWTON_XTOL = 4.0 * sys.float_info.epsilon   # relative stop of newton_root
+_NEWTON_MAXITER = 100
 
 # QUADPACK qk21: Kronrod abscissae xgk(1..10) on [-1, 1], the even entries
 # being the 10-point Gauss nodes, their Kronrod weights wgk(1..11) (the last
@@ -214,15 +218,10 @@ def find_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-1
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError(f"the function value at x={xpre if math.isnan(fpre) else xcur} is NaN")
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -258,8 +257,40 @@ def find_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-1
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN")
     raise RuntimeError(f"find_root: no convergence on [{a}, {b}] after {_ROOT_MAXITER} iterations")
+
+
+def newton_root(g: Callable[[float], tuple[float, float]], a: float, b: float,
+                ga: float, gb: float) -> float:
+    """A zero of ``g`` in the bracket [a, b], a < b, in floats.
+
+    ``ga`` = g(a) and ``gb`` = g(b) differ in sign, or one is 0 and the
+    other not (then the secant starts on that end); ``g(x)`` returns the
+    value and the derivative at a point, as floats.  Newton steps start
+    from the secant through the ends.  Each iterate replaces the end of the
+    bracket whose value has its sign, and a step that does not land
+    strictly inside the bracket bisects it.  The iteration stops at a value
+    0, or where the Newton step or the bracket is at most 4 eps relative.
+    The oracle finds t*, a trajectory's end, the minima of w and the
+    crossings this way, one bracket at a time, and the spiral layer each
+    arc's axis crossing.
+    """
+    x = a - ga * (b - a) / (gb - ga)
+    for _ in range(_NEWTON_MAXITER):
+        gx, dgx = g(x)
+        if (gx > 0.0) - (gx < 0.0) == (ga > 0.0) - (ga < 0.0):
+            a, ga = x, gx
+        else:
+            b = x
+        x_new = x - gx / dgx if dgx != 0.0 else math.nan
+        xtol = _NEWTON_XTOL * abs(x)
+        if gx == 0.0 or abs(x_new - x) <= xtol or b - a <= xtol:
+            break
+        x = x_new if a < x_new < b else 0.5 * (a + b)
+    return x
 
 
 def _qk21(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -343,7 +374,7 @@ def integrate_singular(f: Callable[[float, float], float], a: float, b: float) -
     total = 0.0
     for end, sign in ((a, 1.0), (b, -1.0)):
         try:
-            total += _adaptive_gk21(lambda u: 2.0 * u * float(f(end, sign * u * u)), 0.0, w)
+            total += _adaptive_gk21(lambda u: 2.0 * u * f(end, sign * u * u), 0.0, w)
         except QuadratureError as exc:
             raise QuadratureError(f"quadrature on [{a}, {b}] from {end}: {exc}") from None
     return total

@@ -53,7 +53,7 @@ from .core_dynamics import (
     profile_divergences,
     rhs_radial,
 )
-from .numerics import OdeTrajectory, integrate
+from .numerics import OdeTrajectory, integrate, newton_root
 from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2
 from .spiral_counter import count_crossing_pairs
 
@@ -72,8 +72,6 @@ _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 ru
 _SECTIONS = 64           # windows tested per round of the bisection after its first two
 _MAX_PERIODS = 2 ** 52   # periods searched at most (k + 1 stays exact)
 _MAX_NODES = 2 ** 22     # nodes a trajectory is built on at most (5 arrays of 32 MiB)
-_XTOL = 4.0 * sys.float_info.epsilon   # relative stop of the root iteration
-_MAXITER = 100
 _W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
 # the maxima on [0, 1] of x, x(1-x), x^2(1-x), ..., x^4(1-x)^3: the basis of
 # the dense output's nesting of x and 1 - x
@@ -473,7 +471,7 @@ class _Floquet:
         if i.size:
             ends = zip(ta[i].tolist(), tb[i].tolist(), pa[i].tolist(), pb[i].tolist())
             for n, p, w, ab in zip(i, self.brackets(f[i], _P), self.brackets(f[i], _W), ends):
-                x = _root(p, *ab)
+                x = newton_root(p, *ab)
                 if w(x)[0] <= 0.0:
                     below[n] = x
         return np.where(wa <= 0.0, ta, below)
@@ -493,7 +491,7 @@ class _Floquet:
         if wa <= 0.0:
             return float(ta)
         w = self.brackets(np.array([f]), _W)[0]    # w <= 0 at ``below``: rounding must not flip it
-        return _root(w, float(ta), float(below), float(wa), min(w(float(below))[0], 0.0))
+        return newton_root(w, float(ta), float(below), float(wa), min(w(float(below))[0], 0.0))
 
 
 class _Lagrangian:
@@ -566,33 +564,6 @@ class _Lagrangian:
         return [g] * len(f)
 
 
-def _root(g, a: float, b: float, ga: float, gb: float) -> float:
-    """A zero of ``g`` in the bracket [a, b], in floats.
-
-    ``ga`` = g(a) and ``gb`` = g(b) differ in sign, or ``gb`` is 0 with
-    ``ga`` not; ``g(t)`` returns the value and the derivative at a time.
-    Newton steps start from the secant through the ends.  Each iterate
-    replaces the end of the bracket whose value has its sign, and a step
-    that does not land strictly inside the bracket bisects it.  The
-    iteration stops at a value 0, or where the Newton step or the bracket
-    is at most 4 eps relative.  t*, a trajectory's end, the minima of w
-    and the crossings are each found this way, one bracket at a time.
-    """
-    x = a - ga * (b - a) / (gb - ga)
-    for _ in range(_MAXITER):
-        gx, dgx = g(x)
-        if (gx > 0.0) - (gx < 0.0) == (ga > 0.0) - (ga < 0.0):
-            a, ga = x, gx
-        else:
-            b = x
-        x_new = x - gx / dgx if dgx != 0.0 else math.nan
-        xtol = _XTOL * abs(x)
-        if gx == 0.0 or abs(x_new - x) <= xtol or b - a <= xtol:
-            break
-        x = x_new if a < x_new < b else 0.5 * (a + b)
-    return x
-
-
 def _falls_to(flow, nodes, level: float, t_below: float) -> float:
     """The time before ``t_below``, where w <= level, at which w falls to
     ``level``, from the flow's ``nodes`` (t, F, G, w, p) up to ``t_below``.
@@ -614,7 +585,7 @@ def _falls_to(flow, nodes, level: float, t_below: float) -> float:
         return wx - level, dwx
 
     b = float(min(t[k + 1], t_below))     # w <= level at b: rounding must not flip it
-    return _root(g, float(t[k]), b, float(w[k]) - level, min(g(b)[0], 0.0))
+    return newton_root(g, float(t[k]), b, float(w[k]) - level, min(g(b)[0], 0.0))
 
 
 class CharacteristicRun:
@@ -642,7 +613,7 @@ class CharacteristicRun:
     them is built (the flow's ``size`` counts them in O(1)).
     ``crossing_times`` and ``crossing_lambdas`` are the axis crossings
     D = 0 before that end: every sign change of p between nodes, located by
-    :func:`_root` on each bracket from one gather of all their step
+    :func:`newton_root` on each bracket from one gather of all their step
     polynomials, with lambda there from the trajectory.  The nodes, the
     trajectory and the crossings are built on first read and cached.
     """
@@ -711,7 +682,7 @@ class CharacteristicRun:
         i = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
         ends = zip(flow.brackets(i + flow.offset, _P), t[i].tolist(), t[i + 1].tolist(),
                    p[i].tolist(), p[i + 1].tolist())
-        times = np.fromiter((_root(*bracket) for bracket in ends), float, count=i.size)
+        times = np.fromiter((newton_root(*bracket) for bracket in ends), float, count=i.size)
         times = times[times < t[-1]]
         at = traj(times)
         # rounding noise in p crosses 0 on an equilibrium: keep crossings of moving states

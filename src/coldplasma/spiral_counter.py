@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .chaplygin_bounds import BoundCurve, Side, sigma_curve
 from .core_dynamics import RadialProfile, orbit_extremes, profile_divergences
-from .numerics import find_root, integrate_singular, linspace
+from .numerics import expm1_inf, integrate_singular, linspace, newton_root, power_inf
 from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2, f_plus_of_lambda0
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "segment_time",
     "guaranteed_field_lifetime",
 ]
-
-_ROOT_TOL = 1e-14
 
 
 class SpiralSegment(NamedTuple):
@@ -105,7 +103,8 @@ def _arc_root(curve: BoundCurve, a: float, b: float) -> Optional[float]:
 
     The walk takes steps of ``2e-3 |s0|`` (``s0`` the curve's anchor), each
     1.35 times the last, the final one clamped at ``b``, and hands the first
-    step that ends with ``Z <= 0`` to :func:`find_root`.  On s < 0 a
+    step that ends with ``Z <= 0``, with Z at both its ends, to
+    :func:`newton_root` on ``BoundCurve.value_slope``.  On s < 0 a
     sigma-family curve ``Z = lin_a s + lin_b + C |s|**p`` is concave, so
     ``{Z > 0}`` is an interval and holds ``a``, or convex, and then
     monotone: its slope ``lin_a - C p |s|**(p-1)`` stays below ``lin_a <= 0``
@@ -115,14 +114,18 @@ def _arc_root(curve: BoundCurve, a: float, b: float) -> Optional[float]:
     way, and a ``Z`` still positive at ``b`` means none.
     """
     f = curve.value
-    if f(a) <= 0.0:
+    za = f(a)
+    if za <= 0.0:
         return None
     step = math.copysign(2e-3 * abs(curve.s0), b - a)
     while a != b:
         x = min(a + step, b) if step > 0.0 else max(a + step, b)
-        if f(x) <= 0.0:
-            return find_root(f, x, a, tol=_ROOT_TOL)
-        a = x
+        zx = f(x)
+        if zx <= 0.0:
+            if step > 0.0:
+                return newton_root(curve.value_slope, a, x, za, zx)
+            return newton_root(curve.value_slope, x, a, zx, za)
+        a, za = x, zx
         step *= 1.35
     return None
 
@@ -254,13 +257,18 @@ def segment_time(seg: SpiralSegment) -> float:
 
     Z is evaluated as an increment from the nearer end of the arc, where it
     takes its anchor value at the start and 0 at the crossing, so the
-    inverse-square-root singularity at a root is divided out exactly.
+    inverse-square-root singularity at a root is divided out exactly.  Each
+    end's Z and power term ``pow_coef |end|**expo`` are taken once, so the
+    integrand is ``Z_end + curve.increment(end, h)`` to the bit.
     """
-    curve = seg.curve
-    z_end = {seg.s_start: curve.Z0, seg.s_end: 0.0}
+    _, Z0, quad, lin_a, _, pow_coef, expo = seg.curve
+    ends = {end: (z, pow_coef * power_inf(abs(end), expo))
+            for end, z in ((seg.s_start, Z0), (seg.s_end, 0.0))}
 
     def f(end, h):
-        z = z_end[end] + curve.increment(end, h)
+        z_end, power = ends[end]
+        z = z_end + (h * (quad * (2.0 * end + h) + lin_a)
+                     + power * expm1_inf(expo * math.log1p(h / end)))
         # a Z that rounds to <= 0 gives NaN, which integrate_singular reports
         return 1.0 / (abs(end + h) * math.sqrt(z)) if z > 0.0 else math.nan
 
@@ -315,6 +323,7 @@ def guaranteed_field_lifetime(
     its characteristic's orbit through (F0(r0), G0(r0)) as ``f_plus``; only
     the centre r0 = 0 of a d = 2 profile at rest there (F0(0) = 0) passes
     ``None``, which refreshes F+ at every crossing (:func:`build_spiral`).
+    Where every radius is at rest, ``T_star`` is inf and ``r_at_min`` None.
     """
     if len(r_grid) == 0:
         raise ValueError("empty radius grid")
@@ -332,4 +341,4 @@ def guaranteed_field_lifetime(
         # T_lower of lifetime(inner, outer), without the outer spiral's arcs
         rows.append((r0, _passage_time(inner, _certified_revolutions(inner, outer))))
     r_min, t_star = min(rows, key=lambda row: row[1])
-    return FieldLifetime(t_star, r_min, tuple(rows))
+    return FieldLifetime(t_star, r_min if t_star < math.inf else None, tuple(rows))

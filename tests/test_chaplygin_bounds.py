@@ -204,6 +204,34 @@ class TestFloatAndArrayInputs:
                 assert np.all(np.abs(on_array - on_floats) <= self.RTOL * scale), family
 
 
+class TestValueSlope:
+    """``value_slope`` gives ``value``'s float, and ``derivative`` within a few
+    ulps of the sum of its terms' magnitudes: it takes Z' from the power
+    ``|s|**expo`` it shares with Z, divided by ``|s|``, where ``derivative``
+    takes ``|s|**(expo - 1)``."""
+
+    @pytest.mark.parametrize("family", ["plain", "irrotational", "lower", "upper"])
+    def test_agrees_with_value_and_derivative(self, family, rng):
+        eps = np.finfo(float).eps
+        for _ in range(25):
+            s0, Z0 = _random_anchor(rng)
+            fp = rng.uniform(0.0, 0.8)
+            curve = {
+                "plain": lambda: plain_lower_curve(s0, Z0, xi30=rng.uniform(-0.5, 0.5)),
+                "irrotational": lambda: irrotational_lower_curve(s0, Z0),
+                "lower": lambda: sigma_curve(Side.LOWER, s0, Z0, rng.uniform(0.2, 1.2), fp),
+                "upper": lambda: sigma_curve(Side.UPPER, s0, Z0, rng.choice(
+                    [rng.uniform(0.2, 0.7), rng.uniform(0.72, 0.99), rng.uniform(1.01, 1.4)]), fp),
+            }[family]()
+            for s in (-rng.uniform(1e-6, 3.0, 40)).tolist():
+                z, dz = curve.value_slope(s)
+                assert type(z) is float and type(dz) is float
+                assert z == curve.value(s)
+                power = abs(curve.pow_coef) * abs(s) ** curve.expo
+                scale = abs(2.0 * curve.quad * s) + abs(curve.lin_a) + abs(curve.expo * power / s)
+                assert abs(dz - curve.derivative(s)) <= 4.0 * eps * scale, (curve, s)
+
+
 class TestAnchorsAndCoefficients:
     def test_anchor_identity_all_kinds(self, rng):
         for _ in range(20):

@@ -290,6 +290,15 @@ class TestOracleModes:
         assert rep["min_blowup_time"] is None
         assert rep["caveat"] is not None
 
+    def test_sweep_at_rest_names_no_lifetime_radius(self, tmp_path):
+        # every radius from 6 to 10 is at rest (G0 < 1e-14): no lifetime, so no radius of it
+        code, out = run_cli(
+            ["sweep", "--k", "0.222", "--r-min", "6", "--r-max", "10", "--n-r", "4"], tmp_path)
+        assert code == EXIT_OK
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["guaranteed_lifetime"] is None
+        assert rep["r_at_min_lifetime"] is None
+
     def test_sweep_grid_validation(self, tmp_path):
         code, _ = run_cli(
             ["sweep", "--k", "0.1", "--r-min", "2", "--r-max", "1", "--n-r", "3"],

@@ -20,6 +20,7 @@ from coldplasma.numerics import (
     integrate_singular,
     lambert_w,
     linspace,
+    newton_root,
     optimize_scalar,
 )
 
@@ -263,6 +264,36 @@ class TestFindRoot:
     def test_nan_value_raises(self):
         with pytest.raises(ValueError, match="NaN"):
             find_root(lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+
+
+class TestNewtonRoot:
+    def test_sqrt2_to_the_stop(self):
+        def g(x):
+            return x * x - 2.0, 2.0 * x
+
+        root = newton_root(g, 1.0, 2.0, -1.0, 2.0)
+        assert abs(root - np.sqrt(2.0)) <= 4.0 * sys.float_info.epsilon * np.sqrt(2.0)
+
+    def test_either_sign_and_a_zero_end(self):
+        def g(x):
+            return 1.0 - x, -1.0
+
+        assert newton_root(g, 0.0, 3.0, 1.0, -2.0) == 1.0
+        # a 0 at either end: the secant starts on it
+        assert newton_root(g, 1.0, 3.0, 0.0, -2.0) == 1.0
+        assert newton_root(lambda x: (x - 1.0, 1.0), 0.0, 1.0, -1.0, 0.0) == 1.0
+
+    def test_steps_leaving_the_bracket_bisect(self, rng):
+        # tanh is flat away from its root, where Newton steps overshoot
+        for _ in range(50):
+            c = rng.uniform(-0.9, 0.9)
+
+            def g(x, c=c):
+                return float(np.tanh(8.0 * (x - c))), float(8.0 / np.cosh(8.0 * (x - c)) ** 2)
+
+            a, b = -1.0, 1.0
+            r = newton_root(g, a, b, g(a)[0], g(b)[0])
+            assert a < r < b and abs(r - c) <= 1e-15
 
 
 class TestGaussKronrod:

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 
 import numpy as np
@@ -67,12 +68,29 @@ def full_period_run(F0, G0, d, tol=1e-12):
     return integrate(rhs, [F0, G0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (0.0, period(F0, G0, d)), tol=tol)
 
 
-def moving_pulse(K, c, d):
-    """G0 = K exp(-r**2) and F0 = c exp(-r**2) in dimension d: a start off
-    any turning point, with a homogeneous part, at every radius but 0."""
-    return RadialProfile(G0=lambda r: K * math.exp(-r * r), F0=lambda r: c * math.exp(-r * r), d=d,
-                         dG0=lambda r: -2.0 * K * r * math.exp(-r * r),
-                         dF0=lambda r: -2.0 * c * r * math.exp(-r * r))
+def moving_pulse(K, c, d, width=1.0):
+    """G0 = K exp(-(r/w)**2) and F0 = c exp(-(r/w)**2) in dimension d, w the
+    width: a start off any turning point, with a homogeneous part, at every
+    radius but 0."""
+    def bump(r):
+        x = r / width
+        return math.exp(-x * x)
+
+    return RadialProfile(G0=lambda r: K * bump(r), F0=lambda r: c * bump(r), d=d,
+                         dG0=lambda r: -2.0 * K * r / (width * width) * bump(r),
+                         dF0=lambda r: -2.0 * c * r / (width * width) * bump(r))
+
+
+def random_pulses(n, seed):
+    """``n`` seeded moving pulses, each with its radii 0.3, 0.9 and 1.5 widths:
+    d in {2, 3}, K ~ U(0.05, 0.9/d - 0.05), c ~ U(-0.4, 0.4), w ~ U(0.6, 1.6)."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        d = rng.choice((2, 3))
+        K, c, w = rng.uniform(0.05, 0.9 / d - 0.05), rng.uniform(-0.4, 0.4), rng.uniform(0.6, 1.6)
+        cases.append((moving_pulse(K, c, d, w), (0.3 * w, 0.9 * w, 1.5 * w)))
+    return cases
 
 
 def gaussian(K, d):
@@ -501,14 +519,14 @@ class TestHalfPeriod:
         # every bracket root of the crossings, of t* and of the minima of w,
         # against Brent's method on the same bracket function
         calls = []
-        root = oracle._root
+        root = oracle.newton_root
 
         def recorded(g, a, b, ga, gb):
             x = root(g, a, b, ga, gb)
             calls.append((g, a, b, ga, gb, x))
             return x
 
-        monkeypatch.setattr(oracle, "_root", recorded)
+        monkeypatch.setattr(oracle, "newton_root", recorded)
         if case == "breaking-sweep":
             found = {t for _, t in blowup_sweep(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48),
                                                 400.0, 1e-8) if t is not None}
@@ -563,8 +581,9 @@ class TestShearIdentity:
         (moving_pulse(0.2, 0.3, 3), (0.3, 0.9, 1.5)),
         (moving_pulse(0.1, -0.4, 2), (0.3, 0.9, 1.5)),
         (moving_pulse(0.1, -0.4, 3), (0.3, 0.9, 1.5)),
+        *random_pulses(8, seed=1),
     ], ids=["gaussian-0.222", "gaussian-0.45", "moving-2d", "moving-3d", "moving-back-2d",
-            "moving-back-3d"])
+            "moving-back-3d", *(f"random-{i}" for i in range(8))])
     def test_shear_is_the_derivative_of_the_period(self, profile, radii):
         # T' by central differences: the ratio is 1 within 3.5e-8 on these
         d = profile.d

@@ -12,7 +12,7 @@ from coldplasma.core_dynamics import (
     orbit_extremes,
     profile_divergences,
 )
-from coldplasma.numerics import find_root
+from coldplasma.numerics import find_root, linspace
 from coldplasma.spiral_counter import (
     Spiral,
     build_spiral,
@@ -198,6 +198,30 @@ class TestLifetime:
         assert abs(segment_time(tiny) - 3.141593946969576) < 1e-12
         assert evals == [42, 42]
 
+    def test_integrand_is_the_increment_from_its_end(self, spirals_default_k01, monkeypatch):
+        # on every node of a lower-family (sigma1) and an upper-family (sigma2)
+        # arc, the integrand reads Z_end + curve.increment(end, h) to the bit
+        _, outer = spirals_default_k01
+        nodes, orig = [], spiral_counter.integrate_singular
+
+        def recorded(f, a, b):
+            def g(end, h):
+                nodes.append((end, h, f(end, h)))
+                return nodes[-1][2]
+
+            return orig(g, a, b)
+
+        monkeypatch.setattr(spiral_counter, "integrate_singular", recorded)
+        for seg in outer.segments[:2]:
+            nodes.clear()
+            segment_time(seg)
+            curve, z_end = seg.curve, {seg.s_start: seg.curve.Z0, seg.s_end: 0.0}
+            assert len(nodes) >= 42 and {end for end, _, _ in nodes} == set(z_end)
+            for end, h, got in nodes:
+                z = z_end[end] + curve.increment(end, h)
+                assert got == 1.0 / (abs(end + h) * math.sqrt(z)), (seg, end, h)
+        assert [seg.lower_half for seg in outer.segments[:2]] == [True, False]
+
     def test_mismatched_starts_rejected(self):
         a = build_spiral("inner", (0.1, 0.0), max_rev=1)
         b = build_spiral("outer", (0.12, 0.0), max_rev=1)
@@ -218,6 +242,7 @@ class TestFieldLifetime:
         profile = constant_profile(0.0, 0.0, 2)
         res = guaranteed_field_lifetime(profile, [0.0, 0.5, 1.0])
         assert np.isinf(res.T_star)
+        assert res.r_at_min is None
 
     def test_gaussian_center_only_grid(self, spirals_default_k01):
         inner, outer = spirals_default_k01
@@ -247,6 +272,53 @@ class TestFieldLifetime:
         fine = guaranteed_field_lifetime(profile, [0.0, 0.4, 0.8, 1.2])
         assert fine.T_star <= coarse.T_star + 1e-12
 
+    def test_readme_sweep_per_radius(self):
+        # sweep --k 0.222 --r-min 0 --r-max 3 --n-r 16: the outer and inner
+        # counts and stop reasons per radius, and T_lower against the values
+        # the spirals gave with Brent's roots
+        low, ins, cap = ("lower curve unbounded (C1 >= 0)", "no further axis crossing on this arc",
+                         "reached max_rev = 16")
+        want = [
+            (0, 0, low, ins, 0.0), (0, 0, low, ins, 0.0), (0, 0, low, ins, 0.0),
+            (1, 0, low, ins, 0.0), (1, 0, low, ins, 0.0),
+            (0, 0, "equilibrium start", "equilibrium start", 0.0), (4, 0, low, ins, 0.0),
+            (6, 2, low, ins, 12.564358687407088), (9, 8, low, ins, 50.263698133247416),
+            (14, 15, low, cap, 87.96473045083599), (15, 15, cap, cap, 94.24842035141678),
+            (15, 15, cap, cap, 94.24810627242093), (15, 15, cap, cap, 94.24788134794804),
+            (15, 15, cap, cap, 94.24780246178291), (15, 15, cap, cap, 94.2477835620213),
+            (15, 15, cap, cap, 94.24778015517364),
+        ]
+        profile, grid = gaussian_profile(0.222), linspace(0.0, 3.0, 16)
+        res = guaranteed_field_lifetime(profile, grid)
+        assert [r0 for r0, _ in res.per_radius] == grid
+        for r0, (_, t_lower), (n_out, n_in, why_out, why_in, t_want) in zip(grid, res.per_radius,
+                                                                         want):
+            fp = None if r0 == 0.0 else orbit_extremes(profile.F0(r0), profile.G0(r0), 2).F_plus
+            start = profile_divergences(profile, r0)
+            outer, inner = (build_spiral(kind, start, fp) for kind in ("outer", "inner"))
+            assert (count_revolutions(outer), count_revolutions(inner)) == (n_out, n_in), r0
+            assert (outer.stop_reason, inner.stop_reason) == (why_out, why_in), r0
+            assert abs(t_lower - t_want) <= 1e-12 * t_want, (r0, t_lower, t_want)
+        assert (res.T_star, res.r_at_min) == (0.0, 0.0)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             guaranteed_field_lifetime(gaussian_profile(0.1), [])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Z = lin_a s + lin_b + C |s|**p sums O(1) terms into a value of order 1e-15 at an arc's "
+    "nudged anchor and near its root, so on small orbits rounding decides the walk's first "
+    "test and the root: (outer, inner) certify (15, 5) at r0 = 3.2, (0, 1), (1, 0) and (0, 0) "
+    "at 3.4, 3.6 and 3.8, where Brent's roots gave (15, 15) at 3.2 and (0, 0) at the rest"))
+def test_small_orbits_certify_as_the_wider_ones():
+    # the README pulse: r0 = 2.0 to 3.0 (|lambda0| >= 4.4e-4) certify 15
+    # revolutions on both spirals, and so must the smaller orbits further out
+    profile = gaussian_profile(0.222)
+    counts = {}
+    for r0 in (3.2, 3.4, 3.6, 3.8):
+        fp = orbit_extremes(profile.F0(r0), profile.G0(r0), 2).F_plus
+        start = profile_divergences(profile, r0)
+        counts[r0] = tuple(count_revolutions(build_spiral(kind, start, fp))
+                           for kind in ("outer", "inner"))
+    assert counts == {r0: (15, 15) for r0 in counts}
