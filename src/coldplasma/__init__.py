@@ -21,17 +21,16 @@ __version__ = "1.0.0"
 
 # every re-export and the module that defines it, imported on first use (PEP 562)
 _EXPORTS = {name: module for module, names in {
-    "chaplygin_bounds": """BoundCurve BoundKind CriterionVerdict Side anchor_root_S1
-        anchor_root_S2 criterion_1d criterion_first_period irrotational_lower_curve
-        plain_lower_curve q_rhs sigma_curve""",
+    "chaplygin_bounds": """BoundCurve CriterionVerdict Side criterion_1d
+        criterion_first_period irrotational_lower_curve plain_lower_curve sigma_curve""",
     "core_dynamics": """FirstIntegralConstant OrbitExtremes RadialProfile constant_profile
         evaluate_first_integral first_integral_constant g_at_maximum gaussian_profile
-        j_exact_radial orbit_extremes period profile_divergences rhs_divergence rhs_radial""",
+        orbit_extremes period profile_divergences rhs_radial""",
     "numerics": """BracketError OdeTrajectory QuadratureError find_root integrate
         integrate_singular lambert_w optimize_scalar""",
     "pulse_analysis": """DEFAULT_SIGMA1 DEFAULT_SIGMA2 FixedPointResult NoFixedPointError
         PulseScenario PulseVerdict Thresholds classify_pulse f_plus_of_lambda0 fixed_point
-        lambda1_map lambda2_map lambert_fixed_point optimize_thresholds""",
+        lambda1_map lambda2_map optimize_thresholds""",
     "spiral_counter": """FieldLifetime LifetimeEstimate Spiral SpiralSegment build_spiral
         count_crossing_pairs count_revolutions guaranteed_field_lifetime lifetime segment_time""",
     "oracle": """BlowupRecord CharacteristicRun blowup_sweep count_revolutions_oracle

@@ -22,30 +22,20 @@ import enum
 import math
 from typing import NamedTuple
 
-from .numerics import expm1_inf, power_inf
+from .numerics import power_inf
 
 __all__ = [
-    "BoundKind",
     "Side",
     "BoundCurve",
     "CriterionVerdict",
-    "q_rhs",
     "plain_lower_curve",
     "irrotational_lower_curve",
     "sigma_curve",
-    "anchor_root_S1",
-    "anchor_root_S2",
     "criterion_1d",
     "criterion_first_period",
 ]
 
 _SING_TOL = 1e-9
-
-
-class BoundKind(enum.Enum):
-    PLAIN = "plain"
-    IRROTATIONAL = "irrotational"
-    RADIAL_SIGMA = "radial-sigma"
 
 
 class Side(enum.Enum):
@@ -66,41 +56,6 @@ def _upper_j_bound(sg2: float, f_plus: float, d: int) -> float:
     return (d - 1) * (d * (sg2 + 1.0) - 1.0) * f_plus**2 / sg2
 
 
-def q_rhs(
-    kind: BoundKind,
-    side: Side,
-    s: float,
-    Z: float,
-    c3: float = 0.0,
-    sigma: float = 1.0,
-    f_plus: float = 0.0,
-    d: int = 2,
-) -> float:
-    """Right-hand side dZ/ds of the comparison ODE for the given case.
-
-    ``c3`` is the plain-case vorticity ratio xi3/(lambda-1) (0 for an
-    irrotational flow); ``sigma`` and ``f_plus`` parameterize the radial
-    family.  Only s < 0 is admissible.
-    """
-    if s >= 0.0:
-        raise ValueError("comparison ODEs are defined on s < 0 only")
-
-    if kind is not BoundKind.RADIAL_SIGMA:
-        if side is not Side.LOWER:
-            raise ValueError(f"{kind.value} oscillations provide only the lower family")
-        num = 2.0 * Z + s + c3 * c3 * s * s + 1.0
-    else:
-        sg2 = sigma * sigma
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if side is Side.LOWER:
-            num = (1.0 + sg2) * Z + s + (d - 1) ** 2 * f_plus**2 / sg2 + 1.0
-        else:
-            _check_sigma_upper(sigma)
-            num = (1.0 - sg2) * Z + s - _upper_j_bound(sg2, f_plus, d) + 1.0
-    return 2.0 * num / s
-
-
 class BoundCurve(NamedTuple):
     """One comparison curve anchored at (s0, Z0), in the closed form
 
@@ -108,10 +63,9 @@ class BoundCurve(NamedTuple):
 
     that every family shares: the plain and irrotational quartics have
     expo = 4, the radial sigma family has quad = 0, which adds an exact zero
-    to each method.  ``value`` and ``derivative`` are operator expressions in
-    ``s``, so they take a float or a numpy array; ``increment`` and
-    ``value_slope`` take floats.  A power beyond the float range is +inf, as
-    in numpy.
+    to each method.  ``value`` is an operator expression in ``s``, so it
+    takes a float or a numpy array; ``value_slope`` takes a float.  A power
+    beyond the float range is +inf, as in numpy.
     """
 
     s0: float
@@ -133,18 +87,6 @@ class BoundCurve(NamedTuple):
         a = abs(s)
         term = pow_coef * power_inf(a, expo)
         return (quad * s + lin_a) * s + lin_b + term, lin_a + 2.0 * quad * s - expo * term / a
-
-    def increment(self, s_ref: float, h: float) -> float:
-        """Z(s_ref + h) - Z(s_ref), free of the cancellation of two values.
-
-        Both points must lie on the same side of s = 0.
-        """
-        return h * (self.quad * (2.0 * s_ref + h) + self.lin_a) + self.pow_coef * power_inf(
-            abs(s_ref), self.expo) * expm1_inf(self.expo * math.log1p(h / s_ref))
-
-    def derivative(self, s):
-        _, _, quad, lin_a, _, pow_coef, expo = self
-        return lin_a - pow_coef * expo * power_inf(abs(s), expo - 1.0) + 2.0 * quad * s
 
 
 def plain_lower_curve(s0: float, Z0: float, xi30: float) -> BoundCurve:
@@ -210,47 +152,12 @@ def sigma_curve(
     return BoundCurve(s0, Z0, quad=0.0, lin_a=lin_a, lin_b=lin_b, pow_coef=pow_coef, expo=expo)
 
 
-def anchor_root_S1(sigma: float, f_plus: float, d: int = 2) -> float:
-    """Largest anchor s0 (with Z0 = 0) whose lower curve is still bounded.
-
-    At this anchor the power coefficient C1 vanishes; anchors to the left
-    give C1 < 0 (curve eventually returns to the axis), anchors to the right
-    give an unbounded lower curve.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    sg2 = sigma * sigma
-    return -0.5 * (1.0 + 2.0 * sg2) * ((d - 1) ** 2 * f_plus**2 + sg2) / (
-        sg2 * (1.0 + sg2)
-    )
-
-
-def anchor_root_S2(sigma: float, f_plus: float, d: int = 2) -> float:
-    """Critical anchor of the upper family used by the blow-up threshold map.
-
-    For d = 2 this reads (2b-1)(F+^2 (2b+1) - b^2) / (2b(b-1)) with
-    b = sigma^2; it sits exactly (2 sigma^2 - 1)/2 to the left of the anchor
-    where the upper curve's power coefficient C2 vanishes.  The threshold
-    extrema (the Lambda2 = 0.5754 reproduction) pin this convention; see the
-    two-route identity tests.
-    """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"require 0 < sigma < 1, got {sigma}")
-    sg2 = sigma * sigma
-    c2_zero_anchor = ((_upper_j_bound(sg2, f_plus, d) - 1.0) * (1.0 - 2.0 * sg2)
-                      / (2.0 * (1.0 - sg2)))
-    return c2_zero_anchor - 0.5 * (2.0 * sg2 - 1.0)
-
-
 class CriterionVerdict(NamedTuple):
     """Outcome of a pointwise sufficient condition."""
 
     value: float
     satisfied: bool
     criterion: str
-
-    def __bool__(self) -> bool:
-        return self.satisfied
 
 
 def criterion_1d(v0_prime: float, e0_prime: float) -> CriterionVerdict:

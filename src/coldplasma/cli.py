@@ -117,7 +117,7 @@ def _spiral_pair(cfg: dict):
         f"spiral_{kind}.csv": (
             ("curve_id", "s", "lambda", "D"),
             [(float(i), s, s + 1.0, dv) for i, seg in enumerate(spiral.segments)
-             for s, dv in zip(*seg.sample(200))],
+             for s, dv in zip(*seg.sample())],
         )
         for kind, spiral in spirals.items()
     }

@@ -1,10 +1,10 @@
 """Exact characteristic dynamics of electrostatic cold-plasma oscillations.
 
-Covers the divergence pair (lambda, D) = (Div E, Div v) along characteristics,
-the radially symmetric velocity/field factors (F, G) with v = F r, E = G r in
-dimension d, their first integral and closed orbits, the oscillation period
-and the phase of a point on its orbit, and radial initial profiles (Gaussian
-pulse included).
+Covers the radially symmetric velocity/field factors (F, G) with v = F r,
+E = G r in dimension d, which carry the divergence pair (lambda, D) =
+(Div E, Div v) along characteristics, their first integral and closed
+orbits, the oscillation period and the phase of a point on its orbit, and
+radial initial profiles (Gaussian pulse included).
 
 Conventions: the electron density is n = 1 - lambda, so physically admissible
 states have lambda < 1.  At the symmetry center r = 0 the divergences satisfy
@@ -30,13 +30,12 @@ __all__ = [
     "RadialProfile",
     "FirstIntegralConstant",
     "OrbitExtremes",
-    "rhs_divergence",
     "rhs_radial",
-    "j_exact_radial",
     "first_integral_constant",
     "evaluate_first_integral",
     "first_integral_derivative",
     "first_integral_increment",
+    "g_at_maximum",
     "orbit_extremes",
     "period",
     "orbit_phase",
@@ -65,24 +64,9 @@ class FirstIntegralConstant(NamedTuple):
     d: int
 
 
-def rhs_divergence(lam: float, D: float, J: float) -> tuple[float, float]:
-    """Time derivatives (dlam/dt, dD/dt) of the divergence pair.
-
-    J is the sum of principal 2x2 minors of the velocity Jacobian; the system
-    is not closed until J is supplied (exact in radial symmetry, bounded
-    otherwise).
-    """
-    return D * (1.0 - lam), -D * D + 2.0 * J - lam
-
-
 def rhs_radial(F: float, G: float, d: int) -> tuple[float, float]:
     """Time derivatives (dF/dt, dG/dt) of the radial factors."""
     return -F * F - G, F - d * F * G
-
-
-def j_exact_radial(F: float, D: float, d: int) -> float:
-    """Exact J for radially symmetric flow: (d-1)*F*D - (d-1)*d*F**2/2."""
-    return (d - 1) * F * D - 0.5 * (d - 1) * d * F * F
 
 
 def first_integral_constant(F0: float, G0: float, d: int) -> FirstIntegralConstant:

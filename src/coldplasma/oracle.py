@@ -159,7 +159,10 @@ class _Floquet:
     constant start has u = 0 and w = q > 0 at every time.  Every orbit but
     the rest state, which :func:`run_characteristic` solves in closed
     form, has a finite T (2 pi on a point orbit); one ``period`` cannot
-    resolve raises.
+    resolve raises, and so does a start with u != 0 whose half period the
+    integration does not complete (``"singular-step"`` at the spike where G
+    reaches G-): its t* would be read from values the integration never
+    reached.  With u = 0, w = q needs no half period.
 
     A period has P node positions: the half's step starts, then the same
     mirrored in reverse order, each starting the step it ends (the junction
@@ -197,6 +200,10 @@ class _Floquet:
 
         q0 = 1.0 / (1.0 - d * G0)
         u0, u1 = w0 - q0, p0 - (d * F0) * q0
+        if (u0 or u1) and one.status != "completed":    # its mirror is not the period's
+            raise ValueError(f"half period of the orbit through F0={F0}, G0={G0}, d={d}: "
+                             f"the integration stops at t = {float(one.t[-1])!r} ({one.status}), "
+                             f"short of T/2 = {self.half!r}")
         self.v = (u0, u1)                         # Phi(0) is the identity
         if tau and (u0 or u1):
             _, _, a, b, c, e = self._at(tau)
@@ -714,10 +721,12 @@ def run_characteristic(
     rest of the run is mirrored from it, with the odd solution's weight
     growing by the period map's shear each period.  d = 1 is closed form,
     and so is the rest state F0 = G0 = 0 of any d, where w'' = 1 - w.  An
-    orbit ``period`` cannot resolve raises, at any t_max.  The run finds
-    the blow-up time t* at once, for d = 2, 3 by a bisection over windows
-    of one period's brackets, which reads two windows where the run does
-    not break whatever t_max, so ``t_max`` may be ``math.inf``.  Its
+    orbit ``period`` cannot resolve raises ValueError, at any t_max, and so
+    does a start off the particular solution w = q whose half period the
+    integration does not complete.  The run finds the blow-up time t* at
+    once, for d = 2, 3 by a bisection over windows of one period's
+    brackets, which reads two windows where the run does not break
+    whatever t_max, so ``t_max`` may be ``math.inf``.  Its
     nodes, its trajectory (ending where lambda reaches ``-d_cap`` after a
     blow-up) and its crossings are built when first read; see
     :class:`CharacteristicRun`.
@@ -751,8 +760,7 @@ def count_revolutions_oracle(run: CharacteristicRun) -> int:
     return count_crossing_pairs(run.crossing_lambdas)
 
 
-def _arc_bounds(run: CharacteristicRun, k: int, f_plus: float,
-                sigma_pair: tuple[float, float]):
+def _arc_bounds(run: CharacteristicRun, k: int, f_plus: float):
     """Anchored bound pair for the k-th inter-crossing arc (k = 0: from t=0)."""
     if k == 0:
         lam_a, D_a = profile_divergences(run.profile, run.r0)
@@ -760,23 +768,20 @@ def _arc_bounds(run: CharacteristicRun, k: int, f_plus: float,
         st = run.trajectory(run.crossing_times[k - 1])
         lam_a, D_a = st[2], 0.0
     s_a, Z_a = lam_a - 1.0, D_a * D_a
-    lower = sigma_curve(Side.LOWER, s_a, Z_a, sigma_pair[0], f_plus, run.d)
-    upper = sigma_curve(Side.UPPER, s_a, Z_a, sigma_pair[1], f_plus, run.d)
+    lower = sigma_curve(Side.LOWER, s_a, Z_a, DEFAULT_SIGMA1, f_plus, run.d)
+    upper = sigma_curve(Side.UPPER, s_a, Z_a, DEFAULT_SIGMA2, f_plus, run.d)
     return lower, upper
 
 
-def sandwich_check(
-    run: CharacteristicRun,
-    sigma_pair: tuple[float, float] = (DEFAULT_SIGMA1, DEFAULT_SIGMA2),
-    max_arcs: Optional[int] = None,
-) -> float:
+def sandwich_check(run: CharacteristicRun, max_arcs: Optional[int] = None) -> float:
     """Largest signed escape of the oracle's Z(s) from the bound envelope.
 
     For each arc between consecutive axis crossings (plus the initial arc
-    from t = 0), the lower/upper comparison curves are anchored at the arc's
-    starting state with the orbit's F+ and the oracle's Z(s) is compared
-    against [min, max] of the pair at _SAMPLES_PER_ARC times.  Negative
-    return values mean the trajectory stayed strictly inside.
+    from t = 0), the lower/upper comparison curves, of sigma DEFAULT_SIGMA1
+    and DEFAULT_SIGMA2, are anchored at the arc's starting state with the
+    orbit's F+ and the oracle's Z(s) is compared against [min, max] of the
+    pair at _SAMPLES_PER_ARC times.  Negative return values mean the
+    trajectory stayed strictly inside.
     """
     f_plus = orbit_extremes(run.profile.F0(run.r0), run.profile.G0(run.r0), run.d).F_plus
     stops = np.concatenate([[0.0], run.crossing_times])
@@ -785,7 +790,7 @@ def sandwich_check(
         n_arcs = min(n_arcs, max_arcs)
     worst = -np.inf
     for k in range(n_arcs):
-        lower, upper = _arc_bounds(run, k, f_plus, sigma_pair)
+        lower, upper = _arc_bounds(run, k, f_plus)
         tg = np.linspace(stops[k] + 1e-9, stops[k + 1] - 1e-9, _SAMPLES_PER_ARC)
         st = run.trajectory(tg)
         s_t = st[2] - 1.0

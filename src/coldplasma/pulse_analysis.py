@@ -7,8 +7,7 @@ of lambda0.  Their fixed points, extremized over the free parameter sigma,
 give the smoothness threshold Lambda1 and the blow-up threshold Lambda2; the
 pulse classifier compares K against Lambda1/2 and Lambda2/2.
 
-Each threshold is one root of a closed-form equation in b = sigma^2; the
-Lambert W fixed point :func:`lambert_fixed_point` is only a test reference.
+Each threshold is one root of a closed-form equation in b = sigma^2.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .numerics import BracketError, exp_inf, expm1_inf, find_root, lambert_w
+from .numerics import BracketError, exp_inf, expm1_inf, find_root
 
 __all__ = [
     "DEFAULT_SIGMA1",
@@ -31,7 +30,6 @@ __all__ = [
     "lambda1_map",
     "lambda2_map",
     "fixed_point",
-    "lambert_fixed_point",
     "optimize_thresholds",
     "classify_pulse",
 ]
@@ -100,7 +98,8 @@ def lambda1_map(lam0: float, sigma1: float) -> float:
     """Self-map whose fixed point bounds the smooth-first-rotation region.
 
     lambda1 = (1 + 4 b - (2b+1)(1-lam0) e^(lam0/(1-lam0))) / (4 b (b+1)),
-    b = sigma1^2; identically equal to anchor_root_S1(sigma1, F+(lam0)) + 1.
+    b = sigma1^2; identically equal to the lower family's critical anchor
+    S1(sigma1, F+(lam0)) + 1, where its power coefficient C1 vanishes.
     """
     _check_map_domain(lam0, sigma1)
     b = sigma1 * sigma1
@@ -111,8 +110,8 @@ def lambda1_map(lam0: float, sigma1: float) -> float:
 def lambda2_map(lam0: float, sigma2: float) -> float:
     """Self-map whose fixed point bounds the guaranteed-blow-up region.
 
-    Equals anchor_root_S2(sigma2, F+(lam0)) + 1: the +1 converts the
-    critical anchor from s to divergence units; the threshold extrema pin
+    Equals the upper family's critical anchor S2(sigma2, F+(lam0)) + 1: the
+    +1 converts the anchor from s to divergence units; the threshold extrema pin
     this convention (see the two-route identity tests).  Requires
     0 < sigma2 < 1, sigma2 != 1/sqrt(2).
     """
@@ -163,34 +162,6 @@ def fixed_point(which: str, sigma: float) -> FixedPointResult:
         raise NoFixedPointError(
             f"{which} map has no fixed point on (0,1) at sigma={sigma}") from None
     return FixedPointResult(which, sigma, root, abs(g(root)))
-
-
-def lambert_fixed_point(which: str, sigma: float) -> float:
-    """Closed-form fixed point via Lambert W (re-derived; a test reference).
-
-    Each map reduces to x e^(1/x) = p + q x in x = 1 - lambda; with t = 1/x,
-    e^t = p t + q, so t = -q/p - W(-exp(-q/p)/p).  For the lambda1 map the
-    branch is -1 below sigma = 1/sqrt(2) and 0 above it, matching the sign
-    change of 1 - 4 sigma^4 in the reduction; the lambda2 map uses branch -1
-    on its existence range sigma in (1/sqrt(2), 1).
-    """
-    b = sigma * sigma
-    if which == "lambda1":
-        # map: lam = (B - D x e^(1/x)/e)/A, x = 1-lam, A=4b(b+1), B=1+4b, D=2b+1
-        A = 4.0 * b * (b + 1.0)
-        p = math.e * (1.0 - 4.0 * b * b) / (2.0 * b + 1.0)
-        q = math.e * A / (2.0 * b + 1.0)
-        branch = -1 if sigma < _SQRT_HALF else 0
-    elif which == "lambda2":
-        alpha = (2.0 * b - 1.0) * (2.0 * b + 1.0) / (2.0 * b * (b - 1.0))
-        beta = -(2.0 * b - 1.0) * b * b / (2.0 * b * (b - 1.0)) + 1.0
-        # lam = alpha*(x e^(1/x)/e - 1)/2 + beta, x = 1 - lam
-        p = (2.0 * math.e / alpha) * (1.0 + alpha / 2.0 - beta)
-        q = -2.0 * math.e / alpha
-        branch = -1
-    else:
-        raise ValueError(f"unknown map {which!r}")
-    return 1.0 - 1.0 / (-q / p - lambert_w(branch, -math.exp(-q / p) / p))
 
 
 class Thresholds(NamedTuple):

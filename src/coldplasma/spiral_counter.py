@@ -33,6 +33,8 @@ __all__ = [
     "guaranteed_field_lifetime",
 ]
 
+_SAMPLES_PER_ARC = 200   # points of SpiralSegment.sample
+
 
 class SpiralSegment(NamedTuple):
     """One arc of a compound spiral.
@@ -51,14 +53,15 @@ class SpiralSegment(NamedTuple):
     def s_interval(self) -> tuple[float, float]:
         return (min(self.s_start, self.s_end), max(self.s_start, self.s_end))
 
-    def sample(self, n: int = 200) -> tuple[list[float], list[float]]:
-        """(s, D) polyline of the arc in traversal order, as two lists, n >= 2.
+    def sample(self) -> tuple[list[float], list[float]]:
+        """(s, D) polyline of the arc in traversal order, as two lists of
+        ``_SAMPLES_PER_ARC`` points.
 
         The first sample is the arc's anchor, where Z is Z0 exactly, and the
         last its axis crossing, where D is 0 exactly; neither is the square
         root of Z's rounding error there.
         """
-        s = linspace(self.s_start, self.s_end, n)
+        s = linspace(self.s_start, self.s_end, _SAMPLES_PER_ARC)
         z = [self.curve.Z0, *map(self.curve.value, s[1:-1])]
         d = [0.0 if zi <= 0.0 else math.sqrt(zi) for zi in z]
         return s, ([-x for x in d] if self.lower_half else d) + [0.0]
@@ -154,8 +157,8 @@ def build_spiral(
 
     Construction stops when a lower-family (sigma1) descent can no longer be
     certified (its power coefficient turns nonnegative, so the curve never
-    returns to the axis), when an arc has no further root, when a refreshed
-    anchor escapes s < 0, or after ``max_rev`` full revolutions.
+    returns to the axis), when an arc has no further root, or after
+    ``max_rev`` full revolutions.
     """
     if kind not in ("outer", "inner"):
         raise ValueError(f"kind must be 'outer' or 'inner', got {kind!r}")
@@ -210,9 +213,6 @@ def build_spiral(
         spiral.crossings.append(root)
         s = root
         z_anchor = 0.0
-        if s >= 0.0:
-            spiral.stop_reason = "crossing escaped s < 0 (vacuum bound)"
-            break
         if refresh:
             f_plus = f_plus_of_lambda0(s + 1.0)
         going_down = not going_down
@@ -257,9 +257,9 @@ def segment_time(seg: SpiralSegment) -> float:
 
     Z is evaluated as an increment from the nearer end of the arc, where it
     takes its anchor value at the start and 0 at the crossing, so the
-    inverse-square-root singularity at a root is divided out exactly.  Each
-    end's Z and power term ``pow_coef |end|**expo`` are taken once, so the
-    integrand is ``Z_end + curve.increment(end, h)`` to the bit.
+    inverse-square-root singularity at a root is divided out exactly: Z(end
+    + h) = Z_end + h (quad (2 end + h) + lin_a) + pow_coef |end|**expo
+    expm1(expo log1p(h/end)), with each end's Z and power term taken once.
     """
     _, Z0, quad, lin_a, _, pow_coef, expo = seg.curve
     ends = {end: (z, pow_coef * power_inf(abs(end), expo))
@@ -312,15 +312,14 @@ class FieldLifetime(NamedTuple):
 def guaranteed_field_lifetime(
     profile: RadialProfile,
     r_grid: Sequence[float],
-    sigma_pair: tuple[float, float] = (DEFAULT_SIGMA1, DEFAULT_SIGMA2),
-    max_rev: int = 16,
 ) -> FieldLifetime:
     """Guaranteed smooth-solution lifetime: inf over the grid of T_lower(r0).
 
-    Equilibrium characteristics contribute +inf (no oscillation, nothing to
-    certify); characteristics whose spirals certify no full revolution
-    contribute 0 (the method is silent there).  Each spiral takes the F+ of
-    its characteristic's orbit through (F0(r0), G0(r0)) as ``f_plus``; only
+    The spirals take :func:`build_spiral`'s default sigma pair and
+    revolution cap.  Equilibrium characteristics contribute +inf (no
+    oscillation, nothing to certify); characteristics whose spirals certify
+    no full revolution contribute 0 (the method is silent there).  Each
+    spiral takes the F+ of its characteristic's orbit through (F0(r0), G0(r0)) as ``f_plus``; only
     the centre r0 = 0 of a d = 2 profile at rest there (F0(0) = 0) passes
     ``None``, which refreshes F+ at every crossing (:func:`build_spiral`).
     Where every radius is at rest, ``T_star`` is inf and ``r_at_min`` None.
@@ -336,8 +335,8 @@ def guaranteed_field_lifetime(
             continue
         centre_at_rest = r0 == 0.0 and profile.d == 2 and F0 == 0.0
         fp = None if centre_at_rest else orbit_extremes(F0, G0, profile.d).F_plus
-        outer = build_spiral("outer", (lam0, D0), fp, sigma_pair, profile.d, max_rev)
-        inner = build_spiral("inner", (lam0, D0), fp, sigma_pair, profile.d, max_rev)
+        outer = build_spiral("outer", (lam0, D0), fp, d=profile.d)
+        inner = build_spiral("inner", (lam0, D0), fp, d=profile.d)
         # T_lower of lifetime(inner, outer), without the outer spiral's arcs
         rows.append((r0, _passage_time(inner, _certified_revolutions(inner, outer))))
     r_min, t_star = min(rows, key=lambda row: row[1])

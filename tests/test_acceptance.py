@@ -15,19 +15,16 @@ from scipy.special import lambertw as scipy_lambertw
 
 import coldplasma as cp
 from coldplasma.chaplygin_bounds import (
-    BoundKind,
     Side,
-    anchor_root_S1,
-    anchor_root_S2,
     irrotational_lower_curve,
     plain_lower_curve,
-    q_rhs,
     sigma_curve,
 )
 from coldplasma.core_dynamics import RadialProfile, constant_profile
 from coldplasma.numerics import integrate, lambert_w
 from coldplasma.oracle import blowup_sweep, detect_blowup, run_characteristic, sandwich_check
 from coldplasma.pulse_analysis import f_plus_of_lambda0, lambda1_map, lambda2_map
+from references import anchor_root_S1, anchor_root_S2, derivative, q_quartic, q_sigma
 
 
 def _line(n, ok, detail):
@@ -191,17 +188,17 @@ def test_criterion_06_ode_residuals():
         xi30 = rng.uniform(-0.5, 0.5)
         sig1, sig2 = cp.DEFAULT_SIGMA1, cp.DEFAULT_SIGMA2
         cases = [
-            (plain_lower_curve(s0, Z0, xi30), BoundKind.PLAIN, Side.LOWER, {"c3": xi30 / s0}),
-            (irrotational_lower_curve(s0, Z0), BoundKind.IRROTATIONAL, Side.LOWER, {}),
-            (sigma_curve(Side.LOWER, s0, Z0, sig1, fp), BoundKind.RADIAL_SIGMA, Side.LOWER,
-             {"sigma": sig1, "f_plus": fp}),
-            (sigma_curve(Side.UPPER, s0, Z0, sig2, fp), BoundKind.RADIAL_SIGMA, Side.UPPER,
-             {"sigma": sig2, "f_plus": fp}),
+            (plain_lower_curve(s0, Z0, xi30), lambda s, Z: q_quartic(s, Z, xi30 / s0)),
+            (irrotational_lower_curve(s0, Z0), q_quartic),
+            (sigma_curve(Side.LOWER, s0, Z0, sig1, fp),
+             lambda s, Z: q_sigma(Side.LOWER, s, Z, sig1, fp)),
+            (sigma_curve(Side.UPPER, s0, Z0, sig2, fp),
+             lambda s, Z: q_sigma(Side.UPPER, s, Z, sig2, fp)),
         ]
         ss = np.linspace(1.5 * s0, 0.2 * s0, 100)
-        for curve, kind, side, params in cases:
-            q = np.array([q_rhs(kind, side, s, curve.value(s), **params) for s in ss.tolist()])
-            res = np.max(np.abs(curve.derivative(ss) - q))
+        for curve, rhs in cases:
+            q = np.array([rhs(s, curve.value(s)) for s in ss.tolist()])
+            res = np.max(np.abs(derivative(curve, ss) - q))
             worst = max(worst, float(res))
     ok = worst < 1e-10
     _line(6, ok, f"max |dZ/ds - q| over families = {worst:.2e}")

@@ -48,6 +48,8 @@ class TestValidation:
             # a cap of no revolution: 0 revolutions would read as "reached max_rev"
             ["count-revolutions", "--k", "0.1", "--max-rev", "-1"],
             ["lifetime", "--k", "0.1", "--max-rev", "0"],
+            # the half period stops short of T/2 (tests/test_oracle.py)
+            ["oracle-run", "--k", "0.499", "--r0", "0.1"],
         ]
         for i, args in enumerate(cases):
             code, out = run_cli(args, tmp_path, sub=f"out{i}")

@@ -17,16 +17,15 @@ from coldplasma.core_dynamics import (
     first_integral_increment,
     g_at_maximum,
     gaussian_profile,
-    j_exact_radial,
     orbit_extremes,
     orbit_phase,
     period,
     profile_divergences,
-    rhs_divergence,
     rhs_radial,
 )
 from coldplasma.numerics import QuadratureError, integrate
 from coldplasma.oracle import run_characteristic
+from references import j_exact_radial, rhs_divergence
 
 
 class TestRhs:

@@ -15,6 +15,7 @@ import pytest
 from coldplasma.chaplygin_bounds import criterion_first_period
 from coldplasma.core_dynamics import RadialProfile, period
 from coldplasma.oracle import run_characteristic
+from shells import shell_t_star
 
 # (lambda0, D0, F0, G0, d) of the two breaking starts ROADMAP item 11 names:
 # t* = 0.42115 (0.070 T) and t* = 0.72125
@@ -38,6 +39,17 @@ def _starts(draws=300):
             if criterion_first_period(D0, 0.0, lam0).satisfied:
                 starts.append((lam0, D0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0 / d - 0.02), d))
     return starts
+
+
+@pytest.mark.parametrize("example", _EXAMPLES)
+def test_examples_break_where_the_shells_do(example):
+    # Dawson's shells (tests/shells.py) share no dynamics with the oracle;
+    # measured 6.9e-13 (d = 3) and 9.0e-12 (d = 2) relative
+    F0, G0, d = example[2:]
+    profile, t_max = _profile(*example), period(F0, G0, d)
+    exact = run_characteristic(profile, 1.0, t_max, tol=1e-12).t_star
+    assert exact is not None
+    assert abs(shell_t_star(profile, 1.0, t_max) - exact) <= 1e-10 * exact
 
 
 @pytest.mark.xfail(

@@ -8,7 +8,7 @@ from scipy.special import lambertw as scipy_lambertw
 
 from coldplasma import _dop853 as dop
 from coldplasma._dop853 import _KEPT_STAGES
-from coldplasma.core_dynamics import j_exact_radial, rhs_divergence, rhs_radial
+from coldplasma.core_dynamics import rhs_radial
 from coldplasma.numerics import (
     _QUAD_LIMIT,
     BracketError,
@@ -23,6 +23,7 @@ from coldplasma.numerics import (
     newton_root,
     optimize_scalar,
 )
+from references import j_exact_radial, rhs_divergence
 
 
 class TestIntegrate:

@@ -11,11 +11,9 @@ from coldplasma.core_dynamics import (
     RadialProfile,
     constant_profile,
     gaussian_profile,
-    j_exact_radial,
     orbit_phase,
     period,
     profile_divergences,
-    rhs_divergence,
     rhs_radial,
 )
 from coldplasma import oracle
@@ -28,6 +26,8 @@ from coldplasma.oracle import (
     run_characteristic,
     sandwich_check,
 )
+from references import j_exact_radial, rhs_divergence
+from shells import shell_t_star
 
 
 def one_d_point_profile(lam0, D0):
@@ -740,6 +740,30 @@ class TestHorizon:
         # the orbit, at any horizon
         with pytest.raises(ValueError, match=r"period of the orbit through F0=0\.0, G0=0\.4995, d=2"):
             run_characteristic(constant_profile(0.0, 0.4995, 2), 1.0, t_max)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("K,r0", [(0.499, 0.1), (0.495, 0.05)])
+    def test_half_period_that_stops_short_is_rejected(self, K, r0, tol):
+        # the half period ends "singular-step" 1e-13 to 6e-10 short of T/2,
+        # at the spike where G reaches G-; mirrored, it put t* of K = 0.499,
+        # r0 = 0.1 within 5e-10 of T/2, where the integration had stopped
+        for t_max in (1.0, math.inf):
+            with pytest.raises(ValueError, match=r"half period of the orbit through .* short of T/2"):
+                run_characteristic(gaussian_profile(K), r0, t_max, tol=tol)
+
+    def test_half_period_that_completes_still_breaks(self):
+        # next to the rejected radii the half period completes, and Dawson's
+        # shells (tests/shells.py) break at the same time
+        profile, t_star = gaussian_profile(0.495), 2.26783673861588
+        for tol, rel in ((1e-8, 1e-9), (1e-10, 1e-11), (1e-12, 1e-13)):
+            assert abs(run_characteristic(profile, 0.1, 40.0, tol=tol).t_star - t_star) <= rel * t_star
+        assert abs(shell_t_star(profile, 0.1, 40.0) - t_star) <= 1e-13 * t_star
+
+    def test_start_on_the_particular_solution_reads_no_half_period(self):
+        # at the K = 0.495 centre u = 0, so w = q > 0 exactly, though the
+        # half period stops short of T/2 as at the radii beside it
+        run = run_characteristic(gaussian_profile(0.495), 0.0, math.inf, tol=1e-10)
+        assert run.t_star is None and run._flow.one.status == "singular-step"
 
     @pytest.mark.parametrize("r0", [0.5, 2.9, 3.5])
     def test_horizons_past_the_period_cap(self, r0):

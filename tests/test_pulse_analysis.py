@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from coldplasma.chaplygin_bounds import anchor_root_S1, anchor_root_S2
 from coldplasma.core_dynamics import gaussian_profile, period
 from coldplasma.oracle import run_characteristic
 from coldplasma.pulse_analysis import (
@@ -15,10 +14,10 @@ from coldplasma.pulse_analysis import (
     fixed_point,
     lambda1_map,
     lambda2_map,
-    lambert_fixed_point,
     _SQRT_HALF,
     _stationary_point,
 )
+from references import anchor_root_S1, anchor_root_S2, lambert_fixed_point
 
 # Reference values computed with mpmath 1.3 at 50 significant digits: F+ from
 # sqrt(((1 - lam0) exp(lam0/(1-lam0)) - 1) / 2), the thresholds from

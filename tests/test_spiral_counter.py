@@ -13,6 +13,7 @@ from coldplasma.core_dynamics import (
     profile_divergences,
 )
 from coldplasma.numerics import find_root, linspace
+from coldplasma.pulse_analysis import DEFAULT_SIGMA2, f_plus_of_lambda0
 from coldplasma.spiral_counter import (
     Spiral,
     build_spiral,
@@ -22,6 +23,7 @@ from coldplasma.spiral_counter import (
     lifetime,
     segment_time,
 )
+from references import increment
 
 
 class TestBuildSpiral:
@@ -80,6 +82,24 @@ class TestBuildSpiral:
     def test_stop_reason_is_boundedness_loss(self, spirals_default_k01):
         _, outer = spirals_default_k01
         assert outer.stop_reason == "lower curve unbounded (C1 >= 0)"
+
+    def test_start_below_the_axis_descends_first(self):
+        # D0 < 0: the first arc is the inner spiral's descent, on the upper
+        # (sigma2) family anchored at the start, and runs right to left
+        sp = build_spiral("inner", (0.1, -0.2))
+        first = sp.segments[0]
+        assert first.lower_half and first.s_start == -0.9 and first.s_end < -0.9
+        assert first.curve == sigma_curve(Side.UPPER, -0.9, 0.2 * 0.2, DEFAULT_SIGMA2,
+                                          f_plus_of_lambda0(0.1))
+        assert abs(first.curve.value(sp.crossings[0])) < 1e-12
+        assert [seg.lower_half for seg in sp.segments[:3]] == [True, False, True]
+
+    def test_ascent_that_reaches_the_vacuum_line(self):
+        # D0 > 0 with F+ = 0.6: the upper curve stays positive up to s = -1e-9
+        sp = build_spiral("outer", (-0.5, 0.3), 0.6)
+        assert sp.stop_reason == "ascending arc reaches the vacuum line s = 0"
+        assert sp.segments == [] and sp.crossings == []
+        assert sigma_curve(Side.UPPER, -1.5, 0.3 * 0.3, DEFAULT_SIGMA2, 0.6).value(-1e-9) > 0.0
 
 
 def _scanned_root(curve, a, b):
@@ -200,7 +220,7 @@ class TestLifetime:
 
     def test_integrand_is_the_increment_from_its_end(self, spirals_default_k01, monkeypatch):
         # on every node of a lower-family (sigma1) and an upper-family (sigma2)
-        # arc, the integrand reads Z_end + curve.increment(end, h) to the bit
+        # arc, the integrand reads Z_end + increment(curve, end, h) to the bit
         _, outer = spirals_default_k01
         nodes, orig = [], spiral_counter.integrate_singular
 
@@ -218,7 +238,7 @@ class TestLifetime:
             curve, z_end = seg.curve, {seg.s_start: seg.curve.Z0, seg.s_end: 0.0}
             assert len(nodes) >= 42 and {end for end, _, _ in nodes} == set(z_end)
             for end, h, got in nodes:
-                z = z_end[end] + curve.increment(end, h)
+                z = z_end[end] + increment(curve, end, h)
                 assert got == 1.0 / (abs(end + h) * math.sqrt(z)), (seg, end, h)
         assert [seg.lower_half for seg in outer.segments[:2]] == [True, False]
 
