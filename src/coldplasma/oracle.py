@@ -25,7 +25,8 @@ Equations*, 1955, ch. 3).  For d = 1 the equation has constant
 coefficients, w = 1 + A cos t + B sin t, the Lagrangian solution of 1D
 cold-plasma oscillations (Dawson, Phys. Rev. 113, 383, 1959), and (F, G)
 follow the same law through v = 1/(1 - G), so no ODE runs, nor at the
-rest state F0 = G0 = 0 of any d, where w'' = 1 - w.  A run finds
+rest state F0 = G0 = 0 of any d (or within rounding of it), where
+w'' = 1 - w.  A run finds
 the blow-up time at once, by a bisection over windows of one period's
 brackets up to t_max (which may be infinite), which reads two windows at
 any horizon where w stays positive, or without a search where the
@@ -87,46 +88,39 @@ class BlowupRecord(NamedTuple):
 
 
 def _half_rhs(d: int):
-    """(F, G) with the two fundamental solutions of the homogeneous (w, p)
-    system: 6 variables, on floats."""
+    """(F, G) with the even solution (w1, p1) of the homogeneous (w, p)
+    system: 4 variables, on floats."""
     b_coef, a_coef = 2.0 * (d - 1), float((d - 1) * d)
 
     def rhs(t, y):
-        F, G, w1, p1, w2, p2 = y
-        b, a = b_coef * F, a_coef * F * F + 1.0
-        return (*rhs_radial(F, G, d), p1, b * p1 - a * w1, p2, b * p2 - a * w2)
+        F, G, w1, p1 = y
+        return (*rhs_radial(F, G, d), p1, b_coef * F * p1 - (a_coef * F * F + 1.0) * w1)
 
     return rhs
 
 
-def _bracket(c, base, t0, dxdt, off, j):
+def _bracket(c, base, t0, dxdt, off, c1, odd, d, j):
     """w (j = 2) or p (j = 3) and its derivative at a time, in floats, on one
-    bracket: its rows d F, 1 - d G = 1/q and homogeneous part have the
-    coefficients ``c`` (7 rows of 3) of the dense output's nesting of x and
-    1 - x and the values ``base`` at x = 0, with x = (t - t0) dxdt + off.
-    w adds q(G) and p adds d F q, differentiated along the polynomials."""
-    b0, b1, b2 = base
+    bracket: F, G, c0 w1 and c0 p1 (F and p1 turned on a mirrored step) have
+    the coefficients ``c`` (7 rows of 4) of the dense output's nesting of x
+    and 1 - x and the values ``base`` at x = 0, with x = (t - t0) dxdt + off.
+    ``odd`` gives q = 1/(1 - d G) and the odd solution (w2, p2) at (F, G),
+    with the weight ``c1``; w' is p, and p' the Hill equation's."""
+    b0, b1, b2, b3 = base
 
     def g(t):
         x = (t - t0) * dxdt + off
         x1 = 1.0 - x
-        d0, d1, d2 = c[6]
-        v0, v1, v2 = d0 * x, d1 * x, d2 * x
-        for n in range(5, -1, -1):
-            a0, a1, a2 = c[n]
-            v0, v1, v2 = v0 + a0, v1 + a1, v2 + a2
-            if n % 2:
-                d0, d1, d2 = d0 * x1 - v0, d1 * x1 - v1, d2 * x1 - v2
-                v0, v1, v2 = v0 * x1, v1 * x1, v2 * x1
-            else:
-                d0, d1, d2 = d0 * x + v0, d1 * x + v1, d2 * x + v2
-                v0, v1, v2 = v0 * x, v1 * x, v2 * x
-        q = 1.0 / (v1 + b1)
-        dq = q * q * (d1 * dxdt)       # minus the derivative of q
+        v0 = v1 = v2 = v3 = 0.0
+        for n, (a0, a1, a2, a3) in enumerate(reversed(c)):   # degree 6 first: x where even
+            y = x1 if n % 2 else x
+            v0, v1, v2, v3 = (v0 + a0) * y, (v1 + a1) * y, (v2 + a2) * y, (v3 + a3) * y
+        F = v0 + b0
+        q, w2, p2 = odd(F, v1 + b1)
+        w, p = q + c1 * w2 + (v2 + b2), d * F * q + c1 * p2 + (v3 + b3)
         if j == _W:
-            return q + (v2 + b2), d2 * dxdt - dq
-        v0 += b0
-        return v0 * q + (v2 + b2), (d0 * dxdt) * q - v0 * dq + d2 * dxdt
+            return w, p
+        return p, 2.0 * (d - 1) * F * p - ((d - 1) * d * F * F + 1.0) * w + 1.0
 
     return g
 
@@ -136,17 +130,18 @@ class _Floquet:
 
     w = q + h with q = 1/(1 - d G), the exact particular solution
     (q' = d F q), and (h, h') a solution of the homogeneous system.  The
-    flow is reversible, (F, G, t) -> (-F, G, -t), so one integration from a
-    turning point (0, G_e) over [0, T/2] carries (F, G) and the fundamental
-    matrix Phi = [[w1, w2], [p1, p2]] (the identity at the turning point,
-    w1 even and w2 odd) for the whole period: F(T - tau) = -F(tau),
-    G(T - tau) = G(tau) and Phi(tau) = R Phi(T - tau) R M with
-    R = diag(1, -1), where the period map M turns (h, h') = Phi(tau) v
-    into Phi(tau) M v at tau + T.
+    flow is reversible, (F, G, t) -> (-F, G, -t), so one integration of
+    (F, G) and the even solution (w1, p1) = (1, 0) from a turning point
+    (0, G_e) over [0, T/2] covers the period.  The odd solution is closed
+    form: F' = -F**2 - G gives (F q)' = q ((d-1) F**2 - G), so F q is a
+    periodic homogeneous solution, 0 at the turning point, and
+    w2 = -F q/(G_e q_e), p2 = q (G - (d-1) F**2)/(G_e q_e) (:meth:`_odd`,
+    at the integrated (F, G)).  With Phi = [[w1, w2], [p1, p2]],
+    F(T - tau) = -F(tau), G(T - tau) = G(tau) and Phi(tau) =
+    R Phi(T - tau) R M with R = diag(1, -1), where the period map M turns
+    (h, h') = Phi(tau) v into Phi(tau) M v at tau + T.
 
-    M = [[1, 0], [n, 1]].  F q solves the homogeneous equation (use
-    F' = -F**2 - G), is T-periodic and vanishes at the turning point, so it
-    is a multiple of w2: M fixes (0, 1), and w2(T/2) = 0 as F(T/2) = 0.
+    M = [[1, 0], [n, 1]]: w2 is periodic, and w2(T/2) = 0 as F(T/2) = 0.
     By Liouville det M = 1, since F = (log q)'/d integrates to 0 over a
     period.  At tau = -T/2, p1 odd and p2 even turn (p1, p2)(T/2) = (c, e)
     into c = -c + n e, so n = 2 c/e: the shear of the period function
@@ -171,20 +166,21 @@ class _Floquet:
     those in [0, t_max) from ``first`` on, after t = 0 when the start lies
     inside a step (``inside``) and before t_max, and node i of
     :meth:`nodes` is flat node i + ``offset``.  No node value is built
-    before it is read.  ``floquet`` holds T, the half period's steps, n
-    with its ``shear_error``, the residual w2(T/2) and the turning-point
-    miss |F(T/2)|/F+ (F+ = G_e on a point orbit, where F+ rounds to 0),
-    both 0 but for the integration error.
+    before it is read.  ``floquet`` holds T, the half period's steps and
+    status, n with its ``shear_error`` and the turning-point miss
+    |F(T/2)|/F+ (F+ = G_e on a point orbit, where F+ rounds to 0), 0 but
+    for the integration error, as is w2(T/2) = -F(T/2) q/(G_e q_e).
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
         self.d, self.t_max, self.tol, self._orbit = d, t_max, tol, (F0, G0)
         T, G_e, tau = orbit_phase(F0, G0, d)
         self.T, self.half = T, 0.5 * T    # the half period is integrated whatever t_max
-        self.one = one = integrate(_half_rhs(d), [0.0, G_e, 1.0, 0.0, 0.0, 1.0], (0.0, self.half), tol=tol)
+        self._turn = (G_e, 1.0 - d * G_e)        # G_e and 1/q_e
+        self.one = one = integrate(_half_rhs(d), [0.0, G_e, 1.0, 0.0], (0.0, self.half), tol=tol)
         S = one.t.size - 1
-        c, e = one.y[[3, 5], -1].tolist()        # p1 and p2 at T/2
-        self.shear = 2.0 * c / e
+        F, G, _, c = one.y[:, -1].tolist()
+        self.shear = 2.0 * c / self._odd(F, G)[2]    # n = 2 p1/p2 at T/2
         tau_nodes = np.concatenate([one.t[:S], T - one.t[S:0:-1]])
         step = np.concatenate([np.arange(S), np.arange(S)[::-1]])
         if F0:      # one Newton step of the phase onto the integrated orbit
@@ -211,16 +207,14 @@ class _Floquet:
             self.v = ((e * u0 - b * u1) / det, (a * u1 - c * u0) / det)
 
         # per position: its phase, F, G, the parts of w and p that do not
-        # move with k, the weights of w2 and p2, its sign and mirror flag
+        # move with k, w2 and p2 (whose weight c1 does) and its mirror flag
         Y = one.y[:, step + mirror]               # a mirrored position ends its step
         F, G = sign * Y[0], Y[1]
+        q, w2, p2 = self._odd(F, G)               # at the integrated F, as on the brackets
         F[S:S + 1] = 0.0                          # the junction at T/2
-        q = 1.0 / (1.0 - d * G)
         c0 = self.v[0]
-        self._fg = (F, G)
-        self._table = np.array([tau_nodes, q + c0 * Y[2], d * F * q, c0 * Y[3], Y[4], Y[5],
-                                sign, mirror])
-        self._slope = sign * (self.shear * self.v[0]) * Y[4]     # of w at a node, per period
+        self._table = np.array([tau_nodes, F, G, q + c0 * Y[2], d * F * q + sign * c0 * Y[3], w2, p2, mirror])
+        self._slope = (self.shear * c0) * w2      # of w at a node, per period
         t = tau_nodes - tau                       # period 0; the next one starts at T - tau > 0
         self.first = first = int(np.searchsorted(t, 0.0))
         self.inside = first == step.size or bool(t[first] > 0.0)   # t = 0 lies inside a step
@@ -228,11 +222,10 @@ class _Floquet:
 
     @cached_property
     def floquet(self) -> dict:
-        F_half, residual = self.one.y[[0, 4], -1].tolist()      # F and w2 at T/2
         F_plus = orbit_extremes(*self._orbit, self.d).F_plus or float(self.one.y[1, 0])  # or G_e
-        return {"period": self.T, "half_period_steps": self.one.t.size - 1, "shear": self.shear,
-                "shear_error": self.shear_error, "residual": residual,
-                "turning_point_miss": abs(F_half) / F_plus}
+        return {"period": self.T, "half_period_steps": self.one.t.size - 1,
+                "half_period_status": self.one.status, "shear": self.shear, "shear_error": self.shear_error,
+                "turning_point_miss": abs(float(self.one.y[0, -1])) / F_plus}
 
     @cached_property
     def shear_error(self) -> float:
@@ -242,30 +235,36 @@ class _Floquet:
         p' = 2(d-1) F p - ((d-1) d F**2 + 1) w; the integration adds up to
         tol (1 + |c|) to c and tol (1 + |e|) to e.  On the orbits of
         Gaussian pulses (K = 0.222 to 0.49) and of moving 2D and 3D pulses
-        it exceeds the error against tol 1e-13: by 1.03 times at least at
-        tol 1e-7, 1.4 times at 1e-8, 1.8 times at 1e-9 and 1e-10."""
-        F, _, w1, c, w2, e = self.one.y[:, -1].tolist()
+        it exceeds the error against tol 1e-13: by 1.15 times at least at
+        tol 1e-7, 1.2 times at 1e-8, 1.7 times at 1e-9 and 2.0 at 1e-10."""
+        F, G, w1, c = self.one.y[:, -1].tolist()
+        _, w2, e = self._odd(F, G)
         d, n, tol = self.d, self.shear, self.tol
         b, a = 2.0 * (d - 1) * F, (d - 1) * d * F * F + 1.0
         dt = w2 / e
         dc, de = (b * c - a * w1) * dt, (b * e - a * w2) * dt
         return (abs(2.0 * dc - n * de) + tol * (2.0 * (1.0 + abs(c)) + abs(n) * (1.0 + abs(e)))) / abs(e)
 
+    def _odd(self, F, G):
+        """q = 1/(1 - d G) and the odd solution (w2, p2) at states (F, G)."""
+        G_e, u_e = self._turn          # F/G_e first: O(1) where F and G_e are tiny
+        q = 1.0 / (1.0 - self.d * G)
+        return q, -(F / G_e) * (q * u_e), ((G - (self.d - 1) * F * F) / G_e) * (q * u_e)
+
     def _at(self, tau):
         """F, G and Phi = [[a, b], [c, e]] at a phase tau in [0, T), as
         (F, G, a, b, c, e)."""
-        if tau <= self.half:
-            F, G, a, c, b, e = self.one(tau).tolist()
-            return F, G, a, b, c, e
-        F, G, a, c, b, e = self.one(self.T - tau).tolist()
+        mirror = tau > self.half
+        F, G, a, c = self.one(self.T - tau if mirror else tau).tolist()
+        _, b, e = self._odd(F, G)
         n = self.shear                   # R Phi(T - tau) R M
-        return -F, G, a - b * n, -b, e * n - c, e
+        return (-F, G, a - b * n, -b, e * n - c, e) if mirror else (F, G, a, b, c, e)
 
     def _c1(self, k, mirror):
         """The weight of w2 (that of w1 is v0) in period k: v1 + k n v0 from
-        M^k v, or -(v1 + (k + 1) n v0) from R M^(k+1) v where ``mirror``."""
+        M^k v, or v1 + (k + 1) n v0 where ``mirror`` (R M^(k+1) v), F turned."""
         v0, v1 = self.v
-        return np.where(mirror, -1.0, 1.0) * (v1 + (k + mirror) * self.shear * v0)
+        return v1 + (k + mirror) * self.shear * v0
 
     def _t0(self, k):
         """The time of phase 0 of period k."""
@@ -274,9 +273,9 @@ class _Floquet:
     def _node(self, f, times=True):
         """t (if ``times``), w and p at the nodes ``f`` (flat indices, an array)."""
         k, j = np.divmod(f, self._step.size)
-        tau, wq, dFq, c0p, w2, p2, sign, mirror = self._table[:, j]
+        tau, _, _, wq, pq, w2, p2, mirror = self._table[:, j]
         c1 = self._c1(k, mirror)
-        wp = (wq + c1 * w2, dFq + sign * (c0p + c1 * p2))
+        wp = (wq + c1 * w2, pq + c1 * p2)
         return (self._t0(k) + tau, *wp) if times else wp
 
     def _count(self, t_end):
@@ -296,7 +295,7 @@ class _Floquet:
         head = [(0.0, *self(0.0))] if self.inside and t_end > 0.0 else []
         tail = (t_end, *self(t_end))
         return [np.concatenate([[h[i] for h in head], x, [tail[i]]])
-                for i, x in enumerate((t, self._fg[0][j], self._fg[1][j], w, p))]
+                for i, x in enumerate((t, *self._table[1:3, j], w, p))]
 
     def __call__(self, t):
         """(F, G, w, p) at a time or an array of times."""
@@ -307,56 +306,56 @@ class _Floquet:
         tau = t - self._t0(k)
         mirror = tau > self.half
         Y = self.one(np.where(mirror, self.T - tau, tau))
-        sign = np.where(mirror, -1.0, 1.0)
-        c0, c1 = self.v[0], self._c1(k, mirror)
+        sign, c0, c1 = np.where(mirror, -1.0, 1.0), self.v[0], self._c1(k, mirror)
         F, G = sign * Y[0], Y[1]
-        q = 1.0 / (1.0 - self.d * G)
-        return F, G, q + Y[2] * c0 + Y[4] * c1, self.d * F * q + sign * (Y[3] * c0 + Y[5] * c1)
+        q, w2, p2 = self._odd(F, G)
+        return F, G, q + Y[2] * c0 + w2 * c1, self.d * F * q + sign * Y[3] * c0 + p2 * c1
 
-    def _polynomials(self, f, j):
-        """Rows d F, 1 - d G = 1/q and the homogeneous part of w (j = 2) or
-        p (j = 3) on the brackets that start at nodes ``f``: their
-        coefficients ``(len(f), 7, 3)`` and values at x = 0 ``(3, len(f))``,
-        with the brackets' period k, step s and sign (-1: mirrored)."""
+    def _polynomials(self, f):
+        """F, G, c0 w1 and c0 p1 (F and p1 turned on a mirrored step) on the
+        brackets that start at nodes ``f``: their coefficients
+        ``(len(f), 7, 4)`` and values at x = 0 ``(len(f), 4)``, with the
+        brackets' weight c1 of w2, period k, step s and sign (-1: mirrored)."""
         k, pos = np.divmod(f, self._step.size)
         s, sign = self._step[pos], self._sign[pos]
-        c0, c1 = self.v[0], self._c1(k, sign < 0.0)
-        d, dense = self.d, self.one.interpolant
-        rows = np.zeros((s.size, 6, 3))          # of the step's 6 components
-        rows[:, 0, 0], rows[:, 1, 1] = d * sign, -d
-        rows[:, j, 2], rows[:, j + 2, 2] = (c0, c1) if j == _W else (sign * c0, sign * c1)
-        base = np.einsum("nc,ncr->rn", dense.ys[s], rows)
-        base[1] += 1.0
-        return dense.coefficients(s) @ rows, base, k, s, sign
+        c0, dense = self.v[0], self.one.interpolant
+        scale = np.stack([sign, np.ones_like(sign), np.full_like(sign, c0), c0 * sign], axis=1)
+        c1 = self._c1(k, sign < 0.0)
+        return dense.coefficients(s) * scale[:, None], dense.ys[s] * scale, c1, k, s, sign
 
     def positive(self, f):
         """Where w is certainly positive on the brackets that start at nodes
         ``f``: each basis function of the step polynomial (see
         :func:`_bracket`) is nonnegative on [0, 1] with the maximum in
-        ``_BASIS_MAX``, so bounding each term bounds 1 - d G = 1/q on both
-        sides and the homogeneous part below."""
-        coef, base, *_ = self._polynomials(f, _W)
-        pos, neg = np.maximum(coef, 0.0), np.minimum(coef, 0.0)
-        u_min = base[1] + neg[:, :, 1] @ _BASIS_MAX
-        u_max = base[1] + pos[:, :, 1] @ _BASIS_MAX
-        h_min = base[2] + neg[:, :, 2] @ _BASIS_MAX
-        return (u_min > 0.0) & (1.0 / u_max + h_min > 0.0)
+        ``_BASIS_MAX``, so bounding each term bounds u = 1 - d G = 1/q on
+        both sides and m = 1 - c1 (F/G_e)/q_e and c0 w1 below, and
+        w = m/u + c0 w1 > 0 where u_min > 0 and m_min + u min(c0 w1) > 0,
+        u = u_max where m_min >= 0, else u_min."""
+        coef, base, c1, *_ = self._polynomials(f)
+        (G_e, u_e), d = self._turn, self.d
+        c, x, x0 = -c1 * u_e, coef[:, :, 0] / G_e, base[:, 0] / G_e    # F/G_e: m = 1 + c x
+        m_min = 1.0 + c * x0 + np.minimum(c[:, None] * x, 0.0) @ _BASIS_MAX
+        u_min = 1.0 - d * base[:, 1] + np.minimum(-d * coef[:, :, 1], 0.0) @ _BASIS_MAX
+        u_max = 1.0 - d * base[:, 1] + np.maximum(-d * coef[:, :, 1], 0.0) @ _BASIS_MAX
+        h_min = base[:, 2] + np.minimum(coef[:, :, 2], 0.0) @ _BASIS_MAX
+        return (u_min > 0.0) & (m_min + np.where(m_min >= 0.0, u_max, u_min) * h_min > 0.0)
 
     def brackets(self, f, j):
         """w (j = 2) or p (j = 3) on the brackets that start at nodes ``f``,
         from one gather of their polynomials: one :func:`_bracket` each.
 
-        Each bracket lies in one half step, so F, G and the homogeneous part
+        Each bracket lies in one half step, so F, G and the even solution
         are its polynomials: read at x, or at 1 - x (as T - tau) on a
-        mirrored step, with the position's weights and, there, F and p
+        mirrored step, with the position's weights and, there, F and p1
         turned.
         """
-        coef, base, k, s, sign = self._polynomials(f, j)
+        coef, base, c1, k, s, sign = self._polynomials(f)
         dense = self.one.interpolant
         h = dense.h[s]
         off, dxdt = (np.where(sign < 0.0, self.T, 0.0) - dense.t[s]) / h, sign / h
-        return [_bracket(*args, j) for args in zip(coef.tolist(), base.T.tolist(), self._t0(k).tolist(),
-                                                  dxdt.tolist(), off.tolist())]
+        return [_bracket(*args, self._odd, self.d, j)
+                for args in zip(coef.tolist(), base.tolist(), self._t0(k).tolist(), dxdt.tolist(),
+                                off.tolist(), c1.tolist())]
 
     def first_zero(self) -> Optional[float]:
         """t*, the first zero of w in [0, t_max] (None where w stays
@@ -503,7 +502,8 @@ class _Floquet:
 
 class _Lagrangian:
     """(F, G, w, p) along a characteristic with d = 1, or at rest
-    (F0 = G0 = 0, where F = G = 0 for all time) with any d, in closed form.
+    (F0 = G0 = 0, where F = G = 0 for all time, or to rounding on an orbit
+    of subnormal amplitude) with any d, in closed form.
 
     There w'' = 1 - w, so w = 1 + A cos t + B sin t with A = w0 - 1 and
     B = p0, and v = 1/(1 - G) obeys the same equation with v' = F v.  The
@@ -636,13 +636,12 @@ class CharacteristicRun:
     @property
     def floquet(self) -> Optional[dict]:
         """The period map [[1, 0], [shear, 1]] of a d = 2, 3 run with a
-        period: ``period`` T, ``half_period_steps`` (the DOP853 steps over
-        T/2), ``shear``, ``shear_error`` (an estimate of the shear's error,
-        see :attr:`_Floquet.shear_error`), the ``residual`` w2(T/2) and the
-        ``turning_point_miss`` |F(T/2)|/F+, where the half period ends
-        against the turning point it should reach (both 0 but for the
-        integration error); None for d = 1 and the rest state, which are
-        closed form."""
+        period: ``period`` T, ``half_period_steps`` and ``half_period_status``
+        (the DOP853 run over T/2: ``"singular-step"`` where a start with u = 0
+        mirrors a half that stops short), ``shear``, ``shear_error`` (see
+        :attr:`_Floquet.shear_error`) and ``turning_point_miss`` |F(T/2)|/F+,
+        where the half period ends against the turning point it should reach
+        (0 but for the integration error); None for the closed forms."""
         return self._flow.floquet
 
     @cached_property
@@ -716,11 +715,12 @@ def run_characteristic(
 ) -> CharacteristicRun:
     """Solve the characteristic starting at radius r0 up to t_max.
 
-    For d = 2 and 3, (F, G) and the fundamental matrix, 6 variables, are
-    integrated at ``tol`` over half a period from a turning point, and the
-    rest of the run is mirrored from it, with the odd solution's weight
-    growing by the period map's shear each period.  d = 1 is closed form,
-    and so is the rest state F0 = G0 = 0 of any d, where w'' = 1 - w.  An
+    For d = 2 and 3, (F, G) and the even solution, 4 variables, are
+    integrated at ``tol`` over half a period from a turning point, the odd
+    solution is closed form, and the rest of the run is mirrored from it,
+    with the odd solution's weight growing by the period map's shear each
+    period.  d = 1 is closed form, and so is the rest state F0 = G0 = 0 of
+    any d, where w'' = 1 - w (and an orbit of subnormal amplitude).  An
     orbit ``period`` cannot resolve raises ValueError, at any t_max, and so
     does a start off the particular solution w = q whose half period the
     integration does not complete.  The run finds the blow-up time t* at
@@ -741,7 +741,7 @@ def run_characteristic(
     if not d_cap > 0.0:
         raise ValueError(f"d_cap must be positive, got {d_cap}")
     w0 = 1.0 / (1.0 - lam0)
-    if d == 1 or F0 == G0 == 0.0:
+    if d == 1 or math.hypot(F0, G0) < sys.float_info.min:
         flow = _Lagrangian(F0, G0, w0, D0 * w0, t_max)
     else:
         flow = _Floquet(F0, G0, w0, D0 * w0, d, t_max, tol)
