@@ -223,7 +223,7 @@ _C_LIST = C.tolist()
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERR_EXP = -1 / 8
 # the stages the dense output reads: rows 1-4 have zero weight in A[13:16] and D
-_KEPT_STAGES = [0, *range(5, N_STAGES + 1)]
+_KEPT_STAGES = np.array([0, *range(5, N_STAGES + 1)])
 _EPS = sys.float_info.epsilon
 
 
@@ -335,9 +335,10 @@ def dop853(rhs, y0, t_span, tol) -> OdeTrajectory:
     # stage s evaluates rhs at t + c_s h, y + h (a_s . rows 0..s-1 of K)
     stages = [(s, A[s, :s], K[:s].T, _C_LIST[s]) for s in range(1, N_STAGES)]
     K_step, K_err = K[:N_STAGES].T, K[:N_STAGES + 1].T
+    abs_y = np.abs(y)
 
-    f = np.asarray(rhs(t, y.tolist()), dtype=float)
-    h_abs = _initial_step(rhs, t, y, f, t_end, tol)
+    K[0] = rhs(t, y.tolist())       # row 0 holds the derivative at t: FSAL copies row 12 there
+    h_abs = _initial_step(rhs, t, y, K[0], t_end, tol)
     ylist = y.tolist()
     ts, ys, hs, kept = [t], [y], [], []
     status = "completed"
@@ -352,15 +353,19 @@ def dop853(rhs, y0, t_span, tol) -> OdeTrajectory:
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
             for s, a, KsT, c in stages:
                 K[s] = rhs(t + c * h, [u + v * h for u, v in zip(ylist, KsT.dot(a).tolist())])
             y_new = y + h * K_step.dot(B)
             ylist_new = y_new.tolist()
-            f_new = np.asarray(rhs(t + h, ylist_new), dtype=float)
-            K[N_STAGES] = f_new
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5, err3 = K_err.dot(E5) / scale, K_err.dot(E3) / scale
+            K[N_STAGES] = rhs(t + h, ylist_new)
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)      # then the error norm works in place
+            scale *= tol
+            scale += tol
+            err5 = K_err.dot(E5)
+            err5 /= scale
+            err3 = K_err.dot(E3)
+            err3 /= scale
             e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
             err = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
             if err < 1:
@@ -369,8 +374,9 @@ def dop853(rhs, y0, t_span, tol) -> OdeTrajectory:
                 ts.append(t_new)
                 ys.append(y_new)
                 hs.append(h)
-                kept.append(K[_KEPT_STAGES])
-                t, y, ylist, f = t_new, y_new, ylist_new, f_new
+                kept.append(K.take(_KEPT_STAGES, axis=0))
+                K[0] = K[N_STAGES]
+                t, y, ylist, abs_y = t_new, y_new, ylist_new, abs_new
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
             rejected = True

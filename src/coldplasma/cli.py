@@ -11,7 +11,9 @@ failure.
 
 Each mode imports the modules it runs when it runs, so a fresh process
 compiles only those: only ``oracle-run`` and ``sweep`` integrate the
-characteristic ODE, and they alone import the oracle, and with it numpy.
+characteristic ODE, and they alone import the oracle, and with it numpy,
+whose OpenBLAS then runs on one thread unless ``OPENBLAS_NUM_THREADS`` is
+set.
 """
 
 from __future__ import annotations
@@ -325,6 +327,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(ns.out_dir or os.environ.get("COLDPLASMA_OUT", "."))
+    if "numpy" not in sys.modules:
+        # the oracle's BLAS calls work on 4 to 16 floats, which OpenBLAS never
+        # splits across threads, so its thread pool would only spin idle; it
+        # reads the count when numpy loads, and a count already set wins
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     t0 = time.perf_counter()
     try:

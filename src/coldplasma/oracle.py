@@ -76,7 +76,7 @@ _MAX_NODES = 2 ** 22     # nodes a trajectory is built on at most (5 arrays of 3
 _W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
 # the maxima on [0, 1] of x, x(1-x), x^2(1-x), ..., x^4(1-x)^3: the basis of
 # the dense output's nesting of x and 1 - x
-_BASIS_MAX = np.array([1.0, 1 / 4, 4 / 27, 1 / 16, 108 / 3125, 1 / 64, 6912 / 823543])
+_BASIS_MAX = (1.0, 1 / 4, 4 / 27, 1 / 16, 108 / 3125, 1 / 64, 6912 / 823543)
 
 
 class BlowupRecord(NamedTuple):
@@ -89,12 +89,13 @@ class BlowupRecord(NamedTuple):
 
 def _half_rhs(d: int):
     """(F, G) with the even solution (w1, p1) of the homogeneous (w, p)
-    system: 4 variables, on floats."""
+    system: 4 variables, on floats, with ``rhs_radial``'s operations written
+    out in its order."""
     b_coef, a_coef = 2.0 * (d - 1), float((d - 1) * d)
 
     def rhs(t, y):
         F, G, w1, p1 = y
-        return (*rhs_radial(F, G, d), p1, b_coef * F * p1 - (a_coef * F * F + 1.0) * w1)
+        return -F * F - G, F - d * F * G, p1, b_coef * F * p1 - (a_coef * F * F + 1.0) * w1
 
     return rhs
 
@@ -323,26 +324,12 @@ class _Floquet:
         c1 = self._c1(k, sign < 0.0)
         return dense.coefficients(s) * scale[:, None], dense.ys[s] * scale, c1, k, s, sign
 
-    def positive(self, f):
-        """Where w is certainly positive on the brackets that start at nodes
-        ``f``: each basis function of the step polynomial (see
-        :func:`_bracket`) is nonnegative on [0, 1] with the maximum in
-        ``_BASIS_MAX``, so bounding each term bounds u = 1 - d G = 1/q on
-        both sides and m = 1 - c1 (F/G_e)/q_e and c0 w1 below, and
-        w = m/u + c0 w1 > 0 where u_min > 0 and m_min + u min(c0 w1) > 0,
-        u = u_max where m_min >= 0, else u_min."""
-        coef, base, c1, *_ = self._polynomials(f)
-        (G_e, u_e), d = self._turn, self.d
-        c, x, x0 = -c1 * u_e, coef[:, :, 0] / G_e, base[:, 0] / G_e    # F/G_e: m = 1 + c x
-        m_min = 1.0 + c * x0 + np.minimum(c[:, None] * x, 0.0) @ _BASIS_MAX
-        u_min = 1.0 - d * base[:, 1] + np.minimum(-d * coef[:, :, 1], 0.0) @ _BASIS_MAX
-        u_max = 1.0 - d * base[:, 1] + np.maximum(-d * coef[:, :, 1], 0.0) @ _BASIS_MAX
-        h_min = base[:, 2] + np.minimum(coef[:, :, 2], 0.0) @ _BASIS_MAX
-        return (u_min > 0.0) & (m_min + np.where(m_min >= 0.0, u_max, u_min) * h_min > 0.0)
-
-    def brackets(self, f, j):
-        """w (j = 2) or p (j = 3) on the brackets that start at nodes ``f``,
-        from one gather of their polynomials: one :func:`_bracket` each.
+    def _pieces(self, f):
+        """The brackets that start at nodes ``f``, from one gather of their
+        polynomials: per bracket, in floats, the coefficients (7 rows of 4)
+        and base of F, G, c0 w1 and c0 p1 (see :meth:`_polynomials`), the
+        time of its period's phase 0, dx/dt, x at that time, and c1; the
+        arguments of :func:`_bracket` and, with ``c1``, of :meth:`positive`.
 
         Each bracket lies in one half step, so F, G and the even solution
         are its polynomials: read at x, or at 1 - x (as T - tau) on a
@@ -353,9 +340,38 @@ class _Floquet:
         dense = self.one.interpolant
         h = dense.h[s]
         off, dxdt = (np.where(sign < 0.0, self.T, 0.0) - dense.t[s]) / h, sign / h
-        return [_bracket(*args, self._odd, self.d, j)
-                for args in zip(coef.tolist(), base.tolist(), self._t0(k).tolist(), dxdt.tolist(),
-                                off.tolist(), c1.tolist())]
+        return list(zip(coef.tolist(), base.tolist(), self._t0(k).tolist(), dxdt.tolist(),
+                        off.tolist(), c1.tolist()))
+
+    def positive(self, coef, base, c1) -> bool:
+        """Whether w is certainly positive on one bracket, from its piece
+        (see :meth:`_pieces`), in floats: each basis function of the step
+        polynomial (see :func:`_bracket`) is nonnegative on [0, 1] with the
+        maximum in ``_BASIS_MAX``, so bounding each term bounds
+        u = 1 - d G = 1/q on both sides and m = 1 - c1 (F/G_e)/q_e and
+        c0 w1 below, and w = m/u + c0 w1 > 0 where u_min > 0 and
+        m_min + u min(c0 w1) > 0, u = u_max where m_min >= 0, else u_min."""
+        (G_e, u_e), d = self._turn, self.d
+        c = -c1 * u_e                          # m = 1 + c F/G_e
+        m_lo = u_lo = u_hi = h_lo = 0.0        # the sums over the basis
+        for (a0, a1, a2, _), top in zip(coef, _BASIS_MAX):
+            x, g = c * (a0 / G_e), -d * a1     # a NaN term lands in a lower sum and fails the test
+            if not x >= 0.0:
+                m_lo += x * top
+            if g >= 0.0:
+                u_hi += g * top
+            else:
+                u_lo += g * top
+            if not a2 >= 0.0:
+                h_lo += a2 * top
+        m_min = 1.0 + c * (base[0] / G_e) + m_lo
+        u_min, u_max = 1.0 - d * base[1] + u_lo, 1.0 - d * base[1] + u_hi
+        return u_min > 0.0 and m_min + (u_max if m_min >= 0.0 else u_min) * (base[2] + h_lo) > 0.0
+
+    def brackets(self, f, j):
+        """w (j = 2) or p (j = 3) on the brackets that start at nodes ``f``,
+        from one gather of their polynomials: one :func:`_bracket` each."""
+        return [_bracket(*piece, self._odd, self.d, j) for piece in self._pieces(f)]
 
     def first_zero(self) -> Optional[float]:
         """t*, the first zero of w in [0, t_max] (None where w stays
@@ -416,16 +432,17 @@ class _Floquet:
         # the whole brackets of the partial ones, from t = 0 and to t_max
         edges = (([first - 1] if self.inside else []) +
                  ([last - 1] if last is not None and last > first else []))
-        f, ta, wa, below = self._test(np.concatenate([*windows(sorted({0, top})), np.array(edges, dtype=int)]))
+        f, ta, wa, below, roots = self._test(np.concatenate([*windows(sorted({0, top})),
+                                                             np.array(edges, dtype=int)]))
         reach = set(f[below < np.inf].tolist())
         ms, lo, hi, best = [0, top], -1, top + 1, None   # windows up to lo stay positive; hi reaches 0
         while True:
             hit = np.flatnonzero((below < np.inf) & (f >= first) & (f < end))
             if hit.size:
-                i = hit[0]
+                i = int(hit[0])
                 hi = next(m for m in ms if f[i] < start(m) + P)
                 lo = max([lo] + [m for m in ms if m < hi])
-                best = (f[i], ta[i], wa[i], below[i])
+                best = (f[i], ta[i], wa[i], below[i], roots.get(i))
             else:
                 lo = max(lo, ms[-1])
             if hi - lo <= 1:
@@ -439,7 +456,7 @@ class _Floquet:
                 ms = [m for m in (h - 2, h - 1, h) if lo < m < hi]
             else:
                 ms = sorted({lo + 1 + i * (hi - lo - 1) // _SECTIONS for i in range(_SECTIONS)})
-            f, ta, wa, below = self._test(np.concatenate(windows(ms)))
+            f, ta, wa, below, roots = self._test(np.concatenate(windows(ms)))
 
         found = None
         if first - 1 in reach:                 # from t = 0 to the first node
@@ -454,33 +471,41 @@ class _Floquet:
     def _test(self, f):
         """The brackets of nodes ``f`` up to the first node from ``first``
         on with w <= 0 (no later one can hold t*), with t and w at their
-        start and where w first reaches 0 on them (:meth:`_below`):
-        (f, t, w, below)."""
-        (ta, wa, pa), b = self._node(f), self._node(f + 1)
+        start and where w first reaches 0 on them, and the w of the
+        brackets rooted there (:meth:`_below`): (f, t, w, below, roots)."""
+        t, w, p = self._node(np.concatenate([f, f + 1]))    # both ends at once
+        ta, wa, pa, b = t[:f.size], w[:f.size], p[:f.size], (t[f.size:], w[f.size:], p[f.size:])
         n = np.concatenate([f[(wa <= 0.0) & (f >= self.first)], f[b[1] <= 0.0] + 1])
-        keep = f <= n.min(initial=sys.maxsize)
-        f, ta, wa, pa, b = f[keep], ta[keep], wa[keep], pa[keep], [x[keep] for x in b]
-        return f, ta, wa, self._below(f, (ta, wa, pa), b)
+        if n.size:
+            keep = f <= n.min()
+            f, ta, wa, pa, b = f[keep], ta[keep], wa[keep], pa[keep], [x[keep] for x in b]
+        return (f, ta, wa, *self._below(f, (ta, wa, pa), b))
 
     def _below(self, f, a, b):
         """Where w first reaches 0 on the brackets of nodes ``f`` with ends
         ``a`` and ``b``, each (t, w, p): at the start where w <= 0 there,
         else at the minimum (where p turns from negative to nonnegative and
-        ``positive`` does not rule it out) where w <= 0 there, else at the
-        end where w <= 0 there; inf where w stays positive.  That is where
-        the bracket of t*'s root ends."""
+        :meth:`positive` does not rule it out) where w <= 0 there, else at
+        the end where w <= 0 there; inf where w stays positive.  That is
+        where the bracket of t*'s root ends.  The brackets with a minimum
+        are gathered once (:meth:`_pieces`), for their bounds and the
+        :func:`_bracket` closures of p and w; returns ``below`` and {i: w}
+        for the brackets ``i`` whose ``below`` is their minimum."""
         (ta, wa, pa), (tb, wb, pb) = a, b
         below = np.where(wb <= 0.0, tb, np.inf)
+        roots = {}
         i = np.flatnonzero((pa < 0.0) & (pb >= 0.0))
         if i.size:
-            i = i[~self.positive(f[i])]
-        if i.size:
             ends = zip(ta[i].tolist(), tb[i].tolist(), pa[i].tolist(), pb[i].tolist())
-            for n, p, w, ab in zip(i, self.brackets(f[i], _P), self.brackets(f[i], _W), ends):
-                x = newton_root(p, *ab)
+            for n, piece, ab in zip(i.tolist(), self._pieces(f[i]), ends):
+                coef, base, *_, c1 = piece
+                if self.positive(coef, base, c1):
+                    continue
+                x = newton_root(_bracket(*piece, self._odd, self.d, _P), *ab)
+                w = _bracket(*piece, self._odd, self.d, _W)
                 if w(x)[0] <= 0.0:
-                    below[n] = x
-        return np.where(wa <= 0.0, ta, below)
+                    below[n], roots[n] = x, w
+        return np.where(wa <= 0.0, ta, below), roots
 
     def _at_time(self, t):
         """t, w and p at a time, each an array of one."""
@@ -489,14 +514,19 @@ class _Floquet:
 
     def _edge(self, f, a, b):
         """t* on one partial bracket of the polynomial of node ``f``, or None."""
-        below = self._below(np.array([f]), a, b)[0]
-        return None if below == np.inf else self._t_star_on(f, a[0][0], a[1][0], below)
+        below, roots = self._below(np.array([f]), a, b)
+        if below[0] == np.inf:
+            return None
+        return self._t_star_on(f, a[0][0], a[1][0], below[0], roots.get(0))
 
-    def _t_star_on(self, f, ta, wa, below):
-        """The zero of w on the bracket of node ``f`` from ``ta`` to ``below``."""
+    def _t_star_on(self, f, ta, wa, below, w=None):
+        """The zero of w on the bracket of node ``f`` from ``ta`` to
+        ``below``, with ``w`` its :func:`_bracket` if already built."""
         if wa <= 0.0:
             return float(ta)
-        w = self.brackets(np.array([f]), _W)[0]    # w <= 0 at ``below``: rounding must not flip it
+        if w is None:
+            w = self.brackets(np.array([f]), _W)[0]
+        # w <= 0 at ``below``: rounding must not flip it
         return newton_root(w, float(ta), float(below), float(wa), min(w(float(below))[0], 0.0))
 
 

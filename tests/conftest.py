@@ -106,8 +106,9 @@ def floquet_reads(monkeypatch):
     """``install(*names)``: record, for each call of the named ``_Floquet``
     methods, the number of nodes it is given, one list entry per call.
     Every node value, bound, bracket polynomial and bracket root that the
-    search for t* reads goes through ``_node``, ``positive``, ``_below``
-    and ``_polynomials``."""
+    search for t* reads goes through ``_node``, ``_below`` and
+    ``_polynomials``: ``_below`` bounds and roots its brackets on one
+    gather of ``_polynomials``."""
     from coldplasma.oracle import _Floquet
 
     def install(*names):

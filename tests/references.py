@@ -3,14 +3,20 @@
 The comparison ODEs whose solutions the closed-form curves of
 ``coldplasma.chaplygin_bounds`` are, with a curve's derivative and
 increment; the critical anchors S1 and S2 that the threshold maps equal;
-the divergence system with the exact radial J; and the Lambert W fixed
-points of the threshold maps.  Only s < 0 is meaningful for the ODEs.
+the divergence system with the exact radial J; the Lambert W fixed
+points of the threshold maps; and the loop of the exp defect's Horner rule
+and the oracle's positivity bound in its numpy form, the forms the package
+wrote out.  Only s < 0 is meaningful for the ODEs.
 """
 
 import math
 
+import numpy as np
+
 from coldplasma.chaplygin_bounds import Side, _upper_j_bound
+from coldplasma.core_dynamics import _DEFECT_COEF
 from coldplasma.numerics import expm1_inf, lambert_w, power_inf
+from coldplasma.oracle import _BASIS_MAX
 
 
 def q_quartic(s, Z, c3=0.0):
@@ -91,3 +97,27 @@ def lambert_fixed_point(which, sigma):
         q = -2.0 * math.e / alpha
         branch = -1
     return 1.0 - 1.0 / (-q / p - lambert_w(branch, -math.exp(-q / p) / p))
+
+
+def positive_bound(flow, f):
+    """``_Floquet.positive`` in its numpy form, on the brackets that start at
+    nodes ``f`` of a flow at once, from one gather of their polynomials: the
+    bounds summed over the basis by matrix products."""
+    coef, base, c1, *_ = flow._polynomials(f)
+    basis_max = np.array(_BASIS_MAX)
+    (G_e, u_e), d = flow._turn, flow.d
+    c, x, x0 = -c1 * u_e, coef[:, :, 0] / G_e, base[:, 0] / G_e    # F/G_e: m = 1 + c x
+    m_min = 1.0 + c * x0 + np.minimum(c[:, None] * x, 0.0) @ basis_max
+    u_min = 1.0 - d * base[:, 1] + np.minimum(-d * coef[:, :, 1], 0.0) @ basis_max
+    u_max = 1.0 - d * base[:, 1] + np.maximum(-d * coef[:, :, 1], 0.0) @ basis_max
+    h_min = base[:, 2] + np.minimum(coef[:, :, 2], 0.0) @ basis_max
+    return (u_min > 0.0) & (m_min + np.where(m_min >= 0.0, u_max, u_min) * h_min > 0.0)
+
+
+def exp_defect(L):
+    """L e**L - expm1(L) for |L| < 1/2 by Horner's rule as a loop over the
+    coefficients of ``core_dynamics._exp_defect``."""
+    total = 0.0
+    for c in _DEFECT_COEF:
+        total = total * L + c
+    return total * L * L

@@ -29,16 +29,22 @@ _LIGHT_RUNS = [
 ]
 
 
+def _last_line(code: str, **env) -> str:
+    """The last line ``code`` prints in a fresh interpreter, run with the
+    package on its path and ``env`` (a value of None unsets a variable)."""
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          check=True, env={k: v for k, v in env.items() if v is not None})
+    return proc.stdout.splitlines()[-1]
+
+
 def _loaded_after(code: str, packages=("numpy", "scipy")) -> dict:
     """The module names of each package in ``sys.modules`` after ``code``
     runs in a fresh interpreter."""
     probe = code + "\nimport json, sys\nprint(json.dumps({p: sorted(" \
         f"m for m in sys.modules if m == p or m.startswith(p + '.')) for p in {packages!r}}}))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(_last_line(probe))
 
 
 def _cli_runs(runs, out_dir) -> str:
@@ -80,6 +86,17 @@ def test_ode_runs_load_numpy_but_not_scipy(tmp_path):
         loaded = _loaded_after(_cli_runs([run], tmp_path / str(i)))
         assert "numpy" in loaded["numpy"] and loaded["scipy"] == [], run[0]
         assert (tmp_path / str(i) / "0" / "report.json").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count threads")
+def test_oracle_cli_runs_on_one_thread(tmp_path):
+    # the oracle's BLAS calls work on 4 to 16 floats, which OpenBLAS never
+    # splits across threads: cli.main keeps its idle pool from starting,
+    # unless the caller set a count of their own
+    code = _cli_runs([["oracle-run", "--k", "0.1", "--t-max", "5"]], tmp_path) + (
+        "import os\nprint(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _last_line(code, OPENBLAS_NUM_THREADS=None) == "1 1"
+    assert _last_line(code, OPENBLAS_NUM_THREADS="2").split()[1] == "2"
 
 
 def test_blowup_sweep_leaves_numpy_ma_unloaded():

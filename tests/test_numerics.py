@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.special import lambertw as scipy_lambertw
 
 from coldplasma import _dop853 as dop
 from coldplasma._dop853 import _KEPT_STAGES
-from coldplasma.core_dynamics import rhs_radial
+from coldplasma.core_dynamics import orbit_phase, rhs_radial
 from coldplasma.numerics import (
     _QUAD_LIMIT,
     BracketError,
@@ -23,6 +24,7 @@ from coldplasma.numerics import (
     newton_root,
     optimize_scalar,
 )
+from coldplasma.oracle import _half_rhs
 from references import j_exact_radial, rhs_divergence
 
 
@@ -91,11 +93,22 @@ def _oracle_rhs(d):
     return rhs
 
 
+def _half_period(F0, G0, d, tol):
+    """The oracle's own run: (F, G) and the even solution (w1, p1) = (1, 0)
+    from the turning point of the orbit through (F0, G0) over half a period."""
+    T, G_e, _ = orbit_phase(F0, G0, d)
+    return _half_rhs(d), [0.0, G_e, 1.0, 0.0], 0.5 * T, tol, "completed"
+
+
 # (rhs, y0, t_end, tol, status): the characteristic system for d = 1, 2, 3
 # from a bounded start and from one that crosses the axis and then blows
-# up, the Riccati blow-up y' = -y**2 and the square-root singularity
+# up, the oracle's half period from the K = 0.45 pulse's center (27
+# accepted and 19 rejected steps) and from a moving 3D pulse (17 and 10),
+# the Riccati blow-up y' = -y**2 and the square-root singularity
 # y' = -1/(2y); the step size underflows at each blow-up and singularity
 _ENGINE_CASES = {
+    "half-period-d2": _half_period(0.0, 0.45, 2, 1e-8),
+    "half-period-d3": _half_period(-0.6 * math.exp(-0.09), 0.3 * math.exp(-0.09), 3, 1e-8),
     "oracle-d1-bounded": (_oracle_rhs(1), [-0.05, -0.28, -0.33, 0.34, 1.0], 30.0, 1e-9,
                           "completed"),
     "oracle-d1-blowup": (_oracle_rhs(1), [0.0, 0.0, 0.02, 1.8, 1.0], 30.0, 1e-9,
@@ -163,7 +176,7 @@ class TestLazyDenseOutput:
         extra = dop.A[dop.N_STAGES + 1:, :dop.N_STAGES + 1]
         assert not extra[:, 1:5].any() and not dop.D[:, 1:5].any()
         used = np.flatnonzero(np.abs(extra).sum(0) + np.abs(dop.D[:, :dop.N_STAGES + 1]).sum(0))
-        assert used.tolist() == _KEPT_STAGES
+        assert used.tolist() == _KEPT_STAGES.tolist()
 
 
 class TestLambertW:

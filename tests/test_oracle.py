@@ -26,7 +26,7 @@ from coldplasma.oracle import (
     run_characteristic,
     sandwich_check,
 )
-from references import j_exact_radial, rhs_divergence
+from references import j_exact_radial, positive_bound, rhs_divergence
 from shells import shell_t_star
 
 
@@ -514,11 +514,53 @@ class TestHalfPeriod:
         flow = run_characteristic(profile, r0, 400.0, tol=1e-8)._flow
         t = flow.nodes(400.0)[0]
         i = np.arange(t.size - 1) + flow.offset
-        certain = flow.positive(i)
+        certain = float_bound(flow, i)
+        assert certain.tolist() == positive_bound(flow, i).tolist()
         x = t[:-1] + np.linspace(0.0, 1.0, 65)[:, None] * np.diff(t)
         lowest = np.min(flow(x.ravel())[2].reshape(x.shape), axis=0)
         assert certain.any() and (lowest <= 0.0).any()
         assert np.all(lowest[certain] > 0.0)
+
+    def test_float_bound_decides_as_the_numpy_form(self):
+        # on every bracket of breaking-sweep's 48 radii up to t = 400: the
+        # bound summed term by term in floats, against the matrix products
+        # it replaced
+        certain = 0
+        for r0 in np.linspace(0.0, 3.0, 48):
+            flow = run_characteristic(gaussian_profile(0.45), r0, 400.0, tol=1e-8)._flow
+            i = np.arange(flow.size(400.0) - 1) + flow.offset
+            got = float_bound(flow, i)
+            assert got.tolist() == positive_bound(flow, i).tolist(), r0
+            certain += got.sum()
+        assert certain > 0
+
+    def test_a_round_gathers_its_polynomials_once(self, monkeypatch):
+        # the bounds, and the p and w brackets of each minimum not ruled out,
+        # read one gather of the round's brackets with a minimum
+        gathered, roots, rounds = [], [], []
+        gather, below, root = _Floquet._polynomials, _Floquet._below, oracle.newton_root
+
+        def counted_gather(flow, f):
+            gathered.append(np.size(f))
+            return gather(flow, f)
+
+        def counted_root(*args):
+            roots.append(args)
+            return root(*args)
+
+        def counted_below(flow, f, a, b):
+            start = len(gathered), len(roots)
+            out = below(flow, f, a, b)
+            rounds.append((gathered[start[0]:], len(roots) - start[1]))
+            return out
+
+        monkeypatch.setattr(_Floquet, "_polynomials", counted_gather)
+        monkeypatch.setattr(_Floquet, "_below", counted_below)
+        monkeypatch.setattr(oracle, "newton_root", counted_root)
+        run = run_characteristic(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)[14], 400.0, tol=1e-8)
+        assert run.t_star is not None
+        assert any(rooted for _, rooted in rounds), rounds      # some minima were rooted
+        assert all(len(g) <= 1 for g, _ in rounds), rounds
 
     @pytest.mark.parametrize("case", ["oracle-run", "crossings-84", "breaking-sweep"])
     def test_roots_agree_with_brent(self, case, monkeypatch):
@@ -663,11 +705,12 @@ class TestHorizon:
     @pytest.mark.parametrize("r0", [1.6, 1.8, 2.0, 2.2, 2.5])
     def test_search_cost_does_not_grow_with_the_horizon(self, r0, floquet_reads):
         # every node value, bound and bracket root the search reads goes
-        # through _node, positive and _below: count what they are given
-        # (every radius has v != 0 and no t* at either horizon; on r0 = 1.6
-        # to 2.0 a search per node position gave the bound more brackets at
-        # 20000, as more of them held a minimum of w in a longer range)
-        read = floquet_reads("_node", "positive", "_below")
+        # through _node, _below and the gather of _polynomials that the
+        # bounds read: count what they are given (every radius has v != 0
+        # and no t* at either horizon; on r0 = 1.6 to 2.0 a search per node
+        # position gave the bound more brackets at 20000, as more of them
+        # held a minimum of w in a longer range)
+        read = floquet_reads("_node", "_below", "_polynomials")
         profile, cost = gaussian_profile(0.45), []
         for t_max in (400.0, 20000.0):
             read.clear()
@@ -819,13 +862,19 @@ class TestHorizon:
         assert run_characteristic(one_d, 0.0, math.inf).t_star == run_characteristic(one_d, 0.0, 20.0).t_star
 
 
+def float_bound(flow, f):
+    """``_Floquet.positive`` on the brackets that start at nodes ``f``, as an array."""
+    return np.array([flow.positive(coef, base, c1) for coef, base, *_, c1 in flow._pieces(f)])
+
+
 def scanned_t_star(flow):
     """t* from a scan of every bracket of a ``_Floquet`` flow's nodes up to
     t_max: the first bracket where ``_below`` finds that w reaches 0,
-    rooted by ``_t_star_on`` (None where there is none)."""
+    rooted by ``_t_star_on`` on a bracket it gathers again (None where
+    there is none)."""
     t, _, _, w, p = flow.nodes(flow.t_max)
     f = np.arange(t.size - 1) + flow.offset
-    below = flow._below(f, (t[:-1], w[:-1], p[:-1]), (t[1:], w[1:], p[1:]))
+    below, _ = flow._below(f, (t[:-1], w[:-1], p[:-1]), (t[1:], w[1:], p[1:]))
     hit = np.flatnonzero(below < np.inf)
     if not hit.size:
         return None
@@ -908,7 +957,7 @@ class TestNoHomogeneousPart:
         assert t.size > 100 and w.tobytes() == (1.0 / (1.0 - profile.d * G)).tobytes()
 
     def test_no_search_is_made(self, floquet_reads):
-        read = floquet_reads("_node", "positive", "_below", "_polynomials")
+        read = floquet_reads("_node", "_below", "_polynomials")
         for profile, r0 in ((gaussian_profile(0.45), 0.0), (constant_profile(0.3, 0.2, 3), 1.0)):
             for t_max in (400.0, math.inf):
                 assert run_characteristic(profile, r0, t_max, tol=1e-8).t_star is None
