@@ -319,6 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one CLI mode; returns its exit code.
+
+    Called before numpy is imported, it sets ``OPENBLAS_NUM_THREADS`` to 1
+    in ``os.environ`` unless it is set already: numpy's OpenBLAS then runs on
+    one thread for the rest of the process, and child processes inherit the
+    setting.
+    """
     ns = _build_parser().parse_args(argv)
     mode = ns.mode
     try:

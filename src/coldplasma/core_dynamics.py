@@ -118,13 +118,11 @@ _DEFECT_COEF = [(n - 1) / math.factorial(n) for n in range(17, 1, -1)]
 
 def _exp_defect(L: float) -> float:
     """L e**L - expm1(L) for |L| < 1/2, where its terms cancel: summed as
-    the series over n >= 2 of (n - 1) L**n / n!, by Horner's rule written
-    out from n = 17."""
-    c = _DEFECT_COEF
-    s = ((((c[0] * L + c[1]) * L + c[2]) * L + c[3]) * L + c[4]) * L + c[5]
-    s = ((((s * L + c[6]) * L + c[7]) * L + c[8]) * L + c[9]) * L + c[10]
-    s = ((((s * L + c[11]) * L + c[12]) * L + c[13]) * L + c[14]) * L + c[15]
-    return s * L * L
+    the series over n >= 2 of (n - 1) L**n / n!."""
+    total = 0.0
+    for c in _DEFECT_COEF:
+        total = total * L + c
+    return total * L * L
 
 
 def _orbit_increment(Y_e: float, G_e: float, d: int, L: float) -> float:

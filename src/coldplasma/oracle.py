@@ -89,13 +89,12 @@ class BlowupRecord(NamedTuple):
 
 def _half_rhs(d: int):
     """(F, G) with the even solution (w1, p1) of the homogeneous (w, p)
-    system: 4 variables, on floats, with ``rhs_radial``'s operations written
-    out in its order."""
+    system: 4 variables, on floats."""
     b_coef, a_coef = 2.0 * (d - 1), float((d - 1) * d)
 
     def rhs(t, y):
         F, G, w1, p1 = y
-        return -F * F - G, F - d * F * G, p1, b_coef * F * p1 - (a_coef * F * F + 1.0) * w1
+        return (*rhs_radial(F, G, d), p1, b_coef * F * p1 - (a_coef * F * F + 1.0) * w1)
 
     return rhs
 
@@ -432,17 +431,16 @@ class _Floquet:
         # the whole brackets of the partial ones, from t = 0 and to t_max
         edges = (([first - 1] if self.inside else []) +
                  ([last - 1] if last is not None and last > first else []))
-        f, ta, wa, below, roots = self._test(np.concatenate([*windows(sorted({0, top})),
-                                                             np.array(edges, dtype=int)]))
+        f, ta, wa, below = self._test(np.concatenate([*windows(sorted({0, top})), np.array(edges, dtype=int)]))
         reach = set(f[below < np.inf].tolist())
         ms, lo, hi, best = [0, top], -1, top + 1, None   # windows up to lo stay positive; hi reaches 0
         while True:
             hit = np.flatnonzero((below < np.inf) & (f >= first) & (f < end))
             if hit.size:
-                i = int(hit[0])
+                i = hit[0]
                 hi = next(m for m in ms if f[i] < start(m) + P)
                 lo = max([lo] + [m for m in ms if m < hi])
-                best = (f[i], ta[i], wa[i], below[i], roots.get(i))
+                best = (f[i], ta[i], wa[i], below[i])
             else:
                 lo = max(lo, ms[-1])
             if hi - lo <= 1:
@@ -456,7 +454,7 @@ class _Floquet:
                 ms = [m for m in (h - 2, h - 1, h) if lo < m < hi]
             else:
                 ms = sorted({lo + 1 + i * (hi - lo - 1) // _SECTIONS for i in range(_SECTIONS)})
-            f, ta, wa, below, roots = self._test(np.concatenate(windows(ms)))
+            f, ta, wa, below = self._test(np.concatenate(windows(ms)))
 
         found = None
         if first - 1 in reach:                 # from t = 0 to the first node
@@ -471,15 +469,15 @@ class _Floquet:
     def _test(self, f):
         """The brackets of nodes ``f`` up to the first node from ``first``
         on with w <= 0 (no later one can hold t*), with t and w at their
-        start and where w first reaches 0 on them, and the w of the
-        brackets rooted there (:meth:`_below`): (f, t, w, below, roots)."""
+        start and where w first reaches 0 on them (:meth:`_below`):
+        (f, t, w, below)."""
         t, w, p = self._node(np.concatenate([f, f + 1]))    # both ends at once
         ta, wa, pa, b = t[:f.size], w[:f.size], p[:f.size], (t[f.size:], w[f.size:], p[f.size:])
         n = np.concatenate([f[(wa <= 0.0) & (f >= self.first)], f[b[1] <= 0.0] + 1])
         if n.size:
             keep = f <= n.min()
             f, ta, wa, pa, b = f[keep], ta[keep], wa[keep], pa[keep], [x[keep] for x in b]
-        return (f, ta, wa, *self._below(f, (ta, wa, pa), b))
+        return f, ta, wa, self._below(f, (ta, wa, pa), b)
 
     def _below(self, f, a, b):
         """Where w first reaches 0 on the brackets of nodes ``f`` with ends
@@ -489,11 +487,9 @@ class _Floquet:
         the end where w <= 0 there; inf where w stays positive.  That is
         where the bracket of t*'s root ends.  The brackets with a minimum
         are gathered once (:meth:`_pieces`), for their bounds and the
-        :func:`_bracket` closures of p and w; returns ``below`` and {i: w}
-        for the brackets ``i`` whose ``below`` is their minimum."""
+        :func:`_bracket` closures of p and w."""
         (ta, wa, pa), (tb, wb, pb) = a, b
         below = np.where(wb <= 0.0, tb, np.inf)
-        roots = {}
         i = np.flatnonzero((pa < 0.0) & (pb >= 0.0))
         if i.size:
             ends = zip(ta[i].tolist(), tb[i].tolist(), pa[i].tolist(), pb[i].tolist())
@@ -504,8 +500,8 @@ class _Floquet:
                 x = newton_root(_bracket(*piece, self._odd, self.d, _P), *ab)
                 w = _bracket(*piece, self._odd, self.d, _W)
                 if w(x)[0] <= 0.0:
-                    below[n], roots[n] = x, w
-        return np.where(wa <= 0.0, ta, below), roots
+                    below[n] = x
+        return np.where(wa <= 0.0, ta, below)
 
     def _at_time(self, t):
         """t, w and p at a time, each an array of one."""
@@ -514,19 +510,14 @@ class _Floquet:
 
     def _edge(self, f, a, b):
         """t* on one partial bracket of the polynomial of node ``f``, or None."""
-        below, roots = self._below(np.array([f]), a, b)
-        if below[0] == np.inf:
-            return None
-        return self._t_star_on(f, a[0][0], a[1][0], below[0], roots.get(0))
+        below = self._below(np.array([f]), a, b)[0]
+        return None if below == np.inf else self._t_star_on(f, a[0][0], a[1][0], below)
 
-    def _t_star_on(self, f, ta, wa, below, w=None):
-        """The zero of w on the bracket of node ``f`` from ``ta`` to
-        ``below``, with ``w`` its :func:`_bracket` if already built."""
+    def _t_star_on(self, f, ta, wa, below):
+        """The zero of w on the bracket of node ``f`` from ``ta`` to ``below``."""
         if wa <= 0.0:
             return float(ta)
-        if w is None:
-            w = self.brackets(np.array([f]), _W)[0]
-        # w <= 0 at ``below``: rounding must not flip it
+        w = self.brackets(np.array([f]), _W)[0]    # w <= 0 at ``below``: rounding must not flip it
         return newton_root(w, float(ta), float(below), float(wa), min(w(float(below))[0], 0.0))
 
 

@@ -4,9 +4,9 @@ The comparison ODEs whose solutions the closed-form curves of
 ``coldplasma.chaplygin_bounds`` are, with a curve's derivative and
 increment; the critical anchors S1 and S2 that the threshold maps equal;
 the divergence system with the exact radial J; the Lambert W fixed
-points of the threshold maps; and the loop of the exp defect's Horner rule
-and the oracle's positivity bound in its numpy form, the forms the package
-wrote out.  Only s < 0 is meaningful for the ODEs.
+points of the threshold maps; and the oracle's positivity bound in its
+numpy form, which the package now sums in floats.  Only s < 0 is
+meaningful for the ODEs.
 """
 
 import math
@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from coldplasma.chaplygin_bounds import Side, _upper_j_bound
-from coldplasma.core_dynamics import _DEFECT_COEF
 from coldplasma.numerics import expm1_inf, lambert_w, power_inf
 from coldplasma.oracle import _BASIS_MAX
 
@@ -112,12 +111,3 @@ def positive_bound(flow, f):
     u_max = 1.0 - d * base[:, 1] + np.maximum(-d * coef[:, :, 1], 0.0) @ basis_max
     h_min = base[:, 2] + np.minimum(coef[:, :, 2], 0.0) @ basis_max
     return (u_min > 0.0) & (m_min + np.where(m_min >= 0.0, u_max, u_min) * h_min > 0.0)
-
-
-def exp_defect(L):
-    """L e**L - expm1(L) for |L| < 1/2 by Horner's rule as a loop over the
-    coefficients of ``core_dynamics._exp_defect``."""
-    total = 0.0
-    for c in _DEFECT_COEF:
-        total = total * L + c
-    return total * L * L

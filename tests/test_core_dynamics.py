@@ -25,7 +25,7 @@ from coldplasma.core_dynamics import (
 )
 from coldplasma.numerics import QuadratureError, integrate
 from coldplasma.oracle import run_characteristic
-from references import exp_defect, j_exact_radial, rhs_divergence
+from references import j_exact_radial, rhs_divergence
 
 
 class TestRhs:
@@ -112,11 +112,6 @@ class TestFirstIntegral:
             for h in (1e-9, -1e-9):
                 lin = first_integral_derivative(G, const) * h
                 assert abs(first_integral_increment(F, G, h, d) - lin) <= 1e-7 * abs(lin)
-
-    def test_exp_defect_is_its_loop(self, rng):
-        # the written-out Horner rule, bit for bit, on |L| < 1/2
-        for L in [*rng.uniform(-0.5, 0.5, 2000).tolist(), 0.0, -0.0, 1e-300, -5e-324, 0.4999999]:
-            assert core_dynamics._exp_defect(L).hex() == exp_defect(L).hex(), L
 
     def test_degenerate_orbit_rejected(self):
         with pytest.raises(ValueError):

@@ -88,15 +88,35 @@ def test_ode_runs_load_numpy_but_not_scipy(tmp_path):
         assert (tmp_path / str(i) / "0" / "report.json").exists()
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count threads")
-def test_oracle_cli_runs_on_one_thread(tmp_path):
+def _numpy_uses_openblas() -> bool:
+    """Whether numpy's build reports OpenBLAS, the BLAS that reads
+    ``OPENBLAS_NUM_THREADS``."""
+    import numpy as np
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):      # numpy < 1.25 only prints its config
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+_ORACLE_RUN = [["oracle-run", "--k", "0.1", "--t-max", "5"]]
+
+
+def test_oracle_cli_sets_one_blas_thread_unless_set(tmp_path):
     # the oracle's BLAS calls work on 4 to 16 floats, which OpenBLAS never
-    # splits across threads: cli.main keeps its idle pool from starting,
-    # unless the caller set a count of their own
-    code = _cli_runs([["oracle-run", "--k", "0.1", "--t-max", "5"]], tmp_path) + (
-        "import os\nprint(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
-    assert _last_line(code, OPENBLAS_NUM_THREADS=None) == "1 1"
-    assert _last_line(code, OPENBLAS_NUM_THREADS="2").split()[1] == "2"
+    # splits across threads: cli.main asks for one thread before numpy
+    # loads, unless the caller set a count of their own
+    code = _cli_runs(_ORACLE_RUN, tmp_path) + "import os\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _last_line(code, OPENBLAS_NUM_THREADS=None) == "1"
+    assert _last_line(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count threads")
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="only OpenBLAS reads OPENBLAS_NUM_THREADS")
+def test_oracle_cli_runs_on_one_thread(tmp_path):
+    # so OpenBLAS starts no idle thread pool
+    code = _cli_runs(_ORACLE_RUN, tmp_path) + "import os\nprint(len(os.listdir('/proc/self/task')))"
+    assert _last_line(code, OPENBLAS_NUM_THREADS=None) == "1"
 
 
 def test_blowup_sweep_leaves_numpy_ma_unloaded():

@@ -870,11 +870,10 @@ def float_bound(flow, f):
 def scanned_t_star(flow):
     """t* from a scan of every bracket of a ``_Floquet`` flow's nodes up to
     t_max: the first bracket where ``_below`` finds that w reaches 0,
-    rooted by ``_t_star_on`` on a bracket it gathers again (None where
-    there is none)."""
+    rooted by ``_t_star_on`` (None where there is none)."""
     t, _, _, w, p = flow.nodes(flow.t_max)
     f = np.arange(t.size - 1) + flow.offset
-    below, _ = flow._below(f, (t[:-1], w[:-1], p[:-1]), (t[1:], w[1:], p[1:]))
+    below = flow._below(f, (t[:-1], w[:-1], p[:-1]), (t[1:], w[1:], p[1:]))
     hit = np.flatnonzero(below < np.inf)
     if not hit.size:
         return None
