@@ -276,14 +276,14 @@ class _DenseOutput:
     """Interpolant over the stored steps: step ``i`` starts at ``t[i]``, ``ys[i]``.
 
     ``stages[i]`` holds step ``i``'s stages :data:`_KEPT_STAGES`.  The
-    coefficients of every step live in one ``(steps, 7, n)`` array, filled
-    lazily: the first read that needs a step builds its ``F`` by
-    :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.
-    A call takes a scalar ``t`` (giving shape ``(n,)``) or an array of
-    any shape (``(n,) + t.shape``).  A time on a breakpoint takes the
-    earlier step; times outside ``[t[0], t[-1]]`` extrapolate the first or
-    last step.  A run that stored no step gives its initial state at every
-    time.
+    coefficients of every step live in one ``(steps, 7, n)`` array: the first
+    read of a step, one (:meth:`build`; the oracle's brackets) or an index
+    array of them (:meth:`coefficients`; a call), builds its ``F`` by
+    :func:`_dense_coefficients` (three ``rhs`` calls) and keeps it.  A call
+    takes a scalar ``t`` (giving shape ``(n,)``) or an array of any shape
+    (``(n,) + t.shape``).  A time on a breakpoint takes the earlier step;
+    times outside ``[t[0], t[-1]]`` extrapolate the first or last step.  A
+    run that stored no step gives its initial state at every time.
     """
 
     def __init__(self, rhs, ts: np.ndarray, ys: np.ndarray, hs: list, stages: list):
@@ -292,18 +292,21 @@ class _DenseOutput:
         self.coef = np.empty((len(hs), INTERPOLATOR_POWER, ys.shape[1]))
         self.built = np.zeros(len(hs), dtype=bool)
 
+    def build(self, i: int) -> np.ndarray:
+        """The coefficients of step ``i`` (an int), shape ``(7, n)``."""
+        if not self.built[i]:
+            K = np.zeros((N_STAGES_EXTENDED, self.ys.shape[1]))
+            K[_KEPT_STAGES] = self.stages[i]
+            self.coef[i] = _dense_coefficients(self.rhs, float(self.t[i]), float(self.h[i]),
+                                               self.ys[i], self.ys[i + 1], K)
+            self.built[i] = True
+        return self.coef[i]
+
     def coefficients(self, steps) -> np.ndarray:
         """The coefficients of the given steps (an index array): shape ``steps.shape + (7, n)``."""
         steps = np.asarray(steps)
-        if not self.built[steps].all():
-            need = np.zeros_like(self.built)
-            need[steps] = True
-            for i in np.flatnonzero(need & ~self.built).tolist():
-                K = np.zeros((N_STAGES_EXTENDED, self.ys.shape[1]))
-                K[_KEPT_STAGES] = self.stages[i]
-                self.coef[i] = _dense_coefficients(self.rhs, float(self.t[i]), float(self.h[i]),
-                                                   self.ys[i], self.ys[i + 1], K)
-                self.built[i] = True
+        for i in set(steps[~self.built[steps]].tolist()):
+            self.build(i)
         return self.coef[steps]
 
     def __call__(self, t):

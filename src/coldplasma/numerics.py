@@ -84,11 +84,11 @@ class OdeTrajectory:
     blow-up ends where lambda reaches ``-d_cap``, as ``"terminal-event"``.
     ``interpolant`` is the dense output valid on ``[t[0], t[-1]]``, at a
     scalar or an array of times; it keeps ``rhs`` and calls it, three times
-    per step, the first time it reads a step.  Its
-    ``coefficients(steps)`` gives the polynomials of chosen steps, each
-    component's 7 coefficients in one ``(len(steps), 7, n)`` array, and its
-    ``t`` and ``h`` the steps' starts and sizes, so a caller can work on
-    one step's polynomial without searching the steps.
+    per step, the first time it reads a step.  Its ``build(i)`` gives
+    step ``i``'s polynomial, each component's 7 coefficients in one
+    ``(7, n)`` array (``coefficients(steps)`` those of an index array), and
+    its ``t`` and ``h`` the steps' starts and sizes, so a caller can work
+    on one step's polynomial without searching the steps.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray,

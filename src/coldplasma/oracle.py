@@ -174,7 +174,7 @@ class _Floquet:
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
         self.d, self.t_max, self.tol, self._orbit = d, t_max, tol, (F0, G0)
-        T, G_e, tau = orbit_phase(F0, G0, d)
+        T, G_e, tau = map(float, orbit_phase(F0, G0, d))   # exact: numpy scalars on numpy radii
         self.T, self.half = T, 0.5 * T    # the half period is integrated whatever t_max
         self._turn = (G_e, 1.0 - d * G_e)        # G_e and 1/q_e
         self.one = one = integrate(_half_rhs(d), [0.0, G_e, 1.0, 0.0], (0.0, self.half), tol=tol)
@@ -190,12 +190,12 @@ class _Floquet:
             if speed:
                 tau = (tau + ((F0 - F) * dF + (G0 - G) * dG) / speed) % T
             tau = tau if tau < T else 0.0       # a phase that rounds to T is phase 0
-        self.tau, self._step = tau, step
+        self.tau, self._step, self._rows = float(tau), step, [None] * step.size   # rows: :meth:`_position`
         mirror = np.arange(step.size) >= S
-        self._sign = sign = np.where(mirror, -1.0, 1.0)
+        sign = np.where(mirror, -1.0, 1.0)
 
         q0 = 1.0 / (1.0 - d * G0)
-        u0, u1 = w0 - q0, p0 - (d * F0) * q0
+        u0, u1 = float(w0 - q0), float(p0 - (d * F0) * q0)
         if (u0 or u1) and one.status != "completed":    # its mirror is not the period's
             raise ValueError(f"half period of the orbit through F0={F0}, G0={G0}, d={d}: "
                              f"the integration stops at t = {float(one.t[-1])!r} ({one.status}), "
@@ -311,36 +311,32 @@ class _Floquet:
         q, w2, p2 = self._odd(F, G)
         return F, G, q + Y[2] * c0 + w2 * c1, self.d * F * q + sign * Y[3] * c0 + p2 * c1
 
-    def _polynomials(self, f):
-        """F, G, c0 w1 and c0 p1 (F and p1 turned on a mirrored step) on the
-        brackets that start at nodes ``f``: their coefficients
-        ``(len(f), 7, 4)`` and values at x = 0 ``(len(f), 4)``, with the
-        brackets' weight c1 of w2, period k, step s and sign (-1: mirrored)."""
-        k, pos = np.divmod(f, self._step.size)
-        s, sign = self._step[pos], self._sign[pos]
-        c0, dense = self.v[0], self.one.interpolant
-        scale = np.stack([sign, np.ones_like(sign), np.full_like(sign, c0), c0 * sign], axis=1)
-        c1 = self._c1(k, sign < 0.0)
-        return dense.coefficients(s) * scale[:, None], dense.ys[s] * scale, c1, k, s, sign
+    def _position(self, j):
+        """Node position ``j``'s rows in floats, kept for the run: the coefficients
+        and base of F, G, c0 w1 and c0 p1 on its step times (sign, 1, c0, c0 sign),
+        sign -1 where mirrored, dx/dt, x at its period's phase 0 and the mirror flag."""
+        dense, s, mirror = self.one.interpolant, int(self._step[j]), j >= self._step.size // 2
+        sign, c0 = -1.0 if mirror else 1.0, self.v[0]
+        weights, h = np.array([sign, 1.0, c0, c0 * sign]), float(dense.h[s])
+        self._rows[j] = rows = ((dense.build(s) * weights).tolist(), (dense.ys[s] * weights).tolist(),
+                                sign / h, ((self.T if mirror else 0.0) - float(dense.t[s])) / h, mirror)
+        return rows
 
     def _pieces(self, f):
-        """The brackets that start at nodes ``f``, from one gather of their
-        polynomials: per bracket, in floats, the coefficients (7 rows of 4)
-        and base of F, G, c0 w1 and c0 p1 (see :meth:`_polynomials`), the
-        time of its period's phase 0, dx/dt, x at that time, and c1; the
-        arguments of :func:`_bracket` and, with ``c1``, of :meth:`positive`.
-
-        Each bracket lies in one half step, so F, G and the even solution
-        are its polynomials: read at x, or at 1 - x (as T - tau) on a
-        mirrored step, with the position's weights and, there, F and p1
-        turned.
+        """The brackets that start at nodes ``f`` (an index array), each in
+        floats from its node position's rows (:meth:`_position`): the
+        coefficients (7 rows of 4) and base of F, G, c0 w1 and c0 p1, the
+        time t0 of its period k's phase 0, dx/dt, x at t0, and c1
+        (:meth:`_c1`); the arguments of :func:`_bracket` and, with ``c1``,
+        of :meth:`positive`.  Each bracket lies in one
+        half step, so F, G and the even solution are its step's
+        polynomials, read at x, or at 1 - x (as T - tau) where mirrored.
         """
-        coef, base, c1, k, s, sign = self._polynomials(f)
-        dense = self.one.interpolant
-        h = dense.h[s]
-        off, dxdt = (np.where(sign < 0.0, self.T, 0.0) - dense.t[s]) / h, sign / h
-        return list(zip(coef.tolist(), base.tolist(), self._t0(k).tolist(), dxdt.tolist(),
-                        off.tolist(), c1.tolist()))
+        P, rows, pieces = self._step.size, self._rows, []
+        for k, j in (divmod(i, P) for i in f.tolist()):
+            coef, base, dxdt, off, mirror = rows[j] or self._position(j)
+            pieces.append((coef, base, self._t0(k), dxdt, off, self._c1(k, mirror)))
+        return pieces
 
     def positive(self, coef, base, c1) -> bool:
         """Whether w is certainly positive on one bracket, from its piece
@@ -369,7 +365,7 @@ class _Floquet:
 
     def brackets(self, f, j):
         """w (j = 2) or p (j = 3) on the brackets that start at nodes ``f``,
-        from one gather of their polynomials: one :func:`_bracket` each."""
+        from their pieces (:meth:`_pieces`): one :func:`_bracket` each."""
         return [_bracket(*piece, self._odd, self.d, j) for piece in self._pieces(f)]
 
     def first_zero(self) -> Optional[float]:
@@ -485,8 +481,8 @@ class _Floquet:
         else at the minimum (where p turns from negative to nonnegative and
         :meth:`positive` does not rule it out) where w <= 0 there, else at
         the end where w <= 0 there; inf where w stays positive.  That is
-        where the bracket of t*'s root ends.  The brackets with a minimum
-        are gathered once (:meth:`_pieces`), for their bounds and the
+        where the bracket of t*'s root ends.  The pieces of the brackets
+        with a minimum (:meth:`_pieces`) serve their bounds and the
         :func:`_bracket` closures of p and w."""
         (ta, wa, pa), (tb, wb, pb) = a, b
         below = np.where(wb <= 0.0, tb, np.inf)
@@ -641,9 +637,10 @@ class CharacteristicRun:
     them is built (the flow's ``size`` counts them in O(1)).
     ``crossing_times`` and ``crossing_lambdas`` are the axis crossings
     D = 0 before that end: every sign change of p between nodes, located by
-    :func:`newton_root` on each bracket from one gather of all their step
-    polynomials, with lambda there from the trajectory.  The nodes, the
-    trajectory and the crossings are built on first read and cached.
+    :func:`newton_root` on each bracket from its node position's rows of
+    the step polynomial, with lambda there from the trajectory.  The
+    nodes, the trajectory and the crossings are built on first read and
+    cached.
     """
 
     def __init__(self, profile: RadialProfile, r0: float, flow, d_cap: float):

@@ -102,13 +102,31 @@ def ode_steps(monkeypatch):
 
 
 @pytest.fixture()
+def dense_builds(monkeypatch):
+    """The DOP853 steps whose dense polynomial is built, one ``(rhs, t)``
+    entry per build: the run's rhs and the step's start."""
+    from coldplasma import _dop853
+
+    built = []
+    orig = _dop853._dense_coefficients
+
+    def counted(rhs, t, *args):
+        built.append((rhs, t))
+        return orig(rhs, t, *args)
+
+    monkeypatch.setattr(_dop853, "_dense_coefficients", counted)
+    return built
+
+
+@pytest.fixture()
 def floquet_reads(monkeypatch):
     """``install(*names)``: record, for each call of the named ``_Floquet``
     methods, the number of nodes it is given, one list entry per call.
     Every node value, bound, bracket polynomial and bracket root that the
     search for t* reads goes through ``_node``, ``_below`` and
-    ``_polynomials``: ``_below`` bounds and roots its brackets on one
-    gather of ``_polynomials``."""
+    ``_pieces``: ``_below`` bounds and roots its brackets on their pieces,
+    read from the float rows of their node positions, which ``_position``
+    builds (given one position, an int) once a run."""
     from coldplasma.oracle import _Floquet
 
     def install(*names):

@@ -4,9 +4,10 @@ The comparison ODEs whose solutions the closed-form curves of
 ``coldplasma.chaplygin_bounds`` are, with a curve's derivative and
 increment; the critical anchors S1 and S2 that the threshold maps equal;
 the divergence system with the exact radial J; the Lambert W fixed
-points of the threshold maps; and the oracle's positivity bound in its
-numpy form, which the package now sums in floats.  Only s < 0 is
-meaningful for the ODEs.
+points of the threshold maps; and the oracle's bracket polynomials and
+positivity bound in their numpy form, a gather of many brackets at once,
+where the package reads per-position float rows and sums in floats.
+Only s < 0 is meaningful for the ODEs.
 """
 
 import math
@@ -98,11 +99,37 @@ def lambert_fixed_point(which, sigma):
     return 1.0 - 1.0 / (-q / p - lambert_w(branch, -math.exp(-q / p) / p))
 
 
+def gather_polynomials(flow, f):
+    """F, G, c0 w1 and c0 p1 (F and p1 turned on a mirrored step) on the
+    brackets that start at nodes ``f`` (an index array) of a ``_Floquet``
+    flow, by one numpy gather: their coefficients ``(len(f), 7, 4)`` and
+    values at x = 0 ``(len(f), 4)``, with the brackets' weight c1 of w2,
+    period k, step s and sign (-1: mirrored)."""
+    P = flow._step.size
+    k, pos = np.divmod(f, P)
+    s, sign = flow._step[pos], np.where(pos >= P // 2, -1.0, 1.0)
+    c0, dense = flow.v[0], flow.one.interpolant
+    scale = np.stack([sign, np.ones_like(sign), np.full_like(sign, c0), c0 * sign], axis=1)
+    c1 = flow.v[1] + (k + (sign < 0.0)) * flow.shear * c0
+    return dense.coefficients(s) * scale[:, None], dense.ys[s] * scale, c1, k, s, sign
+
+
+def gather_pieces(flow, f):
+    """``_Floquet._pieces`` from that gather: per bracket the coefficients,
+    base, t0, dx/dt, x at t0 and c1, as lists of floats."""
+    coef, base, c1, k, s, sign = gather_polynomials(flow, f)
+    dense = flow.one.interpolant
+    h = dense.h[s]
+    off, dxdt = (np.where(sign < 0.0, flow.T, 0.0) - dense.t[s]) / h, sign / h
+    return list(zip(coef.tolist(), base.tolist(), flow._t0(k).tolist(), dxdt.tolist(),
+                    off.tolist(), c1.tolist()))
+
+
 def positive_bound(flow, f):
     """``_Floquet.positive`` in its numpy form, on the brackets that start at
     nodes ``f`` of a flow at once, from one gather of their polynomials: the
     bounds summed over the basis by matrix products."""
-    coef, base, c1, *_ = flow._polynomials(f)
+    coef, base, c1, *_ = gather_polynomials(flow, f)
     basis_max = np.array(_BASIS_MAX)
     (G_e, u_e), d = flow._turn, flow.d
     c, x, x0 = -c1 * u_e, coef[:, :, 0] / G_e, base[:, 0] / G_e    # F/G_e: m = 1 + c x

@@ -26,7 +26,7 @@ from coldplasma.oracle import (
     run_characteristic,
     sandwich_check,
 )
-from references import j_exact_radial, positive_bound, rhs_divergence
+from references import gather_pieces, j_exact_radial, positive_bound, rhs_divergence
 from shells import shell_t_star
 
 
@@ -534,33 +534,58 @@ class TestHalfPeriod:
             certain += got.sum()
         assert certain > 0
 
-    def test_a_round_gathers_its_polynomials_once(self, monkeypatch):
+    def test_a_run_builds_each_position_once(self, monkeypatch, dense_builds):
         # the bounds, and the p and w brackets of each minimum not ruled out,
-        # read one gather of the round's brackets with a minimum
-        gathered, roots, rounds = [], [], []
-        gather, below, root = _Floquet._polynomials, _Floquet._below, oracle.newton_root
+        # read the rows of their node positions: each built once a run, from
+        # its step's polynomial, itself built once
+        built, roots, rounds = [], [], []
+        position, below, root = _Floquet._position, _Floquet._below, oracle.newton_root
 
-        def counted_gather(flow, f):
-            gathered.append(np.size(f))
-            return gather(flow, f)
+        def counted_position(flow, j):
+            built.append(j)
+            return position(flow, j)
 
         def counted_root(*args):
             roots.append(args)
             return root(*args)
 
         def counted_below(flow, f, a, b):
-            start = len(gathered), len(roots)
+            start = len(roots)
             out = below(flow, f, a, b)
-            rounds.append((gathered[start[0]:], len(roots) - start[1]))
+            rounds.append(len(roots) - start)
             return out
 
-        monkeypatch.setattr(_Floquet, "_polynomials", counted_gather)
+        monkeypatch.setattr(_Floquet, "_position", counted_position)
         monkeypatch.setattr(_Floquet, "_below", counted_below)
         monkeypatch.setattr(oracle, "newton_root", counted_root)
         run = run_characteristic(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)[14], 400.0, tol=1e-8)
         assert run.t_star is not None
-        assert any(rooted for _, rooted in rounds), rounds      # some minima were rooted
-        assert all(len(g) <= 1 for g, _ in rounds), rounds
+        assert any(rounds), rounds      # some minima were rooted
+        assert built and len(set(built)) == len(built), built
+        # then every position of two periods, and every step through the
+        # interpolant: a mirrored position shares its step with a plain one
+        flow = run._flow
+        flow._pieces(np.arange(2 * flow._step.size))
+        flow(np.linspace(0.0, flow.T, 50))
+        assert sorted(built) == list(range(flow._step.size)), built
+        assert len(set(dense_builds)) == len(dense_builds) == flow._step.size // 2, dense_builds
+
+    def test_pieces_are_the_numpy_gather(self):
+        # every bracket's piece from the per-position float rows, bit for bit
+        # against one numpy gather of all of them: on breaking-sweep's 48
+        # radii up to t = 400 and on the run of 1605 crossings
+        runs = [(0.45, r0, 400.0) for r0 in np.linspace(0.0, 3.0, 48)] + [(0.222, 0.05, 5000.0)]
+        compared = 0
+        for K, r0, t_max in runs:
+            flow = run_characteristic(gaussian_profile(K), r0, t_max, tol=1e-8)._flow
+            i = np.arange(flow.size(t_max) - 1) + flow.offset
+            got, want = (np.array([[x for row in coef for x in row] + [*base, *rest]
+                                   for coef, base, *rest in pieces])
+                         for pieces in (flow._pieces(i), gather_pieces(flow, i)))
+            assert got.shape == (i.size, 7 * 4 + 4 + 4)
+            assert got.tobytes() == want.tobytes(), (K, r0)
+            compared += i.size
+        assert compared > 70000
 
     @pytest.mark.parametrize("case", ["oracle-run", "crossings-84", "breaking-sweep"])
     def test_roots_agree_with_brent(self, case, monkeypatch):
@@ -600,19 +625,22 @@ class TestHalfPeriod:
         assert len(ode_steps) == 48
         assert sum(ode_steps) <= 480
 
-    def test_crossings_share_one_gather(self, monkeypatch):
+    def test_crossings_build_each_position_once(self, monkeypatch, dense_builds):
         # 1605 crossings, each rooted on its own bracket: their polynomials
-        # are gathered at once, not once per crossing
+        # come from the rows of at most one period's P node positions, each
+        # built once, not once per crossing
         run = run_characteristic(gaussian_profile(0.222), 0.05, 5000.0, tol=1e-8)
-        gathered, gather = [], _Floquet._polynomials
+        built, position = [], _Floquet._position
 
-        def counted(flow, f):
-            gathered.append(np.size(f))
-            return gather(flow, f)
+        def counted(flow, j):
+            built.append(j)
+            return position(flow, j)
 
-        monkeypatch.setattr(_Floquet, "_polynomials", counted)
+        monkeypatch.setattr(_Floquet, "_position", counted)
+        dense_builds.clear()
         assert run.crossing_times.size == 1605
-        assert len(gathered) == 1 and gathered[0] >= 1605, gathered
+        assert built and len(set(built)) == len(built) <= run._flow._step.size, built
+        assert len(set(dense_builds)) == len(dense_builds) <= run._flow._step.size // 2, dense_builds
 
 
 class TestShearIdentity:
@@ -705,12 +733,14 @@ class TestHorizon:
     @pytest.mark.parametrize("r0", [1.6, 1.8, 2.0, 2.2, 2.5])
     def test_search_cost_does_not_grow_with_the_horizon(self, r0, floquet_reads):
         # every node value, bound and bracket root the search reads goes
-        # through _node, _below and the gather of _polynomials that the
-        # bounds read: count what they are given (every radius has v != 0
-        # and no t* at either horizon; on r0 = 1.6 to 2.0 a search per node
-        # position gave the bound more brackets at 20000, as more of them
-        # held a minimum of w in a longer range)
-        read = floquet_reads("_node", "_below", "_polynomials")
+        # through _node, _below and the pieces the bounds read: count what
+        # they are given (every radius has v != 0 and no t* at either
+        # horizon; on r0 = 1.6 to 2.0 a search per node position gave the
+        # bound more brackets at 20000, as more of them held a minimum of w
+        # in a longer range).  The rows under the pieces are built once per
+        # node position, not always the same ones: at r0 = 1.8 and 2.0 the
+        # last window's minima lie on a second position at 20000.
+        read = floquet_reads("_node", "_below", "_pieces")
         profile, cost = gaussian_profile(0.45), []
         for t_max in (400.0, 20000.0):
             read.clear()
@@ -956,7 +986,7 @@ class TestNoHomogeneousPart:
         assert t.size > 100 and w.tobytes() == (1.0 / (1.0 - profile.d * G)).tobytes()
 
     def test_no_search_is_made(self, floquet_reads):
-        read = floquet_reads("_node", "_below", "_polynomials")
+        read = floquet_reads("_node", "_below", "_pieces", "_position")
         for profile, r0 in ((gaussian_profile(0.45), 0.0), (constant_profile(0.3, 0.2, 3), 1.0)):
             for t_max in (400.0, math.inf):
                 assert run_characteristic(profile, r0, t_max, tol=1e-8).t_star is None
