@@ -70,7 +70,6 @@ __all__ = [
 
 _SAMPLES_PER_ARC = 400   # oracle times compared against the envelope per arc
 _ONE_D_NODES = 64        # trajectory nodes per 2 pi of the closed-form d = 1 runs
-_SECTIONS = 64           # windows tested per round of the bisection after its first two
 _MAX_PERIODS = 2 ** 52   # periods searched at most (k + 1 stays exact)
 _MAX_NODES = 2 ** 22     # nodes a trajectory is built on at most (5 arrays of 32 MiB)
 _W, _P = 2, 3       # indices of w and p in a flow's (F, G, w, p)
@@ -404,7 +403,8 @@ class _Floquet:
         and "w reaches 0 in window m" (:meth:`_below`) is monotone in m.
         The first round tests window 0 and the last; the second the window
         where a node value A + m B first falls to 0, ceil(-A/B), and the
-        two before it; the next ones ``_SECTIONS`` windows each.  t* lies
+        two before it; each later one the window halfway between the last
+        known to stay positive and the first known to reach 0.  t* lies
         on the first bracket that reaches 0 in the first window that does;
         the partial brackets from t = 0 and to t_max are tested as they
         are, by :meth:`_edge`, where their whole brackets reach 0.  Past
@@ -427,7 +427,8 @@ class _Floquet:
         # the whole brackets of the partial ones, from t = 0 and to t_max
         edges = (([first - 1] if self.inside else []) +
                  ([last - 1] if last is not None and last > first else []))
-        f, ta, wa, below = self._test(np.concatenate([*windows(sorted({0, top})), np.array(edges, dtype=int)]))
+        f = np.concatenate([*windows(sorted({0, top})), np.array(edges, dtype=int)])
+        ta, wa, below = self._test(f)
         reach = set(f[below < np.inf].tolist())
         ms, lo, hi, best = [0, top], -1, top + 1, None   # windows up to lo stay positive; hi reaches 0
         while True:
@@ -449,8 +450,9 @@ class _Floquet:
                 h = max(int(min(k.min(), hi)) if k.size else hi, lo + 1)
                 ms = [m for m in (h - 2, h - 1, h) if lo < m < hi]
             else:
-                ms = sorted({lo + 1 + i * (hi - lo - 1) // _SECTIONS for i in range(_SECTIONS)})
-            f, ta, wa, below = self._test(np.concatenate(windows(ms)))
+                ms = [(lo + hi) // 2]
+            f = np.concatenate(windows(ms))
+            ta, wa, below = self._test(f)
 
         found = None
         if first - 1 in reach:                 # from t = 0 to the first node
@@ -463,17 +465,11 @@ class _Floquet:
         return found
 
     def _test(self, f):
-        """The brackets of nodes ``f`` up to the first node from ``first``
-        on with w <= 0 (no later one can hold t*), with t and w at their
-        start and where w first reaches 0 on them (:meth:`_below`):
-        (f, t, w, below)."""
+        """t and w at the start of the brackets of nodes ``f``, and where w
+        first reaches 0 on them (:meth:`_below`): (t, w, below)."""
         t, w, p = self._node(np.concatenate([f, f + 1]))    # both ends at once
-        ta, wa, pa, b = t[:f.size], w[:f.size], p[:f.size], (t[f.size:], w[f.size:], p[f.size:])
-        n = np.concatenate([f[(wa <= 0.0) & (f >= self.first)], f[b[1] <= 0.0] + 1])
-        if n.size:
-            keep = f <= n.min()
-            f, ta, wa, pa, b = f[keep], ta[keep], wa[keep], pa[keep], [x[keep] for x in b]
-        return f, ta, wa, self._below(f, (ta, wa, pa), b)
+        n = f.size
+        return t[:n], w[:n], self._below(f, (t[:n], w[:n], p[:n]), (t[n:], w[n:], p[n:]))
 
     def _below(self, f, a, b):
         """Where w first reaches 0 on the brackets of nodes ``f`` with ends
@@ -511,10 +507,7 @@ class _Floquet:
 
     def _t_star_on(self, f, ta, wa, below):
         """The zero of w on the bracket of node ``f`` from ``ta`` to ``below``."""
-        if wa <= 0.0:
-            return float(ta)
-        w = self.brackets(np.array([f]), _W)[0]    # w <= 0 at ``below``: rounding must not flip it
-        return newton_root(w, float(ta), float(below), float(wa), min(w(float(below))[0], 0.0))
+        return float(ta) if wa <= 0.0 else _falls_to(self, f, ta, below, wa, 0.0)
 
 
 class _Lagrangian:
@@ -588,28 +581,19 @@ class _Lagrangian:
         return [g] * len(f)
 
 
-def _falls_to(flow, nodes, level: float, t_below: float) -> float:
-    """The time before ``t_below``, where w <= level, at which w falls to
-    ``level``, from the flow's ``nodes`` (t, F, G, w, p) up to ``t_below``.
-
-    The bracket starts at the last node before ``t_below`` with w above
-    ``level`` and ends at the next node or at ``t_below``, whichever comes
-    first, so it lies in one step; with no such node, w starts at or below
-    ``level`` and the time is 0.
-    """
-    t, w = nodes[0], nodes[3]
-    above = np.flatnonzero((t < t_below) & (w > level))
-    if not above.size:
-        return 0.0
-    k = above[-1]
-    on = flow.brackets(np.array([k + flow.offset]), _W)[0]
+def _falls_to(flow, f, ta, tb, wa: float, level: float) -> float:
+    """The time in [ta, tb] at which w falls to ``level`` on the bracket
+    of the flow's node ``f`` (a flat index), w = ``wa`` > level at ta and
+    w <= level at tb: t* at level 0, and a trajectory's end at
+    1/(1 + d_cap)."""
+    on = flow.brackets(np.array([f]), _W)[0]
 
     def g(x):
         wx, dwx = on(x)
         return wx - level, dwx
 
-    b = float(min(t[k + 1], t_below))     # w <= level at b: rounding must not flip it
-    return newton_root(g, float(t[k]), b, float(w[k]) - level, min(g(b)[0], 0.0))
+    tb = float(tb)      # w <= level at tb: rounding must not flip it
+    return newton_root(g, float(ta), tb, float(wa) - level, min(g(tb)[0], 0.0))
 
 
 class CharacteristicRun:
@@ -621,7 +605,7 @@ class CharacteristicRun:
     for d = 2, 3 by a bisection over windows of one period's brackets (see
     :meth:`_Floquet._search_zero`), which reads two windows at any horizon
     where w stays positive, and where it reaches 0 adds a round of up to
-    three windows and rounds of ``_SECTIONS``; in closed form for d = 1
+    three windows, then one window a round; in closed form for d = 1
     and the rest state.  No search runs where the homogeneous part is 0, v = (0, 0), as at
     every spatially constant start and every center: there
     w = q = 1/(1 - d G), and 1 - d G = (1 - d G0) exp(-d I) > 0 with I the
@@ -676,12 +660,20 @@ class CharacteristicRun:
                              f"{_MAX_NODES} a run builds")
         if self.t_star is None:
             return flow.nodes(t_end)
-        # the end, lambda = -d_cap, from t and w up to t*, and the nodes before
-        # it; for d = 1, G = lambda is infinite at t*, where only w is read
+        # the end, lambda = -d_cap (w = 1/(1 + d_cap)), from t and w up to t*,
+        # and the nodes before it; for d = 1, G = lambda is infinite at t*,
+        # where only w is read.  Its bracket starts at the last node before
+        # t* with w above that level and ends at the next node or at t*, so
+        # it lies in one step; with no such node, w starts at or below the
+        # level and the end is 0
         with np.errstate(divide="ignore", invalid="ignore"):
             upto = flow.nodes(t_end)
-        stop = _falls_to(flow, upto, 1.0 / (1.0 + self.d_cap), t_end)
-        keep = upto[0] < stop
+        t, w, level = upto[0], upto[3], 1.0 / (1.0 + self.d_cap)
+        above, stop = np.flatnonzero((t < t_end) & (w > level)), 0.0
+        if above.size:
+            k = above[-1]
+            stop = _falls_to(flow, k + flow.offset, t[k], min(t[k + 1], t_end), w[k], level)
+        keep = t < stop
         return [np.append(x[keep], end) for x, end in zip(upto, (stop, *flow(stop)))]
 
     @cached_property

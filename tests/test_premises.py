@@ -19,58 +19,86 @@ rhs lies above the true one lies below Z on a descent (D < 0, where s
 decreases) and above it on an ascent.
 
 The cases are the d = 2 Gaussian pulses at K = 0.05, 0.1, 0.222, 0.3 and
-0.45, each at 31 radii in [0, 3], run at tol 1e-11 over two periods of
-their orbit (to where lambda reaches -d_cap, where a run breaks first),
-with 800 samples a run.  sigma2's premise and direction hold on all 155
-runs; sigma1's premise fails off the centre, so its test is a strict
-xfail with the measured slack.  With the Young bound K of ``_upper_j_bound``
-in place of (d-1)**2 F+**2/b (ROADMAP item 16(b)), it holds.
+0.45, each at 31 radii in [0, 3], and five seeded moving pulses
+(``test_oracle.moving_pulse``: F0 = c exp(-r**2) beside G0 = K exp(-r**2))
+in each of d = 2 and 3, each at 11 radii in [0, 2.5].  Every run is at
+tol 1e-11 over two periods of its orbit (to where lambda reaches -d_cap,
+where a run breaks first), with 800 samples a run.  sigma2's premise and
+direction hold on all 265 runs; sigma1's premise fails off the centre, so
+its test is a strict xfail with the measured slack.  With the Young bound
+K of ``_upper_j_bound`` in place of (d-1)**2 F+**2/b (ROADMAP item 16(b)),
+it holds.
 """
 
 import functools
+import random
 
 import numpy as np
 import pytest
 
 from coldplasma.chaplygin_bounds import Side, _upper_j_bound, sigma_curve
-from coldplasma.core_dynamics import gaussian_profile, orbit_extremes, period, profile_divergences
+from coldplasma.core_dynamics import gaussian_profile, orbit_extremes, period
 from coldplasma.oracle import run_characteristic
 from coldplasma.pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2
 from references import j_exact_radial, q_sigma
+from test_oracle import moving_pulse
 
 KS = (0.05, 0.1, 0.222, 0.3, 0.45)
+MOVING = {"moving-2d": 2, "moving-3d": 3}   # case: dimension
+CASES = (*KS, *MOVING)
 RADII = np.linspace(0.0, 3.0, 31).tolist()
+MOVING_RADII = np.linspace(0.0, 2.5, 11).tolist()
 SAMPLES = 800        # per run, over its whole trajectory
 ARC_SAMPLES = 200    # per arc between crossings, its ends left out
 
-# sigma1's premise, measured: the radii of 31 where it fails, and its worst
-# slack with the radius
+# sigma1's premise, measured: on the Gaussian pulses the radii of 31 where
+# it fails, and its worst slack with the radius; on the moving pulses the
+# runs of 55 where it fails, and its worst slack with its pulse and radius
 SIGMA1_FAILS = {
-    0.05: ("1.3-2.0", -4.47e-5, 1.4),
-    0.1: ("1.3-2.1", -1.67e-4, 1.4),
-    0.222: ("1.4-2.1", -7.07e-4, 1.5),
-    0.3: ("1.4-2.1", -1.22e-3, 1.5),
-    0.45: ("0.2, 0.4 and 1.4-2.1", -73.9, 0.2),
+    0.05: ("r0 = 1.3-2.0 of 31 radii", -4.47e-5, "r0 = 1.4"),
+    0.1: ("r0 = 1.3-2.1 of 31 radii", -1.67e-4, "r0 = 1.4"),
+    0.222: ("r0 = 1.4-2.1 of 31 radii", -7.07e-4, "r0 = 1.5"),
+    0.3: ("r0 = 1.4-2.1 of 31 radii", -1.22e-3, "r0 = 1.5"),
+    0.45: ("r0 = 0.2, 0.4 and 1.4-2.1 of 31 radii", -73.9, "r0 = 0.2"),
+    "moving-2d": ("15 of 55 runs (r0 = 1.5-2.0)", -3.36e-3, "K = 0.385, c = 0.358, r0 = 1.5"),
+    "moving-3d": ("16 of 55 runs (r0 = 1.75-2.5)", -1.85e-4, "K = 0.175, c = -0.348, r0 = 2.0"),
 }
 
 
+def moving_draws(d, n=5):
+    """``n`` seeded (K, c) of moving pulses in dimension d: K ~ U(0.05,
+    0.9/d - 0.05), c ~ U(-0.4, 0.4)."""
+    rng = random.Random(d)
+    return [(rng.uniform(0.05, 0.9 / d - 0.05), rng.uniform(-0.4, 0.4)) for _ in range(n)]
+
+
 @functools.lru_cache(maxsize=None)
-def pulse_runs(K):
-    """The K pulse's run at each radius over two periods, with the orbit's F+."""
-    profile, runs = gaussian_profile(K), []
-    for r0 in RADII:
-        F0, G0 = profile.F0(r0), profile.G0(r0)
-        run = run_characteristic(profile, r0, 2.0 * period(F0, G0, profile.d), tol=1e-11)
-        runs.append((run, orbit_extremes(F0, G0, profile.d).F_plus))
+def case_runs(case):
+    """The runs of a case over two periods of their orbit, each as (where,
+    run, the orbit's F+): the K pulse's at each radius of
+    ``RADII``, or each moving pulse's of ``moving_draws`` at each radius of
+    ``MOVING_RADII``."""
+    if case in MOVING:
+        d = MOVING[case]
+        pulses = [((K, c), moving_pulse(K, c, d), MOVING_RADII) for K, c in moving_draws(d)]
+    else:
+        pulses = [((), gaussian_profile(case), RADII)]
+    runs = []
+    for key, profile, radii in pulses:
+        for r0 in radii:
+            F0, G0 = profile.F0(r0), profile.G0(r0)
+            run = run_characteristic(profile, r0, 2.0 * period(F0, G0, profile.d), tol=1e-11)
+            runs.append(((*key, r0), run, orbit_extremes(F0, G0, profile.d).F_plus))
     return runs
 
 
-def least_slack(K, side, sigma, j_term=None):
-    """The least premise slack of a sigma family on each run of the K pulse,
-    from ``SAMPLES`` times over its trajectory.  ``j_term(b, F+, d)``, where
-    given, replaces the lower family's (d-1)**2 F+**2/b."""
+def least_slack(case, side, sigma, j_term=None):
+    """The least premise slack of a sigma family on each run of a case, as
+    (where, slack), from ``SAMPLES`` times over its trajectory.
+    ``j_term(b, F+, d)``, where given, replaces the lower family's
+    (d-1)**2 F+**2/b."""
     least = []
-    for run, f_plus in pulse_runs(K):
+    for where, run, f_plus in case_runs(case):
         traj, d = run.trajectory, run.d
         F, _, lam, D, _ = traj(np.linspace(0.0, traj.t[-1], SAMPLES))
         s, Z, J = lam - 1.0, D * D, j_exact_radial(F, D, d)
@@ -82,55 +110,62 @@ def least_slack(K, side, sigma, j_term=None):
         else:
             b = sigma * sigma
             slack = b * Z + j_term(b, f_plus, d) + 2.0 * J
-        least.append(float(slack.min()))
+        least.append((where, float(slack.min())))
     return least
 
 
-@pytest.mark.parametrize("K", KS)
-def test_sigma2_premise_holds(K):
-    # the least slack is 1.2e-10 to 9.6e-9, at r0 = 3, where F+ and Z are
-    # of that order
-    least = least_slack(K, Side.UPPER, DEFAULT_SIGMA2)
-    assert min(least) >= 0.0, [(r0, x) for r0, x in zip(RADII, least) if x < 0.0]
+@pytest.mark.parametrize("case", CASES)
+def test_sigma2_premise_holds(case):
+    # the least slack is 1.2e-10 to 9.6e-9 on the Gaussian pulses, at
+    # r0 = 3, where F+ and Z are of that order, and 8.9e-7 (d = 2) and
+    # 4.2e-7 (d = 3) on the moving ones, at r0 = 2.5
+    least = least_slack(case, Side.UPPER, DEFAULT_SIGMA2)
+    assert min(x for _, x in least) >= 0.0, [(w, x) for w, x in least if x < 0.0]
 
 
-@pytest.mark.parametrize("K", [
-    pytest.param(K, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        f"sigma1's premise fails at r0 = {where} of 31 radii; worst slack {worst:.3g} "
-        f"at r0 = {r0}")))
-    for K, (where, worst, r0) in SIGMA1_FAILS.items()])
-def test_sigma1_premise_holds(K):
-    least = least_slack(K, Side.LOWER, DEFAULT_SIGMA1)
-    assert min(least) >= 0.0, [(r0, x) for r0, x in zip(RADII, least) if x < 0.0]
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        f"sigma1's premise fails at {where}; worst slack {worst:.3g} at {at}")))
+    for case, (where, worst, at) in SIGMA1_FAILS.items()])
+def test_sigma1_premise_holds(case):
+    least = least_slack(case, Side.LOWER, DEFAULT_SIGMA1)
+    assert min(x for _, x in least) >= 0.0, [(w, x) for w, x in least if x < 0.0]
 
 
-@pytest.mark.parametrize("K", KS)
-def test_sigma1_premise_holds_with_the_young_term(K):
+@pytest.mark.parametrize("case", CASES)
+def test_sigma1_premise_holds_with_the_young_term(case):
     # -2J <= b Z + K by Young's inequality with |F| <= F+, K the upper
-    # family's bound at sigma1's b
-    least = least_slack(K, Side.LOWER, DEFAULT_SIGMA1, j_term=_upper_j_bound)
-    assert min(least) >= 0.0, [(r0, x) for r0, x in zip(RADII, least) if x < 0.0]
+    # family's bound at sigma1's b; the least slack on the moving pulses is
+    # 3.0e-7 (d = 2) and 2.5e-8 (d = 3)
+    least = least_slack(case, Side.LOWER, DEFAULT_SIGMA1, j_term=_upper_j_bound)
+    assert min(x for _, x in least) >= 0.0, [(w, x) for w, x in least if x < 0.0]
 
 
-@pytest.mark.parametrize("K", KS)
-def test_sigma2_lies_below_z_on_descents_and_above_on_ascents(K):
-    # the sigma2 curve anchored at each arc's start with the orbit's F+,
-    # on every arc between crossings and the last one to the trajectory's
-    # end; measured: to 4.5e-15 of max(1, max Z) on the arc
-    profile, arcs = gaussian_profile(K), 0
-    for r0, (run, f_plus) in zip(RADII, pulse_runs(K)):
+@pytest.mark.parametrize("case", CASES)
+def test_sigma2_lies_below_z_on_descents_and_above_on_ascents(case):
+    # the sigma2 curve anchored at each arc's start on the trajectory with
+    # the orbit's F+, on every arc between crossings and the last one to
+    # the trajectory's end; measured: to 4.5e-15 of max(1, max Z) on the
+    # arc on the Gaussian pulses, and to 1.8e-15 on the moving ones.  The
+    # first arc is anchored at the trajectory's start, not at the exact
+    # start data: at d = 2, r0 = 1 a moving pulse starts at lambda0 =
+    # D0 = 0, where the trajectory reads lambda and D of about 1e-12 at
+    # tol 1e-11, so its first arc ends at a crossing 5e-12 to 3e-10 after
+    # t = 0, and an anchor at the exact data put Z up to 2.75e-13 on the
+    # wrong side there (on the sixth draw of d = 2, K = 0.2534,
+    # c = -0.2733)
+    arcs = 0
+    for where, run, f_plus in case_runs(case):
         traj = run.trajectory
         stops = [0.0, *run.crossing_times.tolist(), float(traj.t[-1])]
-        lam_a, D_a = profile_divergences(profile, r0)
         for k in range(len(stops) - 1):
-            if k:
-                lam_a, D_a = traj(stops[k])[2], 0.0
+            lam_a, D_a = traj(stops[k])[2:4] if k == 0 else (traj(stops[k])[2], 0.0)
             curve = sigma_curve(Side.UPPER, lam_a - 1.0, D_a * D_a, DEFAULT_SIGMA2, f_plus, run.d)
             _, _, lam, D, _ = traj(np.linspace(stops[k], stops[k + 1], ARC_SAMPLES + 2)[1:-1])
             Z, upper = D * D, curve.value(lam - 1.0)
             descent = D[0] < 0.0
-            assert np.all((D < 0.0) == descent), (r0, k)
+            assert np.all((D < 0.0) == descent), (where, k)
             escape = (upper - Z) if descent else (Z - upper)
-            assert escape.max() <= 1e-13 * max(1.0, Z.max()), (r0, k, escape.max())
+            assert escape.max() <= 1e-13 * max(1.0, Z.max()), (where, k, escape.max())
             arcs += 1
-    assert arcs >= 31 * 3
+    assert arcs >= 3 * len(case_runs(case))
