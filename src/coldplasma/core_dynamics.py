@@ -297,13 +297,16 @@ def _timing(F0: float, G0: float, d: int, phase: bool) -> tuple[float, float, fl
     try:
         ext = orbit_extremes(F0, G0, d)
         if ext.G_plus - ext.G_minus < 1e-13:
-            # a point orbit, G = G_e cos tau and F = -G_e sin tau: T - 2 pi ~ -0.525 G_e**2 is 0
-            T, tau = 2.0 * math.pi, math.atan2(-F0, G0) % (2.0 * math.pi)
-            return T, math.hypot(F0, G0), tau if tau < T else 0.0
+            # a point orbit, G = -A cos tau and F = A sin tau with A = hypot(F0, G0):
+            # T - 2 pi ~ -0.525 A**2 is 0 (0.0 - G0, not -G0, puts the rest state at phase 0)
+            T, tau = 2.0 * math.pi, math.atan2(F0, 0.0 - G0) % (2.0 * math.pi)
+            return T, -math.hypot(F0, G0), tau if tau < T else 0.0
         turning = {math.log1p(-d * G): (0.0, G) for G in (ext.G_plus, ext.G_minus)}
         T = 2.0 / d * _x_integral(d, turning)
-        if not phase or F0 == 0.0:
+        if not phase:
             return T, G0, 0.0
+        if F0 == 0.0:       # the start is a turning point: G- at phase 0, G+ at T/2
+            return T, ext.G_minus, 0.0 if G0 == ext.G_minus else 0.5 * T
         # the time to the nearer turning point, so that a start close to one
         # (F0 small) leaves no narrow peak of the integrand inside the interval
         (x_plus, _), (x_minus, _) = sorted(turning.items())
@@ -312,9 +315,9 @@ def _timing(F0: float, G0: float, d: int, phase: bool) -> tuple[float, float, fl
         Q = 0.0
         if near != x0:
             Q = _x_integral(d, {near: turning[near], x0: (F0 * F0, G0)}) / d
-        if near == x_plus:
-            return T, ext.G_plus, Q if F0 < 0.0 else (T - Q) % T
-        return T, ext.G_plus, 0.5 * T + math.copysign(Q, F0)
+        if near == x_minus:
+            return T, ext.G_minus, Q if F0 > 0.0 else (T - Q) % T
+        return T, ext.G_minus, 0.5 * T - math.copysign(Q, F0)
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         # a QuadratureError or RuntimeError keeps its type, the rest become ValueError
         kind = type(exc) if isinstance(exc, RuntimeError) else ValueError
@@ -341,18 +344,18 @@ def period(F0: float, G0: float, d: int) -> float:
 
 
 def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, float, float]:
-    """(T, G_e, tau): the period, a turning point (0, G_e) of the orbit
-    through (F0, G0), and the time tau in [0, T) the flow takes from there
-    to (F0, G0).
+    """(T, G_e, tau): the period, the lower turning point (0, G_e) = (0, G-)
+    of the orbit through (F0, G0), and the time tau in [0, T) the flow
+    takes from there to (F0, G0).
 
-    Off a point orbit, for F0 = 0 the start is the turning point: G_e = G0
-    and tau = 0.  Otherwise G_e = G+; from (0, G+) the flow runs with F < 0
-    down to G- at T/2 and back with F > 0, so tau is the time Q from G+ to
-    G0 (F0 < 0) or T - Q (F0 > 0), or from G- at T/2, T/2 -/+ Q; Q is the
-    integral of :func:`period` between x0 = log(1 - d G0) and the nearer
-    turning point, divided by d, with Y about x0 taken from Y = F0**2
-    there.  On a point orbit T = 2 pi, G_e = hypot(F0, G0) and
-    tau = atan2(-F0, G0) mod 2 pi, from the linearized orbit
+    G- is where |F'| = |G-| is largest: from (0, G-) the flow runs with
+    F > 0 up to G+ at T/2 and back with F < 0, so tau is the time Q from G-
+    to G0 (F0 > 0) or T - Q (F0 < 0), or from G+ at T/2, T/2 -/+ Q; Q is
+    the integral of :func:`period` between x0 = log(1 - d G0) and the
+    nearer turning point, divided by d, with Y about x0 taken from
+    Y = F0**2 there.  A start on a turning point (F0 = 0) has tau = 0 at
+    G- and T/2 at G+.  On a point orbit T = 2 pi, G_e = -hypot(F0, G0) and
+    tau = atan2(F0, -G0) mod 2 pi, from the linearized orbit
     G = G_e cos tau, F = -G_e sin tau.  Raises as :func:`period` does.
     """
     return _timing(F0, G0, d, True)

@@ -17,8 +17,9 @@ G' = F (1 - d G), r = r0 ((1 - d G0)/(1 - d G))**(1/d) needs no ODE.
 For d = 2 and 3, (F, G) is periodic with T = ``period(F0, G0, d)`` (2 pi,
 the plasma period, on a point orbit) and reversible under (F, G, t) ->
 (-F, G, -t) (Lamb & Roberts, Physica D 112, 1998), and q = 1/(1 - d G) is
-an exact particular solution: half a period is integrated from a turning
-point, the other half is its mirror, and the homogeneous part moves from
+an exact particular solution: half a period is integrated from the lower
+turning point G-, where |F'| is largest, so the step size grows out of
+the spike there, the other half is its mirror, and the homogeneous part moves from
 period to period by a unipotent map, a shear written in closed form
 (Floquet theory; Coddington & Levinson, *Theory of Ordinary Differential
 Equations*, 1955, ch. 3).  For d = 1 the equation has constant
@@ -29,10 +30,11 @@ rest state F0 = G0 = 0 of any d (or within rounding of it), where
 w'' = 1 - w.  A run finds
 the blow-up time at once, by a bisection over windows of one period's
 brackets up to t_max (which may be infinite), which reads two windows at
-any horizon where w stays positive, or without a search where the
-homogeneous part is 0 and w = q > 0 for all time, and builds its nodes,
-trajectory and axis crossings D = 0 only when they are first read; roots
-are found on one step's dense polynomial.
+any horizon where w stays positive, or where the homogeneous part is 0
+and w = q > 0 for all time, without a search and without any orbit work
+until the run is read; it builds its nodes, trajectory and axis crossings
+D = 0 only when they are first read, and reads its exact start data at
+t = 0; roots are found on one step's dense polynomial.
 The oracle also verifies the comparison-curve sandwich along arcs between
 crossings.
 """
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -98,6 +100,13 @@ def _half_rhs(d: int):
     return rhs
 
 
+def _homogeneous_part(F, G, w, p, d):
+    """u = (w - q, p - d F q), q = 1/(1 - d G): the part of (w, p) that the
+    particular solution q (with q' = d F q) leaves at a state (F, G)."""
+    q = 1.0 / (1.0 - d * G)
+    return float(w - q), float(p - (d * F) * q)
+
+
 def _bracket(c, base, t0, dxdt, off, c1, odd, d, j):
     """w (j = 2) or p (j = 3) and its derivative at a time, in floats, on one
     bracket: F, G, c0 w1 and c0 p1 (F and p1 turned on a mirrored step) have
@@ -130,8 +139,10 @@ class _Floquet:
     w = q + h with q = 1/(1 - d G), the exact particular solution
     (q' = d F q), and (h, h') a solution of the homogeneous system.  The
     flow is reversible, (F, G, t) -> (-F, G, -t), so one integration of
-    (F, G) and the even solution (w1, p1) = (1, 0) from a turning point
-    (0, G_e) over [0, T/2] covers the period.  The odd solution is closed
+    (F, G) and the even solution (w1, p1) = (1, 0) from the lower turning
+    point (0, G_e), G_e = G-, over [0, T/2] to G+ covers the period; from
+    G-, where |F'| = |G-| is largest, the step size grows out of the spike
+    of a wide orbit instead of running into it.  The odd solution is closed
     form: F' = -F**2 - G gives (F q)' = q ((d-1) F**2 - G), so F q is a
     periodic homogeneous solution, 0 at the turning point, and
     w2 = -F q/(G_e q_e), p2 = q (G - (d-1) F**2)/(G_e q_e) (:meth:`_odd`,
@@ -140,23 +151,28 @@ class _Floquet:
     R Phi(T - tau) R M with R = diag(1, -1), where the period map M turns
     (h, h') = Phi(tau) v into Phi(tau) M v at tau + T.
 
-    M = [[1, 0], [n, 1]]: w2 is periodic, and w2(T/2) = 0 as F(T/2) = 0.
+    M = [[1, 0], [n, 1]] (n normalised at G-): w2 is periodic, and
+    w2(T/2) = 0 as F(T/2) = 0.
     By Liouville det M = 1, since F = (log q)'/d integrates to 0 over a
     period.  At tau = -T/2, p1 odd and p2 even turn (p1, p2)(T/2) = (c, e)
     into c = -c + n e, so n = 2 c/e: the shear of the period function
     (Chicone, J. Differential Equations 69, 1987), Dawson's phase mixing.
-    The start lies at the phase tau_s of :func:`orbit_phase` (0 where
-    F0 = 0 off a point orbit), polished by one Newton step onto the
-    integrated orbit, and at tau = kT + sigma, (h, h') = Phi(sigma) M^k v
-    = Phi(sigma) (v0, v1 + k n v0) with v = Phi(tau_s)^-1 u and
-    u = (w0 - q0, p0 - d F0 q0) from the exact start data, so a spatially
-    constant start has u = 0 and w = q > 0 at every time.  Every orbit but
-    the rest state, which :func:`run_characteristic` solves in closed
-    form, has a finite T (2 pi on a point orbit); one ``period`` cannot
-    resolve raises, and so does a start with u != 0 whose half period the
-    integration does not complete (``"singular-step"`` at the spike where G
-    reaches G-): its t* would be read from values the integration never
-    reached.  With u = 0, w = q needs no half period.
+    The start lies at the phase tau_s of :func:`orbit_phase` (0 at G-,
+    T/2 at G+, polished by one Newton step onto the integrated orbit where
+    F0 != 0), and at tau = kT + sigma, (h, h') = Phi(sigma) M^k v
+    = Phi(sigma) (v0, v1 + k n v0) with v = Phi(tau_s)^-1 u (Phi(T/2) from
+    the half's last node).  Where u = (w0 - q0, p0 - d F0 q0) from the
+    exact start data is 0, as at every spatially constant start and every
+    center, v = 0 and w = q > 0 at every time; elsewhere u is taken at
+    the flow's own (F, G) at tau_s, so that w and p run on from w0 and p0.
+    At t = 0 the flow reads the start data as given (:meth:`__call__`,
+    :meth:`nodes`), and at T/2 it reads F = 0, as the junction's node does.
+    Every orbit but the rest state, which :func:`run_characteristic` solves
+    in closed form, has a finite T (2 pi on a point orbit); one ``period``
+    cannot resolve raises, and so does one whose half period the
+    integration does not complete (its mirror is not the period's), such as
+    an orbit so wide that the first step size from G- (beyond about
+    -1e154) overflows.
 
     A period has P node positions: the half's step starts, then the same
     mirrored in reverse order, each starting the step it ends (the junction
@@ -167,8 +183,8 @@ class _Floquet:
     :meth:`nodes` is flat node i + ``offset``.  No node value is built
     before it is read.  ``floquet`` holds T, the half period's steps and
     status, n with its ``shear_error`` and the turning-point miss
-    |F(T/2)|/F+ (F+ = G_e on a point orbit, where F+ rounds to 0), 0 but
-    for the integration error, as is w2(T/2) = -F(T/2) q/(G_e q_e).
+    |F(T/2)|/F+ at G+ (F+ = |G_e| on a point orbit, where F+ rounds to 0),
+    0 but for the integration error, as is w2(T/2) = -F(T/2) q/(G_e q_e).
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
@@ -176,7 +192,15 @@ class _Floquet:
         T, G_e, tau = map(float, orbit_phase(F0, G0, d))   # exact: numpy scalars on numpy radii
         self.T, self.half = T, 0.5 * T    # the half period is integrated whatever t_max
         self._turn = (G_e, 1.0 - d * G_e)        # G_e and 1/q_e
-        self.one = one = integrate(_half_rhs(d), [0.0, G_e, 1.0, 0.0], (0.0, self.half), tol=tol)
+        try:        # an orbit so wide that the step control overflows stops at once
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                self.one = one = integrate(_half_rhs(d), [0.0, G_e, 1.0, 0.0], (0.0, self.half), tol=tol)
+            stop, status = float(one.t[-1]), one.status
+        except ArithmeticError as exc:
+            stop, status = 0.0, str(exc)
+        if status != "completed":       # its mirror is not the period's
+            raise ValueError(f"half period of the orbit through F0={F0}, G0={G0}, d={d}: the integration "
+                             f"from (0, {G_e!r}) stops at t = {stop!r} ({status}), short of T/2 = {self.half!r}")
         S = one.t.size - 1
         F, G, _, c = one.y[:, -1].tolist()
         self.shear = 2.0 * c / self._odd(F, G)[2]    # n = 2 p1/p2 at T/2
@@ -193,15 +217,13 @@ class _Floquet:
         mirror = np.arange(step.size) >= S
         sign = np.where(mirror, -1.0, 1.0)
 
-        q0 = 1.0 / (1.0 - d * G0)
-        u0, u1 = float(w0 - q0), float(p0 - (d * F0) * q0)
-        if (u0 or u1) and one.status != "completed":    # its mirror is not the period's
-            raise ValueError(f"half period of the orbit through F0={F0}, G0={G0}, d={d}: "
-                             f"the integration stops at t = {float(one.t[-1])!r} ({one.status}), "
-                             f"short of T/2 = {self.half!r}")
-        self.v = (u0, u1)                         # Phi(0) is the identity
-        if tau and (u0 or u1):
-            _, _, a, b, c, e = self._at(tau)
+        self.start = tuple(map(float, (F0, G0, w0, p0)))     # the state at t = 0: see :meth:`__call__`
+        self.v = (0.0, 0.0)
+        if _homogeneous_part(F0, G0, w0, p0, d) != (0.0, 0.0):     # else w = q
+            # u from the flow's own state at the start phase, so that w and p
+            # near t = 0 continue w0 and p0; Phi(0) is the identity
+            F, G, a, b, c, e = self._at(tau) if tau else (0.0, G_e, 1.0, 0.0, 0.0, 1.0)
+            u0, u1 = _homogeneous_part(F, G, w0, p0, d)
             det = a * e - b * c
             self.v = ((e * u0 - b * u1) / det, (a * u1 - c * u0) / det)
 
@@ -221,7 +243,7 @@ class _Floquet:
 
     @cached_property
     def floquet(self) -> dict:
-        F_plus = orbit_extremes(*self._orbit, self.d).F_plus or float(self.one.y[1, 0])  # or G_e
+        F_plus = orbit_extremes(*self._orbit, self.d).F_plus or -self._turn[0]  # or |G_e|
         return {"period": self.T, "half_period_steps": self.one.t.size - 1,
                 "half_period_status": self.one.status, "shear": self.shear, "shear_error": self.shear_error,
                 "turning_point_miss": abs(float(self.one.y[0, -1])) / F_plus}
@@ -234,8 +256,8 @@ class _Floquet:
         p' = 2(d-1) F p - ((d-1) d F**2 + 1) w; the integration adds up to
         tol (1 + |c|) to c and tol (1 + |e|) to e.  On the orbits of
         Gaussian pulses (K = 0.222 to 0.49) and of moving 2D and 3D pulses
-        it exceeds the error against tol 1e-13: by 1.15 times at least at
-        tol 1e-7, 1.2 times at 1e-8, 1.7 times at 1e-9 and 2.0 at 1e-10."""
+        it exceeds the error against tol 1e-13: by 3.0 times at least at
+        tol 1e-7, 2.8 times at 1e-8, 2.5 times at 1e-9 and 2.1 at 1e-10."""
         F, G, w1, c = self.one.y[:, -1].tolist()
         _, w2, e = self._odd(F, G)
         d, n, tol = self.d, self.shear, self.tol
@@ -254,7 +276,8 @@ class _Floquet:
         """F, G and Phi = [[a, b], [c, e]] at a phase tau in [0, T), as
         (F, G, a, b, c, e)."""
         mirror = tau > self.half
-        F, G, a, c = self.one(self.T - tau if mirror else tau).tolist()
+        s = self.T - tau if mirror else tau
+        F, G, a, c = (self.one.y[:, -1] if s == self.half else self.one(s)).tolist()   # T/2: its node
         _, b, e = self._odd(F, G)
         n = self.shear                   # R Phi(T - tau) R M
         return (-F, G, a - b * n, -b, e * n - c, e) if mirror else (F, G, a, b, c, e)
@@ -287,14 +310,19 @@ class _Floquet:
         return self._count(t_end) - self.first + (self.inside and t_end > 0.0) + 1
 
     def nodes(self, t_end):
-        """t, F, G, w and p on the nodes in [0, t_end) and at ``t_end``."""
-        f = np.arange(self.first, self._count(t_end))
+        """t, F, G, w and p on the nodes in [0, t_end) and at ``t_end``: the
+        start data at t = 0, and at ``t_end`` its node where one lies there."""
+        f = np.arange(self.first, self._count(t_end) + 1)     # and the first node at or after t_end
         t, w, p = self._node(f)
-        j = f % self._step.size
-        head = [(0.0, *self(0.0))] if self.inside and t_end > 0.0 else []
-        tail = (t_end, *self(t_end))
-        return [np.concatenate([[h[i] for h in head], x, [tail[i]]])
-                for i, x in enumerate((t, *self._table[1:3, j], w, p))]
+        out = [t, *self._table[1:3, f % self._step.size], w, p]
+        if t[-1] != t_end:
+            for x, x_end in zip(out, (t_end, *self(t_end))):
+                x[-1] = x_end
+        if self.inside and t_end > 0.0:
+            out = [np.insert(x, 0, 0.0) for x in out]
+        for x, x0 in zip(out[1:], self.start):
+            x[0] = x0
+        return out
 
     def __call__(self, t):
         """(F, G, w, p) at a time or an array of times."""
@@ -308,7 +336,10 @@ class _Floquet:
         sign, c0, c1 = np.where(mirror, -1.0, 1.0), self.v[0], self._c1(k, mirror)
         F, G = sign * Y[0], Y[1]
         q, w2, p2 = self._odd(F, G)
-        return F, G, q + Y[2] * c0 + w2 * c1, self.d * F * q + sign * Y[3] * c0 + p2 * c1
+        F = np.where(tau == self.half, 0.0, F)    # the junction T/2, as on its node
+        state = F, G, q + Y[2] * c0 + w2 * c1, self.d * F * q + sign * Y[3] * c0 + p2 * c1
+        start = t == 0.0
+        return tuple(np.where(start, x0, x) for x0, x in zip(self.start, state)) if start.any() else state
 
     def _position(self, j):
         """Node position ``j``'s rows in floats, kept for the run: the coefficients
@@ -368,23 +399,6 @@ class _Floquet:
         return [_bracket(*piece, self._odd, self.d, j) for piece in self._pieces(f)]
 
     def first_zero(self) -> Optional[float]:
-        """t*, the first zero of w in [0, t_max] (None where w stays
-        positive): decided without a search where v = (0, 0), else found
-        by :meth:`_search_zero`.
-
-        With v = (0, 0) the homogeneous part is 0, so w = q = 1/(1 - d G)
-        exactly; and G' = F (1 - d G) gives 1 - d G = (1 - d G0) exp(-d I)
-        > 0 along the orbit, I the integral of F from 0 to t, so w never
-        reaches 0, and no node, bound or polynomial is read.  Every
-        spatially constant start has v = (0, 0) exactly (u = 0), and so
-        does the center r0 = 0 of every radial profile, where
-        lambda0 = d G0 and D0 = d F0.
-        """
-        if self.v == (0.0, 0.0):
-            return None
-        return self._search_zero()
-
-    def _search_zero(self) -> Optional[float]:
         """t*, the first zero of w in [0, t_max] (None where w stays
         positive), found by a bisection over windows of one period.
 
@@ -603,14 +617,18 @@ class CharacteristicRun:
     ``t_star``, the first zero of w (None when w stays positive up to
     t_max), is found when the run is made, by the flow's ``first_zero``:
     for d = 2, 3 by a bisection over windows of one period's brackets (see
-    :meth:`_Floquet._search_zero`), which reads two windows at any horizon
+    :meth:`_Floquet.first_zero`), which reads two windows at any horizon
     where w stays positive, and where it reaches 0 adds a round of up to
     three windows, then one window a round; in closed form for d = 1
-    and the rest state.  No search runs where the homogeneous part is 0, v = (0, 0), as at
-    every spatially constant start and every center: there
-    w = q = 1/(1 - d G), and 1 - d G = (1 - d G0) exp(-d I) > 0 with I the
-    integral of F, so t* is None.  So t_max may be inf, where a shear that
-    is 0 within its error (``floquet["shear_error"]``) counts as 0.
+    and the rest state.  So t_max may be inf, where a shear that is 0
+    within its error (``floquet["shear_error"]``) counts as 0.  A d = 2, 3
+    start whose homogeneous part u = (w0 - q0, p0 - d F0 q0) is 0 (``lazy``),
+    as every spatially constant start and every center, has w = q =
+    1/(1 - d G), and 1 - d G = (1 - d G0) exp(-d I) > 0 with I the integral
+    of F, so t* is None with no orbit work: its flow (the phase, the half
+    period and the node table) is built by ``build`` on the first read of
+    ``trajectory``, the crossings or ``floquet``, and an orbit that flow
+    cannot resolve raises there.
 
     ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
     evaluates it at any time; it ends at t_max (status ``"completed"``) or,
@@ -624,12 +642,17 @@ class CharacteristicRun:
     :func:`newton_root` on each bracket from its node position's rows of
     the step polynomial, with lambda there from the trajectory.  The
     nodes, the trajectory and the crossings are built on first read and
-    cached.
+    cached.  At t = 0 the trajectory reads the start data as given.
     """
 
-    def __init__(self, profile: RadialProfile, r0: float, flow, d_cap: float):
-        self.profile, self.r0, self.d_cap, self._flow = profile, r0, d_cap, flow
-        self.t_star: Optional[float] = flow.first_zero()
+    def __init__(self, profile: RadialProfile, r0: float, build, d_cap: float, lazy: bool = False):
+        self.profile, self.r0, self.d_cap, self._build = profile, r0, d_cap, build
+        self.t_star: Optional[float] = None if lazy else self._flow.first_zero()
+
+    @cached_property
+    def _flow(self):
+        """The flow, built by ``build`` on first read."""
+        return self._build()
 
     @property
     def d(self) -> int:
@@ -638,12 +661,13 @@ class CharacteristicRun:
     @property
     def floquet(self) -> Optional[dict]:
         """The period map [[1, 0], [shear, 1]] of a d = 2, 3 run with a
-        period: ``period`` T, ``half_period_steps`` and ``half_period_status``
-        (the DOP853 run over T/2: ``"singular-step"`` where a start with u = 0
-        mirrors a half that stops short), ``shear``, ``shear_error`` (see
-        :attr:`_Floquet.shear_error`) and ``turning_point_miss`` |F(T/2)|/F+,
-        where the half period ends against the turning point it should reach
-        (0 but for the integration error); None for the closed forms."""
+        period, normalised at G-: ``period`` T, ``half_period_steps`` and
+        ``half_period_status`` (the DOP853 run over T/2 from G-, always
+        ``"completed"``: a half that stops short raises), ``shear``,
+        ``shear_error`` (see :attr:`_Floquet.shear_error`) and
+        ``turning_point_miss`` |F(T/2)|/F+, where the half period ends
+        against G+ (0 but for the integration error); None for the closed
+        forms."""
         return self._flow.floquet
 
     @cached_property
@@ -696,9 +720,13 @@ class CharacteristicRun:
         t, p = self._nodes[0], self._nodes[4]
         sign = np.sign(p)
         i = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0.0))
-        ends = zip(flow.brackets(i + flow.offset, _P), t[i].tolist(), t[i + 1].tolist(),
-                   p[i].tolist(), p[i + 1].tolist())
-        times = np.fromiter((newton_root(*bracket) for bracket in ends), float, count=i.size)
+        # p = 0 on a node (a turning point where w = q) is its crossing; the
+        # other brackets are rooted
+        times, root = t[i + 1], np.flatnonzero(p[i + 1] != 0.0)
+        j = i[root]
+        ends = zip(flow.brackets(j + flow.offset, _P), t[j].tolist(), t[j + 1].tolist(),
+                   p[j].tolist(), p[j + 1].tolist())
+        times[root] = np.fromiter((newton_root(*bracket) for bracket in ends), float, count=j.size)
         times = times[times < t[-1]]
         at = traj(times)
         # rounding noise in p crosses 0 on an equilibrium: keep crossings of moving states
@@ -726,20 +754,23 @@ def run_characteristic(
     """Solve the characteristic starting at radius r0 up to t_max.
 
     For d = 2 and 3, (F, G) and the even solution, 4 variables, are
-    integrated at ``tol`` over half a period from a turning point, the odd
-    solution is closed form, and the rest of the run is mirrored from it,
-    with the odd solution's weight growing by the period map's shear each
-    period.  d = 1 is closed form, and so is the rest state F0 = G0 = 0 of
-    any d, where w'' = 1 - w (and an orbit of subnormal amplitude).  An
-    orbit ``period`` cannot resolve raises ValueError, at any t_max, and so
-    does a start off the particular solution w = q whose half period the
-    integration does not complete.  The run finds the blow-up time t* at
-    once, for d = 2, 3 by a bisection over windows of one period's
-    brackets, which reads two windows where the run does not break
-    whatever t_max, so ``t_max`` may be ``math.inf``.  Its
-    nodes, its trajectory (ending where lambda reaches ``-d_cap`` after a
-    blow-up) and its crossings are built when first read; see
-    :class:`CharacteristicRun`.
+    integrated at ``tol`` over half a period from the lower turning point
+    G-, the odd solution is closed form, and the rest of the run is
+    mirrored from it, with the odd solution's weight growing by the period
+    map's shear each period.  d = 1 is closed form, and so is the rest
+    state F0 = G0 = 0 of any d, where w'' = 1 - w (and an orbit of
+    subnormal amplitude).  A start on the particular solution w = q
+    (u = 0) has no t* and does no orbit work until it is read.  An orbit
+    ``period`` cannot resolve raises ValueError, at any t_max, and so does
+    one whose half period the integration does not complete (an orbit
+    whose G- lies beyond about -1e154): a start with u != 0 when the run
+    is made, one with u = 0 on the first read of its trajectory, crossings
+    or ``floquet``.  The run finds the blow-up time t* at once, for
+    d = 2, 3 by a bisection over windows of one period's brackets, which
+    reads two windows where the run does not break whatever t_max, so
+    ``t_max`` may be ``math.inf``.  Its nodes, its trajectory (ending where
+    lambda reaches ``-d_cap`` after a blow-up) and its crossings are built
+    when first read; see :class:`CharacteristicRun`.
     """
     d = profile.d
     F0, G0 = profile.F0(r0), profile.G0(r0)
@@ -752,10 +783,9 @@ def run_characteristic(
         raise ValueError(f"d_cap must be positive, got {d_cap}")
     w0 = 1.0 / (1.0 - lam0)
     if d == 1 or math.hypot(F0, G0) < sys.float_info.min:
-        flow = _Lagrangian(F0, G0, w0, D0 * w0, t_max)
-    else:
-        flow = _Floquet(F0, G0, w0, D0 * w0, d, t_max, tol)
-    return CharacteristicRun(profile, r0, flow, d_cap)
+        return CharacteristicRun(profile, r0, partial(_Lagrangian, F0, G0, w0, D0 * w0, t_max), d_cap)
+    lazy = _homogeneous_part(F0, G0, w0, D0 * w0, d) == (0.0, 0.0)     # w = q > 0: no t*
+    return CharacteristicRun(profile, r0, partial(_Floquet, F0, G0, w0, D0 * w0, d, t_max, tol), d_cap, lazy)
 
 
 def detect_blowup(run: CharacteristicRun) -> BlowupRecord:

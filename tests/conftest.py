@@ -84,21 +84,29 @@ def count_integrand(monkeypatch):
 
 
 @pytest.fixture()
-def ode_steps(monkeypatch):
-    """Count the DOP853 steps of every ``integrate`` run the oracle makes,
-    one list entry per run."""
+def ode_work(monkeypatch):
+    """Count the work of every ``integrate`` run the oracle makes, one
+    ``[steps, rhs calls]`` entry per run: its accepted DOP853 steps and the
+    calls of its rhs, those of the dense polynomials built later included."""
     from coldplasma import oracle
 
-    steps = []
+    work = []
     orig = oracle.integrate
 
-    def counting(*args, **kwargs):
-        traj = orig(*args, **kwargs)
-        steps.append(traj.t.size - 1)
+    def counting(rhs, *args, **kwargs):
+        entry = [0, 0]
+
+        def counted(t, y):
+            entry[1] += 1
+            return rhs(t, y)
+
+        traj = orig(counted, *args, **kwargs)
+        entry[0] = traj.t.size - 1
+        work.append(entry)
         return traj
 
     monkeypatch.setattr(oracle, "integrate", counting)
-    return steps
+    return work
 
 
 @pytest.fixture()

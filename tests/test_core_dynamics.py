@@ -387,12 +387,15 @@ class TestPeriod:
         assert period(0.0, 0.0, d) == 2.0 * math.pi
         assert abs(period(0.0, 1e-7, d) - 2.0 * math.pi) <= 1e-14
         # the phase on the linearized orbit G = G_e cos tau, F = -G_e sin tau
+        # from its lower turning point G_e = -hypot(F0, G0)
         assert orbit_phase(0.0, 0.0, d) == (2.0 * math.pi, 0.0, 0.0)
         T, G_e, tau = orbit_phase(-3e-14, 2e-14, d)
-        assert (T, G_e, tau) == (2.0 * math.pi, math.hypot(3e-14, 2e-14), math.atan2(3e-14, 2e-14))
-        assert orbit_phase(0.0, -1e-14, d) == (2.0 * math.pi, 1e-14, math.pi)
+        assert (T, G_e, tau) == (2.0 * math.pi, -math.hypot(3e-14, 2e-14),
+                                 math.atan2(-3e-14, -2e-14) + 2.0 * math.pi)
+        assert orbit_phase(0.0, -1e-14, d) == (2.0 * math.pi, -1e-14, 0.0)
+        assert orbit_phase(0.0, 1e-14, d) == (2.0 * math.pi, -1e-14, math.pi)
         # a phase that rounds to 2 pi is phase 0
-        assert orbit_phase(1e-300, 1e-14, d)[2] == 0.0
+        assert orbit_phase(-1e-300, -1e-14, d)[2] == 0.0
 
     def test_small_orbits_to_the_last_digits(self):
         # frozen from mpmath 1.3 at 60 digits (an 80-digit rerun agrees): C
@@ -420,7 +423,7 @@ class TestOrbitPhase:
     def test_the_flow_from_the_turning_point_reaches_the_start(self, start):
         F0, G0, d = start
         T, G_e, tau = orbit_phase(F0, G0, d)
-        assert T == period(F0, G0, d) and G_e == orbit_extremes(F0, G0, d).G_plus
+        assert T == period(F0, G0, d) and G_e == orbit_extremes(F0, G0, d).G_minus
         assert 0.0 < tau < T
 
         def rhs(t, y):
@@ -430,7 +433,10 @@ class TestOrbitPhase:
         assert abs(F - F0) < 1e-12 and abs(G - G0) < 1e-12, (F, G)
 
     def test_a_turning_point_is_its_own_start(self):
-        assert orbit_phase(0.0, 0.1, 2) == (period(0.0, 0.1, 2), 0.1, 0.0)
+        # the phase is measured from G-, where |F'| = |G-| is largest
+        T, G_minus = period(0.0, 0.1, 2), orbit_extremes(0.0, 0.1, 2).G_minus
+        assert orbit_phase(0.0, 0.1, 2) == (T, G_minus, 0.5 * T)
+        assert orbit_phase(0.0, G_minus, 2) == (period(0.0, G_minus, 2), G_minus, 0.0)
 
 
 class TestProfiles:

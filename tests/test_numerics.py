@@ -95,15 +95,16 @@ def _oracle_rhs(d):
 
 def _half_period(F0, G0, d, tol):
     """The oracle's own run: (F, G) and the even solution (w1, p1) = (1, 0)
-    from the turning point of the orbit through (F0, G0) over half a period."""
+    from the lower turning point G- of the orbit through (F0, G0) over half
+    a period."""
     T, G_e, _ = orbit_phase(F0, G0, d)
     return _half_rhs(d), [0.0, G_e, 1.0, 0.0], 0.5 * T, tol, "completed"
 
 
 # (rhs, y0, t_end, tol, status): the characteristic system for d = 1, 2, 3
 # from a bounded start and from one that crosses the axis and then blows
-# up, the oracle's half period from the K = 0.45 pulse's center (27
-# accepted and 19 rejected steps) and from a moving 3D pulse (17 and 10),
+# up, the oracle's half period for the K = 0.45 pulse's center (36
+# accepted steps and 1 rejected) and for a moving 3D pulse (21 and 0),
 # the Riccati blow-up y' = -y**2 and the square-root singularity
 # y' = -1/(2y); the step size underflows at each blow-up and singularity
 _ENGINE_CASES = {

@@ -222,6 +222,15 @@ class TestCrossingLog:
         want = np.array([run.trajectory(t)[2] for t in run.crossing_times])
         assert run.crossing_lambdas.tobytes() == want.tobytes()
 
+    def test_crossings_on_the_particular_solution_are_its_turning_points(self):
+        # u = 0: p = d F q is 0 on the nodes of the turning points, T/2 apart
+        # from t = 0 at G+, and those nodes are the crossings, with no root
+        run = run_characteristic(gaussian_profile(0.1), 0.0, 25.0, tol=1e-10)
+        t, p = run._nodes[0], run._nodes[4]
+        times, T = run.crossing_times, run.floquet["period"]
+        assert times.size == 7 and np.all(np.isin(times, t)) and np.all(p[np.isin(t, times)] == 0.0)
+        assert np.all(np.abs(times - 0.5 * T * np.arange(1, 8)) <= 1e-15 * times), times
+
 
 class TestSandwich:
     def test_equilibrium_violation_is_vacuous(self):
@@ -435,7 +444,8 @@ class TestHalfPeriod:
 
     @pytest.mark.parametrize("orbit", [(0.0, 0.1, 2), (0.0, 0.45, 2), (0.0, 0.08, 3), (0.0, -0.3, 3)])
     def test_period_map_against_a_full_period(self, orbit):
-        F0, G0, d = orbit
+        # the period map of the phase origin, the lower turning point G-
+        F0, G0, d = 0.0, orbit_phase(*orbit)[1], orbit[2]
         full = full_period_run(F0, G0, d)
         F, G, w1, p1, w2, p2, wc, pc = full.y
         # q = 1/(1 - d G) is a particular solution: the one with zero start
@@ -478,19 +488,18 @@ class TestHalfPeriod:
         assert abs(run.t_star - direct.t[-1]) <= 1e-8 * direct.t[-1], (run.t_star, direct.t[-1])
 
     def test_turning_point_miss(self):
-        # the half period ends at T/2 from period's quadrature, where F must
-        # be 0: on breaking-sweep's orbits |F(T/2)|/F+ is at most 3.1e-7 (at
-        # the center), but at K = 0.49, r0 = 0.01 (F+ = 3.9e9) F(T/2) = 5.7e8
-        # while w2(T/2) = -F q/(G_e q_e) reads -2.4e-10, as q is 1.0e-17 there
+        # the half period runs from G- to G+, where F must be 0 at T/2 from
+        # period's quadrature: on breaking-sweep's orbits |F(T/2)|/F+ is at
+        # most 1.08e-8 (r0 = 1.66) and 4.2e-12 at the center (3.1e-7 there
+        # when the half ran from G+ to G-); at K = 0.49, r0 = 0.01
+        # (G- = -4.1e19, F+ = 3.9e9) it is 6.9e-21, where a half that ended
+        # at G- missed by F(T/2) = 5.7e8
         profile = gaussian_profile(0.45)
         misses = [run_characteristic(profile, r0, 400.0, tol=1e-8).floquet["turning_point_miss"]
                   for r0 in np.linspace(0.0, 3.0, 48)]
-        assert max(misses) <= 1e-6, max(misses)
+        assert max(misses) <= 2e-8 and misses[0] <= 1e-11, (max(misses), misses[0])
         run = run_characteristic(gaussian_profile(0.49), 0.01, 400.0, tol=1e-8)
-        F, G = run._flow.one.y[:2, -1]
-        G_e = run._flow.one.y[1, 0]
-        w2 = -F * (1.0 - 2.0 * G_e) / (G_e * (1.0 - 2.0 * G))
-        assert run.floquet["turning_point_miss"] > 0.1 and abs(w2) < 1e-9, (run.floquet, w2)
+        assert run.floquet["turning_point_miss"] <= 1e-20, run.floquet
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_shear_error_bounds_the_error(self, tol):
@@ -587,7 +596,7 @@ class TestHalfPeriod:
             compared += i.size
         assert compared > 70000
 
-    @pytest.mark.parametrize("case", ["oracle-run", "crossings-84", "breaking-sweep"])
+    @pytest.mark.parametrize("case", ["oracle-run", "off-center", "crossings-84", "breaking-sweep"])
     def test_roots_agree_with_brent(self, case, monkeypatch):
         # every bracket root of the crossings, of t* and of the minima of w,
         # against Brent's method on the same bracket function
@@ -605,13 +614,14 @@ class TestHalfPeriod:
                                                 400.0, 1e-8) if t is not None}
             assert len(found) == 16 and found <= {x for *_, x in calls}
         else:
-            K, r0, t_max, tol = {"oracle-run": (0.1, 0.0, 25.0, 1e-10),
+            K, r0, t_max, tol = {"oracle-run": (0.1, 0.0, 25.0, 1e-10), "off-center": (0.1, 0.8, 25.0, 1e-10),
                                  "crossings-84": (0.3, 0.6, 400.0, 1e-10)}[case]
             run = run_characteristic(gaussian_profile(K), r0, t_max, tol=tol)
             calls.clear()
             times = run.crossing_times
-            assert times.size == {"oracle-run": 7, "crossings-84": 84}[case]
-            assert set(times.tolist()) <= {x for *_, x in calls}
+            assert times.size == {"oracle-run": 7, "off-center": 7, "crossings-84": 84}[case]
+            # a crossing is a bracket root, or a node where p is 0 (all 7 at the center)
+            assert set(times.tolist()) <= {x for *_, x in calls} | set(run._nodes[0].tolist())
         for g, a, b, ga, gb, x in calls:
             try:
                 want = find_root(lambda t: g(t)[0], a, b, tol=1e-300)
@@ -619,11 +629,18 @@ class TestHalfPeriod:
                 want = find_root(lambda t: ga if t == a else gb if t == b else g(t)[0], a, b, tol=1e-300)
             assert abs(x - want) <= 8.0 * np.finfo(float).eps * abs(want), (a, b, x, want)
 
-    def test_breaking_sweep_work(self, ode_steps):
-        # one DOP853 run of half a period per radius; the whole period took 856 steps
+    def test_breaking_sweep_work(self, ode_work, dense_builds):
+        # one DOP853 run of half a period from G- per radius but the center,
+        # whose u = 0 leaves no t* to search: 454 accepted and 3 rejected
+        # steps, 5,869 rhs calls with 97 dense builds (from G+, with the
+        # center: 433, 119 and 7,011; the whole period took 856 steps).
+        # Each attempted step costs 12 rhs calls, a run 2 more for its first
+        # step size and a dense build 3
         blowup_sweep(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48), 400.0, 1e-8)
-        assert len(ode_steps) == 48
-        assert sum(ode_steps) <= 480
+        steps, calls = (sum(x) for x in zip(*ode_work))
+        rejected = (calls - 2 * len(ode_work) - 3 * len(dense_builds)) // 12 - steps
+        assert len(ode_work) == 47 and steps <= 480
+        assert calls <= 5900 and rejected <= 10, (calls, rejected)
 
     def test_crossings_build_each_position_once(self, monkeypatch, dense_builds):
         # 1605 crossings, each rooted on its own bracket: their polynomials
@@ -758,16 +775,16 @@ class TestHorizon:
 
     def test_a_trajectory_too_long_to_build_fails_fast(self, monkeypatch):
         # t* = 9.70e6 after 1.6 million periods: its trajectory would take
-        # 18,523,006 nodes, and its crossings about 1 GB (t* is 9.6924e6 at
+        # 18,522,995 nodes, and its crossings about 1 GB (t* is 9.6924e6 at
         # tol 1e-13)
         run = run_characteristic(gaussian_profile(0.45), 2.17, math.inf, tol=1e-8)
-        assert abs(run.t_star - 9698609.324) <= 1e-2, run.t_star
+        assert abs(run.t_star - 9698603.041) <= 1e-2, run.t_star
 
         def build(*args):
             raise AssertionError("a node array was built")
 
         monkeypatch.setattr(_Floquet, "nodes", build)
-        with pytest.raises(ValueError, match="18523006 nodes, more than the 4194304"):
+        with pytest.raises(ValueError, match="18522995 nodes, more than the 4194304"):
             run.crossing_times
 
     def test_one_d_nodes_are_counted_from_their_spacing(self):
@@ -779,9 +796,10 @@ class TestHorizon:
         assert run.trajectory.t.size < 100 and run.trajectory.status == "terminal-event"
 
     def test_nodes_are_built_only_when_read(self):
-        # 3566 periods before t*: no node is built for the search
+        # 3566 periods before t*: no node is built for the search (t* is
+        # 22208.3256352 at tol 1e-13)
         run = run_characteristic(gaussian_profile(0.222), 0.05, 50000.0, tol=1e-8)
-        assert abs(run.t_star - 22208.32562) <= 1e-5, run.t_star
+        assert abs(run.t_star - 22208.32569) <= 1e-5, run.t_star
         assert "_nodes" not in run.__dict__
         traj = run.trajectory
         assert "_nodes" in run.__dict__
@@ -835,19 +853,68 @@ class TestHorizon:
     @pytest.mark.parametrize("t_max", [10.0, math.inf])
     def test_orbit_without_a_period_is_rejected(self, t_max):
         # G0 = 0.4995, next to the vacuum point 1/2: period cannot resolve
-        # the orbit, at any horizon
-        with pytest.raises(ValueError, match=r"period of the orbit through F0=0\.0, G0=0\.4995, d=2"):
-            run_characteristic(constant_profile(0.0, 0.4995, 2), 1.0, t_max)
+        # the orbit, at any horizon; a start with u != 0 raises when the
+        # run is made, one with u = 0 (no t*) on the first read of its flow
+        match = r"period of the orbit through F0=0\.0, G0=0\.4995, d=2"
+        tilted = RadialProfile(G0=lambda r: 0.4995, F0=lambda r: 0.1 * (r - 1.0), d=2,
+                               dG0=lambda r: 0.0, dF0=lambda r: 0.1)
+        with pytest.raises(ValueError, match=match):
+            run_characteristic(tilted, 1.0, t_max)
+        run = run_characteristic(constant_profile(0.0, 0.4995, 2), 1.0, t_max)
+        assert run.t_star is None
+        with pytest.raises(ValueError, match=match):
+            run.floquet
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     @pytest.mark.parametrize("K,r0", [(0.499, 0.1), (0.495, 0.05)])
-    def test_half_period_that_stops_short_is_rejected(self, K, r0, tol):
-        # the half period ends "singular-step" 2e-13 to 1.7e-9 short of T/2,
-        # at the spike where G reaches G-; mirrored, it put t* of K = 0.499,
-        # r0 = 0.1 within 5e-10 of T/2, where the integration had stopped
+    def test_half_period_that_stops_short_is_rejected(self, K, r0, tol, monkeypatch):
+        # run from G+, the half period of these orbits ends "singular-step"
+        # 2e-13 to 1.7e-9 short of T/2, at the spike where G reaches G-,
+        # and its mirror put t* of K = 0.499, r0 = 0.1 within 5e-10 of T/2,
+        # where the integration had stopped: such a half raises.  From G-,
+        # as the oracle runs them, they complete (the next tests)
+        def from_g_plus(F0, G0, d):        # a Gaussian start is its own G+
+            return period(F0, G0, d), G0, 0.0
+
+        monkeypatch.setattr(oracle, "orbit_phase", from_g_plus)
         for t_max in (1.0, math.inf):
-            with pytest.raises(ValueError, match=r"half period of the orbit through .* short of T/2"):
+            with pytest.raises(ValueError, match=r"half period of the orbit through .*\(singular-step\), short of T/2"):
                 run_characteristic(gaussian_profile(K), r0, t_max, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("K,r0", [(0.499, 0.01), (0.4999, 0.05), (0.499, 0.0)])
+    def test_orbit_too_wide_to_integrate_is_rejected(self, K, r0, tol):
+        # G- = -7.1e203, -1.6e158 and -1.4e214: the first step size from
+        # G- overflows, so the half period stops at t = 0, and the run
+        # raises, naming the orbit, with no warning (they fail the suite);
+        # the center (u = 0, no t*) raises on the first read of its flow
+        match = r"half period of the orbit through .* stops at t = 0\.0 .* short of T/2"
+        for t_max in (1.0, math.inf):
+            if r0:
+                with pytest.raises(ValueError, match=match):
+                    run_characteristic(gaussian_profile(K), r0, t_max, tol=tol)
+            else:
+                run = run_characteristic(gaussian_profile(K), r0, t_max, tol=tol)
+                with pytest.raises(ValueError, match=match):
+                    run.trajectory
+
+    @pytest.mark.parametrize("K,r0", [(0.495, 0.05), (0.499, 0.1)])
+    def test_wide_orbits_break_at_one_time(self, K, r0):
+        # from G+ the half period stopped short of T/2 at the spike where G
+        # reaches G-; from G- it completes, and t* is the same at tol 1e-8,
+        # 1e-10 and 1e-12 (2.2500205111547733 and 2.2487409461428607), just
+        # after the direct system's |D| passes 1e8 (1.05e-8 before t*)
+        t_star = [run_characteristic(gaussian_profile(K), r0, 40.0, tol=tol).t_star
+                  for tol in (1e-8, 1e-10, 1e-12)]
+        assert max(t_star) - min(t_star) <= 1e-12 * t_star[0], t_star
+
+        def guard(t, y):
+            return abs(y[3]) - 1e8
+        guard.terminal = True
+
+        rhs, y0 = direct_system(gaussian_profile(K), r0)
+        ref = solve_ivp(rhs, (0.0, 40.0), y0, method="DOP853", rtol=1e-12, atol=1e-12, events=guard)
+        assert ref.status == 1 and 0.0 < t_star[0] - ref.t[-1] < 1e-7, (t_star, ref.t[-1])
 
     def test_half_period_that_completes_still_breaks(self):
         # next to the rejected radii the half period completes, and Dawson's
@@ -861,20 +928,28 @@ class TestHorizon:
             assert abs(run_characteristic(profile, 0.1, 40.0, tol=tol).t_star - t_star) <= rel * t_star
         assert abs(shell_t_star(profile, 0.1, 40.0) - t_star) <= 1e-13 * t_star
 
-    def test_start_on_the_particular_solution_reads_no_half_period(self):
-        # at the K = 0.495 centre u = 0, so w = q > 0 exactly, though the
-        # half period stops short of T/2 as at the radii beside it
-        run = run_characteristic(gaussian_profile(0.495), 0.0, math.inf, tol=1e-10)
-        assert run.t_star is None and run._flow.one.status == "singular-step"
+    def test_start_on_the_particular_solution_reads_no_half_period(self, ode_work):
+        # u = 0: w = q > 0 exactly, so t* is None with no orbit work; the
+        # half period is integrated once, on the first read of the flow
+        for profile, r0 in ((gaussian_profile(0.45), 0.0), (constant_profile(0.3, 0.2, 3), 1.0)):
+            for read in ("trajectory", "crossing_times", "floquet"):
+                run = run_characteristic(profile, r0, 400.0, tol=1e-8)
+                assert run.t_star is None and ode_work == []
+                getattr(run, read)
+                getattr(run, read)
+                assert len(ode_work) == 1, (profile, read)
+                ode_work.clear()
 
     def test_the_half_period_status_is_reported(self):
-        # a u = 0 start mirrors a half period that stops short: floquet says
-        # so, as it says that a breaking-sweep radius completes its own
+        # from G- the half period of these starts completes; from G+ it
+        # stopped short, "singular-step" (the vacuum-line start after 238
+        # steps at tol 1e-9, the K = 0.495 centre after 177 at tol 1e-8;
+        # from G- they take 582 and 383)
         start = constant_profile(0.3453357560128335, 0.4947984459018959, 2)
         floquet = run_characteristic(start, 1.0, 200.0, tol=1e-9).floquet
-        assert floquet["half_period_status"] == "singular-step"
-        floquet = run_characteristic(gaussian_profile(0.45), np.linspace(0.0, 3.0, 48)[14], 400.0, tol=1e-8).floquet
-        assert floquet["half_period_status"] == "completed"
+        assert (floquet["half_period_status"], floquet["half_period_steps"]) == ("completed", 582)
+        floquet = run_characteristic(gaussian_profile(0.495), 0.0, 200.0, tol=1e-8).floquet
+        assert (floquet["half_period_status"], floquet["half_period_steps"]) == ("completed", 383)
 
     @pytest.mark.parametrize("r0", [0.5, 2.9, 3.5])
     def test_horizons_past_the_period_cap(self, r0):
@@ -950,20 +1025,20 @@ class TestSearchAgainstScan:
         assert broken >= 40, broken
 
     @pytest.mark.parametrize("profile, r0", [
-        (gaussian_profile(0.45), 1.21), (gaussian_profile(0.222), 0.2), (gaussian_profile(0.222), 0.83),
-        (gaussian_profile(0.3), 1.02), (moving_pulse(0.2, 0.3, 2), 0.1), (moving_pulse(0.15, 0.4, 2), 1.2),
-        (moving_pulse(0.2, 0.3, 3), 0.1), (moving_pulse(0.2, 0.3, 3), 1.1)])
+        (gaussian_profile(0.45), 1.21), (gaussian_profile(0.222), 0.2), (gaussian_profile(0.25), 0.83),
+        (gaussian_profile(0.32), 1.02), (moving_pulse(0.25, 0.2, 2), 0.1), (moving_pulse(0.2, 0.4, 2), 1.2),
+        (moving_pulse(0.05, 0.3, 3, 0.2), 0.1), (moving_pulse(0.2, 0.3, 3), 1.1)])
     def test_rounds_after_the_guess(self, profile, r0, floquet_reads):
         # runs whose first window to reach 0 lies before the guess round's
         # windows: one window a round then halves (lo, hi), here in five
-        # rounds or more (8 or 9 at t_max = 2000, t* from 1316.4 to 1911.96)
+        # rounds or more (10 or 11 at t_max = 2000, t* from 818.7 to 1743.6)
         rounds = floquet_reads("_test")
         run = run_characteristic(profile, r0, 2000.0, tol=1e-8)
         assert len(rounds) >= 2 + 5, rounds
         assert run.t_star is not None and repr(run.t_star) == repr(scanned_t_star(run._flow))
 
     @pytest.mark.parametrize("start, head", [((0.1, 0.1, 0.01, -1.0, 2), True),
-                                             ((0.2, -0.1, 0.05, -0.5, 3), True),
+                                             ((0.2, -0.1, 0.05, -0.8, 3), True),
                                              ((-0.3, 0.05, 0.02, -2.0, 2), True),
                                              ((0.1, 0.1, 0.01, 0.0, 2), False)])
     def test_partial_brackets(self, start, head):
@@ -1003,7 +1078,7 @@ class TestNoHomogeneousPart:
         for t_max in (400.0, math.inf):
             run = run_characteristic(profile, r0, t_max, tol=1e-8)
             assert run._flow.v == (0.0, 0.0) and run.t_star is None
-            assert run._flow._search_zero() is None, t_max     # the search on the same flow
+            assert run._flow.first_zero() is None, t_max     # the search on the same flow
         # on the nodes of a trajectory read, w is q(G) bit for bit
         run = run_characteristic(profile, r0, 400.0, tol=1e-8)
         assert run.trajectory.status == "completed"
@@ -1024,3 +1099,29 @@ class TestNoHomogeneousPart:
             got = run.trajectory(grid)
             assert got.shape == (5, 2, 3)
             assert got.tobytes() == run.trajectory(grid.ravel()).reshape(5, 2, 3).tobytes()
+
+
+class TestStartData:
+    """A run reads its exact start data at t = 0: the half period starts at
+    G-, so a start at G+ lies where the integration ends, and with u != 0
+    the homogeneous part is anchored on the flow's own state there."""
+
+    def test_breaking_sweep_starts(self):
+        profile = gaussian_profile(0.45)
+        for r0 in np.linspace(0.0, 3.0, 48):
+            run = run_characteristic(profile, r0, 400.0, tol=1e-8)
+            want = np.array(profile_divergences(profile, r0))
+            got = run.trajectory(0.0)[2:4]
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), (r0, got, want)
+
+    def test_moving_pulses_at_rest_divergences(self):
+        # at r0 = 1 these pulses start at lambda0 = D0 = 0 exactly: the
+        # trajectory read about 1e-12 for both at t = 0, and logged a
+        # crossing 5e-12 to 7.5e-11 after it
+        rng = random.Random(2)
+        for _ in range(6):
+            profile = moving_pulse(rng.uniform(0.05, 0.4), rng.uniform(-0.4, 0.4), 2)
+            assert profile_divergences(profile, 1.0) == (0.0, 0.0)
+            run = run_characteristic(profile, 1.0, 30.0, tol=1e-11)
+            assert np.all(np.abs(run.trajectory(0.0)[2:4]) <= 1e-15), run.trajectory(0.0)
+            assert run.crossing_times[0] > 1e-9, run.crossing_times[:2]
