@@ -292,38 +292,6 @@ def _x_integral(d: int, ends: dict) -> float:
     return integrate_singular(f, *sorted(ends))
 
 
-def _timing(F0: float, G0: float, d: int, phase: bool) -> tuple[float, float, float]:
-    """(T, G_e, tau) for :func:`period` (tau and G_e only when ``phase``)."""
-    try:
-        ext = orbit_extremes(F0, G0, d)
-        if ext.G_plus - ext.G_minus < 1e-13:
-            # a point orbit, G = -A cos tau and F = A sin tau with A = hypot(F0, G0):
-            # T - 2 pi ~ -0.525 A**2 is 0 (0.0 - G0, not -G0, puts the rest state at phase 0)
-            T, tau = 2.0 * math.pi, math.atan2(F0, 0.0 - G0) % (2.0 * math.pi)
-            return T, -math.hypot(F0, G0), tau if tau < T else 0.0
-        turning = {math.log1p(-d * G): (0.0, G) for G in (ext.G_plus, ext.G_minus)}
-        T = 2.0 / d * _x_integral(d, turning)
-        if not phase:
-            return T, G0, 0.0
-        if F0 == 0.0:       # the start is a turning point: G- at phase 0, G+ at T/2
-            return T, ext.G_minus, 0.0 if G0 == ext.G_minus else 0.5 * T
-        # the time to the nearer turning point, so that a start close to one
-        # (F0 small) leaves no narrow peak of the integrand inside the interval
-        (x_plus, _), (x_minus, _) = sorted(turning.items())
-        x0 = math.log1p(-d * G0)
-        near = x_plus if x0 - x_plus <= x_minus - x0 else x_minus
-        Q = 0.0
-        if near != x0:
-            Q = _x_integral(d, {near: turning[near], x0: (F0 * F0, G0)}) / d
-        if near == x_minus:
-            return T, ext.G_minus, Q if F0 > 0.0 else (T - Q) % T
-        return T, ext.G_minus, 0.5 * T - math.copysign(Q, F0)
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
-        # a QuadratureError or RuntimeError keeps its type, the rest become ValueError
-        kind = type(exc) if isinstance(exc, RuntimeError) else ValueError
-        raise kind(f"period of the orbit through F0={F0}, G0={G0}, d={d}: {exc}") from None
-
-
 def period(F0: float, G0: float, d: int) -> float:
     """Oscillation period of the closed radial orbit through (F0, G0).
 
@@ -338,15 +306,17 @@ def period(F0: float, G0: float, d: int) -> float:
     variable and misses the mass near G+.  A point orbit (G+ - G- < 1e-13)
     has 2 pi, the plasma period of small oscillations.  Raises ValueError
     or QuadratureError naming the orbit when it has no finite period, and
-    RuntimeError naming it when a turning point's root search fails.
+    RuntimeError naming it when a turning point's root search fails.  The
+    T of :func:`orbit_phase`.
     """
-    return _timing(F0, G0, d, False)[0]
+    return orbit_phase(F0, G0, d)[0]
 
 
-def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, float, float]:
-    """(T, G_e, tau): the period, the lower turning point (0, G_e) = (0, G-)
-    of the orbit through (F0, G0), and the time tau in [0, T) the flow
-    takes from there to (F0, G0).
+def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, OrbitExtremes, float]:
+    """(T, extremes, tau): the period (see :func:`period`), the
+    :func:`orbit_extremes` (G-, G+, F+) of the orbit through (F0, G0), and
+    the time tau in [0, T) the flow takes from the lower turning point
+    (0, G-) to (F0, G0); the orbit computed once.
 
     G- is where |F'| = |G-| is largest: from (0, G-) the flow runs with
     F > 0 up to G+ at T/2 and back with F < 0, so tau is the time Q from G-
@@ -354,11 +324,37 @@ def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, float, float]:
     the integral of :func:`period` between x0 = log(1 - d G0) and the
     nearer turning point, divided by d, with Y about x0 taken from
     Y = F0**2 there.  A start on a turning point (F0 = 0) has tau = 0 at
-    G- and T/2 at G+.  On a point orbit T = 2 pi, G_e = -hypot(F0, G0) and
-    tau = atan2(F0, -G0) mod 2 pi, from the linearized orbit
-    G = G_e cos tau, F = -G_e sin tau.  Raises as :func:`period` does.
+    G- and T/2 at G+.  On a point orbit T = 2 pi, the extremes are the
+    linearized (-A, A, A) with A = hypot(F0, G0), and tau = atan2(F0, -G0)
+    mod 2 pi, from the linearized orbit G = -A cos tau, F = A sin tau.
+    Raises as :func:`period` does.
     """
-    return _timing(F0, G0, d, True)
+    try:
+        ext = orbit_extremes(F0, G0, d)
+        if ext.G_plus - ext.G_minus < 1e-13:
+            # a point orbit: T - 2 pi ~ -0.525 A**2 is 0 (0.0 - G0, not -G0, puts the rest state at phase 0)
+            A, T = math.hypot(F0, G0), 2.0 * math.pi
+            tau = math.atan2(F0, 0.0 - G0) % T
+            return T, OrbitExtremes(-A, A, A), tau if tau < T else 0.0
+        turning = {math.log1p(-d * G): (0.0, G) for G in (ext.G_plus, ext.G_minus)}
+        T = 2.0 / d * _x_integral(d, turning)
+        if F0 == 0.0:       # the start is a turning point: G- at phase 0, G+ at T/2
+            return T, ext, 0.0 if G0 == ext.G_minus else 0.5 * T
+        # the time to the nearer turning point, so that a start close to one
+        # (F0 small) leaves no narrow peak of the integrand inside the interval
+        (x_plus, _), (x_minus, _) = sorted(turning.items())
+        x0 = math.log1p(-d * G0)
+        near = x_plus if x0 - x_plus <= x_minus - x0 else x_minus
+        Q = 0.0
+        if near != x0:
+            Q = _x_integral(d, {near: turning[near], x0: (F0 * F0, G0)}) / d
+        if near == x_minus:
+            return T, ext, Q if F0 > 0.0 else (T - Q) % T
+        return T, ext, 0.5 * T - math.copysign(Q, F0)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        # a QuadratureError or RuntimeError keeps its type, the rest become ValueError
+        kind = type(exc) if isinstance(exc, RuntimeError) else ValueError
+        raise kind(f"period of the orbit through F0={F0}, G0={G0}, d={d}: {exc}") from None
 
 
 class RadialProfile:

@@ -51,7 +51,6 @@ import numpy as np
 from .chaplygin_bounds import Side, sigma_curve
 from .core_dynamics import (
     RadialProfile,
-    orbit_extremes,
     orbit_phase,
     profile_divergences,
     rhs_radial,
@@ -181,15 +180,17 @@ class _Floquet:
     those in [0, t_max) from ``first`` on, after t = 0 when the start lies
     inside a step (``inside``) and before t_max, and node i of
     :meth:`nodes` is flat node i + ``offset``.  No node value is built
-    before it is read.  ``floquet`` holds T, the half period's steps and
-    status, n with its ``shear_error`` and the turning-point miss
-    |F(T/2)|/F+ at G+ (F+ = |G_e| on a point orbit, where F+ rounds to 0),
-    0 but for the integration error, as is w2(T/2) = -F(T/2) q/(G_e q_e).
+    before it is read.  ``F_plus`` is F+ of the orbit record of
+    :func:`orbit_phase` (A on a point orbit of amplitude A).  ``floquet``
+    holds T, the half period's steps, n with its ``shear_error`` and the
+    turning-point miss |F(T/2)|/F+ at G+, 0 but for the integration error,
+    as is w2(T/2) = -F(T/2) q/(G_e q_e).
     """
 
     def __init__(self, F0, G0, w0, p0, d, t_max, tol):
-        self.d, self.t_max, self.tol, self._orbit = d, t_max, tol, (F0, G0)
-        T, G_e, tau = map(float, orbit_phase(F0, G0, d))   # exact: numpy scalars on numpy radii
+        self.d, self.t_max, self.tol = d, t_max, tol
+        T, ext, tau = orbit_phase(F0, G0, d)
+        T, G_e, tau, self.F_plus = map(float, (T, ext.G_minus, tau, ext.F_plus))   # exact: numpy scalars on numpy radii
         self.T, self.half = T, 0.5 * T    # the half period is integrated whatever t_max
         self._turn = (G_e, 1.0 - d * G_e)        # G_e and 1/q_e
         try:        # an orbit so wide that the step control overflows stops at once
@@ -243,10 +244,8 @@ class _Floquet:
 
     @cached_property
     def floquet(self) -> dict:
-        F_plus = orbit_extremes(*self._orbit, self.d).F_plus or -self._turn[0]  # or |G_e|
-        return {"period": self.T, "half_period_steps": self.one.t.size - 1,
-                "half_period_status": self.one.status, "shear": self.shear, "shear_error": self.shear_error,
-                "turning_point_miss": abs(float(self.one.y[0, -1])) / F_plus}
+        return {"period": self.T, "half_period_steps": self.one.t.size - 1, "shear": self.shear,
+                "shear_error": self.shear_error, "turning_point_miss": abs(float(self.one.y[0, -1])) / self.F_plus}
 
     @cached_property
     def shear_error(self) -> float:
@@ -536,7 +535,7 @@ class _Lagrangian:
     t_end.
     """
 
-    floquet, offset = None, 0
+    floquet, offset, F_plus = None, 0, 0.0     # F+ enters the sigma curves times d - 1 (at rest, squared: 0)
 
     def __init__(self, F0, G0, w0, p0, t_max):
         v0 = 1.0 / (1.0 - G0)
@@ -661,9 +660,8 @@ class CharacteristicRun:
     @property
     def floquet(self) -> Optional[dict]:
         """The period map [[1, 0], [shear, 1]] of a d = 2, 3 run with a
-        period, normalised at G-: ``period`` T, ``half_period_steps`` and
-        ``half_period_status`` (the DOP853 run over T/2 from G-, always
-        ``"completed"``: a half that stops short raises), ``shear``,
+        period, normalised at G-: ``period`` T, ``half_period_steps`` (of the
+        DOP853 run over T/2 from G-; a half that stops short raises), ``shear``,
         ``shear_error`` (see :attr:`_Floquet.shear_error`) and
         ``turning_point_miss`` |F(T/2)|/F+, where the half period ends
         against G+ (0 but for the integration error); None for the closed
@@ -821,9 +819,11 @@ def sandwich_check(run: CharacteristicRun, max_arcs: Optional[int] = None) -> fl
     and DEFAULT_SIGMA2, are anchored at the arc's starting state with the
     orbit's F+ and the oracle's Z(s) is compared against [min, max] of the
     pair at _SAMPLES_PER_ARC times.  Negative return values mean the
-    trajectory stayed strictly inside.
+    trajectory stayed strictly inside.  F+ is the run's orbit record's
+    (0.0 for the closed forms, d = 1 and the rest state, where every F+
+    term of a curve is 0).
     """
-    f_plus = orbit_extremes(run.profile.F0(run.r0), run.profile.G0(run.r0), run.d).F_plus
+    f_plus = run._flow.F_plus
     stops = np.concatenate([[0.0], run.crossing_times])
     n_arcs = len(stops) - 1
     if max_arcs is not None:

@@ -387,13 +387,14 @@ class TestPeriod:
         assert period(0.0, 0.0, d) == 2.0 * math.pi
         assert abs(period(0.0, 1e-7, d) - 2.0 * math.pi) <= 1e-14
         # the phase on the linearized orbit G = G_e cos tau, F = -G_e sin tau
-        # from its lower turning point G_e = -hypot(F0, G0)
-        assert orbit_phase(0.0, 0.0, d) == (2.0 * math.pi, 0.0, 0.0)
-        T, G_e, tau = orbit_phase(-3e-14, 2e-14, d)
-        assert (T, G_e, tau) == (2.0 * math.pi, -math.hypot(3e-14, 2e-14),
-                                 math.atan2(-3e-14, -2e-14) + 2.0 * math.pi)
-        assert orbit_phase(0.0, -1e-14, d) == (2.0 * math.pi, -1e-14, 0.0)
-        assert orbit_phase(0.0, 1e-14, d) == (2.0 * math.pi, -1e-14, math.pi)
+        # from its lower turning point G_e = -A, A = hypot(F0, G0), whose
+        # extremes are the linearized (-A, A, A)
+        assert orbit_phase(0.0, 0.0, d) == (2.0 * math.pi, (-0.0, 0.0, 0.0), 0.0)
+        T, ext, tau = orbit_phase(-3e-14, 2e-14, d)
+        A = math.hypot(3e-14, 2e-14)
+        assert (T, ext, tau) == (2.0 * math.pi, (-A, A, A), math.atan2(-3e-14, -2e-14) + 2.0 * math.pi)
+        assert orbit_phase(0.0, -1e-14, d) == (2.0 * math.pi, (-1e-14, 1e-14, 1e-14), 0.0)
+        assert orbit_phase(0.0, 1e-14, d) == (2.0 * math.pi, (-1e-14, 1e-14, 1e-14), math.pi)
         # a phase that rounds to 2 pi is phase 0
         assert orbit_phase(-1e-300, -1e-14, d)[2] == 0.0
 
@@ -422,9 +423,10 @@ class TestOrbitPhase:
                                        (-0.35, 0.2, 3), (1e-3, -0.1366, 2), (-1e-3, 0.1, 2)])
     def test_the_flow_from_the_turning_point_reaches_the_start(self, start):
         F0, G0, d = start
-        T, G_e, tau = orbit_phase(F0, G0, d)
-        assert T == period(F0, G0, d) and G_e == orbit_extremes(F0, G0, d).G_minus
+        T, ext, tau = orbit_phase(F0, G0, d)
+        assert T == period(F0, G0, d) and ext == orbit_extremes(F0, G0, d)
         assert 0.0 < tau < T
+        G_e = ext.G_minus
 
         def rhs(t, y):
             return rhs_radial(y[0], y[1], d)
@@ -434,9 +436,10 @@ class TestOrbitPhase:
 
     def test_a_turning_point_is_its_own_start(self):
         # the phase is measured from G-, where |F'| = |G-| is largest
-        T, G_minus = period(0.0, 0.1, 2), orbit_extremes(0.0, 0.1, 2).G_minus
-        assert orbit_phase(0.0, 0.1, 2) == (T, G_minus, 0.5 * T)
-        assert orbit_phase(0.0, G_minus, 2) == (period(0.0, G_minus, 2), G_minus, 0.0)
+        T, ext = period(0.0, 0.1, 2), orbit_extremes(0.0, 0.1, 2)
+        assert orbit_phase(0.0, 0.1, 2) == (T, ext, 0.5 * T)
+        G_minus = ext.G_minus
+        assert orbit_phase(0.0, G_minus, 2) == (period(0.0, G_minus, 2), orbit_extremes(0.0, G_minus, 2), 0.0)
 
 
 class TestProfiles:

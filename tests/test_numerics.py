@@ -97,8 +97,8 @@ def _half_period(F0, G0, d, tol):
     """The oracle's own run: (F, G) and the even solution (w1, p1) = (1, 0)
     from the lower turning point G- of the orbit through (F0, G0) over half
     a period."""
-    T, G_e, _ = orbit_phase(F0, G0, d)
-    return _half_rhs(d), [0.0, G_e, 1.0, 0.0], 0.5 * T, tol, "completed"
+    T, ext, _ = orbit_phase(F0, G0, d)
+    return _half_rhs(d), [0.0, ext.G_minus, 1.0, 0.0], 0.5 * T, tol, "completed"
 
 
 # (rhs, y0, t_end, tol, status): the characteristic system for d = 1, 2, 3

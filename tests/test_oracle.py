@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from coldplasma.core_dynamics import (
     profile_divergences,
     rhs_radial,
 )
-from coldplasma import oracle
+from coldplasma import core_dynamics, oracle
 from coldplasma.numerics import BracketError, find_root, integrate
 from coldplasma.oracle import (
     _Floquet,
@@ -248,6 +249,37 @@ class TestSandwich:
         v = sandwich_check(run, max_arcs=6)
         assert v < 1e-6
 
+    def test_one_dimensional_run_reads_no_orbit(self):
+        # d = 1 is closed form, and every F+ term of a sigma curve carries
+        # d - 1, so the check reads no orbit: one that is not closed (t* =
+        # 4.491, one crossing before it) is checked, where reading its F+
+        # raised "orbit is not closed", and a closed one keeps its value
+        run = run_characteristic(constant_profile(0.9, 0.1, 1), 1.0, 6.0)
+        assert run.crossing_times.size == 1 and abs(run.t_star - 4.491) < 1e-3
+        v = sandwich_check(run)
+        assert math.isfinite(v) and v <= 1e-6, v
+        assert sandwich_check(run_characteristic(constant_profile(0.0, 0.3, 1), 1.0, 6.0)) == 9.000000000000003e-20
+
+    def test_the_orbit_is_computed_once(self, monkeypatch):
+        # the README oracle-run case: the u = 0 start computes no orbit when
+        # the run is made; its flow, its floquet key and the check then read
+        # the one record of orbit_phase.  orbit_extremes is counted in every
+        # module that holds it
+        calls, orig = [], core_dynamics.orbit_extremes
+
+        def counted(*args):
+            calls.append(args)
+            return orig(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("coldplasma") and vars(module).get("orbit_extremes") is orig:
+                monkeypatch.setattr(module, "orbit_extremes", counted)
+        run = run_characteristic(gaussian_profile(0.1), 0.0, 25.0, tol=1e-10)
+        assert calls == []
+        assert run.crossing_times.size and run.floquet["period"] > 0.0
+        sandwich_check(run, max_arcs=6)
+        assert len(calls) == 1, calls
+
 
 class TestAffineGlobalSmoothness:
     @pytest.mark.parametrize("d", [2, 3])
@@ -445,7 +477,7 @@ class TestHalfPeriod:
     @pytest.mark.parametrize("orbit", [(0.0, 0.1, 2), (0.0, 0.45, 2), (0.0, 0.08, 3), (0.0, -0.3, 3)])
     def test_period_map_against_a_full_period(self, orbit):
         # the period map of the phase origin, the lower turning point G-
-        F0, G0, d = 0.0, orbit_phase(*orbit)[1], orbit[2]
+        F0, G0, d = 0.0, orbit_phase(*orbit)[1].G_minus, orbit[2]
         full = full_period_run(F0, G0, d)
         F, G, w1, p1, w2, p2, wc, pc = full.y
         # q = 1/(1 - d G) is a particular solution: the one with zero start
@@ -687,7 +719,7 @@ class TestShearIdentity:
         for r0 in radii:
             h = 1e-5 * max(r0, 1.0)
             dT = (T(r0 + h) - T(r0 - h)) / (2.0 * h)
-            G0, G_e = profile.G0(r0), orbit_phase(profile.F0(r0), profile.G0(r0), d)[1]
+            G0, G_e = profile.G0(r0), orbit_phase(profile.F0(r0), profile.G0(r0), d)[1].G_minus
             w0 = 1.0 / (1.0 - profile_divergences(profile, r0)[0])
             want = w0 * r0 * dT * G_e * (1.0 - d * G0) / (1.0 - d * G_e)
             run = run_characteristic(profile, r0, 1.0, tol=1e-12)
@@ -874,7 +906,8 @@ class TestHorizon:
         # where the integration had stopped: such a half raises.  From G-,
         # as the oracle runs them, they complete (the next tests)
         def from_g_plus(F0, G0, d):        # a Gaussian start is its own G+
-            return period(F0, G0, d), G0, 0.0
+            T, ext, _ = orbit_phase(F0, G0, d)
+            return T, ext._replace(G_minus=G0), 0.0
 
         monkeypatch.setattr(oracle, "orbit_phase", from_g_plus)
         for t_max in (1.0, math.inf):
@@ -940,16 +973,15 @@ class TestHorizon:
                 assert len(ode_work) == 1, (profile, read)
                 ode_work.clear()
 
-    def test_the_half_period_status_is_reported(self):
-        # from G- the half period of these starts completes; from G+ it
-        # stopped short, "singular-step" (the vacuum-line start after 238
-        # steps at tol 1e-9, the K = 0.495 centre after 177 at tol 1e-8;
-        # from G- they take 582 and 383)
+    def test_the_half_period_steps_are_reported(self):
+        # from G- the half period of these starts completes (a half that
+        # stops short raises); from G+ it stopped short, "singular-step"
+        # (the vacuum-line start after 238 steps at tol 1e-9, the K = 0.495
+        # centre after 177 at tol 1e-8; from G- they take 582 and 383)
         start = constant_profile(0.3453357560128335, 0.4947984459018959, 2)
-        floquet = run_characteristic(start, 1.0, 200.0, tol=1e-9).floquet
-        assert (floquet["half_period_status"], floquet["half_period_steps"]) == ("completed", 582)
+        assert run_characteristic(start, 1.0, 200.0, tol=1e-9).floquet["half_period_steps"] == 582
         floquet = run_characteristic(gaussian_profile(0.495), 0.0, 200.0, tol=1e-8).floquet
-        assert (floquet["half_period_status"], floquet["half_period_steps"]) == ("completed", 383)
+        assert floquet["half_period_steps"] == 383
 
     @pytest.mark.parametrize("r0", [0.5, 2.9, 3.5])
     def test_horizons_past_the_period_cap(self, r0):
