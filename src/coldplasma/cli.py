@@ -149,20 +149,19 @@ def _cmd_lifetime(cfg: dict):
 
 
 def _cmd_oracle_run(cfg: dict):
-    from .core_dynamics import gaussian_profile, profile_divergences
+    from .core_dynamics import gaussian_profile
     from .oracle import count_revolutions_oracle, detect_blowup, run_characteristic, sandwich_check
 
     profile = gaussian_profile(cfg["k"])
     r0 = cfg["r0"]
     run = run_characteristic(profile, r0, cfg["t_max"], tol=cfg["tol"], d_cap=cfg["d_cap"])
     blow = detect_blowup(run)
-    lam0, D0 = profile_divergences(profile, r0)
     violation = None
     if len(run.crossing_times) >= 1 and not blow.detected:
         violation = sandwich_check(run, max_arcs=6)
     F, G, lam, Dv, r = run.trajectory.y
     return {
-        "start": {"lambda0": lam0, "div_v0": D0},
+        "start": {"lambda0": run.start[0], "div_v0": run.start[1]},
         "revolutions": count_revolutions_oracle(run),
         "crossing_times": [float(t) for t in run.crossing_times],
         "crossing_lambdas": [float(x) for x in run.crossing_lambdas],
@@ -178,7 +177,7 @@ def _cmd_oracle_run(cfg: dict):
 def _cmd_sweep(cfg: dict):
     from .core_dynamics import gaussian_profile
     from .numerics import linspace
-    from .oracle import blowup_sweep
+    from .oracle import run_characteristic
     from .spiral_counter import guaranteed_field_lifetime
 
     profile = gaussian_profile(cfg["k"])
@@ -186,13 +185,13 @@ def _cmd_sweep(cfg: dict):
     if not (0.0 <= r_min < r_max) or n_r < 2:
         raise ConfigError("sweep requires 0 <= r_min < r_max and n_r >= 2")
     grid = linspace(r_min, r_max, n_r)
-    blow = blowup_sweep(profile, grid, t_max=cfg["t_max"], tol=cfg["tol"])
-    detected = [(r, t) for r, t in blow if t is not None]
+    runs = [run_characteristic(profile, r, cfg["t_max"], tol=cfg["tol"]) for r in grid]
+    detected = [(run.r0, run.t_star) for run in runs if run.t_star is not None]
     t_min = min((t for _, t in detected), default=None)
     r_at = next((r for r, t in detected if t == t_min), None)
-    life = guaranteed_field_lifetime(profile, grid)
-    rows = [(r, blow[i][1] if blow[i][1] is not None else math.nan, life.per_radius[i][1])
-            for i, r in enumerate(grid)]
+    life = guaranteed_field_lifetime(runs)
+    rows = [(r, math.nan if run.t_star is None else run.t_star, t_lower)
+            for run, (r, t_lower) in zip(runs, life.per_radius)]
     caveat = None
     if t_min is None:
         caveat = (

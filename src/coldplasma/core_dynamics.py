@@ -332,7 +332,7 @@ def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, OrbitExtremes, flo
     try:
         ext = orbit_extremes(F0, G0, d)
         if ext.G_plus - ext.G_minus < 1e-13:
-            # a point orbit: T - 2 pi ~ -0.525 A**2 is 0 (0.0 - G0, not -G0, puts the rest state at phase 0)
+            # a point orbit: T - 2 pi ~ -(pi/6) A**2 is 0 (0.0 - G0, not -G0, puts the rest state at phase 0)
             A, T = math.hypot(F0, G0), 2.0 * math.pi
             tau = math.atan2(F0, 0.0 - G0) % T
             return T, OrbitExtremes(-A, A, A), tau if tau < T else 0.0

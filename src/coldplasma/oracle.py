@@ -642,10 +642,13 @@ class CharacteristicRun:
     the step polynomial, with lambda there from the trajectory.  The
     nodes, the trajectory and the crossings are built on first read and
     cached.  At t = 0 the trajectory reads the start data as given.
+    ``start`` is that data, (lambda0, D0, F0, G0); ``F_plus`` is F+ of the
+    orbit record of :func:`orbit_phase` (0.0 for the closed forms, where every
+    F+ term of a sigma curve is 0), and reading it builds a u = 0 run's flow.
     """
 
-    def __init__(self, profile: RadialProfile, r0: float, build, d_cap: float, lazy: bool = False):
-        self.profile, self.r0, self.d_cap, self._build = profile, r0, d_cap, build
+    def __init__(self, profile: RadialProfile, r0: float, start, build, d_cap: float, lazy: bool = False):
+        self.profile, self.r0, self.start, self.d_cap, self._build = profile, r0, start, d_cap, build
         self.t_star: Optional[float] = None if lazy else self._flow.first_zero()
 
     @cached_property
@@ -656,6 +659,10 @@ class CharacteristicRun:
     @property
     def d(self) -> int:
         return self.profile.d
+
+    @property
+    def F_plus(self) -> float:
+        return self._flow.F_plus
 
     @property
     def floquet(self) -> Optional[dict]:
@@ -773,6 +780,7 @@ def run_characteristic(
     d = profile.d
     F0, G0 = profile.F0(r0), profile.G0(r0)
     lam0, D0 = profile_divergences(profile, r0)
+    start = (lam0, D0, F0, G0)
     if lam0 >= 1.0:
         raise ValueError(f"inadmissible start: lambda0({r0}) = {lam0} >= 1")
     if not t_max > 0.0:
@@ -781,9 +789,9 @@ def run_characteristic(
         raise ValueError(f"d_cap must be positive, got {d_cap}")
     w0 = 1.0 / (1.0 - lam0)
     if d == 1 or math.hypot(F0, G0) < sys.float_info.min:
-        return CharacteristicRun(profile, r0, partial(_Lagrangian, F0, G0, w0, D0 * w0, t_max), d_cap)
+        return CharacteristicRun(profile, r0, start, partial(_Lagrangian, F0, G0, w0, D0 * w0, t_max), d_cap)
     lazy = _homogeneous_part(F0, G0, w0, D0 * w0, d) == (0.0, 0.0)     # w = q > 0: no t*
-    return CharacteristicRun(profile, r0, partial(_Floquet, F0, G0, w0, D0 * w0, d, t_max, tol), d_cap, lazy)
+    return CharacteristicRun(profile, r0, start, partial(_Floquet, F0, G0, w0, D0 * w0, d, t_max, tol), d_cap, lazy)
 
 
 def detect_blowup(run: CharacteristicRun) -> BlowupRecord:
@@ -798,16 +806,16 @@ def count_revolutions_oracle(run: CharacteristicRun) -> int:
     return count_crossing_pairs(run.crossing_lambdas)
 
 
-def _arc_bounds(run: CharacteristicRun, k: int, f_plus: float):
+def _arc_bounds(run: CharacteristicRun, k: int):
     """Anchored bound pair for the k-th inter-crossing arc (k = 0: from t=0)."""
     if k == 0:
-        lam_a, D_a = profile_divergences(run.profile, run.r0)
+        lam_a, D_a = run.start[:2]
     else:
         st = run.trajectory(run.crossing_times[k - 1])
         lam_a, D_a = st[2], 0.0
     s_a, Z_a = lam_a - 1.0, D_a * D_a
-    lower = sigma_curve(Side.LOWER, s_a, Z_a, DEFAULT_SIGMA1, f_plus, run.d)
-    upper = sigma_curve(Side.UPPER, s_a, Z_a, DEFAULT_SIGMA2, f_plus, run.d)
+    lower = sigma_curve(Side.LOWER, s_a, Z_a, DEFAULT_SIGMA1, run.F_plus, run.d)
+    upper = sigma_curve(Side.UPPER, s_a, Z_a, DEFAULT_SIGMA2, run.F_plus, run.d)
     return lower, upper
 
 
@@ -816,21 +824,18 @@ def sandwich_check(run: CharacteristicRun, max_arcs: Optional[int] = None) -> fl
 
     For each arc between consecutive axis crossings (plus the initial arc
     from t = 0), the lower/upper comparison curves, of sigma DEFAULT_SIGMA1
-    and DEFAULT_SIGMA2, are anchored at the arc's starting state with the
-    orbit's F+ and the oracle's Z(s) is compared against [min, max] of the
-    pair at _SAMPLES_PER_ARC times.  Negative return values mean the
-    trajectory stayed strictly inside.  F+ is the run's orbit record's
-    (0.0 for the closed forms, d = 1 and the rest state, where every F+
-    term of a curve is 0).
+    and DEFAULT_SIGMA2, are anchored at the arc's starting state (the run's
+    ``start`` on the first) with the run's ``F_plus``, and the oracle's Z(s)
+    is compared against [min, max] of the pair at _SAMPLES_PER_ARC times.
+    Negative return values mean the trajectory stayed strictly inside.
     """
-    f_plus = run._flow.F_plus
     stops = np.concatenate([[0.0], run.crossing_times])
     n_arcs = len(stops) - 1
     if max_arcs is not None:
         n_arcs = min(n_arcs, max_arcs)
     worst = -np.inf
     for k in range(n_arcs):
-        lower, upper = _arc_bounds(run, k, f_plus)
+        lower, upper = _arc_bounds(run, k)
         tg = np.linspace(stops[k] + 1e-9, stops[k + 1] - 1e-9, _SAMPLES_PER_ARC)
         st = run.trajectory(tg)
         s_t = st[2] - 1.0

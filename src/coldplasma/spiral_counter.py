@@ -16,7 +16,6 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .chaplygin_bounds import BoundCurve, Side, sigma_curve
-from .core_dynamics import RadialProfile, orbit_extremes, profile_divergences
 from .numerics import expm1_inf, integrate_singular, linspace, newton_root, power_inf
 from .pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2, f_plus_of_lambda0
 
@@ -309,35 +308,32 @@ class FieldLifetime(NamedTuple):
     per_radius: tuple[tuple[float, float], ...]   # (r0, T_lower) samples
 
 
-def guaranteed_field_lifetime(
-    profile: RadialProfile,
-    r_grid: Sequence[float],
-) -> FieldLifetime:
+def guaranteed_field_lifetime(runs: Sequence) -> FieldLifetime:
     """Guaranteed smooth-solution lifetime: inf over the grid of T_lower(r0).
 
-    The spirals take :func:`build_spiral`'s default sigma pair and
-    revolution cap.  Equilibrium characteristics contribute +inf (no
-    oscillation, nothing to certify); characteristics whose spirals certify
-    no full revolution contribute 0 (the method is silent there).  Each
-    spiral takes the F+ of its characteristic's orbit through (F0(r0), G0(r0)) as ``f_plus``; only
-    the centre r0 = 0 of a d = 2 profile at rest there (F0(0) = 0) passes
-    ``None``, which refreshes F+ at every crossing (:func:`build_spiral`).
+    ``runs`` holds one :class:`~coldplasma.oracle.CharacteristicRun` per radius.
+    The spirals of a run start at its (lambda0, D0), take its ``F_plus`` and
+    :func:`build_spiral`'s default sigma pair and revolution cap.
+    Equilibrium characteristics contribute +inf (no oscillation, nothing to
+    certify); characteristics whose spirals certify no full revolution
+    contribute 0 (the method is silent there).  Only the centre r0 = 0 of a
+    d = 2 profile at rest there (F0(0) = 0) passes ``f_plus=None``, which
+    refreshes F+ at every crossing (:func:`build_spiral`).
     Where every radius is at rest, ``T_star`` is inf and ``r_at_min`` None.
     """
-    if len(r_grid) == 0:
+    if len(runs) == 0:
         raise ValueError("empty radius grid")
     rows: list[tuple[float, float]] = []
-    for r0 in r_grid:
-        lam0, D0 = profile_divergences(profile, r0)
-        F0, G0 = profile.F0(r0), profile.G0(r0)
-        if abs(lam0) < 1e-14 and abs(D0) < 1e-14 and abs(F0) < 1e-14 and abs(G0) < 1e-14:
-            rows.append((r0, math.inf))
+    for run in runs:
+        lam0, D0, F0, _ = run.start
+        if all(abs(x) < 1e-14 for x in run.start):
+            rows.append((run.r0, math.inf))
             continue
-        centre_at_rest = r0 == 0.0 and profile.d == 2 and F0 == 0.0
-        fp = None if centre_at_rest else orbit_extremes(F0, G0, profile.d).F_plus
-        outer = build_spiral("outer", (lam0, D0), fp, d=profile.d)
-        inner = build_spiral("inner", (lam0, D0), fp, d=profile.d)
+        centre_at_rest = run.r0 == 0.0 and run.d == 2 and F0 == 0.0
+        fp = None if centre_at_rest else run.F_plus
+        outer = build_spiral("outer", (lam0, D0), fp, d=run.d)
+        inner = build_spiral("inner", (lam0, D0), fp, d=run.d)
         # T_lower of lifetime(inner, outer), without the outer spiral's arcs
-        rows.append((r0, _passage_time(inner, _certified_revolutions(inner, outer))))
+        rows.append((run.r0, _passage_time(inner, _certified_revolutions(inner, outer))))
     r_min, t_star = min(rows, key=lambda row: row[1])
     return FieldLifetime(t_star, r_min if t_star < math.inf else None, tuple(rows))

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
+from coldplasma import core_dynamics
 from coldplasma.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -297,6 +299,30 @@ class TestOracleModes:
         assert (out / "sweep.csv").exists()
         assert rep["min_blowup_time"] is None
         assert rep["caveat"] is not None
+
+    @pytest.mark.parametrize("args, orbits", [
+        (["--k", "0.45", "--n-r", "48", "--t-max", "400"], 47),
+        (["--k", "0.222", "--r-min", "0", "--r-max", "3", "--n-r", "16", "--t-max", "150"], 15),
+    ])
+    def test_sweep_computes_each_orbit_once(self, tmp_path, monkeypatch, args, orbits):
+        # one oracle run per radius, whose orbit record gives its spirals F+:
+        # one orbit_extremes call per radius but the centre, a u = 0 start
+        # whose spirals refresh F+ and whose flow is never built.  Counted in
+        # every module that holds it, each loaded first
+        import coldplasma.oracle  # noqa: F401  (loads the spiral layer too)
+
+        calls, orig = [], core_dynamics.orbit_extremes
+
+        def counted(*a):
+            calls.append(a)
+            return orig(*a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("coldplasma") and vars(module).get("orbit_extremes") is orig:
+                monkeypatch.setattr(module, "orbit_extremes", counted)
+        code, _ = run_cli(["sweep", *args], tmp_path)
+        assert code == EXIT_OK
+        assert len(calls) == orbits
 
     def test_sweep_at_rest_names_no_lifetime_radius(self, tmp_path):
         # every radius from 6 to 10 is at rest (G0 < 1e-14): no lifetime, so no radius of it

@@ -65,6 +65,18 @@ class TestRhs:
             _, Ddot = rhs_divergence(lam, D, j_exact_radial(F, D, d))
             assert abs(Ddot_fd - Ddot) < 1e-6
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_loud_normal_form(self, d, rng):
+        # (X, Y) = (d G, -d F) turns the orbit system into Loud's reversible
+        # quadratic centre x' = -y + B x y, y' = x + D x**2 + F y**2 at
+        # (B, D, F) = (1, 0, 1/d)
+        eps = np.finfo(float).eps
+        for F, G in rng.uniform(-2.0, 2.0, size=(20, 2)):
+            dF, dG = rhs_radial(F, G, d)
+            X, Y = d * G, -d * F
+            assert abs(d * dG - (-Y + X * Y)) <= 8 * eps * (abs(Y) + abs(X * Y))
+            assert abs(-d * dF - (X + Y * Y / d)) <= 8 * eps * (abs(X) + Y * Y / d)
+
 
 class TestJExact:
     def test_one_dimensional_vanishes(self, rng):
@@ -294,6 +306,21 @@ def _period_d2_reference(G0):
 
 
 class TestPeriod:
+    @pytest.mark.parametrize("G_e", [-1.0, -0.5, 0.3])
+    def test_one_dimensional_orbits_are_isochronous(self, G_e):
+        # d = 1 is Loud's isochronous centre (B, D, F) = (1, 0, 1): every
+        # closed orbit has the period 2 pi
+        assert abs(period(0.0, G_e, 1) - 2.0 * math.pi) <= 4 * math.ulp(2.0 * math.pi)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_period_constant(self, d):
+        # T - 2 pi = (pi/12)(d-1)(d-4) G_e**2 + O(G_e**3), -pi/6 for d = 2
+        # and 3; the even part in G_e drops the cubic term
+        g, want = 1e-3, math.pi / 12.0 * (d - 1) * (d - 4)
+        even = (0.5 * (period(0.0, g, d) + period(0.0, -g, d)) - 2.0 * math.pi) / (g * g)
+        assert want == -math.pi / 6.0
+        assert abs(even / want - 1.0) <= 2e-5
+
     def test_small_orbit_linear_limit(self):
         assert abs(period(0.0, 1e-4, 2) - 2.0 * np.pi) < 1e-3
 
@@ -382,7 +409,7 @@ class TestPeriod:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_point_orbit_has_the_plasma_period(self, d):
-        # small oscillations have the period 2 pi; T - 2 pi ~ -0.525 G_e**2
+        # small oscillations have the period 2 pi; T - 2 pi ~ -(pi/6) G_e**2
         # is 5e-15 at G_e = 1e-7, where the quadrature still runs
         assert period(0.0, 0.0, d) == 2.0 * math.pi
         assert abs(period(0.0, 1e-7, d) - 2.0 * math.pi) <= 1e-14

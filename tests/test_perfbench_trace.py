@@ -28,7 +28,8 @@ trace.install()
 from coldplasma import core_dynamics, oracle, spiral_counter
 sweep = oracle.blowup_sweep(core_dynamics.gaussian_profile(0.45), [0.0, 0.9], t_max=50.0)
 assert [r0 for r0, _ in sweep] == [0.0, 0.9]
-spiral_counter.guaranteed_field_lifetime(core_dynamics.gaussian_profile(0.222), [0.0, 1.5])
+pulse = core_dynamics.gaussian_profile(0.222)
+spiral_counter.guaranteed_field_lifetime([oracle.run_characteristic(pulse, r0, 50.0) for r0 in (0.0, 1.5)])
 print(json.dumps(tracer.layer_metrics(trace.summary())))
 """
 

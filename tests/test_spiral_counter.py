@@ -13,6 +13,7 @@ from coldplasma.core_dynamics import (
     profile_divergences,
 )
 from coldplasma.numerics import find_root, linspace
+from coldplasma.oracle import run_characteristic
 from coldplasma.pulse_analysis import DEFAULT_SIGMA2, f_plus_of_lambda0
 from coldplasma.spiral_counter import (
     Spiral,
@@ -257,17 +258,22 @@ class TestLifetime:
         assert est.T_lower == est.T_upper == 0.0
 
 
+def _runs(profile, grid):
+    """One oracle run per radius, as ``sweep`` makes them (t_max moves no start or F+)."""
+    return [run_characteristic(profile, r0, 1.0) for r0 in grid]
+
+
 class TestFieldLifetime:
     def test_zero_profile_is_uncapped(self):
         profile = constant_profile(0.0, 0.0, 2)
-        res = guaranteed_field_lifetime(profile, [0.0, 0.5, 1.0])
+        res = guaranteed_field_lifetime(_runs(profile, [0.0, 0.5, 1.0]))
         assert np.isinf(res.T_star)
         assert res.r_at_min is None
 
     def test_gaussian_center_only_grid(self, spirals_default_k01):
         inner, outer = spirals_default_k01
         est = lifetime(inner, outer)
-        res = guaranteed_field_lifetime(gaussian_profile(0.1), [0.0])
+        res = guaranteed_field_lifetime(_runs(gaussian_profile(0.1), [0.0]))
         assert res.r_at_min == 0.0
         assert abs(res.T_star - est.T_lower) < 1e-9
 
@@ -282,14 +288,30 @@ class TestFieldLifetime:
         fp = orbit_extremes(F, G, d).F_plus
         start = profile_divergences(profile, 0.0)
         inner, outer = (build_spiral(kind, start, fp, d=d) for kind in ("inner", "outer"))
-        res = guaranteed_field_lifetime(profile, [0.0])
+        res = guaranteed_field_lifetime(_runs(profile, [0.0]))
         assert res.per_radius == ((0.0, lifetime(inner, outer).T_lower),)
         assert res.T_star == 0.0
 
+    def test_open_d1_orbits_read_no_f_plus(self):
+        # 1 - 2 G0 - F0**2 < 0: the d = 1 orbit is not closed, so it has no
+        # F+, and no d = 1 sigma curve reads one (every F+ term carries
+        # d - 1).  These starts certify no revolution, below the oracle's t*
+        with pytest.raises(ValueError, match="orbit is not closed"):
+            orbit_extremes(0.9, 0.1, 1)
+        profile = constant_profile(0.9, 0.1, 1)
+        res = guaranteed_field_lifetime(_runs(profile, [0.0, 0.5, 1.0]))
+        assert res.per_radius == ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0))
+        t_star = run_characteristic(profile, 0.0, math.inf).t_star
+        assert t_star == pytest.approx(4.491074538036899, rel=1e-15)
+        assert res.T_star < t_star
+        # a closed d = 1 orbit keeps its T_lower bit for bit
+        closed = guaranteed_field_lifetime(_runs(constant_profile(0.0, 0.3, 1), [0.0, 0.5, 1.0]))
+        assert closed.per_radius == tuple((r0, 6.3012176927665315) for r0 in (0.0, 0.5, 1.0))
+
     def test_grid_refinement_never_increases(self):
         profile = gaussian_profile(0.1)
-        coarse = guaranteed_field_lifetime(profile, [0.0, 0.8])
-        fine = guaranteed_field_lifetime(profile, [0.0, 0.4, 0.8, 1.2])
+        coarse = guaranteed_field_lifetime(_runs(profile, [0.0, 0.8]))
+        fine = guaranteed_field_lifetime(_runs(profile, [0.0, 0.4, 0.8, 1.2]))
         assert fine.T_star <= coarse.T_star + 1e-12
 
     def test_readme_sweep_per_radius(self):
@@ -309,7 +331,7 @@ class TestFieldLifetime:
             (15, 15, cap, cap, 94.24778015517364),
         ]
         profile, grid = gaussian_profile(0.222), linspace(0.0, 3.0, 16)
-        res = guaranteed_field_lifetime(profile, grid)
+        res = guaranteed_field_lifetime(_runs(profile, grid))
         assert [r0 for r0, _ in res.per_radius] == grid
         for r0, (_, t_lower), (n_out, n_in, why_out, why_in, t_want) in zip(grid, res.per_radius,
                                                                          want):
@@ -323,7 +345,7 @@ class TestFieldLifetime:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            guaranteed_field_lifetime(gaussian_profile(0.1), [])
+            guaranteed_field_lifetime([])
 
 
 @pytest.mark.xfail(strict=True, reason=(
