@@ -180,17 +180,16 @@ class _Floquet:
     those in [0, t_max) from ``first`` on, after t = 0 when the start lies
     inside a step (``inside``) and before t_max, and node i of
     :meth:`nodes` is flat node i + ``offset``.  No node value is built
-    before it is read.  ``F_plus`` is F+ of the orbit record of
-    :func:`orbit_phase` (A on a point orbit of amplitude A).  ``floquet``
-    holds T, the half period's steps, n with its ``shear_error`` and the
-    turning-point miss |F(T/2)|/F+ at G+, 0 but for the integration error,
-    as is w2(T/2) = -F(T/2) q/(G_e q_e).
+    before it is read.  (T, ext, tau), ext = (G-, G+, F+), is the run's
+    orbit record of :func:`orbit_phase` (F+ = A on a point orbit of
+    amplitude A).  ``floquet`` holds T, the half period's steps, n with its
+    ``shear_error`` and the turning-point miss |F(T/2)|/F+ at G+, 0 but for
+    the integration error, as is w2(T/2) = -F(T/2) q/(G_e q_e).
     """
 
-    def __init__(self, F0, G0, w0, p0, d, t_max, tol):
+    def __init__(self, F0, G0, w0, p0, d, t_max, tol, T, ext, tau):
         self.d, self.t_max, self.tol = d, t_max, tol
-        T, ext, tau = orbit_phase(F0, G0, d)
-        T, G_e, tau, self.F_plus = map(float, (T, ext.G_minus, tau, ext.F_plus))   # exact: numpy scalars on numpy radii
+        T, G_e, tau, F_plus = map(float, (T, ext.G_minus, tau, ext.F_plus))   # exact: numpy scalars on numpy radii
         self.T, self.half = T, 0.5 * T    # the half period is integrated whatever t_max
         self._turn = (G_e, 1.0 - d * G_e)        # G_e and 1/q_e
         try:        # an orbit so wide that the step control overflows stops at once
@@ -204,7 +203,7 @@ class _Floquet:
                              f"from (0, {G_e!r}) stops at t = {stop!r} ({status}), short of T/2 = {self.half!r}")
         S = one.t.size - 1
         F, G, _, c = one.y[:, -1].tolist()
-        self.shear = 2.0 * c / self._odd(F, G)[2]    # n = 2 p1/p2 at T/2
+        self.shear, self._miss = 2.0 * c / self._odd(F, G)[2], abs(F) / F_plus    # n = 2 p1/p2 at T/2
         tau_nodes = np.concatenate([one.t[:S], T - one.t[S:0:-1]])
         step = np.concatenate([np.arange(S), np.arange(S)[::-1]])
         if F0:      # one Newton step of the phase onto the integrated orbit
@@ -245,7 +244,7 @@ class _Floquet:
     @cached_property
     def floquet(self) -> dict:
         return {"period": self.T, "half_period_steps": self.one.t.size - 1, "shear": self.shear,
-                "shear_error": self.shear_error, "turning_point_miss": abs(float(self.one.y[0, -1])) / self.F_plus}
+                "shear_error": self.shear_error, "turning_point_miss": self._miss}
 
     @cached_property
     def shear_error(self) -> float:
@@ -535,7 +534,7 @@ class _Lagrangian:
     t_end.
     """
 
-    floquet, offset, F_plus = None, 0, 0.0     # F+ enters the sigma curves times d - 1 (at rest, squared: 0)
+    floquet, offset = None, 0
 
     def __init__(self, F0, G0, w0, p0, t_max):
         v0 = 1.0 / (1.0 - G0)
@@ -624,10 +623,10 @@ class CharacteristicRun:
     start whose homogeneous part u = (w0 - q0, p0 - d F0 q0) is 0 (``lazy``),
     as every spatially constant start and every center, has w = q =
     1/(1 - d G), and 1 - d G = (1 - d G0) exp(-d I) > 0 with I the integral
-    of F, so t* is None with no orbit work: its flow (the phase, the half
-    period and the node table) is built by ``build`` on the first read of
-    ``trajectory``, the crossings or ``floquet``, and an orbit that flow
-    cannot resolve raises there.
+    of F, so t* is None with no orbit work: its orbit record is computed on
+    the first read of ``F_plus`` or the flow, which ``build`` makes from it
+    on the first read of ``trajectory``, the crossings or ``floquet``; an
+    orbit that flow cannot resolve raises there.
 
     ``trajectory`` holds the state (F, G, lambda, D, r) on its nodes and
     evaluates it at any time; it ends at t_max (status ``"completed"``) or,
@@ -643,8 +642,8 @@ class CharacteristicRun:
     nodes, the trajectory and the crossings are built on first read and
     cached.  At t = 0 the trajectory reads the start data as given.
     ``start`` is that data, (lambda0, D0, F0, G0); ``F_plus`` is F+ of the
-    orbit record of :func:`orbit_phase` (0.0 for the closed forms, where every
-    F+ term of a sigma curve is 0), and reading it builds a u = 0 run's flow.
+    run's orbit record, read without integrating (0.0 for the closed forms,
+    where every F+ term of a sigma curve is 0).
     """
 
     def __init__(self, profile: RadialProfile, r0: float, start, build, d_cap: float, lazy: bool = False):
@@ -652,9 +651,14 @@ class CharacteristicRun:
         self.t_star: Optional[float] = None if lazy else self._flow.first_zero()
 
     @cached_property
+    def _orbit(self):
+        """(T, (G-, G+, F+), tau) of a d = 2, 3 run, on first read; () for the closed forms."""
+        return orbit_phase(*self.start[2:], self.d) if self._build.func is _Floquet else ()
+
+    @cached_property
     def _flow(self):
-        """The flow, built by ``build`` on first read."""
-        return self._build()
+        """The flow, built by ``build`` from the orbit record on first read."""
+        return self._build(*self._orbit)
 
     @property
     def d(self) -> int:
@@ -662,7 +666,7 @@ class CharacteristicRun:
 
     @property
     def F_plus(self) -> float:
-        return self._flow.F_plus
+        return float(self._orbit[1].F_plus) if self._orbit else 0.0
 
     @property
     def floquet(self) -> Optional[dict]:

@@ -312,6 +312,22 @@ class TestPeriod:
         # closed orbit has the period 2 pi
         assert abs(period(0.0, G_e, 1) - 2.0 * math.pi) <= 4 * math.ulp(2.0 * math.pi)
 
+    @pytest.mark.parametrize("G_e", [-5.0, -2.0, -1.0, -0.5, -0.1, 0.05, 0.1, 0.2, 0.24])
+    def test_four_dimensional_orbits_are_isochronous(self, G_e):
+        # d = 4 is Loud's isochronous centre (B, D, F) = (1, 0, 1/4): from
+        # the turning point (0, G_e) the orbit is back after 2 pi and at the
+        # other turning point (F = 0) after pi, at every amplitude
+        out = integrate(lambda t, y: rhs_radial(*y, 4), [0.0, G_e], (0.0, 2.0 * math.pi), tol=1e-12)
+        F, G = out.y[:, -1]
+        assert out.status == "completed"
+        assert abs(F) <= 1e-9 and abs(G - G_e) / max(1.0, abs(G_e)) <= 1e-9, (F, G)
+        assert abs(out(math.pi)[0]) <= 1e-9
+
+    def test_two_dimensional_orbits_are_not_isochronous(self):
+        # the control: a wide d = 2 orbit is not back after 2 pi (F = 0.111)
+        out = integrate(lambda t, y: rhs_radial(*y, 2), [0.0, -1.0], (0.0, 2.0 * math.pi), tol=1e-12)
+        assert abs(out.y[0, -1]) > 0.1
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_period_constant(self, d):
         # T - 2 pi = (pi/12)(d-1)(d-4) G_e**2 + O(G_e**3), -pi/6 for d = 2

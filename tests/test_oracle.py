@@ -12,6 +12,7 @@ from coldplasma.core_dynamics import (
     RadialProfile,
     constant_profile,
     gaussian_profile,
+    orbit_extremes,
     orbit_phase,
     period,
     profile_divergences,
@@ -21,6 +22,7 @@ from coldplasma import core_dynamics, oracle
 from coldplasma.numerics import BracketError, find_root, integrate
 from coldplasma.oracle import (
     _Floquet,
+    _Lagrangian,
     blowup_sweep,
     count_revolutions_oracle,
     detect_blowup,
@@ -347,6 +349,18 @@ class TestOneDimensionalExact:
                 times = np.array([3.0, 11.0, 19.0])
             assert_divergences_agree(run, direct_run(profile, 0.0, times[-1]), times)
         assert near_critical_blowups >= 2
+
+    @pytest.mark.parametrize("F0, G0", [(0.1, 0.2), (0.0, 0.3), (-0.3, -0.4), (0.5, -0.9), (0.0, 0.45)])
+    def test_closed_form_orbit_against_the_orbit_theory(self, F0, G0):
+        # (F, G) of the closed form is isochronous (Loud's centre (1, 0, 1)),
+        # and over one period its extremes are orbit_extremes' G-, G+ and F+
+        flow = _Lagrangian(F0, G0, 1.0, 0.0, math.inf)
+        F, G, _, _ = flow(2.0 * math.pi)
+        assert abs(F - F0) <= 1e-15 and abs(G - G0) <= 1e-15, (F, G)
+        Ft, Gt, _, _ = flow(np.linspace(0.0, 2.0 * math.pi, 200_001))
+        ext = orbit_extremes(F0, G0, 1)
+        assert abs(Ft.max() - ext.F_plus) <= 1e-9 and abs(Gt.min() - ext.G_minus) <= 1e-9
+        assert abs(Gt.max() - ext.G_plus) <= 1e-9
 
 
 class TestFloquetAgainstDirect:
@@ -1077,9 +1091,10 @@ class TestSearchAgainstScan:
         # (F0, G0, w0, p0, d): w0 small and falling reaches 0 between t = 0
         # and the first node (``head``); horizons just past t* put the zero
         # in the bracket to t_max
-        t_star = _Floquet(*start, 100.0, 1e-10).first_zero()
+        orbit = orbit_phase(start[0], start[1], start[4])     # the run's orbit record
+        t_star = _Floquet(*start, 100.0, 1e-10, *orbit).first_zero()
         for t_max in (0.5 * t_star, t_star * (1.0 + 1e-9), 1.01 * t_star, 100.0):
-            flow = _Floquet(*start, t_max, 1e-10)
+            flow = _Floquet(*start, t_max, 1e-10, *orbit)
             assert flow.inside and (t_star < flow._node(np.array([flow.first]))[0][0]) == head
             assert repr(flow.first_zero()) == repr(scanned_t_star(flow)), t_max
 

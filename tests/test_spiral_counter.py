@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coldplasma import spiral_counter
+from coldplasma import oracle, spiral_counter
 from coldplasma.chaplygin_bounds import Side, sigma_curve
 from coldplasma.core_dynamics import (
     RadialProfile,
@@ -13,7 +13,7 @@ from coldplasma.core_dynamics import (
     profile_divergences,
 )
 from coldplasma.numerics import find_root, linspace
-from coldplasma.oracle import run_characteristic
+from coldplasma.oracle import detect_blowup, run_characteristic
 from coldplasma.pulse_analysis import DEFAULT_SIGMA2, f_plus_of_lambda0
 from coldplasma.spiral_counter import (
     Spiral,
@@ -307,6 +307,43 @@ class TestFieldLifetime:
         # a closed d = 1 orbit keeps its T_lower bit for bit
         closed = guaranteed_field_lifetime(_runs(constant_profile(0.0, 0.3, 1), [0.0, 0.5, 1.0]))
         assert closed.per_radius == tuple((r0, 6.3012176927665315) for r0 in (0.0, 0.5, 1.0))
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count ``oracle.integrate`` and ``oracle.orbit_phase`` calls."""
+        calls = {"integrate": 0, "orbit_phase": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(oracle, name), **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(oracle, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_f_plus_reads_the_orbit_record(self, d, monkeypatch):
+        # u = 0 runs: F+ is the run's orbit record's, one orbit_phase a run
+        # and no integration; the trajectory's flow reuses that record
+        calls = self._counted(monkeypatch)
+        runs = _runs(constant_profile(0.1, 0.2, d), [0.0, 0.5, 1.0])
+        assert not any(detect_blowup(run).detected for run in runs)
+        assert calls == {"integrate": 0, "orbit_phase": 0}     # affine-ensemble's timed span
+        res = guaranteed_field_lifetime(runs)
+        assert calls == {"integrate": 0, "orbit_phase": 3}
+        assert res.per_radius == ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0))
+        assert all(run.F_plus == orbit_extremes(0.1, 0.2, d).F_plus for run in runs)
+        assert runs[0].trajectory.status == "completed"
+        assert calls == {"integrate": 1, "orbit_phase": 3}
+
+    def test_f_plus_of_an_orbit_the_flow_cannot_resolve(self, monkeypatch):
+        # G- = -1.4e214: the half period's first step overflows, but F+ =
+        # 7.19e106 needs no flow; the trajectory still raises
+        calls = self._counted(monkeypatch)
+        runs = _runs(constant_profile(0.0, 0.499, 2), [0.0, 0.5, 1.0])
+        res = guaranteed_field_lifetime(runs)
+        assert res.per_radius == ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0)) and calls["integrate"] == 0
+        assert runs[1].F_plus == pytest.approx(7.19e106, rel=1e-3)
+        with pytest.raises(ValueError, match=r"half period .* stops at t = 0\.0 "):
+            runs[0].trajectory
 
     def test_grid_refinement_never_increases(self):
         profile = gaussian_profile(0.1)
