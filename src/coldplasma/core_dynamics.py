@@ -323,10 +323,11 @@ def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, OrbitExtremes, flo
     to G0 (F0 > 0) or T - Q (F0 < 0), or from G+ at T/2, T/2 -/+ Q; Q is
     the integral of :func:`period` between x0 = log(1 - d G0) and the
     nearer turning point, divided by d, with Y about x0 taken from
-    Y = F0**2 there.  A start on a turning point (F0 = 0) has tau = 0 at
-    G- and T/2 at G+.  On a point orbit T = 2 pi, the extremes are the
-    linearized (-A, A, A) with A = hypot(F0, G0), and tau = atan2(F0, -G0)
-    mod 2 pi, from the linearized orbit G = -A cos tau, F = A sin tau.
+    Y = F0**2 there.  A start on a turning point (F0 = 0) is that turning
+    point, x0 itself, so Q = 0 and tau = 0 at G- and T/2 at G+.  On a
+    point orbit T = 2 pi, the extremes are the linearized (-A, A, A) with
+    A = hypot(F0, G0), and tau = atan2(F0, -G0) mod 2 pi, from the
+    linearized orbit G = -A cos tau, F = A sin tau.
     Raises as :func:`period` does.
     """
     try:
@@ -338,8 +339,6 @@ def orbit_phase(F0: float, G0: float, d: int) -> tuple[float, OrbitExtremes, flo
             return T, OrbitExtremes(-A, A, A), tau if tau < T else 0.0
         turning = {math.log1p(-d * G): (0.0, G) for G in (ext.G_plus, ext.G_minus)}
         T = 2.0 / d * _x_integral(d, turning)
-        if F0 == 0.0:       # the start is a turning point: G- at phase 0, G+ at T/2
-            return T, ext, 0.0 if G0 == ext.G_minus else 0.5 * T
         # the time to the nearer turning point, so that a start close to one
         # (F0 small) leaves no narrow peak of the integrand inside the interval
         (x_plus, _), (x_minus, _) = sorted(turning.items())

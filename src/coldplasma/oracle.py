@@ -157,13 +157,13 @@ class _Floquet:
     into c = -c + n e, so n = 2 c/e: the shear of the period function
     (Chicone, J. Differential Equations 69, 1987), Dawson's phase mixing.
     The start lies at the phase tau_s of :func:`orbit_phase` (0 at G-,
-    T/2 at G+, polished by one Newton step onto the integrated orbit where
-    F0 != 0), and at tau = kT + sigma, (h, h') = Phi(sigma) M^k v
-    = Phi(sigma) (v0, v1 + k n v0) with v = Phi(tau_s)^-1 u (Phi(T/2) from
-    the half's last node).  Where u = (w0 - q0, p0 - d F0 q0) from the
-    exact start data is 0, as at every spatially constant start and every
-    center, v = 0 and w = q > 0 at every time; elsewhere u is taken at
-    the flow's own (F, G) at tau_s, so that w and p run on from w0 and p0.
+    T/2 at G+), taken as given, and at tau = kT + sigma, (h, h') =
+    Phi(sigma) M^k v = Phi(sigma) (v0, v1 + k n v0) with v = Phi(tau_s)^-1 u
+    (Phi(T/2) from the half's last node).  Where u = (w0 - q0,
+    p0 - d F0 q0) from the exact start data is 0, as at every spatially
+    constant start and every center, v = 0 and w = q > 0 at every time;
+    elsewhere u is taken at the flow's own (F, G) at tau_s, so that w and
+    p run on from w0 and p0.
     At t = 0 the flow reads the start data as given (:meth:`__call__`,
     :meth:`nodes`), and at T/2 it reads F = 0, as the junction's node does.
     Every orbit but the rest state, which :func:`run_characteristic` solves
@@ -206,14 +206,7 @@ class _Floquet:
         self.shear, self._miss = 2.0 * c / self._odd(F, G)[2], abs(F) / F_plus    # n = 2 p1/p2 at T/2
         tau_nodes = np.concatenate([one.t[:S], T - one.t[S:0:-1]])
         step = np.concatenate([np.arange(S), np.arange(S)[::-1]])
-        if F0:      # one Newton step of the phase onto the integrated orbit
-            F, G, *_ = self._at(tau)
-            dF, dG = rhs_radial(F, G, d)
-            speed = dF * dF + dG * dG      # 0 only where it underflows, on orbits below 1e-154
-            if speed:
-                tau = (tau + ((F0 - F) * dF + (G0 - G) * dG) / speed) % T
-            tau = tau if tau < T else 0.0       # a phase that rounds to T is phase 0
-        self.tau, self._step, self._rows = float(tau), step, [None] * step.size   # rows: :meth:`_position`
+        self.tau, self._step, self._rows = tau, step, [None] * step.size   # rows: :meth:`_position`
         mirror = np.arange(step.size) >= S
         sign = np.where(mirror, -1.0, 1.0)
 
@@ -646,8 +639,8 @@ class CharacteristicRun:
     where every F+ term of a sigma curve is 0).
     """
 
-    def __init__(self, profile: RadialProfile, r0: float, start, build, d_cap: float, lazy: bool = False):
-        self.profile, self.r0, self.start, self.d_cap, self._build = profile, r0, start, d_cap, build
+    def __init__(self, d: int, r0: float, start, build, d_cap: float, lazy: bool = False):
+        self.d, self.r0, self.start, self.d_cap, self._build = d, r0, start, d_cap, build
         self.t_star: Optional[float] = None if lazy else self._flow.first_zero()
 
     @cached_property
@@ -659,10 +652,6 @@ class CharacteristicRun:
     def _flow(self):
         """The flow, built by ``build`` from the orbit record on first read."""
         return self._build(*self._orbit)
-
-    @property
-    def d(self) -> int:
-        return self.profile.d
 
     @property
     def F_plus(self) -> float:
@@ -713,7 +702,7 @@ class CharacteristicRun:
     def trajectory(self) -> OdeTrajectory:
         flow, d, r0 = self._flow, self.d, self.r0
         t, *state = self._nodes
-        ratio = 1.0 - d * self.profile.G0(r0)
+        ratio = 1.0 - d * self.start[3]
 
         # reads no attribute of the run: the run holds the trajectory, and a
         # reference back would leave every run to the cycle collector
@@ -737,10 +726,7 @@ class CharacteristicRun:
                    p[j].tolist(), p[j + 1].tolist())
         times[root] = np.fromiter((newton_root(*bracket) for bracket in ends), float, count=j.size)
         times = times[times < t[-1]]
-        at = traj(times)
-        # rounding noise in p crosses 0 on an equilibrium: keep crossings of moving states
-        moving = np.max(np.abs(at[:3]), axis=0) > 1e-12
-        return times[moving], at[2][moving]
+        return times, traj(times)[2]
 
     @property
     def crossing_times(self) -> np.ndarray:
@@ -793,9 +779,9 @@ def run_characteristic(
         raise ValueError(f"d_cap must be positive, got {d_cap}")
     w0 = 1.0 / (1.0 - lam0)
     if d == 1 or math.hypot(F0, G0) < sys.float_info.min:
-        return CharacteristicRun(profile, r0, start, partial(_Lagrangian, F0, G0, w0, D0 * w0, t_max), d_cap)
+        return CharacteristicRun(d, r0, start, partial(_Lagrangian, F0, G0, w0, D0 * w0, t_max), d_cap)
     lazy = _homogeneous_part(F0, G0, w0, D0 * w0, d) == (0.0, 0.0)     # w = q > 0: no t*
-    return CharacteristicRun(profile, r0, start, partial(_Floquet, F0, G0, w0, D0 * w0, d, t_max, tol), d_cap, lazy)
+    return CharacteristicRun(d, r0, start, partial(_Floquet, F0, G0, w0, D0 * w0, d, t_max, tol), d_cap, lazy)
 
 
 def detect_blowup(run: CharacteristicRun) -> BlowupRecord:
@@ -811,12 +797,8 @@ def count_revolutions_oracle(run: CharacteristicRun) -> int:
 
 
 def _arc_bounds(run: CharacteristicRun, k: int):
-    """Anchored bound pair for the k-th inter-crossing arc (k = 0: from t=0)."""
-    if k == 0:
-        lam_a, D_a = run.start[:2]
-    else:
-        st = run.trajectory(run.crossing_times[k - 1])
-        lam_a, D_a = st[2], 0.0
+    """Bound pair for inter-crossing arc k, anchored at the start (k = 0) or the logged crossing."""
+    lam_a, D_a = run.start[:2] if k == 0 else (run.crossing_lambdas[k - 1], 0.0)
     s_a, Z_a = lam_a - 1.0, D_a * D_a
     lower = sigma_curve(Side.LOWER, s_a, Z_a, DEFAULT_SIGMA1, run.F_plus, run.d)
     upper = sigma_curve(Side.UPPER, s_a, Z_a, DEFAULT_SIGMA2, run.F_plus, run.d)
@@ -829,8 +811,9 @@ def sandwich_check(run: CharacteristicRun, max_arcs: Optional[int] = None) -> fl
     For each arc between consecutive axis crossings (plus the initial arc
     from t = 0), the lower/upper comparison curves, of sigma DEFAULT_SIGMA1
     and DEFAULT_SIGMA2, are anchored at the arc's starting state (the run's
-    ``start`` on the first) with the run's ``F_plus``, and the oracle's Z(s)
-    is compared against [min, max] of the pair at _SAMPLES_PER_ARC times.
+    ``start`` on the first, the logged crossing on the others) with the
+    run's ``F_plus``, and the oracle's Z(s) is compared against [min, max]
+    of the pair at _SAMPLES_PER_ARC times.
     Negative return values mean the trajectory stayed strictly inside.
     """
     stops = np.concatenate([[0.0], run.crossing_times])

@@ -243,6 +243,14 @@ class TestOracleModes:
         assert traj[0] == "t,lambda,D,F,G,r"
         assert len(traj) > 10
 
+    def test_oracle_run_tiny_pulse_counts_its_revolutions(self, tmp_path):
+        # lambda = 2K cos t: 7 crossings, 3 whole turns, and arcs to check
+        code, out = run_cli(["oracle-run", "--k", "1e-13", "--r0", "0", "--t-max", "25"], tmp_path)
+        assert code == EXIT_OK
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["revolutions"] == 3 and len(rep["crossing_times"]) == 7
+        assert isinstance(rep["sandwich_violation"], float), rep["sandwich_violation"]
+
     def test_oracle_run_reports_the_period_map(self, tmp_path):
         code, out = run_cli(["oracle-run", "--k", "0.1", "--t-max", "5"], tmp_path, sub="orbit")
         assert code == EXIT_OK

@@ -234,6 +234,18 @@ class TestCrossingLog:
         assert times.size == 7 and np.all(np.isin(times, t)) and np.all(p[np.isin(t, times)] == 0.0)
         assert np.all(np.abs(times - 0.5 * T * np.arange(1, 8)) <= 1e-15 * times), times
 
+    @pytest.mark.parametrize("K", [1e-14, 1e-13, 4e-13])
+    def test_tiny_pulse_crosses_every_half_period(self, K):
+        # every sign change of p is a crossing, however small the orbit:
+        # the linear dynamics lambda = 2K cos t cross D = 0 at t = k pi with
+        # lambda = -/+ 2K there
+        run = run_characteristic(gaussian_profile(K), 0.0, 25.0)
+        times, lams = run.crossing_times, run.crossing_lambdas
+        k = np.arange(1, 8)
+        assert times.size == 7 and np.all(np.abs(times - k * np.pi) <= 1e-6 * times), times
+        assert np.all(np.abs(lams / (2.0 * K * (-1.0) ** k) - 1.0) <= 1e-3), lams
+        assert count_revolutions_oracle(run) == 3
+
 
 class TestSandwich:
     def test_equilibrium_violation_is_vacuous(self):
@@ -480,9 +492,9 @@ class TestHalfPeriod:
 
     @pytest.mark.parametrize("c", [1e-9, -1e-9])
     def test_start_next_to_a_turning_point(self, c):
-        # with |F0| = 1e-9, G0 lies within rounding of a turning point, where
-        # the phase quadrature sees no interval; one Newton step of the phase
-        # onto the integrated orbit places the start (2.8e-9 off without it)
+        # with |F0| = 1e-9, G0 lies within rounding of G+, where the phase
+        # quadrature sees no interval: orbit_phase gives tau = T/2, and w and
+        # p run 2.8e-10 from the direct run
         profile = moving_pulse(0.3, c, 2)
         run = run_characteristic(profile, 0.5, 20.0)
         times = run.floquet["period"] * (np.arange(3)[:, None] + [0.25, 0.75]).ravel()

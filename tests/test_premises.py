@@ -23,7 +23,7 @@ The cases are the d = 2 Gaussian pulses at K = 0.05, 0.1, 0.222, 0.3 and
 (``test_oracle.moving_pulse``: F0 = c exp(-r**2) beside G0 = K exp(-r**2))
 in each of d = 2 and 3, each at 11 radii in [0, 2.5], each at tol 1e-11
 over two periods of its orbit, and the 177 admissible starts of ROADMAP
-item 11 (``test_first_period_criterion``), each over its own period at
+item 11 (``census.first_period_runs``), each over its own period at
 tol 1e-11; a run that breaks first ends where lambda reaches -d_cap.
 Each run has 800 samples.  sigma2's premise and direction hold on all 442
 runs; sigma1's premise fails off the centre and on 27 of item 11's starts,
@@ -42,8 +42,8 @@ from coldplasma.chaplygin_bounds import Side, _upper_j_bound, sigma_curve
 from coldplasma.core_dynamics import gaussian_profile, orbit_extremes, period
 from coldplasma.oracle import run_characteristic
 from coldplasma.pulse_analysis import DEFAULT_SIGMA1, DEFAULT_SIGMA2
+from census import first_period_runs
 from references import j_exact_radial, q_sigma
-from test_first_period_criterion import _runs as first_period_runs
 from test_oracle import moving_pulse
 
 KS = (0.05, 0.1, 0.222, 0.3, 0.45)
@@ -85,7 +85,7 @@ def case_runs(case):
     periods of their orbit the K pulse's at each radius of ``RADII``, or
     each moving pulse's of ``moving_draws`` at each radius of
     ``MOVING_RADII``; over one, those of item 11's starts
-    (``test_first_period_criterion._runs``), where is the start."""
+    (``census.first_period_runs``), where is the start."""
     if case == FIRST_PERIOD:
         return [(start, run, orbit_extremes(F0, G0, d).F_plus)
                 for start, run in first_period_runs() for F0, G0, d in [start[2:]]]
